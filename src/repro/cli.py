@@ -33,14 +33,6 @@ Commands:
 * ``cache stats DIR`` / ``cache purge DIR --stale-tmp [--older-than S]``
   — inspect an engine result cache (entry and orphaned temp-file
   counts/bytes) and sweep stale ``*.tmp`` debris left by killed runs;
-* ``cache export DIR TARBALL`` / ``cache import DIR TARBALL`` — ship a
-  warmed result store between machines as a digest-validated, engine-
-  version-stamped gzipped tarball;
-* ``serve start --cache DIR [--port P] [--workers N]`` /
-  ``serve status --server URL`` / ``serve warm --server URL [--suite
-  SUITE]`` — run and operate the verdict daemon (:mod:`repro.serve`,
-  ``docs/serving.md``): a long-lived worker pool sharing one result
-  store across every client;
 * ``import FILE [FILE ...]`` — parse and validate ``.litmus`` files;
 * ``export [--suite SUITE] [-o DIR]`` — print/write tests as ``.litmus``;
 * ``model show MODEL`` / ``model import FILE ...`` /
@@ -73,10 +65,7 @@ Operational cells (``check --operational``, ``equiv``, ``hunt --oracle
 operational``) flow through the same engine and cache, keyed by the
 abstract-machine variant instead of model clauses.  The defaults (one
 process, no cache) produce output identical to the historical serial
-path.  ``--server URL`` on ``check``/``matrix``/``equiv``/``strength``
-routes the same grids through a verdict daemon instead — stdout stays
-byte-identical, and an unreachable server falls back to the local
-engine transparently (version mismatches are hard errors).
+path.
 
 The same commands take the fault-tolerance flags ``--timeout S``
 (per-batch deadline), ``--retries N`` (re-run failed batches) and
@@ -160,23 +149,6 @@ def _policy_from_args(args: argparse.Namespace):
         raise CLIUsageError(str(exc)) from exc
 
 
-def _remote_evaluate(args: argparse.Namespace):
-    """The engine backend ``--server`` selects (``None`` = local engine).
-
-    Invalid URLs fail here, before any evaluation starts; transport
-    failures later fall back per :class:`repro.serve.RemoteScheduler`.
-    """
-    server = getattr(args, "server", None)
-    if server is None:
-        return None
-    from .serve import RemoteScheduler
-
-    try:
-        return RemoteScheduler(server).evaluate_cells
-    except ValueError as exc:
-        raise CLIUsageError(str(exc)) from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -220,17 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="DIR",
             help="on-disk result cache directory (default: no cache)",
-        )
-
-    def add_server_flag(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--server",
-            default=None,
-            metavar="URL",
-            help="route cells through a verdict daemon (repro serve "
-            "start) instead of the local engine; output is byte-"
-            "identical and an unreachable server falls back locally "
-            "(see docs/serving.md)",
         )
 
     def add_policy_flags(cmd: argparse.ArgumentParser) -> None:
@@ -292,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(models with a machine: gam, gam0, sc, tso)",
     )
     add_engine_flags(check)
-    add_server_flag(check)
     add_policy_flags(check)
     add_stats_flag(check)
 
@@ -322,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"which test suite to evaluate ({suite_help})",
     )
     add_engine_flags(matrix)
-    add_server_flag(matrix)
     add_policy_flags(matrix)
     add_stats_flag(matrix)
 
@@ -340,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated definition pairs (gam,gam0,sc,tso)",
     )
     add_engine_flags(equiv)
-    add_server_flag(equiv)
     add_policy_flags(equiv)
     add_stats_flag(equiv)
 
@@ -424,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"which test suite to measure over ({suite_help})",
     )
     add_engine_flags(strength)
-    add_server_flag(strength)
     add_policy_flags(strength)
     add_stats_flag(strength)
 
@@ -551,100 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="only remove temp files at least this old "
         "(default: 3600 — an hour; live runs rename theirs within seconds)",
-    )
-
-    cache_export = cache_sub.add_parser(
-        "export",
-        help="archive a warmed cache as a digest-validated gzipped tarball",
-    )
-    cache_export.add_argument(
-        "dir",
-        metavar="DIR",
-        help="cache directory (a --cache DIR or a serve daemon's store)",
-    )
-    cache_export.add_argument(
-        "tarball", metavar="TARBALL", help="output .tar.gz path"
-    )
-
-    cache_import = cache_sub.add_parser(
-        "import",
-        help="merge an exported cache tarball into a directory "
-        "(refused on engine-version mismatch or corruption)",
-    )
-    cache_import.add_argument(
-        "dir",
-        metavar="DIR",
-        help="destination cache directory (created if missing)",
-    )
-    cache_import.add_argument(
-        "tarball", metavar="TARBALL", help="a `repro cache export` archive"
-    )
-
-    serve_cmd = sub.add_parser(
-        "serve",
-        help="run and operate the verdict daemon (docs/serving.md)",
-    )
-    serve_sub = serve_cmd.add_subparsers(dest="serve_command", required=True)
-
-    serve_start = serve_sub.add_parser(
-        "start",
-        help="run a verdict daemon in the foreground until interrupted",
-    )
-    serve_start.add_argument(
-        "--cache",
-        required=True,
-        metavar="DIR",
-        help="the shared result store directory (the daemon's whole "
-        "point; created if missing)",
-    )
-    serve_start.add_argument(
-        "--host",
-        default="127.0.0.1",
-        metavar="HOST",
-        help="bind address (default: 127.0.0.1 — the protocol is "
-        "unauthenticated, do not bind it to a public interface)",
-    )
-    serve_start.add_argument(
-        "--port",
-        type=int,
-        default=7907,
-        metavar="PORT",
-        help="bind port (default: 7907; 0 picks a free port)",
-    )
-    serve_start.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="warm-pool worker processes (default: 2)",
-    )
-    add_policy_flags(serve_start)
-
-    serve_status = serve_sub.add_parser(
-        "status", help="print a running daemon's status payload as JSON"
-    )
-    serve_status.add_argument(
-        "--server",
-        required=True,
-        metavar="URL",
-        help="the daemon's URL (e.g. http://127.0.0.1:7907)",
-    )
-
-    serve_warm = serve_sub.add_parser(
-        "warm",
-        help="pre-populate a daemon's shared store from a suite x model grid",
-    )
-    serve_warm.add_argument(
-        "--server",
-        required=True,
-        metavar="URL",
-        help="the daemon's URL (e.g. http://127.0.0.1:7907)",
-    )
-    serve_warm.add_argument(
-        "--suite",
-        default="paper",
-        metavar="SUITE",
-        help=f"tests to warm with (default: paper; {suite_help})",
     )
 
     import_cmd = sub.add_parser(
@@ -786,8 +649,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         cell = VerdictSpec(test, _resolve_model(args.model))
         definition = "axioms"
-    evaluate = _remote_evaluate(args) or evaluate_cells
-    [allowed] = evaluate(
+    [allowed] = evaluate_cells(
         [cell], jobs=args.jobs, cache_dir=args.cache,
         policy=_policy_from_args(args),
     )
@@ -859,7 +721,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     )
     cells = litmus_matrix(
         tests=_resolve_suite(args.suite), jobs=args.jobs, cache_dir=args.cache,
-        policy=_policy_from_args(args), evaluate=_remote_evaluate(args),
+        policy=_policy_from_args(args),
     )
     # The paper suite keeps its historical figure-listing title; other
     # suites are not the paper's figures and are titled by their spec.
@@ -899,7 +761,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     status = 0
     reports = check_suite(
         tests, pair_names=pair_names, jobs=args.jobs, cache_dir=args.cache,
-        policy=_policy_from_args(args), evaluate=_remote_evaluate(args),
+        policy=_policy_from_args(args),
     )
     for report in reports:
         if report.failure is not None:
@@ -990,7 +852,7 @@ def _cmd_strength(args: argparse.Namespace) -> int:
 
     matrix = strength_matrix(
         tests=_resolve_suite(args.suite), jobs=args.jobs, cache_dir=args.cache,
-        policy=_policy_from_args(args), evaluate=_remote_evaluate(args),
+        policy=_policy_from_args(args),
     )
     print(render_strength(matrix))
     return 0
@@ -1181,21 +1043,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
     # Guard before ResultCache touches the path: the constructor creates
     # missing directories, and a typo'd path must not become one.
-    # `import` is the exception — its destination is allowed to be new.
-    if args.cache_command != "import" and not os.path.isdir(args.dir):
+    if not os.path.isdir(args.dir):
         raise CLIUsageError(f"not a cache directory: {args.dir!r}")
     cache = ResultCache(args.dir)
-    if args.cache_command == "export":
-        count = cache.export_tarball(args.tarball)
-        print(f"exported {count} entr{'y' if count == 1 else 'ies'} to {args.tarball}")
-        return 0
-    if args.cache_command == "import":
-        imported, skipped = cache.import_tarball(args.tarball)
-        print(
-            f"imported {imported} entr{'y' if imported == 1 else 'ies'} "
-            f"into {args.dir} ({skipped} already present)"
-        )
-        return 0
     if args.cache_command == "stats":
         stats = cache.stats()
         print(f"cache {args.dir}")
@@ -1216,62 +1066,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print(
         f"removed {removed} stale tmp file(s) older than "
         f"{args.older_than:g}s ({reclaimed} bytes reclaimed)"
-    )
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
-    if args.serve_command == "start":
-        from .serve import VerdictServer, VerdictService
-
-        service = VerdictService(
-            args.cache, workers=args.workers, policy=_policy_from_args(args)
-        )
-        server = VerdictServer(service, host=args.host, port=args.port)
-        host, port = server.address
-        print(
-            f"verdict daemon on http://{host}:{port} "
-            f"(store: {args.cache}, workers: {args.workers})",
-            flush=True,
-        )
-        try:
-            server.serve_forever()
-        finally:
-            server.close()
-        return 0
-
-    from .serve import ServeClient
-
-    client = ServeClient(args.server)
-    if args.serve_command == "status":
-        print(json.dumps(client.status(), indent=2, sort_keys=True))
-        return 0
-
-    # warm: push the suite x model-zoo verdict grid through the daemon so
-    # its shared store answers the matching `matrix --server` run with
-    # zero kernel enumerations.
-    from .engine import VerdictSpec
-    from .eval.litmus_matrix import _MATRIX_MODELS
-    from .serve.protocol import encode_cell, request_envelope
-
-    tests = [t for t in _resolve_suite(args.suite) if t.asked is not None]
-    cells = [
-        encode_cell(VerdictSpec(test, model))
-        for test in tests
-        for model in _MATRIX_MODELS
-    ]
-    if not cells:
-        print(f"suite {args.suite!r} has no asked outcomes; nothing to warm")
-        return 0
-    payload = client.post("batch", request_envelope(cells))
-    stats = payload.get("stats") or {}
-    print(
-        f"warmed {len(cells)} cells ({len(tests)} tests x "
-        f"{len(_MATRIX_MODELS)} models): "
-        f"{stats.get('remote_hits', 0)} already stored, "
-        f"{stats.get('evaluated', 0)} evaluated"
     )
     return 0
 
@@ -1397,7 +1191,6 @@ _COMMANDS = {
     "lint": _cmd_lint,
     "stats": _cmd_stats,
     "cache": _cmd_cache,
-    "serve": _cmd_serve,
     "import": _cmd_import,
     "export": _cmd_export,
     "model": _cmd_model,
@@ -1442,11 +1235,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     from .campaign.state import CampaignError
     from .core.axiomatic import DomainOverflowError
-    from .engine import CacheTransferError, EngineWorkerError
+    from .engine import EngineWorkerError
     from .litmus.frontend.parser import LitmusParseError
     from .litmus.frontend.printer import LitmusPrintError
     from .models.spec import ModelSpecError
-    from .serve import ServeError
 
     try:
         return _dispatch(args)
@@ -1455,13 +1247,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (
         CampaignError,
-        CacheTransferError,
         DomainOverflowError,
         EngineWorkerError,
         LitmusParseError,
         LitmusPrintError,
         ModelSpecError,
-        ServeError,
         CLIUsageError,
         OSError,
     ) as exc:

@@ -391,7 +391,7 @@ class _Candidate:
     from the test and the chosen program runs alone, which is what lets a
     :class:`CandidatePrefix` share one ``_Candidate`` base across a whole
     model zoo (``_prepare_base`` builds it with ``mem_edges`` empty and
-    ``_with_model_edges`` specializes it per clause set).
+    :meth:`CandidatePrefix.candidate` specializes it per clause set).
     """
 
     runs: tuple[ProgramRun, ...]
@@ -421,7 +421,8 @@ def _prepare_base(
     Returns ``None`` when some load's assigned value cannot come from any
     store to its address (nor from the initial memory) — a cheap necessary
     condition for the LoadValue axiom under *every* model.  The returned
-    candidate has an empty ``mem_edges``; see :func:`_with_model_edges`.
+    candidate has an empty ``mem_edges``; see
+    :meth:`CandidatePrefix.candidate`.
     """
     events = build_events(runs)
     inits = init_events(events, test.initial_memory)
@@ -488,23 +489,6 @@ def _static_memory_edges(
         for a, b in project_to_memory(ctx, ppo):
             mem_edges.add((base.src_eid(proc, a), (proc, b)))
     return frozenset(mem_edges)
-
-
-def _with_model_edges(base: _Candidate, model: MemoryModel) -> _Candidate:
-    """Specialize a model-independent base with the model's static-ppo DAG."""
-    return replace(base, mem_edges=_static_memory_edges(base, model.clauses))
-
-
-def _prepare_candidate(
-    test: LitmusTest,
-    runs: tuple[ProgramRun, ...],
-    model: MemoryModel,
-) -> Optional[_Candidate]:
-    """Build events, contexts and the static-ppo DAG; prune impossible values."""
-    base = _prepare_base(test, runs)
-    if base is None:
-        return None
-    return _with_model_edges(base, model)
 
 
 def _orders_with_load_values(

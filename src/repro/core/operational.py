@@ -513,16 +513,22 @@ class ExplorationResult:
     terminal_states: int
 
 
-def explore(
-    test: LitmusTest,
-    variant: MachineVariant = GAM_MACHINE,
-    project: str = "observed",
-    max_states: int = 2_000_000,
-) -> ExplorationResult:
-    """Exhaustively explore the abstract machine on ``test``.
+_MAX_STATES = 2_000_000
+"""Default cap on distinct states one exploration may visit."""
 
-    Raises ``RuntimeError`` if more than ``max_states`` distinct states are
-    visited (a safety valve; litmus tests stay far below it).
+
+def _terminal_states(
+    test: LitmusTest,
+    variant: MachineVariant,
+    max_states: int,
+    seen: set[MachineState],
+) -> Iterator[tuple[dict[tuple[int, str], int], dict[int, int]]]:
+    """Depth-first search of the machine, yielding each terminal state's
+    final registers and memory.
+
+    ``seen`` collects every visited state, so callers can report how many
+    there were.  Raises ``RuntimeError`` once more than ``max_states``
+    distinct states have been visited.
     """
     machine = _Machine(test, variant)
     initial_memory = tuple(sorted(test.initial_memory.items()))
@@ -530,26 +536,41 @@ def explore(
         memory=initial_memory,
         procs=tuple(ProcState(0, ()) for _ in test.programs),
     )
+    stack = list(machine.fetch_closure(empty))
+    seen.update(stack)
+    while stack:
+        state = stack.pop()
+        if machine.is_terminal(state):
+            yield machine.final_state(state)
+            continue
+        for successor in machine.successors(state):
+            if successor not in seen:
+                seen.add(successor)
+                if len(seen) > max_states:
+                    raise RuntimeError(
+                        f"state-space explosion exploring {test.name!r}"
+                    )
+                stack.append(successor)
+
+
+def explore(
+    test: LitmusTest,
+    variant: MachineVariant = GAM_MACHINE,
+    project: str = "observed",
+    max_states: int = _MAX_STATES,
+) -> ExplorationResult:
+    """Exhaustively explore the abstract machine on ``test``.
+
+    Raises ``RuntimeError`` if more than ``max_states`` distinct states are
+    visited (a safety valve; litmus tests stay far below it).
+    """
+    seen: set[MachineState] = set()
+    outcomes: set[Outcome] = set()
+    terminals = 0
     with _obs_time_block("operational.explore.time"):
-        stack = list(machine.fetch_closure(empty))
-        seen: set[MachineState] = set(stack)
-        outcomes: set[Outcome] = set()
-        terminals = 0
-        while stack:
-            state = stack.pop()
-            if machine.is_terminal(state):
-                terminals += 1
-                regs, mem = machine.final_state(state)
-                outcomes.add(project_outcome(test, regs, mem, project))
-                continue
-            for successor in machine.successors(state):
-                if successor not in seen:
-                    seen.add(successor)
-                    if len(seen) > max_states:
-                        raise RuntimeError(
-                            f"state-space explosion exploring {test.name!r}"
-                        )
-                    stack.append(successor)
+        for regs, mem in _terminal_states(test, variant, max_states, seen):
+            terminals += 1
+            outcomes.add(project_outcome(test, regs, mem, project))
     recorder = _obs_current()
     if recorder.active:
         recorder.incr("operational.explore.runs")
@@ -576,28 +597,14 @@ def operational_allows(
     variant: MachineVariant = GAM_MACHINE,
     outcome: Optional[Outcome] = None,
 ) -> bool:
-    """Does the machine allow ``outcome`` (default: the asked outcome)?"""
+    """Does the machine allow ``outcome`` (default: the asked outcome)?
+
+    Explores like :func:`explore`, under its default state cap, but stops
+    at the first terminal state that matches.
+    """
     if outcome is None:
         outcome = test.asked
     if outcome is None:
         raise ValueError(f"test {test.name!r} has no asked outcome")
-    machine = _Machine(test, variant)
-    initial_memory = tuple(sorted(test.initial_memory.items()))
-    empty = MachineState(
-        memory=initial_memory,
-        procs=tuple(ProcState(0, ()) for _ in test.programs),
-    )
-    stack = list(machine.fetch_closure(empty))
-    seen: set[MachineState] = set(stack)
-    while stack:
-        state = stack.pop()
-        if machine.is_terminal(state):
-            regs, mem = machine.final_state(state)
-            if outcome.matches(regs, mem):
-                return True
-            continue
-        for successor in machine.successors(state):
-            if successor not in seen:
-                seen.add(successor)
-                stack.append(successor)
-    return False
+    terminals = _terminal_states(test, variant, _MAX_STATES, set())
+    return any(outcome.matches(regs, mem) for regs, mem in terminals)

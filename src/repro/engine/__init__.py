@@ -68,23 +68,13 @@ model is any :data:`~repro.engine.cells.ModelLike` — a registry name, a
 ``.model`` file path, a ``ctor:`` construction spec or a built
 :class:`~repro.core.axiomatic.MemoryModel` — and the cache keys hash
 model *content* (clauses + axioms), so a file-defined model caches
-correctly and an edited one misses.  The per-test batch is also the seam
-for scale-out: :mod:`repro.serve` swaps the per-call pool for a
-long-lived daemon owning one warm executor and one shared
-:class:`ResultCache`, and its ``RemoteScheduler`` drops into the same
-``evaluate_cells`` signature — the cells and the cache are untouched.
+correctly and an edited one misses.  Several processes may share one
+cache directory, so independent runs warm each other's results.
 """
 
 from __future__ import annotations
 
-from .cache import (
-    CacheStats,
-    CacheTransferError,
-    ResultCache,
-    cell_cache_key,
-    outcomes_from_json,
-    outcomes_to_json,
-)
+from .cache import CacheStats, ResultCache, cell_cache_key
 from .cells import (
     ENGINE_VERSION,
     ORACLE_AXIOMATIC,
@@ -135,9 +125,6 @@ __all__ = [
     "parse_oracle",
     "EngineWorkerError",
     "CacheStats",
-    "CacheTransferError",
-    "outcomes_from_json",
-    "outcomes_to_json",
     "CellFailure",
     "DEFAULT_POLICY",
     "ExecutionPolicy",

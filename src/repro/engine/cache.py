@@ -15,61 +15,80 @@ an atomic rename, which keeps concurrent pool workers from ever observing
 a torn entry.
 
 The cache directory is safe to *share*: any number of processes — pool
-workers, a verdict daemon's request threads, several independent runs —
-may read and write one directory concurrently.  Writers never collide
-(``mkstemp`` names are unique, ``os.replace`` is atomic, and duplicate
-stores of one key are idempotent by construction: the key hashes the
-inputs and the payload is a pure function of them), readers never see a
-torn entry, and a writer that is killed mid-store leaves only an
-orphaned ``*.tmp`` file that lookups ignore and
-:meth:`ResultCache.purge_stale_tmp` sweeps.  A warmed directory can also
-be shipped whole: :meth:`ResultCache.export_tarball` /
-:meth:`ResultCache.import_tarball` move the store between machines with
-per-entry digest validation and an :data:`~repro.engine.cells
-.ENGINE_VERSION` stamp, so a foreign archive can never inject corrupt or
-stale-semantics entries.
+workers, several independent runs — may read and write one directory
+concurrently.  Writers never collide (``mkstemp`` names are unique,
+``os.replace`` is atomic, and duplicate stores of one key are idempotent
+by construction: the key hashes the inputs and the payload is a pure
+function of them), readers never see a torn entry, and a writer that is
+killed mid-store leaves only an orphaned ``*.tmp`` file that lookups
+ignore and :meth:`ResultCache.purge_stale_tmp` sweeps.  Entries are
+self-validating and version-keyed, so a warmed directory ships between
+machines with a plain ``cp -r`` or ``tar``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import pathlib
-import tarfile
 import tempfile
-from typing import Optional
+from typing import Optional, Sequence
 
-from ..litmus.test import Outcome
+from ..litmus.test import LitmusTest, Outcome
 from ..obs import current as _obs_current
 from ..obs import incr as _obs_incr
 from .cells import (
-    ENGINE_VERSION,
     ORACLE_AXIOMATIC,
     CellResult,
     CellSpec,
     OutcomeSpec,
     VerdictSpec,
     cell_descriptor,
+    model_descriptor,
     model_display_name,
+    test_descriptor,
 )
 
 __all__ = [
     "CacheStats",
-    "CacheTransferError",
     "ResultCache",
+    "batch_cache_keys",
     "cell_cache_key",
-    "outcomes_from_json",
-    "outcomes_to_json",
 ]
+
+
+def _digest(descriptor: dict) -> str:
+    text = json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def cell_cache_key(cell: CellSpec) -> str:
     """The SHA-256 content hash identifying a cell's cache entry."""
-    descriptor = json.dumps(cell_descriptor(cell), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(descriptor.encode("utf-8")).hexdigest()
+    return _digest(cell_descriptor(cell))
+
+
+def batch_cache_keys(test: LitmusTest, cells: Sequence[CellSpec]) -> list[str]:
+    """:func:`cell_cache_key` for every cell of one test's batch.
+
+    The test's descriptor is built once and each model's once, instead of
+    once per cell: model descriptors resolve the model, and test
+    descriptors render every instruction.
+    """
+    test_part = test_descriptor(test)
+    model_parts: dict = {}
+    keys = []
+    for cell in cells:
+        model_part = None
+        if cell.oracle == ORACLE_AXIOMATIC:
+            # Spec strings key by value; built models by identity.
+            slot = cell.model if isinstance(cell.model, str) else id(cell.model)
+            model_part = model_parts.get(slot)
+            if model_part is None:
+                model_part = model_parts[slot] = model_descriptor(cell.model)
+        keys.append(_digest(cell_descriptor(cell, test_part, model_part)))
+    return keys
 
 
 def _cell_label(cell: CellSpec) -> str:
@@ -111,43 +130,29 @@ def _outcome_from_json(data: dict) -> Outcome:
     )
 
 
-def outcomes_to_json(outcomes: frozenset) -> list:
-    """Canonical JSON-able form of an outcome set (sorted, lossless).
-
-    Shared by the on-disk cache payloads and the serve protocol's wire
-    encoding, so a result crossing either boundary round-trips to the
-    identical ``frozenset`` and renders byte-identically.
-    """
-    return sorted(
-        (_outcome_to_json(outcome) for outcome in outcomes),
-        key=lambda d: (d["regs"], d["mem"]),
-    )
-
-
-def outcomes_from_json(data: list) -> frozenset:
-    """Inverse of :func:`outcomes_to_json`."""
-    return frozenset(_outcome_from_json(d) for d in data)
+def _kind(cell: CellSpec) -> str:
+    """The payload ``kind`` of a cell's entry (its descriptor's ``kind``)."""
+    if isinstance(cell, VerdictSpec):
+        return "verdict"
+    if isinstance(cell, OutcomeSpec):
+        return "outcomes"
+    raise TypeError(f"unknown cell spec {cell!r}")
 
 
 def _encode(cell: CellSpec, result: CellResult) -> dict:
-    if isinstance(cell, VerdictSpec):
+    if _kind(cell) == "verdict":
         return {"kind": "verdict", "allowed": result}
-    if isinstance(cell, OutcomeSpec):
-        return {"kind": "outcomes", "outcomes": outcomes_to_json(result)}
-    raise TypeError(f"unknown cell spec {cell!r}")
+    outcomes = sorted(
+        (_outcome_to_json(outcome) for outcome in result),
+        key=lambda d: (d["regs"], d["mem"]),
+    )
+    return {"kind": "outcomes", "outcomes": outcomes}
 
 
 def _decode(cell: CellSpec, payload: dict) -> CellResult:
-    if isinstance(cell, VerdictSpec):
+    if _kind(cell) == "verdict":
         return bool(payload["allowed"])
-    if isinstance(cell, OutcomeSpec):
-        return outcomes_from_json(payload["outcomes"])
-    raise TypeError(f"unknown cell spec {cell!r}")
-
-
-class CacheTransferError(RuntimeError):
-    """An export/import archive was refused (version mismatch, corruption,
-    or an entry name that does not belong in a cache directory)."""
+    return frozenset(_outcome_from_json(d) for d in payload["outcomes"])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,15 +231,16 @@ class ResultCache:
             reclaimed += stat.st_size
         return removed, reclaimed
 
-    def load(self, cell: CellSpec) -> Optional[CellResult]:
+    def load(self, cell: CellSpec, key: Optional[str] = None) -> Optional[CellResult]:
         """The cached result for ``cell``, or ``None`` on a miss.
 
-        Unreadable or mismatched entries (e.g. a kind collision from a
-        truncated write that slipped past the atomic rename) count as
-        misses rather than errors; telemetry additionally counts them as
-        ``engine.cache.stale``.
+        ``key`` is the cell's :func:`cell_cache_key` when the caller has
+        already computed it.  Unreadable or mismatched entries (e.g. a
+        kind collision from a truncated write that slipped past the
+        atomic rename) count as misses rather than errors; telemetry
+        additionally counts them as ``engine.cache.stale``.
         """
-        path = self._path(cell_cache_key(cell))
+        path = self._path(key if key is not None else cell_cache_key(cell))
         try:
             text = path.read_text()
         except FileNotFoundError:
@@ -250,7 +256,7 @@ class ResultCache:
             _obs_incr("engine.cache.stale")
             _count_lookup(cell, "miss")
             return None
-        if payload.get("kind") != cell_descriptor(cell)["kind"]:
+        if payload.get("kind") != _kind(cell):
             _obs_incr("engine.cache.stale")
             _count_lookup(cell, "miss")
             return None
@@ -263,7 +269,9 @@ class ResultCache:
         _count_lookup(cell, "hit")
         return result
 
-    def store(self, cell: CellSpec, result: CellResult) -> None:
+    def store(
+        self, cell: CellSpec, result: CellResult, key: Optional[str] = None
+    ) -> None:
         """Persist a cell result atomically (temp file + rename).
 
         Safe against concurrent writers sharing the directory: the temp
@@ -272,15 +280,18 @@ class ResultCache:
         function of the key's inputs), so whichever rename lands last is
         as good as the other.  If the directory itself vanished under a
         concurrent purge, it is recreated and the write retried once —
-        the one failure shape a shared store must shrug off.
+        the one failure shape a shared store must shrug off.  ``key`` is
+        as for :meth:`load`.
         """
         _obs_incr("engine.cache.store")
+        if key is None:
+            key = cell_cache_key(cell)
         payload = json.dumps(_encode(cell, result), sort_keys=True)
         try:
-            self._spool(cell_cache_key(cell), payload)
+            self._spool(key, payload)
         except FileNotFoundError:
             self.root.mkdir(parents=True, exist_ok=True)
-            self._spool(cell_cache_key(cell), payload)
+            self._spool(key, payload)
 
     def _spool(self, key: str, payload: str) -> None:
         """One temp-file + atomic-rename write, orphan-guarded.
@@ -300,125 +311,3 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-    # -- shipping a warmed store between machines -----------------------
-
-    MANIFEST_NAME = "manifest.json"
-
-    def export_tarball(self, path: os.PathLike | str) -> int:
-        """Archive every committed entry into a gzipped tarball.
-
-        The archive carries a manifest recording the exporting build's
-        :data:`~repro.engine.cells.ENGINE_VERSION` and a SHA-256 digest
-        per entry, which is what lets :meth:`import_tarball` refuse
-        archives from a different engine or with corrupted payloads.
-        Orphaned ``*.tmp`` files are never exported.  Returns the number
-        of entries archived.
-        """
-        entries: dict[str, str] = {}
-        blobs: list[tuple[str, bytes]] = []
-        for entry in sorted(self.root.glob("*.json")):
-            try:
-                data = entry.read_bytes()
-            except OSError:
-                continue  # vanished mid-scan (concurrent purge): skip
-            entries[entry.name] = hashlib.sha256(data).hexdigest()
-            blobs.append((entry.name, data))
-        manifest = json.dumps(
-            {"format": 1, "engine_version": ENGINE_VERSION, "entries": entries},
-            sort_keys=True,
-        ).encode("utf-8")
-        with tarfile.open(path, "w:gz") as tar:
-            self._add_blob(tar, self.MANIFEST_NAME, manifest)
-            for name, data in blobs:
-                self._add_blob(tar, name, data)
-        return len(blobs)
-
-    @staticmethod
-    def _add_blob(tar: tarfile.TarFile, name: str, data: bytes) -> None:
-        info = tarfile.TarInfo(name)
-        info.size = len(data)
-        # Fixed metadata keeps the archive a pure function of the entries.
-        info.mtime = 0
-        info.mode = 0o644
-        tar.addfile(info, io.BytesIO(data))
-
-    def import_tarball(self, path: os.PathLike | str) -> tuple[int, int]:
-        """Merge an exported archive into this directory.
-
-        Every entry is digest-checked against the manifest before it is
-        written (atomically, via the same temp-file + rename path live
-        writers use, so an import can run against a store that is being
-        served).  Returns ``(imported, skipped)`` where skipped counts
-        entries already present.
-
-        Raises:
-            CacheTransferError: missing/unreadable manifest, an archive
-                exported under a different ``ENGINE_VERSION`` (its
-                entries were computed by different engine semantics and
-                must not vouch for this build), a manifest entry missing
-                from the archive, a digest mismatch, or an entry name
-                that is not a plain ``<hex>.json`` file name.
-        """
-        imported = skipped = 0
-        with tarfile.open(path, "r:gz") as tar:
-            try:
-                handle = tar.extractfile(self.MANIFEST_NAME)
-            except KeyError:
-                handle = None
-            if handle is None:
-                raise CacheTransferError(
-                    f"{path}: no {self.MANIFEST_NAME} — not a cache export"
-                )
-            try:
-                manifest = json.loads(handle.read().decode("utf-8"))
-            except ValueError as exc:
-                raise CacheTransferError(
-                    f"{path}: unreadable manifest ({exc})"
-                ) from exc
-            version = manifest.get("engine_version")
-            if version != ENGINE_VERSION:
-                raise CacheTransferError(
-                    f"{path}: exported under engine version {version}, "
-                    f"this build runs {ENGINE_VERSION}; entries computed "
-                    "by different engine semantics are refused"
-                )
-            entries = manifest.get("entries")
-            if not isinstance(entries, dict):
-                raise CacheTransferError(f"{path}: malformed manifest entries")
-            for name in sorted(entries):
-                digest = entries[name]
-                stem, dot, suffix = name.rpartition(".")
-                if (
-                    dot != "."
-                    or suffix != "json"
-                    or not stem
-                    or not all(c in "0123456789abcdef" for c in stem)
-                ):
-                    raise CacheTransferError(
-                        f"{path}: entry name {name!r} is not a cache key"
-                    )
-                try:
-                    blob = tar.extractfile(name)
-                except KeyError:
-                    blob = None
-                if blob is None:
-                    raise CacheTransferError(
-                        f"{path}: manifest entry {name!r} missing from archive"
-                    )
-                data = blob.read()
-                if hashlib.sha256(data).hexdigest() != digest:
-                    raise CacheTransferError(
-                        f"{path}: digest mismatch for {name!r} — archive "
-                        "corrupt, refusing all of it"
-                    )
-                destination = self.root / name
-                try:
-                    if destination.read_bytes() == data:
-                        skipped += 1
-                        continue
-                except OSError:
-                    pass
-                self._spool(stem, data.decode("utf-8"))
-                imported += 1
-        return imported, skipped

@@ -75,7 +75,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 6
+ENGINE_VERSION = 7
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -110,6 +110,13 @@ Version history:
   unchanged, but the cache payload helpers moved and the R004 invariant
   ties every engine-path diff to a bump, so pre-serve entries re-verify
   rather than vouch for the shared-store code paths.
+* 7 — the daemon is gone and R004 now tracks result semantics
+  (``core/``, ``cells.py``, ``cache.py``).  Batches key each cell once
+  from a per-batch test descriptor and per-model descriptors, cache
+  entries are checked against the spec type, and ``explore`` and
+  ``operational_allows`` share one exploration loop.  Results are
+  unchanged, but the keying and machine paths changed, so version-6
+  entries re-verify.
 """
 
 ModelLike = Union[str, MemoryModel]
@@ -280,21 +287,29 @@ def model_descriptor(model: ModelLike) -> dict:
     }
 
 
-def cell_descriptor(cell: CellSpec) -> dict:
+def cell_descriptor(
+    cell: CellSpec,
+    test_part: Optional[dict] = None,
+    model_part: Optional[dict] = None,
+) -> dict:
     """The canonical descriptor hashed into a cell's cache key.
 
     Operational cells omit the model descriptor: the machine alone
     determines the result, so cells that differ only in their display
-    model share one cache entry.
+    model share one cache entry.  ``test_part`` and ``model_part`` are
+    the cell's already-built :func:`test_descriptor` and
+    :func:`model_descriptor`, for callers keying many cells at once.
     """
     _, machine = parse_oracle(cell.oracle)
     descriptor = {
         "engine_version": ENGINE_VERSION,
         "oracle": oracle_descriptor(cell.oracle),
-        "test": test_descriptor(cell.test),
+        "test": test_part if test_part is not None else test_descriptor(cell.test),
     }
     if machine is None:
-        descriptor["model"] = model_descriptor(cell.model)
+        descriptor["model"] = (
+            model_part if model_part is not None else model_descriptor(cell.model)
+        )
     if isinstance(cell, VerdictSpec):
         descriptor["kind"] = "verdict"
         return descriptor

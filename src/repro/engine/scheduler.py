@@ -56,7 +56,7 @@ from typing import Callable, Optional, Sequence
 from ..core.axiomatic import CandidatePrefix, DomainOverflowError
 from ..litmus.test import LitmusTest
 from ..obs import collecting, current, incr, monotonic, observe, time_block
-from .cache import ResultCache, cell_cache_key
+from .cache import ResultCache, batch_cache_keys
 from .cells import CellResult, CellSpec, evaluate_cell, test_descriptor
 from .faults import FaultPlan, fault_plan_from_env, fire_after_batch, fire_before_batch
 from .policy import DEFAULT_POLICY, ON_ERROR_QUARANTINE, CellFailure, ExecutionPolicy
@@ -119,25 +119,30 @@ def _evaluate_batch(
     """Evaluate one test's cells with a shared prefix, through the cache.
 
     The prefix is built lazily: a batch fully served from the cache never
-    enumerates a single program run.
+    enumerates a single program run.  Each cell's cache key is computed
+    once, up front, and serves both its lookup and its store.
     """
     with time_block("engine.batch.seconds"):
         incr("engine.batches")
         observe("engine.batch.cells", len(cells))
         cache = ResultCache(cache_dir) if cache_dir is not None else None
+        keys: Sequence[Optional[str]] = (
+            batch_cache_keys(test, cells) if cache is not None else [None] * len(cells)
+        )
         prefix: Optional[CandidatePrefix] = None
         results: list[CellResult] = []
-        for cell in cells:
-            cached = cache.load(cell) if cache is not None else None
-            if cached is not None:
-                results.append(cached)
-                continue
+        for cell, key in zip(cells, keys):
+            if cache is not None:
+                cached = cache.load(cell, key)
+                if cached is not None:
+                    results.append(cached)
+                    continue
             if prefix is None:
                 prefix = CandidatePrefix(test)
             with time_block("engine.cell.seconds"):
                 result = evaluate_cell(cell, prefix)
             if cache is not None:
-                cache.store(cell, result)
+                cache.store(cell, result, key)
             results.append(result)
         return results
 

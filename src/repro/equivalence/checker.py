@@ -194,8 +194,9 @@ def check_suite(
     mapping may hold arbitrary callables (often closures the pool cannot
     ship), so it is evaluated in-process regardless of ``jobs``, and
     ``policy``/``fault_plan`` (the engine's fault-tolerance and
-    fault-injection hooks) and ``evaluate`` (the engine-backend seam,
-    e.g. a :class:`~repro.serve.RemoteScheduler` method) do not apply.
+    fault-injection hooks) and ``evaluate`` (any
+    :func:`~repro.engine.evaluate_cells`-shaped callable standing in
+    for the engine) do not apply.
     """
     materialized = list(tests)
     if pairs is None:

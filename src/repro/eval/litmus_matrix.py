@@ -86,10 +86,8 @@ def litmus_matrix(
     is the fault-injection hook (tests only).
 
     ``evaluate`` swaps the engine backend — any callable with the
-    :func:`~repro.engine.evaluate_cells` signature, in practice a
-    :class:`~repro.serve.RemoteScheduler` bound method when the grid
-    should route through a verdict server.  Results are identical by
-    protocol, so rendering never knows which backend answered.
+    :func:`~repro.engine.evaluate_cells` signature, such as a wrapper
+    that times each call.  Rendering never knows which backend answered.
     """
     materialized = list(tests) if tests is not None else list(paper_suite())
     asked = [test for test in materialized if test.asked is not None]

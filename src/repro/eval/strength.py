@@ -65,7 +65,6 @@ def strength_matrix(
     cache_dir: Optional[str] = None,
     policy: Optional[ExecutionPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
-    evaluate=None,
 ) -> StrengthMatrix:
     """Measure pairwise strength over a suite (default: full catalogue).
 
@@ -81,9 +80,6 @@ def strength_matrix(
     fails under a non-raising policy lands in ``StrengthMatrix.skipped``
     and the containment relation is measured over the survivors.
     ``fault_plan`` is the fault-injection hook (tests only).
-    ``evaluate`` swaps the engine backend (any
-    :func:`~repro.engine.evaluate_cells`-shaped callable, e.g. a
-    :class:`~repro.serve.RemoteScheduler` method).
     """
     materialized = list(tests) if tests is not None else list(all_tests())
     display = tuple(model_display_name(model) for model in model_names)
@@ -94,9 +90,7 @@ def strength_matrix(
         for test in materialized
         for model in model_names
     ]
-    if evaluate is None:
-        evaluate = evaluate_cells
-    results = evaluate(
+    results = evaluate_cells(
         specs, jobs=jobs, cache_dir=cache_dir, policy=policy,
         fault_plan=fault_plan,
     )

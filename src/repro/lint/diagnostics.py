@@ -333,13 +333,17 @@ CODES: dict[str, CodeInfo] = dict(
             "R004",
             Severity.ERROR,
             "engine-version-not-bumped",
-            "A diff touches the engine (`src/repro/engine/` or "
-            "`src/repro/core/kernel.py`) without changing "
+            "A diff touches code that computes cached results "
+            "(`src/repro/core/`, `src/repro/engine/cells.py` or "
+            "`src/repro/engine/cache.py`) without changing "
             "`ENGINE_VERSION` in `src/repro/engine/cells.py`.  The "
             "on-disk result cache keys on that version; forgetting the "
-            "bump serves stale verdicts computed by old code.",
-            "Editing `src/repro/core/kernel.py` while `ENGINE_VERSION = "
-            "2` stays unchanged (checked with `--diff-base`).",
+            "bump serves stale verdicts computed by old code.  The "
+            "scheduler, policies and fault harness never change a "
+            "result, so diffs there need no bump.",
+            "Editing `src/repro/core/operational.py` while "
+            "`ENGINE_VERSION = 2` stays unchanged (checked with "
+            "`--diff-base`).",
         ),
         _info(
             "R005",
@@ -355,24 +359,13 @@ CODES: dict[str, CodeInfo] = dict(
             "and is exempt.",
             "`start = time.perf_counter()` inside `src/repro/engine/`.",
         ),
-        _info(
-            "R006",
-            Severity.ERROR,
-            "network-outside-serve",
-            "Code under `src/repro/` imports socket or HTTP machinery "
-            "(`socket`, `socketserver`, `http.*`, `urllib.request`, "
-            "`xmlrpc`) outside `src/repro/serve/`.  Every byte that "
-            "crosses a machine boundary must go through the serve "
-            "package's versioned protocol — content-addressed JSON with "
-            "a handshake and structured errors — so results stay "
-            "interchangeable and nothing grows an ad-hoc wire format "
-            "(see `docs/serving.md`).  `urllib.parse` is fine: splitting "
-            "a URL string reads no socket.",
-            "`import http.client` inside `src/repro/campaign/`.",
-        ),
     )
 )
-"""The stable diagnostic-code catalog, in code order."""
+"""The stable diagnostic-code catalog, in code order.
+
+Retired codes leave a gap: the others are never renumbered and a
+retired number is never reused.
+"""
 
 
 def make(

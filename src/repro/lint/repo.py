@@ -18,16 +18,13 @@ apply exactly where the invariant holds and nowhere else:
   for ``key=lambda ...`` keyword callbacks (they sort in-process and
   never cross the pickle boundary);
 * ``R004`` (version bump) — a pure function over a changed-path list,
-  wired to ``git diff`` by ``tools/lint_repro.py``;
+  wired to ``git diff`` by ``tools/lint_repro.py``, covering only the
+  code that computes cached results;
 * ``R005`` (raw clock reads) — ``src/repro/engine/``,
   ``src/repro/campaign/``: timing goes through :mod:`repro.obs`
   (``time_block``/``monotonic``) so it is free when stats are off and
   always lands in the run report; ``src/repro/obs/`` itself is the
-  sanctioned wrapper and is exempt;
-* ``R006`` (network imports) — all of ``src/repro/``: sockets and HTTP
-  go through :mod:`repro.serve` (the versioned, content-validating
-  protocol layer) so nothing else can grow an ad-hoc wire format;
-  ``src/repro/serve/`` itself is the sanctioned wrapper and is exempt.
+  sanctioned wrapper and is exempt.
 
 ``tools/lint_repro.py`` is the CLI wrapper; this module stays importable
 and unit-testable without a git checkout.
@@ -49,9 +46,6 @@ __all__ = [
     "CLOCK_FUNCTIONS",
     "CLOCK_SCOPE",
     "CLOCK_ALLOWLIST",
-    "NETWORK_MODULES",
-    "NETWORK_SCOPE",
-    "NETWORK_ALLOWLIST",
     "ENGINE_PATHS",
     "ENGINE_VERSION_FILE",
     "lint_source",
@@ -110,30 +104,18 @@ CLOCK_SCOPE = ("src/repro/engine/", "src/repro/campaign/")
 CLOCK_ALLOWLIST = ("src/repro/obs/",)
 """Paths exempt from ``R005``: the telemetry layer wraps the clock."""
 
-NETWORK_MODULES = frozenset(
-    (
-        "http",
-        "socket",
-        "socketserver",
-        "urllib.request",
-        "xmlrpc",
-    )
+ENGINE_PATHS = (
+    "src/repro/core/",
+    "src/repro/engine/cells.py",
+    "src/repro/engine/cache.py",
 )
-"""Module roots whose import is a network act (the ``R006`` vocabulary).
+"""Paths whose diffs require an ``ENGINE_VERSION`` bump (``R004``).
 
-``urllib.parse`` is deliberately absent — splitting a URL string reads
-no socket.  Submodules count via their root (``http.client``,
-``http.server``, ``xmlrpc.client`` ...).
+These compute what the result cache stores — the axioms, the kernel,
+the abstract machines, cell evaluation and keying, and the payload
+codec.  The scheduler, policies and fault harness decide only how cells
+run, never what they return, so diffs there leave cache entries valid.
 """
-
-NETWORK_SCOPE = ("src/repro/",)
-"""Path prefixes where ``R006`` (network imports) applies."""
-
-NETWORK_ALLOWLIST = ("src/repro/serve/",)
-"""Paths exempt from ``R006``: the verdict service wraps the network."""
-
-ENGINE_PATHS = ("src/repro/engine/", "src/repro/core/kernel.py")
-"""Paths whose diffs require an ``ENGINE_VERSION`` bump (``R004``)."""
 
 ENGINE_VERSION_FILE = "src/repro/engine/cells.py"
 """Where ``ENGINE_VERSION`` lives."""
@@ -324,42 +306,6 @@ def _raw_clock_findings(tree: ast.AST, relpath: str) -> list[Diagnostic]:
     return findings
 
 
-def _network_root(module: str) -> str | None:
-    """The :data:`NETWORK_MODULES` root ``module`` falls under, if any."""
-    for banned in NETWORK_MODULES:
-        if module == banned or module.startswith(banned + "."):
-            return banned
-    return None
-
-
-def _network_findings(tree: ast.AST, relpath: str) -> list[Diagnostic]:
-    """R006: importing socket/HTTP machinery outside the serve package."""
-    findings: list[Diagnostic] = []
-    for node in ast.walk(tree):
-        modules: list[str] = []
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            modules = [node.module]
-        for module in modules:
-            root = _network_root(module)
-            if root is None:
-                continue
-            findings.append(
-                make(
-                    "R006",
-                    relpath,
-                    f"importing {module!r} opens a wire format outside "
-                    "the sanctioned one; network code belongs in "
-                    "src/repro/serve/, which versions its protocol and "
-                    "validates content (see docs/serving.md)",
-                    source=relpath,
-                    line=node.lineno,
-                )
-            )
-    return findings
-
-
 def lint_source(text: str, relpath: str) -> list[Diagnostic]:
     """Run every applicable AST check on one file's source text.
 
@@ -379,7 +325,6 @@ def lint_source(text: str, relpath: str) -> list[Diagnostic]:
         or _in_scope(relpath, DETERMINISM_SCOPE)
         or _in_scope(relpath, LAMBDA_SCOPE)
         or _in_scope(relpath, CLOCK_SCOPE)
-        or _in_scope(relpath, NETWORK_SCOPE)
     )
     if not applicable:
         return findings
@@ -394,10 +339,6 @@ def lint_source(text: str, relpath: str) -> list[Diagnostic]:
         relpath, CLOCK_ALLOWLIST
     ):
         findings.extend(_raw_clock_findings(tree, relpath))
-    if _in_scope(relpath, NETWORK_SCOPE) and not _in_scope(
-        relpath, NETWORK_ALLOWLIST
-    ):
-        findings.extend(_network_findings(tree, relpath))
     return findings
 
 
@@ -449,7 +390,7 @@ def check_engine_version_bump(
         make(
             "R004",
             ENGINE_VERSION_FILE,
-            "diff touches engine code ("
+            "diff touches result-computing code ("
             + ", ".join(offending)
             + ") without bumping ENGINE_VERSION; the on-disk result "
             "cache would serve stale verdicts",

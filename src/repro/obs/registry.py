@@ -248,65 +248,7 @@ METRICS: dict[str, MetricSpec] = {
             "witnesses",
             "Minimized witness `.litmus` files written.",
         ),
-        # --- serve: verdict daemon -------------------------------------
-        _counter(
-            "serve.requests",
-            "requests",
-            "HTTP requests the verdict daemon accepted (all endpoints).",
-        ),
-        _counter(
-            "serve.requests.by",
-            "requests",
-            "Daemon requests keyed by endpoint (e.g. `serve.requests.by.matrix`).",
-            dynamic=True,
-        ),
-        _counter(
-            "serve.errors",
-            "requests",
-            "Daemon requests answered with a structured error envelope.",
-        ),
-        _counter(
-            "serve.cache.remote_hits",
-            "cells",
-            "Cells a request answered straight from the shared result store "
-            "(no enqueue, no kernel work).",
-        ),
-        _counter(
-            "serve.cells.remote",
-            "cells",
-            "Cells received over the wire (before shared-store lookups).",
-        ),
-        _counter(
-            "serve.batches.dispatched",
-            "batches",
-            "Per-test batches the daemon's dispatchers submitted to the "
-            "warm process pool.",
-        ),
-        # --- serve: RemoteScheduler client -----------------------------
-        _counter(
-            "serve.client.requests",
-            "calls",
-            "Logical `RemoteScheduler` evaluation calls attempted against "
-            "a server (counted once per call, however many transport "
-            "retries it takes).",
-        ),
-        _counter(
-            "serve.client.retries",
-            "retries",
-            "Transport-level retries after a connection dropped "
-            "mid-request.",
-        ),
-        _counter(
-            "serve.client.fallbacks",
-            "calls",
-            "Evaluation calls that fell back to the local engine after "
-            "the server was unreachable or kept dropping.",
-        ),
         # --- timers -----------------------------------------------------
-        _timer(
-            "serve.request.seconds",
-            "Wall time of each daemon request, accept to response.",
-        ),
         _timer(
             "engine.wall.seconds",
             "Wall time of each `evaluate_cells` call (parent process).",
@@ -342,17 +284,6 @@ METRICS: dict[str, MetricSpec] = {
             "engine.batch.cells",
             "cells",
             "Cells per dispatched batch (batch-size distribution).",
-        ),
-        _histogram(
-            "serve.queue.depth",
-            "jobs",
-            "Shard-queue depth sampled as each request finishes enqueuing "
-            "(backlog the dispatchers are stealing from).",
-        ),
-        _histogram(
-            "serve.workers.busy",
-            "batches",
-            "In-flight warm-pool batches sampled at each dispatch.",
         ),
         _histogram(
             "kernel.frontier.nodes",

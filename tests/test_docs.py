@@ -189,42 +189,6 @@ class TestRobustnessReference:
         assert gen.main(["--check"]) == 0
 
 
-class TestServeReference:
-    def test_serving_md_is_in_sync(self):
-        gen = _load_tool("gen_serve_docs")
-        rendered = gen.render_serve_docs()
-        committed = (ROOT / "docs" / "serving.md").read_text(encoding="utf-8")
-        assert committed == rendered, (
-            "docs/serving.md is stale; regenerate with "
-            "`PYTHONPATH=src python tools/gen_serve_docs.py`"
-        )
-
-    def test_vocabulary_is_covered(self):
-        from repro.obs import METRICS
-        from repro.serve import ENDPOINTS, ERROR_KINDS
-
-        text = (ROOT / "docs" / "serving.md").read_text(encoding="utf-8")
-        for name in ENDPOINTS:
-            assert f"`POST /{name}`" in text, f"endpoint {name} undocumented"
-        for kind in ERROR_KINDS:
-            assert f"`{kind}`" in text, f"error kind {kind} undocumented"
-        for name, spec in METRICS.items():
-            if not name.startswith("serve."):
-                continue
-            shown = f"`{name}.<label>`" if spec.dynamic else f"`{name}`"
-            assert shown in text, f"metric {name} missing from serving.md"
-
-    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
-        gen = _load_tool("gen_serve_docs")
-        stale = tmp_path / "serving.md"
-        stale.write_text("out of date", encoding="utf-8")
-        monkeypatch.setattr(gen, "OUTPUT", str(stale))
-        assert gen.main(["--check"]) == 1
-        assert "out of sync" in capsys.readouterr().err
-        assert gen.main([]) == 0
-        assert gen.main(["--check"]) == 0
-
-
 class TestLintReproTool:
     def test_clean_paths_exit_zero(self, capsys):
         lint_repro = _load_tool("lint_repro")

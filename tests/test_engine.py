@@ -8,6 +8,8 @@ offending test's name) is exercised in both serial and pooled modes.
 """
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -139,6 +141,36 @@ class TestCache:
             VerdictSpec(get_test("mp"), "gam")
         )
 
+    def test_batch_computes_one_key_per_cell(self, tmp_path, monkeypatch):
+        from repro.engine import cache as cache_module
+
+        test = get_test("dekker")
+        cells = [VerdictSpec(test, m) for m in ("sc", "tso", "gam")] + [
+            VerdictSpec(test, get_model("arm")),
+            OutcomeSpec(test, "gam", project="full"),
+            OutcomeSpec(test, "sc", project="full", oracle="operational:sc"),
+        ]
+        built = []
+        original = cache_module.cell_descriptor
+
+        def counting(*args, **kwargs):
+            built.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "cell_descriptor", counting)
+        cold = evaluate_cells(cells, cache_dir=str(tmp_path))
+        assert len(built) == len(cells)
+        built.clear()
+        assert evaluate_cells(cells, cache_dir=str(tmp_path)) == cold
+        assert len(built) == len(cells)
+        monkeypatch.undo()
+        # The batch keys are the per-cell keys, so entry_path (and the
+        # corrupt fault, which goes through it) finds what batches stored.
+        keys = cache_module.batch_cache_keys(test, cells)
+        assert keys == [cell_cache_key(cell) for cell in cells]
+        cache = ResultCache(tmp_path)
+        assert all(cache.entry_path(cell).exists() for cell in cells)
+
     def test_cache_payload_is_json(self, tmp_path):
         test = get_test("dekker")
         cell = OutcomeSpec(test, "sc", project="full")
@@ -147,6 +179,62 @@ class TestCache:
         payload = json.loads(payload_file.read_text())
         assert payload["kind"] == "outcomes"
         assert payload["outcomes"]  # non-empty, sorted canonical form
+
+
+def _hammer_store(root, names, rounds):
+    """One writer process: store/load the same keys over and over."""
+    cache = ResultCache(root)
+    cells = [
+        VerdictSpec(get_test(name), model)
+        for name in names
+        for model in ("sc", "gam")
+    ]
+    expected = {cell_cache_key(c): evaluate_cells([c])[0] for c in cells}
+    for _ in range(rounds):
+        for cell in cells:
+            cache.store(cell, expected[cell_cache_key(cell)])
+            loaded = cache.load(cell)
+            if loaded is not None and loaded != expected[cell_cache_key(cell)]:
+                return f"torn read for {cell_cache_key(cell)}"
+    return "ok"
+
+
+class TestConcurrentStore:
+    def test_two_processes_hammer_one_store(self, tmp_path):
+        """Satellite regression: concurrent multi-process writers are safe."""
+        root = str(tmp_path / "store")
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(2) as pool:
+            outcomes = pool.starmap(
+                _hammer_store, [(root, ("mp", "dekker"), 25), (root, ("mp", "dekker"), 25)]
+            )
+        assert outcomes == ["ok", "ok"]
+        stats = ResultCache(root).stats()
+        assert stats.entries == 4
+        assert stats.tmp_files == 0  # no crash orphans from the race
+
+    def test_failed_spool_leaves_no_orphan(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        cell = VerdictSpec(get_test("mp"), "sc")
+
+        def _explode(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", _explode)
+        with pytest.raises(OSError, match="disk full"):
+            cache.store(cell, True)
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_store_survives_directory_deletion(self, tmp_path):
+        root = tmp_path / "store"
+        cache = ResultCache(root)
+        cell = VerdictSpec(get_test("mp"), "sc")
+        cache.store(cell, True)
+        for entry in root.iterdir():
+            entry.unlink()
+        root.rmdir()  # a concurrent purge removed the whole directory
+        cache.store(cell, True)
+        assert cache.load(cell) is True
 
 
 class TestErrorReporting:

@@ -445,36 +445,6 @@ class TestRepoCodes:
         assert lint_source(src, "src/repro/obs/core.py") == []
         assert lint_source(src, "src/repro/analysis.py") == []
 
-    def test_r006_network_import(self):
-        findings = lint_source("import socket\n", "src/repro/campaign/driver.py")
-        assert _codes(findings) == ["R006"]
-        assert "src/repro/serve/" in findings[0].message
-        # Submodules and from-imports of banned roots fire too, anywhere
-        # under src/repro/ — the scope is the whole package.
-        assert "R006" in _codes(
-            lint_source("import http.client\n", "src/repro/analysis.py")
-        )
-        assert "R006" in _codes(
-            lint_source(
-                "from urllib.request import urlopen\n", "src/repro/cli.py"
-            )
-        )
-        assert "R006" in _codes(
-            lint_source("from http.server import HTTPServer\n", self.ENGINE)
-        )
-
-    def test_r006_serve_package_and_parse_are_fine(self):
-        src = "import socket\nfrom http.server import BaseHTTPRequestHandler\n"
-        assert lint_source(src, "src/repro/serve/daemon.py") == []
-        # urllib.parse reads no socket; tests/tools are out of scope.
-        assert lint_source(
-            "from urllib.parse import urlsplit\n", "src/repro/serve/client.py"
-        ) == []
-        assert lint_source(
-            "import urllib.parse\n", "src/repro/campaign/driver.py"
-        ) == []
-        assert lint_source("import socket\n", "tests/test_serve.py") == []
-
     def test_r004_requires_bump(self):
         findings = check_engine_version_bump(
             ["src/repro/engine/cells.py"], version_bumped=False
@@ -487,6 +457,24 @@ class TestRepoCodes:
             ["src/repro/core/kernel.py", "README.md"], version_bumped=False
         )
         assert _codes(findings) == ["R004"]
+
+    def test_r004_machines_count_as_result_code(self):
+        findings = check_engine_version_bump(
+            ["src/repro/core/operational.py"], version_bumped=False
+        )
+        assert _codes(findings) == ["R004"]
+        assert "src/repro/core/operational.py" in findings[0].message
+
+    def test_r004_quiet_for_dispatch_only_diffs(self):
+        # Scheduling, policies and fault injection never change a result.
+        assert check_engine_version_bump(
+            [
+                "src/repro/engine/scheduler.py",
+                "src/repro/engine/policy.py",
+                "src/repro/engine/faults.py",
+            ],
+            version_bumped=False,
+        ) == []
 
     def test_r004_quiet_when_bumped_or_untouched(self):
         assert check_engine_version_bump(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import operational
 from repro.core.operational import (
     GAM0_MACHINE,
     GAM_MACHINE,
@@ -11,7 +12,7 @@ from repro.core.operational import (
     operational_outcomes,
 )
 from repro.litmus.dsl import LitmusBuilder
-from repro.litmus.registry import get_test
+from repro.litmus.registry import all_tests, get_test
 
 
 class TestVariants:
@@ -74,6 +75,12 @@ class TestExploration:
         with pytest.raises(RuntimeError):
             explore(get_test("dekker"), GAM_MACHINE, max_states=3)
 
+    def test_state_cap_enforced_when_deciding(self, monkeypatch):
+        # mp+fences is forbidden, so nothing stops the search before the cap.
+        monkeypatch.setattr(operational, "_MAX_STATES", 3)
+        with pytest.raises(RuntimeError, match="state-space explosion"):
+            operational_allows(get_test("mp+fences"), GAM_MACHINE)
+
     def test_outcome_without_asked_raises(self):
         b = LitmusBuilder("t", locations=("a",))
         b.proc().st("a", 1)
@@ -105,3 +112,17 @@ class TestExploration:
         first = operational_outcomes(test, GAM_MACHINE)
         second = operational_outcomes(test, GAM_MACHINE)
         assert first == second
+
+
+@pytest.mark.parametrize("variant", [GAM_MACHINE, GAM0_MACHINE], ids=lambda v: v.name)
+@pytest.mark.parametrize(
+    "test", [t for t in all_tests() if t.asked is not None], ids=lambda t: t.name
+)
+def test_allows_agrees_with_full_exploration(test, variant):
+    """Deciding one outcome stops early but never changes the answer."""
+    outcomes = explore(test, variant, project="full").outcomes
+    expected = any(
+        test.asked.regs <= outcome.regs and test.asked.mem <= outcome.mem
+        for outcome in outcomes
+    )
+    assert operational_allows(test, variant) == expected
