@@ -8,6 +8,29 @@ below; the exploration driver fires every enabled rule from every reachable
 state (with memoization), so the set of terminal register/memory states is
 the machine's full behaviour set.
 
+**State encoding.**  States are plain tuples, so the hashing and equality
+checks that memoization runs on every successor happen in C:
+
+* a ROB entry is ``(index, done, result, addr_avail, addr, data_avail,
+  data, pred_next)`` — the static index of the entry's instruction, then
+  the paper's fields, ``None`` while a field is unset;
+* a processor is ``(pc, rob)``, ``rob`` a tuple of entries, oldest first;
+* the machine is ``(memory, procs)``, ``memory`` the sorted ``(addr,
+  value)`` pairs of the monolithic memory (unlisted addresses read 0).
+
+**Compiled metadata.**  :class:`_Machine` compiles the test once per
+exploration into a table with one :class:`_InstrMeta` row per static
+instruction: its kind code, the register it writes, its sorted read /
+address-read / data-read registers, fence pre/post types, resolved branch
+target and its ``addr``/``data``/``expr``/``cond`` expressions compiled to
+closures (:func:`~repro.isa.expr.compile_expr`).  It also tabulates every
+fetch path from every PC.  Rules read the table instead of re-deriving
+``isinstance`` checks and register sets, and the guards that quantify over
+older ROB entries read summaries folded in one oldest-to-youngest pass.
+A rule reads and writes only the memory and its own processor, so each
+processor's rule firings are computed once per ``(memory, processor
+state)`` and reused by every machine state that pairs them.
+
 Two deliberate deviations, both behaviour-preserving:
 
 * **Eager fetch.**  Rule Fetch is applied to closure whenever possible
@@ -25,10 +48,10 @@ Two deliberate deviations, both behaviour-preserving:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
-from ..isa.expr import evaluate, registers_read
+from ..isa.expr import compile_expr, registers_read
 from ..isa.instructions import (
     Branch,
     Fence,
@@ -46,9 +69,6 @@ from ..obs import time_block as _obs_time_block
 from .axiomatic import project_outcome
 
 __all__ = [
-    "RobEntry",
-    "ProcState",
-    "MachineState",
     "MachineVariant",
     "GAM_MACHINE",
     "GAM0_MACHINE",
@@ -86,47 +106,112 @@ GAM_MACHINE = MachineVariant("gam-machine", same_address_loads="saldld")
 GAM0_MACHINE = MachineVariant("gam0-machine", same_address_loads="none")
 
 
-@dataclass(frozen=True)
-class RobEntry:
-    """One ROB entry (Section IV-B's field list, verbatim)."""
+# Positions of the fields in a ROB entry tuple.
+_INDEX, _DONE, _RESULT, _ADDR_AVAIL, _ADDR, _DATA_AVAIL, _DATA, _PRED_NEXT = range(8)
 
-    index: int
-    done: bool = False
-    result: Optional[int] = None
-    addr_avail: bool = False
-    addr: Optional[int] = None
-    data_avail: bool = False
-    data: Optional[int] = None
-    pred_next: Optional[int] = None
+# Instruction kind codes.  The memory kinds come first, so ``kind <= _RMW``
+# means "is a memory instruction"; an RMW is both a load and a store.
+_LOAD, _STORE, _RMW, _REGOP, _BRANCH, _FENCE, _NOP = range(7)
+
+_Entry = tuple
+_State = tuple
+_Compiled = Callable[[Mapping[str, int]], int]
 
 
-@dataclass(frozen=True)
-class ProcState:
-    """One processor: program counter and ROB."""
-
-    pc: int
-    rob: tuple[RobEntry, ...]
+def _new_entry(index: int, pred_next: Optional[int] = None) -> _Entry:
+    """A freshly fetched ROB entry: nothing computed yet."""
+    return (index, False, None, False, None, False, None, pred_next)
 
 
-@dataclass(frozen=True)
-class MachineState:
-    """Whole-machine state: monolithic memory plus per-processor state."""
+def _read_mem(memory: tuple[tuple[int, int], ...], addr: int) -> int:
+    """Monolithic memory read (unwritten addresses are 0)."""
+    for a, v in memory:
+        if a == addr:
+            return v
+    return 0
 
-    memory: tuple[tuple[int, int], ...]
-    procs: tuple[ProcState, ...]
 
-    def read_mem(self, addr: int) -> int:
-        """Monolithic memory read (unwritten addresses are 0)."""
-        for a, v in self.memory:
-            if a == addr:
-                return v
-        return 0
+def _write_mem(
+    memory: tuple[tuple[int, int], ...], addr: int, value: int
+) -> tuple[tuple[int, int], ...]:
+    """A new memory image with ``addr`` updated."""
+    items = dict(memory)
+    items[addr] = value
+    return tuple(sorted(items.items()))
 
-    def write_mem(self, addr: int, value: int) -> tuple[tuple[int, int], ...]:
-        """A new memory image with ``addr`` updated."""
-        items = dict(self.memory)
-        items[addr] = value
-        return tuple(sorted(items.items()))
+
+def _replace(pc: int, rob: tuple, pos: int, entry: _Entry) -> tuple:
+    """Processor state ``(pc, rob)`` with the ROB entry at ``pos`` replaced."""
+    return (pc, rob[:pos] + (entry,) + rob[pos + 1:])
+
+
+class _InstrMeta(NamedTuple):
+    """One static instruction, compiled once per exploration."""
+
+    kind: int
+    dst: Optional[str]  # WS(I): the register written, if any
+    reads: tuple[str, ...]  # RS(I), sorted
+    addr_reads: tuple[str, ...]  # ARS(I), sorted
+    data_reads: tuple[str, ...]  # registers of a store's data, sorted
+    pre: Optional[str]  # fence pre/post types
+    post: Optional[str]
+    target: Optional[int]  # a branch's resolved target PC
+    addr: Optional[_Compiled]
+    data: Optional[_Compiled]
+    expr: Optional[_Compiled]
+    cond: Optional[_Compiled]
+
+
+def _compile_instr(instr: Instruction, program: Program) -> _InstrMeta:
+    """The metadata-table row for one instruction."""
+    kind = next(
+        code
+        for cls, code in (
+            (Load, _LOAD), (Store, _STORE), (Rmw, _RMW), (RegOp, _REGOP),
+            (Branch, _BRANCH), (Fence, _FENCE), (Nop, _NOP),
+        )
+        if isinstance(instr, cls)
+    )
+    (dst,) = instr.write_set() or (None,)
+    addr = getattr(instr, "addr", None)
+    data = getattr(instr, "data", None)
+    expr = getattr(instr, "expr", None)
+    cond = getattr(instr, "cond", None)
+    return _InstrMeta(
+        kind=kind,
+        dst=dst,
+        reads=tuple(sorted(instr.read_set())),
+        addr_reads=tuple(sorted(instr.addr_read_set())),
+        data_reads=tuple(sorted(registers_read(data))) if data is not None else (),
+        pre=getattr(instr, "pre", None),
+        post=getattr(instr, "post", None),
+        target=program.labels[instr.target] if kind == _BRANCH else None,
+        addr=compile_expr(addr) if addr is not None else None,
+        data=compile_expr(data) if data is not None else None,
+        expr=compile_expr(expr) if expr is not None else None,
+        cond=compile_expr(cond) if cond is not None else None,
+    )
+
+
+def _fetch_paths(meta: tuple[_InstrMeta, ...]) -> tuple[tuple[tuple[_Entry, ...], ...], ...]:
+    """``paths[pc]``: every ROB suffix rule Fetch appends from ``pc`` on.
+
+    Fetch runs to the end of the program, so there is one suffix per
+    sequence of branch predictions (both targets of every branch; one when
+    they coincide).
+    """
+    paths: list = [None] * len(meta) + [((),)]
+    for pc in range(len(meta) - 1, -1, -1):
+        if meta[pc].kind == _BRANCH:
+            suffixes = []
+            for predicted in dict.fromkeys((pc + 1, meta[pc].target)):
+                entry = _new_entry(pc, predicted)
+                suffixes.extend((entry,) + rest for rest in paths[predicted])
+            paths[pc] = tuple(suffixes)
+        else:
+            entry = _new_entry(pc)
+            paths[pc] = tuple((entry,) + rest for rest in paths[pc + 1])
+    return tuple(paths)
 
 
 class _Machine:
@@ -135,373 +220,282 @@ class _Machine:
     def __init__(self, test: LitmusTest, variant: MachineVariant) -> None:
         self.test = test
         self.variant = variant
-        self.programs = test.programs
+        self.saldld = variant.same_address_loads == "saldld"
+        self.meta = tuple(
+            tuple(_compile_instr(instr, program) for instr in program)
+            for program in test.programs
+        )
+        self.paths = tuple(_fetch_paths(meta) for meta in self.meta)
+        self.ends = tuple(len(program) for program in test.programs)
+        self.zero_regs = tuple(
+            dict.fromkeys(program.registers(), 0) for program in test.programs
+        )
+        self._moves: dict[tuple, list] = {}
 
-    # -- generic helpers ---------------------------------------------------
-
-    def _instr(self, proc: int, entry: RobEntry) -> Instruction:
-        return self.programs[proc][entry.index]
-
-    def _source_value(
-        self,
-        proc: int,
-        rob: tuple[RobEntry, ...],
-        upto: int,
-        reg: str,
-    ) -> Optional[int]:
-        """Value of ``reg`` as seen by the entry at position ``upto``.
-
-        Searches older entries for the youngest writer; returns ``None``
-        when that writer has not finished execution (operand not ready).
-        Registers with no in-flight writer read the initial value 0.
-        """
-        for pos in range(upto - 1, -1, -1):
-            entry = rob[pos]
-            instr = self._instr(proc, entry)
-            if reg in instr.write_set():
-                if not entry.done:
-                    return None
-                return entry.result
-        return 0
-
-    def _operands(
-        self,
-        proc: int,
-        rob: tuple[RobEntry, ...],
-        upto: int,
-        regs: Iterable[str],
-    ) -> Optional[dict[str, int]]:
-        """All of ``regs`` if ready, else ``None``."""
-        values: dict[str, int] = {}
-        for reg in sorted(regs):
-            value = self._source_value(proc, rob, upto, reg)
-            if value is None:
-                return None
-            values[reg] = value
-        return values
+    def initial_states(self) -> list[_State]:
+        """The empty machine (initial memory, empty ROBs), fetched."""
+        memory = tuple(sorted(self.test.initial_memory.items()))
+        return self.fetch_closure((memory, tuple((0, ()) for _ in self.ends)))
 
     # -- fetch (eager, with branch-prediction nondeterminism) --------------
 
-    def fetch_closure(self, state: MachineState) -> Iterator[MachineState]:
+    def fetch_closure(self, state: _State) -> list[_State]:
         """Apply rule Fetch to exhaustion, branching over predictions."""
-        pending = [state]
-        while pending:
-            current = pending.pop()
-            advanced = False
-            for proc, pstate in enumerate(current.procs):
-                program = self.programs[proc]
-                if pstate.pc >= len(program):
-                    continue
-                advanced = True
-                instr = program[pstate.pc]
-                if isinstance(instr, Branch):
-                    taken_pc = program.labels[instr.target]
-                    fall_pc = pstate.pc + 1
-                    for predicted in dict.fromkeys((fall_pc, taken_pc)):
-                        entry = RobEntry(index=pstate.pc, pred_next=predicted)
-                        procs = list(current.procs)
-                        procs[proc] = ProcState(predicted, pstate.rob + (entry,))
-                        pending.append(replace(current, procs=tuple(procs)))
-                else:
-                    entry = RobEntry(index=pstate.pc)
-                    procs = list(current.procs)
-                    procs[proc] = ProcState(pstate.pc + 1, pstate.rob + (entry,))
-                    pending.append(replace(current, procs=tuple(procs)))
-                break
-            if not advanced:
-                yield current
+        memory, procs = state
+        choices = [
+            [(end, rob + suffix) for suffix in paths[pc]]
+            for (pc, rob), paths, end in zip(procs, self.paths, self.ends)
+        ]
+        return [(memory, combo) for combo in itertools.product(*choices)]
 
     # -- kills -------------------------------------------------------------
 
     def _kill_from(
-        self,
-        state: MachineState,
-        proc: int,
-        rob: tuple[RobEntry, ...],
-        first_dead: int,
-        new_pc: int,
-    ) -> Iterator[MachineState]:
-        """Squash ROB entries from position ``first_dead``; refetch eagerly."""
-        procs = list(state.procs)
-        procs[proc] = ProcState(new_pc, rob[:first_dead])
-        yield from self.fetch_closure(replace(state, procs=tuple(procs)))
+        self, out: list, memory: tuple, p: int, kept: tuple, new_pc: int
+    ) -> None:
+        """Squash processor ``p``'s ROB down to ``kept``; refetch from ``new_pc``."""
+        end = self.ends[p]
+        for suffix in self.paths[p][new_pc]:
+            out.append((memory, (end, kept + suffix)))
 
     # -- rules -------------------------------------------------------------
 
-    def successors(self, state: MachineState) -> Iterator[MachineState]:
-        """All states reachable by firing one non-fetch rule (then refetching)."""
-        for proc, pstate in enumerate(state.procs):
-            rob = pstate.rob
-            for pos, entry in enumerate(rob):
-                instr = self._instr(proc, entry)
-                if isinstance(instr, RegOp):
-                    yield from self._execute_regop(state, proc, pos)
-                elif isinstance(instr, Branch):
-                    yield from self._execute_branch(state, proc, pos)
-                elif isinstance(instr, Fence):
-                    yield from self._execute_fence(state, proc, pos)
-                elif isinstance(instr, Rmw):
-                    yield from self._compute_mem_addr(state, proc, pos)
-                    yield from self._execute_rmw(state, proc, pos)
-                elif isinstance(instr, Load):
-                    yield from self._compute_mem_addr(state, proc, pos)
-                    yield from self._execute_load(state, proc, pos)
-                elif isinstance(instr, Store):
-                    yield from self._compute_mem_addr(state, proc, pos)
-                    yield from self._compute_store_data(state, proc, pos)
-                    yield from self._execute_store(state, proc, pos)
-                elif isinstance(instr, Nop):
-                    yield from self._execute_nop(state, proc, pos)
+    def successors(self, state: _State) -> list[_State]:
+        """All states reachable by firing one non-fetch rule (then refetching).
 
-    def _update_entry(
-        self,
-        state: MachineState,
-        proc: int,
-        pos: int,
-        **changes,
-    ) -> MachineState:
-        pstate = state.procs[proc]
-        rob = list(pstate.rob)
-        rob[pos] = replace(rob[pos], **changes)
-        procs = list(state.procs)
-        procs[proc] = ProcState(pstate.pc, tuple(rob))
-        return replace(state, procs=tuple(procs))
+        A rule reads and writes only the memory and its own processor, and
+        the other processors are fully fetched already (the closure runs
+        after every rule), so each processor's moves are a function of
+        ``(memory, processor state)``, computed once per exploration.
+        """
+        memory, procs = state
+        out: list[_State] = []
+        for p, pstate in enumerate(procs):
+            key = (p, memory, pstate)
+            moves = self._moves.get(key)
+            if moves is None:
+                moves = self._moves[key] = self._processor_moves(p, memory, pstate)
+            head, tail = procs[:p], procs[p + 1:]
+            for new_memory, new_pstate in moves:
+                out.append((new_memory, head + (new_pstate,) + tail))
+        return out
 
-    def _execute_regop(
-        self, state: MachineState, proc: int, pos: int
-    ) -> Iterator[MachineState]:
-        """Rule Execute-Reg-to-Reg."""
-        entry = state.procs[proc].rob[pos]
-        if entry.done:
-            return
-        instr = self._instr(proc, entry)
-        operands = self._operands(proc, state.procs[proc].rob, pos, instr.read_set())
-        if operands is None:
-            return
-        result = evaluate(instr.expr, operands)
-        yield self._update_entry(state, proc, pos, done=True, result=result)
-
-    def _execute_nop(
-        self, state: MachineState, proc: int, pos: int
-    ) -> Iterator[MachineState]:
-        """No-ops execute unconditionally (treated like a trivial reg-op)."""
-        entry = state.procs[proc].rob[pos]
-        if entry.done:
-            return
-        yield self._update_entry(state, proc, pos, done=True, result=0)
-
-    def _execute_branch(
-        self, state: MachineState, proc: int, pos: int
-    ) -> Iterator[MachineState]:
-        """Rule Execute-Branch (kills younger entries on misprediction)."""
-        rob = state.procs[proc].rob
-        entry = rob[pos]
-        if entry.done:
-            return
-        instr = self._instr(proc, entry)
-        operands = self._operands(proc, rob, pos, instr.read_set())
-        if operands is None:
-            return
-        taken = evaluate(instr.cond, operands) != 0
-        program = self.programs[proc]
-        actual = program.labels[instr.target] if taken else entry.index + 1
-        done_state = self._update_entry(
-            state, proc, pos, done=True, result=actual
-        )
-        if actual == entry.pred_next:
-            yield done_state
-        else:
-            yield from self._kill_from(
-                done_state, proc, done_state.procs[proc].rob, pos + 1, actual
-            )
-
-    def _execute_fence(
-        self, state: MachineState, proc: int, pos: int
-    ) -> Iterator[MachineState]:
-        """Rule Execute-Fence: waits for older type-X memory instructions."""
-        rob = state.procs[proc].rob
-        entry = rob[pos]
-        if entry.done:
-            return
-        fence = self._instr(proc, entry)
-        for older in rob[:pos]:
-            older_instr = self._instr(proc, older)
-            if fence.orders_before(older_instr) and not older.done:
-                return
-        yield self._update_entry(state, proc, pos, done=True)
+    def _processor_moves(self, p: int, memory: tuple, pstate: tuple) -> list:
+        """``(memory, processor state)`` after each rule processor ``p`` can fire."""
+        out: list = []
+        pc, rob = pstate
+        meta = self.meta[p]
+        # What the entry at ``pos`` sees of the entries older than it,
+        # folded in as the loop walks the ROB oldest first: each
+        # register's value (from its youngest older writer; ``None``
+        # while that writer is not done, 0 with no writer in flight),
+        # and the not-done instructions the Figure 17 guards wait on.
+        regs = dict(self.zero_regs[p])
+        operand = regs.__getitem__
+        older_branch = older_fence = older_fence_l = older_fence_s = False
+        older_load = older_store = older_unaddressed = False
+        older_addrs: list[Optional[int]] = []  # of not-done memory entries
+        for pos, entry in enumerate(rob):
+            index, done, result, addr_avail, addr, data_avail, data, pred = entry
+            m = meta[index]
+            kind = m.kind
+            if not done:
+                if kind <= _RMW and not addr_avail:
+                    # Compute-Mem-Addr.
+                    if None not in map(operand, m.addr_reads):
+                        self._compute_mem_addr(
+                            out, memory, p, pc, rob, pos, m.addr(regs)
+                        )
+                if kind == _LOAD:
+                    # Execute-Load waits for older FenceXL.
+                    if addr_avail and not older_fence_l:
+                        self._execute_load(out, memory, p, pc, rob, pos)
+                elif kind == _STORE:
+                    if not data_avail:
+                        # Compute-Store-Data.
+                        if None not in map(operand, m.data_reads):
+                            computed = (
+                                index, False, result, addr_avail, addr,
+                                True, m.data(regs), pred,
+                            )
+                            out.append(
+                                (memory, _replace(pc, rob, pos, computed))
+                            )
+                    elif addr_avail and not (
+                        older_branch  # guard 3
+                        or older_unaddressed  # guard 4
+                        or addr in older_addrs  # guard 5
+                        or older_fence_s  # guard 6
+                    ):
+                        # Execute-Store: the six guard conditions.
+                        done_entry = (index, True, result, True, addr, True, data, pred)
+                        out.append((
+                            _write_mem(memory, addr, data),
+                            _replace(pc, rob, pos, done_entry),
+                        ))
+                elif kind == _RMW:
+                    # Execute-RMW: the Section III-C extension.  An RMW
+                    # obeys the Execute-Store guards (it is a store) and
+                    # reads the monolithic memory at the instant it
+                    # writes it (it is a load that cannot forward): old
+                    # value out, new value in, one rule firing.
+                    if (
+                        addr_avail
+                        and not older_branch  # BrSt
+                        and not older_unaddressed  # AddrSt
+                        and addr not in older_addrs  # SAMemSt, load-half order
+                        and not older_fence  # an RMW is both post-types
+                        and None not in map(operand, m.reads)
+                    ):
+                        old_value = _read_mem(memory, addr)
+                        new_value = m.data({**regs, m.dst: old_value})
+                        done_entry = (
+                            index, True, old_value, True, addr, True, new_value, pred,
+                        )
+                        out.append((
+                            _write_mem(memory, addr, new_value),
+                            _replace(pc, rob, pos, done_entry),
+                        ))
+                elif kind == _REGOP:
+                    # Execute-Reg-to-Reg.
+                    if None not in map(operand, m.reads):
+                        done_entry = (
+                            index, True, m.expr(regs), addr_avail, addr,
+                            data_avail, data, pred,
+                        )
+                        out.append((memory, _replace(pc, rob, pos, done_entry)))
+                elif kind == _BRANCH:
+                    # Execute-Branch: kills younger entries on misprediction.
+                    if None not in map(operand, m.reads):
+                        actual = m.target if m.cond(regs) != 0 else index + 1
+                        done_entry = (
+                            index, True, actual, addr_avail, addr, data_avail, data, pred,
+                        )
+                        if actual == pred:
+                            out.append(
+                                (memory, _replace(pc, rob, pos, done_entry))
+                            )
+                        else:
+                            self._kill_from(
+                                out, memory, p, rob[:pos] + (done_entry,), actual
+                            )
+                elif kind == _FENCE:
+                    # Execute-Fence: waits for older type-``pre`` accesses.
+                    if not (older_load if m.pre == "L" else older_store):
+                        done_entry = (
+                            index, True, result, addr_avail, addr, data_avail, data, pred,
+                        )
+                        out.append((memory, _replace(pc, rob, pos, done_entry)))
+                else:
+                    # No-ops execute unconditionally (a trivial reg-op).
+                    done_entry = (index, True, 0, addr_avail, addr, data_avail, data, pred)
+                    out.append((memory, _replace(pc, rob, pos, done_entry)))
+            # Fold this entry into what younger entries see.
+            if m.dst is not None:
+                regs[m.dst] = result if done else None
+            if kind <= _RMW:
+                if not addr_avail:
+                    older_unaddressed = True
+                if not done:
+                    older_addrs.append(addr)
+                    older_load = older_load or kind != _STORE
+                    older_store = older_store or kind != _LOAD
+            elif not done:
+                if kind == _BRANCH:
+                    older_branch = True
+                elif kind == _FENCE:
+                    older_fence = True
+                    if m.post == "L":
+                        older_fence_l = True
+                    else:
+                        older_fence_s = True
+        return out
 
     def _compute_mem_addr(
-        self, state: MachineState, proc: int, pos: int
-    ) -> Iterator[MachineState]:
+        self, out: list, memory: tuple, p: int, pc: int,
+        rob: tuple, pos: int, addr: int,
+    ) -> None:
         """Rule Compute-Mem-Addr, including the younger-load kill search."""
-        rob = state.procs[proc].rob
-        entry = rob[pos]
-        if entry.addr_avail:
-            return
-        instr = self._instr(proc, entry)
-        operands = self._operands(proc, rob, pos, instr.addr_read_set())
-        if operands is None:
-            return
-        addr = evaluate(instr.addr, operands)
-        resolved = self._update_entry(state, proc, pos, addr_avail=True, addr=addr)
-        if isinstance(instr, Load) and self.variant.same_address_loads != "saldld":
+        index, done, result, _, _, data_avail, data, pred = rob[pos]
+        resolved = (index, done, result, True, addr, data_avail, data, pred)
+        meta = self.meta[p]
+        if meta[index].kind == _LOAD and not self.saldld:
             # GAM0 machine: a *load* resolving its address kills nothing.
-            yield resolved
+            out.append((memory, _replace(pc, rob, pos, resolved)))
             return
-        rob2 = resolved.procs[proc].rob
-        for later_pos in range(pos + 1, len(rob2)):
-            later = rob2[later_pos]
-            later_instr = self._instr(proc, later)
-            if not later_instr.is_memory or not later.addr_avail:
+        for later_pos in range(pos + 1, len(rob)):
+            later = rob[later_pos]
+            later_kind = meta[later[_INDEX]].kind
+            if later_kind > _RMW or not later[_ADDR_AVAIL]:
                 continue
-            if later.addr != addr:
+            if later[_ADDR] != addr:
                 continue
-            if isinstance(later_instr, Load) and later.done:
-                yield from self._kill_from(
-                    resolved, proc, rob2, later_pos, later.index
-                )
+            if later_kind == _LOAD and later[_DONE]:
+                kept = rob[:pos] + (resolved,) + rob[pos + 1:later_pos]
+                self._kill_from(out, memory, p, kept, later[_INDEX])
                 return
             break  # first same-address memory instruction is not a done load
-        yield resolved
+        out.append((memory, _replace(pc, rob, pos, resolved)))
 
     def _execute_load(
-        self, state: MachineState, proc: int, pos: int
-    ) -> Iterator[MachineState]:
-        """Rule Execute-Load: bypass, memory read, or stall."""
-        rob = state.procs[proc].rob
-        entry = rob[pos]
-        if entry.done or not entry.addr_avail:
-            return
-        for older in rob[:pos]:
-            older_instr = self._instr(proc, older)
-            if isinstance(older_instr, Fence) and older_instr.post == "L":
-                if not older.done:
-                    return
-        addr = entry.addr
+        self, out: list, memory: tuple, p: int, pc: int,
+        rob: tuple, pos: int,
+    ) -> None:
+        """Rule Execute-Load: bypass, memory read, or stall.
+
+        The caller has checked the entry is not done, has its address and
+        has no older unfinished FenceXL.
+        """
+        index, _, _, _, addr, data_avail, data, pred = rob[pos]
+        meta = self.meta[p]
         for older_pos in range(pos - 1, -1, -1):
             older = rob[older_pos]
-            older_instr = self._instr(proc, older)
-            if not older_instr.is_memory or older.done:
+            older_kind = meta[older[_INDEX]].kind
+            if older_kind > _RMW or older[_DONE]:
                 continue
-            if not older.addr_avail or older.addr != addr:
+            if not older[_ADDR_AVAIL] or older[_ADDR] != addr:
                 continue
-            if older_instr.is_store:
+            if older_kind != _LOAD:
                 # RMWs never provide forwarding data; plain stores do once
                 # their data is computed.
-                if isinstance(older_instr, Store) and older.data_avail:
-                    yield self._update_entry(
-                        state, proc, pos, done=True, result=older.data
-                    )
+                if older_kind == _STORE and older[_DATA_AVAIL]:
+                    done_entry = (index, True, older[_DATA], True, addr, data_avail, data, pred)
+                    out.append((memory, _replace(pc, rob, pos, done_entry)))
                 return
-            if self.variant.same_address_loads == "saldld":
+            if self.saldld:
                 return  # stall behind the older unissued same-address load
             continue  # GAM0: ignore older loads entirely
-        yield self._update_entry(
-            state, proc, pos, done=True, result=state.read_mem(addr)
-        )
-
-    def _execute_rmw(
-        self, state: MachineState, proc: int, pos: int
-    ) -> Iterator[MachineState]:
-        """Rule Execute-RMW: the Section III-C extension.
-
-        An RMW obeys the Execute-Store guards (it is a store) and reads the
-        monolithic memory at the instant it writes it (it is a load that
-        cannot forward): old value out, new value in, one rule firing.
-        """
-        rob = state.procs[proc].rob
-        entry = rob[pos]
-        if entry.done or not entry.addr_avail:
-            return
-        instr = self._instr(proc, entry)
-        operands = self._operands(proc, rob, pos, instr.read_set())
-        if operands is None:
-            return
-        for older in rob[:pos]:
-            older_instr = self._instr(proc, older)
-            if older_instr.is_branch and not older.done:
-                return  # BrSt
-            if older_instr.is_memory and not older.addr_avail:
-                return  # AddrSt
-            if older_instr.is_memory and older.addr == entry.addr and not older.done:
-                return  # SAMemSt (and the load-half ordering)
-            if isinstance(older_instr, Fence) and not older.done:
-                return  # an RMW is both fence post-types
-        old_value = state.read_mem(entry.addr)
-        new_value = evaluate(instr.data, {**operands, instr.dst: old_value})
-        memory = state.write_mem(entry.addr, new_value)
-        updated = self._update_entry(
-            state, proc, pos, done=True, result=old_value, data_avail=True,
-            data=new_value,
-        )
-        yield replace(updated, memory=memory)
-
-    def _compute_store_data(
-        self, state: MachineState, proc: int, pos: int
-    ) -> Iterator[MachineState]:
-        """Rule Compute-Store-Data."""
-        rob = state.procs[proc].rob
-        entry = rob[pos]
-        if entry.data_avail:
-            return
-        instr = self._instr(proc, entry)
-        operands = self._operands(
-            proc, rob, pos, registers_read(instr.data)
-        )
-        if operands is None:
-            return
-        data = evaluate(instr.data, operands)
-        yield self._update_entry(state, proc, pos, data_avail=True, data=data)
-
-    def _execute_store(
-        self, state: MachineState, proc: int, pos: int
-    ) -> Iterator[MachineState]:
-        """Rule Execute-Store: the six guard conditions of Figure 17."""
-        rob = state.procs[proc].rob
-        entry = rob[pos]
-        if entry.done or not entry.addr_avail or not entry.data_avail:
-            return
-        for older in rob[:pos]:
-            older_instr = self._instr(proc, older)
-            if older_instr.is_branch and not older.done:
-                return  # guard 3
-            if older_instr.is_memory and not older.addr_avail:
-                return  # guard 4
-            if older_instr.is_memory and older.addr == entry.addr and not older.done:
-                return  # guard 5
-            if isinstance(older_instr, Fence) and older_instr.post == "S":
-                if not older.done:
-                    return  # guard 6
-        memory = state.write_mem(entry.addr, entry.data)
-        updated = self._update_entry(state, proc, pos, done=True)
-        yield replace(updated, memory=memory)
+        done_entry = (index, True, _read_mem(memory, addr), True, addr, data_avail, data, pred)
+        out.append((memory, _replace(pc, rob, pos, done_entry)))
 
     # -- terminal states ----------------------------------------------------
 
-    def is_terminal(self, state: MachineState) -> bool:
+    def is_terminal(self, state: _State) -> bool:
         """All instructions fetched and every ROB entry done."""
-        for proc, pstate in enumerate(state.procs):
-            if pstate.pc < len(self.programs[proc]):
+        for (pc, rob), end in zip(state[1], self.ends):
+            if pc < end:
                 return False
-            if any(not entry.done for entry in pstate.rob):
-                return False
+            for entry in rob:
+                if not entry[_DONE]:
+                    return False
         return True
 
     def final_state(
-        self, state: MachineState
+        self, state: _State
     ) -> tuple[dict[tuple[int, str], int], dict[int, int]]:
         """Final register file (youngest writer per register) and memory."""
+        memory, procs = state
         regs: dict[tuple[int, str], int] = {}
-        for proc, pstate in enumerate(state.procs):
-            names: set[str] = set(self.programs[proc].registers())
-            for reg in names:
-                value = 0
-                for entry in pstate.rob:
-                    instr = self._instr(proc, entry)
-                    if reg in instr.write_set():
-                        value = entry.result
-                regs[(proc, reg)] = value
-        return regs, dict(state.memory)
+        for p, (_, rob) in enumerate(procs):
+            meta = self.meta[p]
+            values = dict(self.zero_regs[p])
+            for entry in rob:
+                dst = meta[entry[_INDEX]].dst
+                if dst is not None:
+                    values[dst] = entry[_RESULT]
+            for reg, value in values.items():
+                regs[(p, reg)] = value
+        return regs, dict(memory)
 
 
 @dataclass(frozen=True)
@@ -521,7 +515,7 @@ def _terminal_states(
     test: LitmusTest,
     variant: MachineVariant,
     max_states: int,
-    seen: set[MachineState],
+    seen: set[_State],
 ) -> Iterator[tuple[dict[tuple[int, str], int], dict[int, int]]]:
     """Depth-first search of the machine, yielding each terminal state's
     final registers and memory.
@@ -531,12 +525,7 @@ def _terminal_states(
     distinct states have been visited.
     """
     machine = _Machine(test, variant)
-    initial_memory = tuple(sorted(test.initial_memory.items()))
-    empty = MachineState(
-        memory=initial_memory,
-        procs=tuple(ProcState(0, ()) for _ in test.programs),
-    )
-    stack = list(machine.fetch_closure(empty))
+    stack = machine.initial_states()
     seen.update(stack)
     while stack:
         state = stack.pop()
@@ -544,8 +533,9 @@ def _terminal_states(
             yield machine.final_state(state)
             continue
         for successor in machine.successors(state):
-            if successor not in seen:
-                seen.add(successor)
+            before = len(seen)
+            seen.add(successor)
+            if len(seen) > before:
                 if len(seen) > max_states:
                     raise RuntimeError(
                         f"state-space explosion exploring {test.name!r}"
@@ -564,7 +554,7 @@ def explore(
     Raises ``RuntimeError`` if more than ``max_states`` distinct states are
     visited (a safety valve; litmus tests stay far below it).
     """
-    seen: set[MachineState] = set()
+    seen: set[_State] = set()
     outcomes: set[Outcome] = set()
     terminals = 0
     with _obs_time_block("operational.explore.time"):

@@ -20,7 +20,7 @@ Expressions support Python operators for concise test construction::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 __all__ = [
     "Expr",
@@ -32,6 +32,7 @@ __all__ = [
     "to_expr",
     "registers_read",
     "evaluate",
+    "compile_expr",
 ]
 
 
@@ -212,4 +213,30 @@ def evaluate(expr: Expr, regfile: Mapping[str, int]) -> int:
         return _BINARY_OPS[expr.op](left, right)
     if isinstance(expr, UnOp):
         return _UNARY_OPS[expr.op](evaluate(expr.operand, regfile))
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def compile_expr(expr: Expr) -> Callable[[Mapping[str, int]], int]:
+    """Compile ``expr`` to a closure computing :func:`evaluate` on a register file.
+
+    The tree walk and operator lookup happen once, here, so code that
+    evaluates one expression many times (the abstract-machine explorer)
+    pays only for the arithmetic.  ``compile_expr(e)(regs) == evaluate(e,
+    regs)`` for every ``regs`` that binds the registers ``e`` reads.
+    """
+    if isinstance(expr, Reg):
+        name = expr.name
+        return lambda regfile: regfile[name]
+    if isinstance(expr, Const):
+        value = expr.value
+        return lambda regfile: value
+    if isinstance(expr, BinOp):
+        binary = _BINARY_OPS[expr.op]
+        left = compile_expr(expr.left)
+        right = compile_expr(expr.right)
+        return lambda regfile: binary(left(regfile), right(regfile))
+    if isinstance(expr, UnOp):
+        unary = _UNARY_OPS[expr.op]
+        operand = compile_expr(expr.operand)
+        return lambda regfile: unary(operand(regfile))
     raise TypeError(f"not an expression: {expr!r}")

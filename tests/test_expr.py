@@ -8,6 +8,7 @@ from repro.isa.expr import (
     Expr,
     Reg,
     UnOp,
+    compile_expr,
     evaluate,
     registers_read,
     to_expr,
@@ -140,3 +141,31 @@ class TestEvaluate:
         for _ in range(50):
             expr = expr + 1
         assert evaluate(expr, {}) == 51
+
+
+class TestCompileExpr:
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            Const(7),
+            Reg("x"),
+            Const(0x100) + Reg("x") - Reg("x"),
+            BinOp("==", Reg("x"), Const(5)),
+            BinOp(">=", Reg("y") * 3, Reg("x") ^ 1),
+            UnOp("!", Reg("y")),
+            -(Reg("x") | Reg("y")) & 0xFF,
+            UnOp("~", Reg("x")),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("regs", [{"x": 0, "y": 0}, {"x": 5, "y": -2}])
+    def test_agrees_with_evaluate(self, expr, regs):
+        assert compile_expr(expr)(regs) == evaluate(expr, regs)
+
+    def test_missing_register_raises(self):
+        with pytest.raises(KeyError):
+            compile_expr(Reg("nope"))({})
+
+    def test_non_expr_rejected(self):
+        with pytest.raises(TypeError):
+            compile_expr("r1")  # type: ignore[arg-type]
