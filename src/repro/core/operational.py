@@ -434,7 +434,11 @@ class _Machine:
                 kept = rob[:pos] + (resolved,) + rob[pos + 1:later_pos]
                 self._kill_from(out, memory, p, kept, later[_INDEX])
                 return
-            break  # first same-address memory instruction is not a done load
+            if later_kind == _LOAD and not self.saldld:
+                # GAM0 has no SALdLd stall, so a load younger than this
+                # unissued one may already have read memory: search on.
+                continue
+            break  # a store, an RMW, or (GAM) an unissued load shields the rest
         out.append((memory, _replace(pc, rob, pos, resolved)))
 
     def _execute_load(

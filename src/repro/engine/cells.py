@@ -75,7 +75,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 7
+ENGINE_VERSION = 8
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -117,6 +117,11 @@ Version history:
   ``operational_allows`` share one exploration loop.  Results are
   unchanged, but the keying and machine paths changed, so version-6
   entries re-verify.
+* 8 — the GAM0 machine's store/RMW address resolution searches past
+  younger unissued same-address loads for a done one to kill, so it no
+  longer keeps a load that read memory before the store or RMW ahead of
+  it was addressed.  GAM0 machine outcome sets changed, so version-7
+  operational entries must miss.
 """
 
 ModelLike = Union[str, MemoryModel]
