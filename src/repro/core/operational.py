@@ -219,7 +219,6 @@ class _Machine:
 
     def __init__(self, test: LitmusTest, variant: MachineVariant) -> None:
         self.test = test
-        self.variant = variant
         self.saldld = variant.same_address_loads == "saldld"
         self.meta = tuple(
             tuple(_compile_instr(instr, program) for instr in program)
