@@ -24,7 +24,7 @@ _spec = importlib.util.spec_from_file_location(
 record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record)
 
-TESTS = [test for _, test in record.fixture_tests()]
+TESTS = record.fixture_tests()
 
 
 def test_fixture_covers_every_test_and_machine():

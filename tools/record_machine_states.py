@@ -34,12 +34,10 @@ def outcome_digest(outcomes) -> str:
 
 
 def fixture_tests():
-    """Every (suite, test) the fixture covers, in a stable order."""
+    """Every test the fixture covers, in a stable order."""
     from repro.litmus.frontend import resolve_suite
 
-    for suite in SUITES:
-        for test in resolve_suite(suite):
-            yield suite, test
+    return [test for suite in SUITES for test in resolve_suite(suite)]
 
 
 def record_row(test, machine: str) -> dict:
@@ -60,7 +58,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
     rows = {}
-    for suite, test in fixture_tests():
+    for test in fixture_tests():
         for machine in MACHINES:
             rows[f"{test.name}/{machine}"] = record_row(test, machine)
     payload = {"suites": list(SUITES), "machines": list(MACHINES), "rows": rows}
