@@ -14,9 +14,10 @@ interruptible process:
   discrepant test (instruction deletion + empty-processor removal);
 * :mod:`.driver` — :func:`~repro.campaign.driver.run_hunt`, which
   evaluates incomplete shards through the batch engine
-  (:mod:`repro.engine`), mines pair disagreements from the accumulated
-  matrices (:mod:`repro.eval.discrepancy`), minimizes and re-verifies
-  every witness, and writes the ranked report.
+  (:mod:`repro.engine`), mines pair divergences from the accumulated
+  records (:mod:`repro.eval.discrepancy`, whose ``PairKind`` says what a
+  pair compares), minimizes and re-verifies every witness, and writes
+  the ranked report.
 
 Everything downstream of the spec is deterministic — suite resolution,
 sharding, verdict evaluation, mining order, greedy minimization — so a

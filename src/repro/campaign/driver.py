@@ -5,23 +5,28 @@ One call advances a campaign as far as it can and is always safe to
 interrupt and re-invoke:
 
 1. **Shard evaluation** — the suite spec is resolved (deterministically)
-   and split into round-robin shards; each incomplete shard's
-   (test × model) verdict grid runs through the batch engine with the
-   campaign's own result cache, then lands on disk as an atomic shard
-   record.  Completed shards are never re-evaluated.
-2. **Mining** — the accumulated records are pivoted into a verdict table
-   (in suite order, independent of which run produced which shard) and
-   every model-pair disagreement becomes a
-   :class:`~repro.eval.discrepancy.Discrepancy`.  Tests an
+   and split into round-robin shards; each incomplete shard's cell grid
+   (one engine cell per test and pair *column*, see
+   :class:`~repro.eval.discrepancy.PairKind`) runs through the batch
+   engine with the campaign's own result cache, then lands on disk as an
+   atomic shard record holding one row per test, from which each pair's
+   divergence profile reads back.  Completed shards are never
+   re-evaluated.
+2. **Mining** — the accumulated records are pivoted into a row table (in
+   suite order, independent of which run produced which shard) and every
+   diverging pair becomes a :class:`~repro.eval.discrepancy.Discrepancy`
+   (two models' verdicts differ) or
+   :class:`~repro.eval.discrepancy.OracleDiscrepancy` (a model's axioms
+   and an abstract machine allow different outcomes).  Tests an
    :class:`~repro.engine.ExecutionPolicy` quarantined (crash, deadline,
    poison test) are excluded from the table, re-derived from the shard
-   records into ``quarantine.json``, and listed in the report — skipped
-   work is reported, never silently dropped.
+   records in the same pass into ``quarantine.json``, and listed in the
+   report — skipped work is reported, never silently dropped.
 3. **Minimization** — each discrepant test is greedily shrunk while the
-   pair still disagrees (:mod:`.minimize`), written to
-   ``witnesses/*.litmus``, re-parsed, and re-checked through the standard
-   matrix path (:func:`repro.eval.litmus_matrix.litmus_matrix`) so every
-   reported witness is *known* to still diverge as a ``.litmus`` file.
+   pair still diverges (:mod:`.minimize`), written to
+   ``witnesses/*.litmus``, re-parsed, and re-checked through the pair's
+   own divergence check, so every reported witness is *known* to still
+   diverge as a ``.litmus`` file.
 4. **Report** — the ranked report (smallest witness first) is written as
    ``report.txt`` + ``report.json`` and returned, alongside a telemetry
    run report (``stats.json``, see :mod:`repro.obs`) covering shard
@@ -37,39 +42,30 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Sequence
-
-from typing import Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from ..engine import (
     CellFailure,
     ExecutionPolicy,
     FaultPlan,
     ModelLike,
-    OutcomeSpec,
-    VerdictSpec,
     evaluate_cells,
 )
 from ..eval.discrepancy import (
+    AXIOMATIC_PAIRS,
+    OPERATIONAL_PAIRS,
     Discrepancy,
     OracleDiscrepancy,
+    PairKind,
     mine_discrepancies,
-    mine_oracle_discrepancies,
     render_discrepancies,
-    render_oracle_discrepancies,
 )
-from ..eval.litmus_matrix import litmus_matrix
 from ..litmus.frontend.printer import print_litmus
 from ..litmus.frontend.parser import LitmusParseError, parse_litmus_file
 from ..litmus.frontend.suite import resolve_suite, shard_suite
 from ..litmus.test import LitmusTest
 from ..obs import RunReport, collecting, incr, monotonic, time_block
-from .minimize import (
-    divergence_check,
-    instruction_count,
-    minimize_divergence,
-    oracle_divergence_check,
-)
+from .minimize import divergence_check, instruction_count, minimize_divergence
 from .state import (
     ORACLE_AXIOMATIC,
     ORACLE_OPERATIONAL,
@@ -102,6 +98,12 @@ hunts when none is given: the paper's two equivalence theorems."""
 _DEFAULT_SHARDS = 4
 
 AnyDiscrepancy = Union[Discrepancy, OracleDiscrepancy]
+
+_PAIR_KINDS: dict[str, PairKind] = {
+    ORACLE_AXIOMATIC: AXIOMATIC_PAIRS,
+    ORACLE_OPERATIONAL: OPERATIONAL_PAIRS,
+}
+"""The pair kind each campaign oracle mode hunts with."""
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,7 @@ def _witness_stem(disc: AnyDiscrepancy) -> str:
 def _quarantined_entry(test: LitmusTest, failure: CellFailure) -> dict:
     """The shard-record entry for a batch the policy quarantined.
 
-    Replaces the ``verdicts``/``oracle`` key with the tagged failure
+    Replaces the pair kind's row key with the tagged failure
     record, so the quarantine travels inside the crash-safe shard file
     and ``quarantine.json`` can always be re-derived from the shards.
     """
@@ -186,7 +188,7 @@ def _quarantined_entry(test: LitmusTest, failure: CellFailure) -> dict:
 
 
 class _Progress:
-    """Per-shard heartbeat/stall bookkeeping shared by both shard loops.
+    """Per-shard heartbeat/stall bookkeeping for the shard loop.
 
     All wall-clock text it emits is gated on ``heartbeat`` (opt-in via
     ``--stats``), so the default log output stays byte-identical run to
@@ -242,7 +244,8 @@ def _evaluate_shards(
     campaign: CampaignDir,
     spec: CampaignSpec,
     tests: Sequence[LitmusTest],
-    models: Sequence[str],
+    kind: PairKind,
+    pairs: Sequence[tuple[str, str]],
     lookup: Mapping[str, ModelLike],
     jobs: int,
     log: Callable[[str], None],
@@ -251,15 +254,35 @@ def _evaluate_shards(
     fault_plan: Optional[FaultPlan] = None,
     stall_after: float = 30.0,
 ) -> None:
-    """Run every incomplete shard's verdict grid and persist its record.
+    """Run every incomplete shard's cell grid and persist its record.
+
+    Each test gets one engine cell per distinct column of ``pairs`` (see
+    :class:`~repro.eval.discrepancy.PairKind`).  Its shard entry stores
+    the kind's row under the kind's record key: enough to read back
+    every pair's divergence profile, which is all mining needs (outcome
+    sets stay in the engine cache).
 
     ``heartbeat`` adds per-batch progress lines with elapsed wall time to
     the log — wall-clock text, so it is off unless stats were requested
     (the default log output stays byte-identical run to run).  Under a
     ``skip``/``quarantine`` policy, batches the engine finalized as
     :class:`~repro.engine.CellFailure` land in the shard record as
-    ``quarantined`` entries instead of verdicts.
+    ``quarantined`` entries instead of rows.
     """
+    columns = list(
+        dict.fromkeys(column for pair in pairs for column in kind.columns(pair))
+    )
+    slots = [
+        [columns.index(column) for column in kind.columns(pair)]
+        for pair in pairs
+    ]
+
+    def row(results: Sequence[object]) -> dict:
+        entries: dict = {}
+        for pair, (a, b) in zip(pairs, slots):
+            entries.update(kind.store(pair, kind.profile(results[a], results[b])))
+        return entries
+
     for index in range(spec.num_shards):
         if campaign.load_shard(index) is not None:
             incr("campaign.shards.resumed")
@@ -270,12 +293,12 @@ def _evaluate_shards(
         incr("campaign.tests.evaluated", len(shard_tests))
         log(
             f"shard {index + 1}/{spec.num_shards}: evaluating "
-            f"{len(shard_tests)} tests x {len(models)} models"
+            f"{len(shard_tests)} tests x {kind.extent(pairs)}"
         )
         cells = [
-            VerdictSpec(test, lookup[model])
+            kind.cell(test, lookup[model], oracle)
             for test in shard_tests
-            for model in models
+            for model, oracle in columns
         ]
         progress = _Progress(
             log,
@@ -298,8 +321,8 @@ def _evaluate_shards(
                 log(
                     f"  [{progress.count}/{len(shard_tests)}] {test.name}: "
                     + " ".join(
-                        f"{model}={'allow' if allowed else 'forbid'}"
-                        for model, allowed in zip(models, results)
+                        kind.describe(key, value)
+                        for key, value in row(results).items()
                     )
                 )
             progress.note_batch()
@@ -315,21 +338,18 @@ def _evaluate_shards(
                 on_stall=progress.on_stall if heartbeat else None,
                 stall_after=stall_after,
             )
+            width = len(columns)
             entries = []
             for position, test in enumerate(shard_tests):
-                first = results[position * len(models)]
-                if isinstance(first, CellFailure):
-                    entries.append(_quarantined_entry(test, first))
+                test_results = results[position * width:(position + 1) * width]
+                if isinstance(test_results[0], CellFailure):
+                    entries.append(_quarantined_entry(test, test_results[0]))
                     continue
-                verdicts = {
-                    model: bool(results[position * len(models) + offset])
-                    for offset, model in enumerate(models)
-                }
                 entries.append(
                     {
                         "name": test.name,
                         "instrs": instruction_count(test),
-                        "verdicts": verdicts,
+                        kind.record_key: row(test_results),
                     }
                 )
             campaign.write_shard(
@@ -343,199 +363,42 @@ def _evaluate_shards(
             )
 
 
-def _evaluate_oracle_shards(
+def _shard_table(
     campaign: CampaignDir,
     spec: CampaignSpec,
     tests: Sequence[LitmusTest],
-    concrete_pairs: Sequence[tuple[str, str]],
-    lookup: Mapping[str, ModelLike],
-    jobs: int,
-    log: Callable[[str], None],
-    heartbeat: bool = False,
-    policy: Optional[ExecutionPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    stall_after: float = 30.0,
-) -> None:
-    """The operational-oracle analogue of :func:`_evaluate_shards`.
+    kind: PairKind,
+) -> tuple[dict[str, dict], dict[str, dict]]:
+    """Pivot the shard records into a row table and a quarantine map.
 
-    Each (test, pair) comparison is two full-projection outcome cells —
-    the axiomatic model and the machine — and the shard record stores
-    the divergence profile (machine-only / axioms-only outcome counts)
-    per pair, which is all mining needs; the sets themselves stay in the
-    engine cache.
+    The table is keyed in suite order (not shard-completion order), so
+    mining is independent of *which run* produced each shard.
+    Quarantined tests have no row and are excluded — mining proceeds over
+    the surviving cells — and land in the quarantine map (test name →
+    failure record) instead.  The shard records are the single source of
+    truth: ``quarantine.json`` is rebuilt from them on every run, which
+    makes it crash-safe (a killed run re-derives it) and resume-correct
+    (records from previous runs' shards are still there).
     """
-    for index in range(spec.num_shards):
-        if campaign.load_shard(index) is not None:
-            incr("campaign.shards.resumed")
-            log(f"shard {index + 1}/{spec.num_shards}: already complete")
-            continue
-        shard_tests = shard_suite(tests, index, spec.num_shards)
-        incr("campaign.shards.evaluated")
-        incr("campaign.tests.evaluated", len(shard_tests))
-        log(
-            f"shard {index + 1}/{spec.num_shards}: evaluating "
-            f"{len(shard_tests)} tests x {len(concrete_pairs)} oracle pairs"
-        )
-        cells = []
-        for test in shard_tests:
-            for model_name, oracle_label in concrete_pairs:
-                cells.append(
-                    OutcomeSpec(test, lookup[model_name], project="full")
-                )
-                cells.append(
-                    OutcomeSpec(
-                        test,
-                        lookup[model_name],
-                        project="full",
-                        oracle=oracle_label,
-                    )
-                )
-        progress = _Progress(
-            log,
-            heartbeat,
-            stall_after,
-            f"shard {index + 1}/{spec.num_shards}",
-            len(shard_tests),
-        )
-
-        def on_batch(test: LitmusTest, results: Sequence[object]) -> None:
-            progress.count += 1
-            first = results[0] if results else None
-            if isinstance(first, CellFailure):
-                noun = "attempt" if first.attempts == 1 else "attempts"
-                log(
-                    f"  [{progress.count}/{len(shard_tests)}] {test.name}: "
-                    f"QUARANTINED ({first.reason}, {first.attempts} {noun})"
-                )
-            else:
-                log(
-                    f"  [{progress.count}/{len(shard_tests)}] {test.name}: "
-                    + " ".join(
-                        f"{a}~{b}="
-                        + (
-                            "ok"
-                            if results[2 * offset] == results[2 * offset + 1]
-                            else "DIFF"
-                        )
-                        for offset, (a, b) in enumerate(concrete_pairs)
-                    )
-                )
-            progress.note_batch()
-
-        with time_block("campaign.shard.seconds"):
-            results = evaluate_cells(
-                cells,
-                jobs=jobs,
-                cache_dir=campaign.cache_dir,
-                on_batch=on_batch,
-                policy=policy,
-                fault_plan=fault_plan,
-                on_stall=progress.on_stall if heartbeat else None,
-                stall_after=stall_after,
-            )
-            width = 2 * len(concrete_pairs)
-            entries = []
-            for position, test in enumerate(shard_tests):
-                first = results[position * width]
-                if isinstance(first, CellFailure):
-                    entries.append(_quarantined_entry(test, first))
-                    continue
-                divergences = {}
-                for offset, pair in enumerate(concrete_pairs):
-                    axiomatic = results[position * width + 2 * offset]
-                    operational = results[position * width + 2 * offset + 1]
-                    divergences["|".join(pair)] = [
-                        len(operational - axiomatic),
-                        len(axiomatic - operational),
-                    ]
-                entries.append(
-                    {
-                        "name": test.name,
-                        "instrs": instruction_count(test),
-                        "oracle": divergences,
-                    }
-                )
-            campaign.write_shard(
-                index,
-                {
-                    "shard": index,
-                    "num_shards": spec.num_shards,
-                    "tests": entries,
-                    "complete": True,
-                },
-            )
-
-
-def _oracle_table(
-    campaign: CampaignDir,
-    spec: CampaignSpec,
-    tests: Sequence[LitmusTest],
-) -> dict[str, dict[str, tuple[int, int]]]:
-    """Pivot oracle shard records into suite order (see `_verdict_table`)."""
-    by_name: dict[str, dict[str, tuple[int, int]]] = {}
-    for index in range(spec.num_shards):
-        record = campaign.load_shard(index)
-        if record is None:  # unreachable after _evaluate_oracle_shards
-            raise CampaignError(f"shard {index} is missing its record")
-        for entry in record["tests"]:
-            if "quarantined" in entry:
-                continue
-            by_name[entry["name"]] = {
-                label: (int(machine_only), int(axiomatic_only))
-                for label, (machine_only, axiomatic_only)
-                in entry["oracle"].items()
-            }
-    return {test.name: by_name[test.name] for test in tests if test.name in by_name}
-
-
-def _verdict_table(
-    campaign: CampaignDir,
-    spec: CampaignSpec,
-    tests: Sequence[LitmusTest],
-) -> dict[str, dict[str, bool]]:
-    """Pivot the accumulated shard records into suite order.
-
-    Suite order (not shard-completion order) keys the table, so mining is
-    independent of *which run* produced each shard.  Quarantined tests
-    have no verdicts and are excluded — mining proceeds over the
-    surviving cells.
-    """
-    by_name: dict[str, dict[str, bool]] = {}
+    rows: dict[str, dict] = {}
+    quarantined: dict[str, dict] = {}
     for index in range(spec.num_shards):
         record = campaign.load_shard(index)
         if record is None:  # unreachable after _evaluate_shards
             raise CampaignError(f"shard {index} is missing its record")
         for entry in record["tests"]:
-            if "quarantined" in entry:
-                continue
-            by_name[entry["name"]] = entry["verdicts"]
-    return {test.name: by_name[test.name] for test in tests if test.name in by_name}
-
-
-def _quarantine_records(
-    campaign: CampaignDir, spec: CampaignSpec
-) -> dict[str, dict]:
-    """Derive the quarantine map (test name → failure record) from shards.
-
-    The shard records are the single source of truth: ``quarantine.json``
-    is rebuilt from them on every run, which makes it automatically
-    crash-safe (a killed run re-derives it) and resume-correct (records
-    from previous runs' shards are still there).
-    """
-    records: dict[str, dict] = {}
-    for index in range(spec.num_shards):
-        record = campaign.load_shard(index)
-        if record is None:  # unreachable after shard evaluation
-            raise CampaignError(f"shard {index} is missing its record")
-        for entry in record["tests"]:
             info = entry.get("quarantined")
             if info is not None:
-                records[entry["name"]] = dict(info, shard=index)
-    return records
+                quarantined[entry["name"]] = dict(info, shard=index)
+            else:
+                rows[entry["name"]] = entry[kind.record_key]
+    table = {test.name: rows[test.name] for test in tests if test.name in rows}
+    return table, quarantined
 
 
 def _minimize_and_write(
     campaign: CampaignDir,
+    kind: PairKind,
     discrepancies: Sequence[AnyDiscrepancy],
     tests_by_name: dict[str, LitmusTest],
     lookup: Mapping[str, ModelLike],
@@ -545,129 +408,56 @@ def _minimize_and_write(
     records: list[WitnessRecord] = []
     for disc in discrepancies:
         with time_block("campaign.minimize.seconds"):
-            if isinstance(disc, OracleDiscrepancy):
-                records.append(
-                    _minimize_one_oracle(
-                        campaign, disc, tests_by_name, lookup, log
-                    )
+            # Cheap per-discrepancy closure; the engine cache underneath
+            # dedupes the actual cell work across discrepancies.  Machine
+            # sides are oracle labels, not models, and pass through as is.
+            check = divergence_check(
+                tuple(lookup.get(side, side) for side in disc.pair),
+                campaign.cache_dir,
+                kind,
+            )
+            result = minimize_divergence(tests_by_name[disc.test_name], check)
+            stem = _witness_stem(disc)
+            witness = replace(
+                result.test,
+                name=stem,
+                source="hunt minimizer",
+                description=(
+                    f"Minimized {kind.title(disc.pair)} divergence "
+                    f"of {disc.test_name}."
+                ),
+            )
+            path = campaign.witness_dir / f"{stem}.litmus"
+            path.write_text(print_litmus(witness), encoding="utf-8")
+            # Re-check the *file*: the reported witness must still diverge
+            # as .litmus text, not just in memory.
+            if not check(parse_litmus_file(str(path))):
+                raise CampaignError(
+                    f"witness {stem!r} lost its divergence in the .litmus "
+                    "round trip — this is a bug in the minimizer or printer"
                 )
-            else:
-                records.append(
-                    _minimize_one(campaign, disc, tests_by_name, lookup, log)
+            log(
+                f"minimized {disc.describe()} — "
+                f"{result.original_instrs} -> {result.minimized_instrs} instrs "
+                f"({result.checks} checks)"
+            )
+            incr("campaign.witnesses")
+            records.append(
+                WitnessRecord(
+                    discrepancy=disc,
+                    path=str(path),
+                    relpath=str(path.relative_to(campaign.root)),
+                    original_instrs=result.original_instrs,
+                    minimized_instrs=result.minimized_instrs,
+                    checks=result.checks,
                 )
+            )
     return records
-
-
-def _minimize_one_oracle(
-    campaign: CampaignDir,
-    disc: OracleDiscrepancy,
-    tests_by_name: dict[str, LitmusTest],
-    lookup: Mapping[str, ModelLike],
-    log: Callable[[str], None],
-) -> WitnessRecord:
-    """Minimize one oracle divergence, write its witness, re-verify it."""
-    model_name, oracle_label = disc.pair
-    check = oracle_divergence_check(
-        lookup[model_name], oracle_label, cache_dir=campaign.cache_dir
-    )
-    result = minimize_divergence(tests_by_name[disc.test_name], check)
-    stem = _witness_stem(disc)
-    witness = replace(
-        result.test,
-        name=stem,
-        source="hunt minimizer",
-        description=(
-            f"Minimized {model_name}-axioms vs {oracle_label} "
-            f"divergence of {disc.test_name}."
-        ),
-    )
-    path = campaign.witness_dir / f"{stem}.litmus"
-    path.write_text(print_litmus(witness), encoding="utf-8")
-    # Re-check the *file*: the reported witness must still diverge as
-    # .litmus text, not just in memory.
-    reparsed = parse_litmus_file(str(path))
-    if not oracle_divergence_check(
-        lookup[model_name], oracle_label, cache_dir=campaign.cache_dir
-    )(reparsed):
-        raise CampaignError(
-            f"witness {stem!r} lost its divergence in the .litmus round "
-            "trip — this is a bug in the minimizer or printer"
-        )
-    log(
-        f"minimized {disc.describe()} — "
-        f"{result.original_instrs} -> {result.minimized_instrs} instrs "
-        f"({result.checks} checks)"
-    )
-    incr("campaign.witnesses")
-    return WitnessRecord(
-        discrepancy=disc,
-        path=str(path),
-        relpath=str(path.relative_to(campaign.root)),
-        original_instrs=result.original_instrs,
-        minimized_instrs=result.minimized_instrs,
-        checks=result.checks,
-    )
-
-
-def _minimize_one(
-    campaign: CampaignDir,
-    disc: Discrepancy,
-    tests_by_name: dict[str, LitmusTest],
-    lookup: Mapping[str, ModelLike],
-    log: Callable[[str], None],
-) -> WitnessRecord:
-    """Minimize one discrepancy, write its witness, re-verify it."""
-    # Cheap per-discrepancy closure; the engine cache underneath
-    # dedupes the actual verdict work across discrepancies.
-    check = divergence_check(
-        (lookup[disc.pair[0]], lookup[disc.pair[1]]),
-        cache_dir=campaign.cache_dir,
-    )
-    result = minimize_divergence(tests_by_name[disc.test_name], check)
-    stem = _witness_stem(disc)
-    witness = replace(
-        result.test,
-        name=stem,
-        source="hunt minimizer",
-        description=(
-            f"Minimized {disc.pair[0]}/{disc.pair[1]} divergence "
-            f"of {disc.test_name}."
-        ),
-    )
-    path = campaign.witness_dir / f"{stem}.litmus"
-    path.write_text(print_litmus(witness), encoding="utf-8")
-    # Re-check the *file* through the standard matrix path: the
-    # reported witness diverges as .litmus text, not just in memory.
-    reparsed = parse_litmus_file(str(path))
-    cells = litmus_matrix(
-        tests=[reparsed],
-        model_names=[lookup[name] for name in disc.pair],
-        cache_dir=campaign.cache_dir,
-    )
-    verdicts = {cell.model_name: cell.allowed for cell in cells}
-    if verdicts[disc.pair[0]] == verdicts[disc.pair[1]]:
-        raise CampaignError(
-            f"witness {stem!r} lost its divergence in the .litmus round "
-            "trip — this is a bug in the minimizer or printer"
-        )
-    log(
-        f"minimized {disc.describe()} — "
-        f"{result.original_instrs} -> {result.minimized_instrs} instrs "
-        f"({result.checks} checks)"
-    )
-    incr("campaign.witnesses")
-    return WitnessRecord(
-        discrepancy=disc,
-        path=str(path),
-        relpath=str(path.relative_to(campaign.root)),
-        original_instrs=result.original_instrs,
-        minimized_instrs=result.minimized_instrs,
-        checks=result.checks,
-    )
 
 
 def _render_report(
     spec: CampaignSpec,
+    kind: PairKind,
     tests_evaluated: int,
     discrepancies: Sequence[AnyDiscrepancy],
     witnesses: Sequence[WitnessRecord],
@@ -687,13 +477,11 @@ def _render_report(
             record.minimized_instrs
         for record in witnesses
     }
-    render = (
-        render_oracle_discrepancies
-        if spec.oracle == ORACLE_OPERATIONAL
-        else render_discrepancies
-    )
-    table = render(
-        discrepancies, sizes=sizes, title="Discrepancies (ranked by witness size)"
+    table = render_discrepancies(
+        discrepancies,
+        sizes=sizes,
+        title="Discrepancies (ranked by witness size)",
+        kind=kind,
     )
     lines = [header, "", table]
     if witnesses:
@@ -726,25 +514,17 @@ def _render_report(
     return "\n".join(lines) + "\n"
 
 
-def _witness_json(record: WitnessRecord) -> dict:
-    """One witness's ``report.json`` entry (shape follows the oracle)."""
+def _witness_json(kind: PairKind, record: WitnessRecord) -> dict:
+    """One witness's ``report.json`` entry (the profile follows the kind)."""
     disc = record.discrepancy
-    entry = {
+    return {
         "test": disc.test_name,
         "pair": list(disc.pair),
         "witness": record.relpath,
         "original_instrs": record.original_instrs,
         "minimized_instrs": record.minimized_instrs,
+        **kind.to_json(disc),
     }
-    if isinstance(disc, OracleDiscrepancy):
-        entry["machine_only"] = disc.machine_only
-        entry["axiomatic_only"] = disc.axiomatic_only
-    else:
-        entry["verdicts"] = {
-            disc.pair[0]: disc.allowed_a,
-            disc.pair[1]: disc.allowed_b,
-        }
-    return entry
 
 
 def run_hunt(
@@ -820,10 +600,7 @@ def run_hunt(
         one otherwise.
     """
     log = log or (lambda message: None)
-    if oracle is not None and oracle not in (
-        ORACLE_AXIOMATIC,
-        ORACLE_OPERATIONAL,
-    ):
+    if oracle is not None and oracle not in _PAIR_KINDS:
         raise CampaignError(
             f"unknown oracle {oracle!r}; expected "
             f"{ORACLE_AXIOMATIC!r} or {ORACLE_OPERATIONAL!r}"
@@ -845,8 +622,16 @@ def run_hunt(
         requested_pairs = tuple(pairs) if pairs else default_pairs
         shards = num_shards if num_shards is not None else _DEFAULT_SHARDS
     else:
+        # The stored pairs only mean something under the stored oracle, so
+        # a different oracle is refused before they are reinterpreted.
+        if oracle is not None and oracle != stored.oracle:
+            raise CampaignError(
+                f"campaign at {out} hunts with the {stored.oracle!r} oracle; "
+                f"it cannot resume with the {oracle!r} oracle — use a fresh "
+                "--out directory"
+            )
         suite_spec = suite if suite is not None else stored.suite
-        mode = oracle if oracle is not None else stored.oracle
+        mode = stored.oracle
         requested_pairs = tuple(pairs) if pairs else stored.pairs
         shards = num_shards if num_shards is not None else stored.num_shards
 
@@ -929,71 +714,52 @@ def run_hunt(
     # Telemetry: reuse the CLI's recorder when --stats already installed
     # one (so the printed report covers the whole hunt), else collect
     # privately — stats.json is written either way.
+    kind = _PAIR_KINDS[spec.oracle]
     with collecting(reuse=True) as recorder:
-        if spec.oracle == ORACLE_OPERATIONAL:
-            _evaluate_oracle_shards(
-                campaign,
-                spec,
-                tests,
-                concrete_pairs,
-                lookup,
-                jobs,
-                log,
-                heartbeat,
-                policy,
-                fault_plan,
-                stall_after,
-            )
-        else:
-            _evaluate_shards(
-                campaign,
-                spec,
-                tests,
-                model_names,
-                lookup,
-                jobs,
-                log,
-                heartbeat,
-                policy,
-                fault_plan,
-                stall_after,
-            )
+        _evaluate_shards(
+            campaign,
+            spec,
+            tests,
+            kind,
+            concrete_pairs,
+            lookup,
+            jobs,
+            log,
+            heartbeat,
+            policy,
+            fault_plan,
+            stall_after,
+        )
 
+        with time_block("campaign.mine.seconds"):
+            table, quarantined = _shard_table(campaign, spec, tests, kind)
+            discrepancies = mine_discrepancies(table, concrete_pairs, kind)
         # Quarantine records are derived from the shard files (the crash
         # safety comes from re-deriving, not from keeping the two in
-        # sync) and persisted before mining, so even a run that dies
-        # mid-minimization reports what it skipped.
-        quarantined = _quarantine_records(campaign, spec)
+        # sync) and persisted before minimization, so even a run that
+        # dies mid-minimization reports what it skipped.
         campaign.write_quarantine(quarantined)
         if quarantined:
             log(
                 f"quarantined {len(quarantined)} test(s); "
                 "records in quarantine.json"
             )
-
-        with time_block("campaign.mine.seconds"):
-            if spec.oracle == ORACLE_OPERATIONAL:
-                oracle_table = _oracle_table(campaign, spec, tests)
-                discrepancies: Sequence[AnyDiscrepancy] = (
-                    mine_oracle_discrepancies(oracle_table, concrete_pairs)
-                )
-            else:
-                table = _verdict_table(campaign, spec, tests)
-                discrepancies = mine_discrepancies(table, concrete_pairs)
         incr("campaign.discrepancies", len(discrepancies))
         log(f"mined {len(discrepancies)} discrepancies over {len(tests)} tests")
 
         tests_by_name = {test.name: test for test in tests}
         witnesses = _minimize_and_write(
-            campaign, discrepancies, tests_by_name, lookup, log
+            campaign, kind, discrepancies, tests_by_name, lookup, log
         )
 
-        text = _render_report(spec, len(tests), discrepancies, witnesses, quarantined)
+        text = _render_report(
+            spec, kind, len(tests), discrepancies, witnesses, quarantined
+        )
         report_data = {
             "campaign": spec.to_json(),
             "tests_evaluated": len(tests),
             "discrepancies": [
-                _witness_json(record) for record in witnesses
+                _witness_json(kind, record) for record in witnesses
             ],
         }
         if quarantined:

@@ -4,8 +4,8 @@ A discrepant test found by a hunt is rarely minimal — generated cycles
 carry fences, dependencies and observer reads that may be irrelevant to
 the *particular* disagreement between two models.  This module shrinks a
 diverging test the way C-reduce shrinks a crashing program: repeatedly
-try deleting one instruction, keep the deletion if the model pair still
-disagrees about the asked outcome, stop at a fixpoint.  Deleting an
+try deleting one instruction, keep the deletion if the pair still
+diverges (see :func:`divergence_check`), stop at a fixpoint.  Deleting an
 instruction that wrote an asked-about register also drops that register's
 binding from the asked outcome (a condition over a value nobody produces
 can never diverge), and processors left with no instructions are removed
@@ -23,20 +23,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..core.axiomatic import DomainOverflowError
-from ..engine import (
-    EngineWorkerError,
-    ModelLike,
-    OutcomeSpec,
-    VerdictSpec,
-    evaluate_cells,
-)
+from ..engine import EngineWorkerError, ModelLike, evaluate_cells
+from ..eval.discrepancy import AXIOMATIC_PAIRS, PairKind
 from ..isa.program import Program, ProgramError
 from ..litmus.test import LitmusTest, Outcome
 
 __all__ = [
     "MinimizationResult",
     "divergence_check",
-    "oracle_divergence_check",
     "minimize_divergence",
     "instruction_count",
 ]
@@ -64,65 +58,41 @@ class MinimizationResult:
 
 
 def divergence_check(
-    pair: tuple[ModelLike, ModelLike], cache_dir: Optional[str] = None
+    pair: tuple[ModelLike, ModelLike],
+    cache_dir: Optional[str] = None,
+    kind: PairKind = AXIOMATIC_PAIRS,
 ) -> Callable[[LitmusTest], bool]:
-    """A predicate "do the pair's models disagree about ``test``?".
+    """A predicate "do the pair's two sides disagree about ``test``?".
 
-    Each side is a :data:`~repro.engine.ModelLike` — a registry name or a
-    resolved :class:`~repro.core.axiomatic.MemoryModel` (how the campaign
-    driver passes constructed family members).
+    ``kind`` (a :class:`~repro.eval.discrepancy.PairKind`) says what the
+    sides are.  By default both are models — registry names or resolved
+    :class:`~repro.core.axiomatic.MemoryModel` objects, the way the
+    campaign driver passes constructed family members — and the pair
+    diverges when their verdicts on the asked outcome differ.  Under
+    :data:`~repro.eval.discrepancy.OPERATIONAL_PAIRS` the pair is
+    ``(model, "operational:<machine>")`` and it diverges when the axioms
+    and the machine allow different full-projection outcome sets.
 
-    Verdicts go through the batch engine, so the two models share one
-    candidate prefix per variant and — with ``cache_dir`` set — every
-    check is cached: re-running an interrupted minimization replays its
-    prior decisions from disk.  Variants the engine cannot evaluate
-    (domain overflow and kin) count as non-diverging, which simply makes
-    the minimizer reject that deletion.
+    Both cells go through the batch engine, sharing one candidate prefix
+    per variant, and — with ``cache_dir`` set — every check is cached:
+    re-running an interrupted minimization replays its prior decisions
+    from disk.  Variants the engine cannot evaluate (domain overflow and
+    kin) count as non-diverging, which simply makes the minimizer reject
+    that deletion.
     """
-    model_a, model_b = pair
+    columns = kind.columns(pair)
 
     def check(test: LitmusTest) -> bool:
-        if test.asked is None or (not test.asked.regs and not test.asked.mem):
+        if not kind.evaluable(test):
             return False
         try:
-            verdict_a, verdict_b = evaluate_cells(
-                [VerdictSpec(test, model_a), VerdictSpec(test, model_b)],
+            a, b = evaluate_cells(
+                [kind.cell(test, *column) for column in columns],
                 cache_dir=cache_dir,
             )
         except (DomainOverflowError, EngineWorkerError):
             return False
-        return verdict_a != verdict_b
-
-    return check
-
-
-def oracle_divergence_check(
-    model: ModelLike, oracle: str, cache_dir: Optional[str] = None
-) -> Callable[[LitmusTest], bool]:
-    """A predicate "do the axioms and the machine disagree on ``test``?".
-
-    The oracle analogue of :func:`divergence_check`: the test's
-    full-projection outcome set is computed under the axiomatic ``model``
-    and under ``oracle`` (an ``operational:<machine>`` string), and the
-    divergence is set inequality — no asked outcome required, so randprog
-    corpora minimize directly.  Both cells flow through the batch engine
-    and the campaign cache exactly like verdict cells.
-    """
-
-    def check(test: LitmusTest) -> bool:
-        if not any(len(program) for program in test.programs):
-            return False
-        try:
-            axiomatic, operational = evaluate_cells(
-                [
-                    OutcomeSpec(test, model, project="full"),
-                    OutcomeSpec(test, model, project="full", oracle=oracle),
-                ],
-                cache_dir=cache_dir,
-            )
-        except (DomainOverflowError, EngineWorkerError):
-            return False
-        return axiomatic != operational
+        return kind.diverges(kind.profile(a, b))
 
     return check
 

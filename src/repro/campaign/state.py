@@ -426,8 +426,8 @@ class CampaignDir:
         """Refuse to mix ``spec`` into a directory holding different state.
 
         Compares the full stored payload — including model digests — so a
-        campaign never resumes across a changed suite, pair set, shard
-        count, engine version or model semantics.
+        campaign never resumes across a changed suite, pair set, oracle,
+        shard count, engine version or model semantics.
         """
         stored = self.load_spec()
         if stored is None:
@@ -438,9 +438,9 @@ class CampaignDir:
                 f"campaign at {self.root} was started with a different spec "
                 f"(stored: suite={stored.suite!r} "
                 f"pairs={[':'.join(p) for p in stored.pairs]} "
-                f"shards={stored.num_shards}) — the suite, pairs, shard "
-                "count, engine version, or model/suite content changed; "
-                "use a fresh --out directory"
+                f"shards={stored.num_shards} oracle={stored.oracle}) — the "
+                "suite, pairs, oracle, shard count, engine version, or "
+                "model/suite content changed; use a fresh --out directory"
             )
 
     def write_spec(self, spec: CampaignSpec) -> None:

@@ -807,22 +807,40 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _operational_pair(spec: str) -> tuple[str, str]:
+    """Parse an operational ``--pair``: ``model:machine``, or a bare model
+    for the model against its own machine (``--pair gam`` is ``gam:gam``).
+
+    Machine names hold no colon, so the split is at the last one and the
+    model side may be any model spec, ``space:``/``ctor:`` families too.
+    """
+    model, colon, machine = (part.strip() for part in spec.rpartition(":"))
+    if not colon:  # a bare name, which rpartition leaves in the last part
+        return (machine, machine)
+    if not model or not machine:
+        raise ValueError(
+            f"bad oracle pair {spec!r}; expected 'model:machine' or a bare "
+            "model name, e.g. gam:gam0 or gam"
+        )
+    return (model, machine)
+
+
 def _cmd_hunt(args: argparse.Namespace) -> int:
-    from .campaign import run_hunt
+    from .campaign import CampaignDir, run_hunt
+    from .campaign.state import ORACLE_AXIOMATIC, ORACLE_OPERATIONAL
     from .eval.discrepancy import parse_pair
 
+    # --pair is read in the campaign's own grammar: a resumed campaign
+    # keeps its stored oracle when --oracle is not restated.
+    oracle = args.oracle
+    if oracle is None:
+        stored = CampaignDir(args.out).load_spec()
+        oracle = stored.oracle if stored is not None else ORACLE_AXIOMATIC
+    parse = _operational_pair if oracle == ORACLE_OPERATIONAL else parse_pair
     pairs = None
     if args.pair:
         try:
-            if args.oracle == "operational":
-                # A bare name is the self-pair shorthand: `--pair gam`
-                # differences the gam axioms against the gam machine.
-                pairs = [
-                    (spec, spec) if ":" not in spec else parse_pair(spec)
-                    for spec in args.pair
-                ]
-            else:
-                pairs = [parse_pair(spec) for spec in args.pair]
+            pairs = [parse(spec) for spec in args.pair]
         except ValueError as exc:
             raise CLIUsageError(str(exc)) from exc
     # Bad suite specs surface as CampaignError from run_hunt's resolution

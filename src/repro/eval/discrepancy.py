@@ -1,36 +1,41 @@
-"""Discrepancy mining: where do two models disagree over a suite?
+"""Discrepancy mining: where do two sides of a pair disagree over a suite?
 
 The paper's positioning argument — WMM/WMM-S sit between SC/TSO and
 ARM/Alpha — is an argument about *differences*: behaviours one model
-allows and another forbids.  This module mines those differences out of
-accumulated verdict matrices (the per-test ``model -> allowed`` maps the
-campaign runner and :func:`repro.eval.litmus_matrix.litmus_matrix` both
-produce) for a chosen set of model *pairs*, in the tradition of Herding
+allows and another forbids.  Its equivalence theorems are claims of *no*
+difference: GAM's axioms and its abstract machine allow the same
+outcomes.  This module mines both kinds of difference out of accumulated
+per-test tables for a chosen set of *pairs*, in the tradition of Herding
 Cats' mass differential litmus runs.
 
-A :class:`Discrepancy` records one (test, pair) disagreement; mining is a
-pure function of the verdict table, so it can be re-run over a campaign's
-accumulated shards at any time — including after an interrupt — and
-always yields the same, deterministically ordered list.
+A :class:`PairKind` says what a pair compares: two models' verdicts
+(:data:`AXIOMATIC_PAIRS`, mined into :class:`Discrepancy` records) or a
+model's axioms against an abstract machine's outcome sets
+(:data:`OPERATIONAL_PAIRS`, mined into :class:`OracleDiscrepancy`
+records).  Mining is a pure function of the table, so it can be re-run
+over a campaign's accumulated shards at any time — including after an
+interrupt — and always yields the same, deterministically ordered list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
+from ..engine import ORACLE_AXIOMATIC, OutcomeSpec, VerdictSpec
 from .litmus_matrix import VerdictCell
 from .render import render_table
 
 __all__ = [
+    "AXIOMATIC_PAIRS",
     "Discrepancy",
+    "OPERATIONAL_PAIRS",
     "OracleDiscrepancy",
+    "PairKind",
     "parse_pair",
     "verdict_table",
     "mine_discrepancies",
-    "mine_oracle_discrepancies",
     "render_discrepancies",
-    "render_oracle_discrepancies",
 ]
 
 
@@ -95,75 +100,121 @@ class OracleDiscrepancy:
         )
 
 
-def mine_oracle_discrepancies(
-    table: Mapping[str, Mapping[str, tuple[int, int]]],
-    pairs: Sequence[tuple[str, str]],
-) -> list[OracleDiscrepancy]:
-    """All (test, pair) outcome-set divergences in an oracle table.
+@dataclass(frozen=True)
+class PairKind:
+    """How a hunt compares a concrete pair: two columns plus a divergence.
 
-    ``table`` maps test name to pair label (``"model|oracle"``) to the
-    ``(machine_only, axiomatic_only)`` divergence counts; a pair with
-    both counts zero agreed.  As with :func:`mine_discrepancies`, rows
-    missing a pair are skipped and the output order follows table order
-    then pair order, so mining is deterministic for any fixed table.
+    A concrete pair ``(a, b)`` names two *columns*, each a ``(model,
+    oracle)`` engine cell over the same test.  ``profile`` reduces the two
+    column results to a divergence profile, and the pair diverges when
+    ``diverges(profile)``.  The campaign's shard loop, table pivot, miner,
+    renderer and minimizer take a kind as data, so the two kinds below
+    hold all that differs between axiomatic and operational hunts.
+
+    Attributes:
+        record_key: the shard-entry key a test's row is stored under.
+        discrepancy: the mined record, built as ``(test, pair, *profile)``.
+        headers: the report table's two profile columns.
+        columns: ``pair`` → its two ``(model, oracle)`` columns.
+        cell: ``(test, model, oracle)`` → the column's engine cell.
+        evaluable: whether a test can diverge at all; the minimizer
+            counts variants that cannot as non-diverging.
+        profile / diverges: the divergence function.
+        store / load: a pair's profile as shard-row entries, and back
+            (``None`` when the row lacks the pair).
+        extent: what one row covers, for the shard progress log.
+        describe: one row entry ``(key, value)`` as progress-log text.
+        show: a discrepancy's two profile cells in the report table.
+        title: the pair as a witness description names it.
+        to_json: a discrepancy's profile as ``report.json`` fields.
     """
-    found: list[OracleDiscrepancy] = []
-    for test_name, row in table.items():
-        for pair in pairs:
-            label = "|".join(pair)
-            if label not in row:
-                continue
-            machine_only, axiomatic_only = row[label]
-            if machine_only or axiomatic_only:
-                found.append(
-                    OracleDiscrepancy(
-                        test_name, pair, machine_only, axiomatic_only
-                    )
-                )
-    return found
+
+    record_key: str
+    discrepancy: Callable[..., Any]
+    headers: tuple[str, str]
+    columns: Callable[[tuple[str, Any]], tuple[tuple[Any, str], tuple[Any, str]]]
+    cell: Callable[..., Any]
+    evaluable: Callable[[Any], bool]
+    profile: Callable[[Any, Any], tuple]
+    diverges: Callable[[tuple], bool]
+    store: Callable[[tuple[str, str], tuple], dict]
+    load: Callable[[Mapping[str, Any], tuple[str, str]], Optional[tuple]]
+    extent: Callable[[Sequence[tuple[str, str]]], str]
+    describe: Callable[[str, Any], str]
+    show: Callable[[Any], tuple]
+    title: Callable[[tuple[str, str]], str]
+    to_json: Callable[[Any], dict]
 
 
-def render_oracle_discrepancies(
-    discrepancies: Sequence[OracleDiscrepancy],
-    sizes: Optional[Mapping[tuple[str, tuple[str, str]], int]] = None,
-    title: str = "Oracle discrepancies",
-) -> str:
-    """Render oracle divergences as an aligned table, smallest first.
+def _verdict(allowed: bool) -> str:
+    return "allow" if allowed else "forbid"
 
-    Mirrors :func:`render_discrepancies`: ``sizes`` ranks rows by the
-    minimized witness instruction count when given; the verdict columns
-    become machine-only / axioms-only outcome counts.
-    """
-    ordered = list(discrepancies)
-    if sizes is not None:
-        ordered.sort(
-            key=lambda d: (
-                sizes.get((d.test_name, d.pair), 1 << 30),
-                d.test_name,
-                d.pair,
-            )
-        )
-    rows = []
-    for disc in ordered:
-        model, oracle = disc.pair
-        size: object = "-"
-        if sizes is not None:
-            size = sizes.get((disc.test_name, disc.pair), "-")
-        rows.append(
-            [
-                disc.test_name,
-                f"{model}:{oracle}",
-                disc.machine_only,
-                disc.axiomatic_only,
-                size,
-            ]
-        )
-    table = render_table(
-        ["test", "pair", "machine-only", "axioms-only", "instrs"],
-        rows,
-        title=title,
-    )
-    return table + f"\n{len(ordered)} discrepanc{'y' if len(ordered) == 1 else 'ies'}"
+
+def _label(pair: tuple[str, str]) -> str:
+    """A pair's key in an operational shard row: ``"model|oracle"``."""
+    return "|".join(pair)
+
+
+AXIOMATIC_PAIRS = PairKind(
+    record_key="verdicts",
+    discrepancy=Discrepancy,
+    headers=("weaker", "stronger"),
+    columns=lambda pair: tuple((side, ORACLE_AXIOMATIC) for side in pair),
+    cell=VerdictSpec,
+    evaluable=lambda test: test.asked is not None
+    and bool(test.asked.regs or test.asked.mem),
+    profile=lambda a, b: (bool(a), bool(b)),
+    diverges=lambda profile: profile[0] != profile[1],
+    store=lambda pair, profile: dict(zip(pair, profile)),
+    load=lambda row, pair: (
+        (row[pair[0]], row[pair[1]]) if pair[0] in row and pair[1] in row else None
+    ),
+    extent=lambda pairs: f"{len({name for pair in pairs for name in pair})} models",
+    describe=lambda model, allowed: f"{model}={_verdict(allowed)}",
+    show=lambda disc: (_verdict(disc.allowed_a), _verdict(disc.allowed_b)),
+    title=lambda pair: "/".join(pair),
+    to_json=lambda disc: {
+        "verdicts": {disc.pair[0]: disc.allowed_a, disc.pair[1]: disc.allowed_b}
+    },
+)
+"""Model-vs-model pairs: each side is a model's verdict on the asked
+outcome, and a pair diverges when the two verdicts differ.  A shard row
+maps each model to its verdict."""
+
+OPERATIONAL_PAIRS = PairKind(
+    record_key="oracle",
+    discrepancy=OracleDiscrepancy,
+    headers=("machine-only", "axioms-only"),
+    columns=lambda pair: ((pair[0], ORACLE_AXIOMATIC), pair),
+    cell=lambda test, model, oracle: OutcomeSpec(test, model, "full", oracle),
+    evaluable=lambda test: any(len(program) for program in test.programs),
+    profile=lambda axiomatic, machine: (
+        len(machine - axiomatic),
+        len(axiomatic - machine),
+    ),
+    diverges=any,
+    store=lambda pair, profile: {_label(pair): list(profile)},
+    load=lambda row, pair: (
+        tuple(int(count) for count in row[_label(pair)])
+        if _label(pair) in row
+        else None
+    ),
+    extent=lambda pairs: f"{len(pairs)} oracle pairs",
+    describe=lambda label, counts: (
+        f"{'~'.join(label.rsplit('|', 1))}={'DIFF' if any(counts) else 'ok'}"
+    ),
+    show=lambda disc: (disc.machine_only, disc.axiomatic_only),
+    title=lambda pair: f"{pair[0]}-axioms vs {pair[1]}",
+    to_json=lambda disc: {
+        "machine_only": disc.machine_only,
+        "axiomatic_only": disc.axiomatic_only,
+    },
+)
+"""Axioms-vs-machine pairs ``(model, "operational:<machine>")``: the
+columns are the model's full-projection outcome sets under its axioms
+and under the machine, and the profile counts the machine-only and
+axioms-only outcomes.  A shard row maps ``"model|oracle"`` to the
+profile; the sets themselves stay in the engine cache."""
 
 
 def parse_pair(spec: str) -> tuple[str, str]:
@@ -196,32 +247,32 @@ def verdict_table(
 
 
 def mine_discrepancies(
-    verdicts: Mapping[str, Mapping[str, bool]],
+    table: Mapping[str, Mapping[str, Any]],
     pairs: Sequence[tuple[str, str]],
-) -> list[Discrepancy]:
-    """All (test, pair) disagreements in a verdict table.
+    kind: PairKind = AXIOMATIC_PAIRS,
+) -> list:
+    """All (test, pair) divergences in a per-test table of ``kind`` rows.
 
-    Tests missing a verdict for either side of a pair are skipped (an
-    interrupted campaign may have partial rows); the output is ordered by
-    the table's test order, then by pair order, so mining is deterministic
-    for any fixed table.
+    Tests whose row lacks a pair are skipped (an interrupted campaign may
+    have partial rows); the output is ordered by the table's test order,
+    then by pair order, so mining is deterministic for any fixed table.
+    The default kind reads a ``test -> model -> allowed`` verdict table
+    (see :func:`verdict_table`) and yields :class:`Discrepancy` records.
     """
-    found: list[Discrepancy] = []
-    for test_name, row in verdicts.items():
-        for a, b in pairs:
-            if a not in row or b not in row:
-                continue
-            if row[a] != row[b]:
-                found.append(
-                    Discrepancy(test_name, (a, b), row[a], row[b])
-                )
+    found = []
+    for test_name, row in table.items():
+        for pair in pairs:
+            profile = kind.load(row, pair)
+            if profile is not None and kind.diverges(profile):
+                found.append(kind.discrepancy(test_name, pair, *profile))
     return found
 
 
 def render_discrepancies(
-    discrepancies: Sequence[Discrepancy],
+    discrepancies: Sequence,
     sizes: Optional[Mapping[tuple[str, tuple[str, str]], int]] = None,
     title: str = "Model discrepancies",
+    kind: PairKind = AXIOMATIC_PAIRS,
 ) -> str:
     """Render discrepancies as an aligned table, smallest witnesses first.
 
@@ -230,7 +281,9 @@ def render_discrepancies(
     can minimize differently for different pairs, so the pair is part of
     the key); when given, rows are ranked by ascending size — the
     shortest divergence is the most story-telling — with name order
-    breaking ties.  Without it, table order is kept.
+    breaking ties.  Without it, table order is kept.  ``kind`` supplies
+    the two profile columns: verdicts for model pairs, machine-only /
+    axioms-only outcome counts for operational pairs.
     """
     ordered = list(discrepancies)
     if sizes is not None:
@@ -243,20 +296,11 @@ def render_discrepancies(
         )
     rows = []
     for disc in ordered:
-        a, b = disc.pair
         size: object = "-"
         if sizes is not None:
             size = sizes.get((disc.test_name, disc.pair), "-")
-        rows.append(
-            [
-                disc.test_name,
-                f"{a}:{b}",
-                "allow" if disc.allowed_a else "forbid",
-                "allow" if disc.allowed_b else "forbid",
-                size,
-            ]
-        )
+        rows.append([disc.test_name, ":".join(disc.pair), *kind.show(disc), size])
     table = render_table(
-        ["test", "pair", "weaker", "stronger", "instrs"], rows, title=title
+        ["test", "pair", *kind.headers, "instrs"], rows, title=title
     )
     return table + f"\n{len(ordered)} discrepanc{'y' if len(ordered) == 1 else 'ies'}"

@@ -21,7 +21,7 @@ import json
 import pytest
 
 from repro.campaign import run_hunt
-from repro.campaign.state import CampaignError
+from repro.campaign.state import CampaignDir, CampaignError, CampaignSpec
 from repro.cli import main
 from repro.engine import OutcomeSpec, evaluate_cells
 from repro.equivalence.randprog import RandomProgramConfig, random_suite
@@ -224,8 +224,44 @@ class TestOracleHunt:
         assert first.text == second.text
         assert "oracle operational" in second.text
 
+    def test_resume_under_a_different_oracle_names_both(self, tmp_path):
+        out = str(tmp_path / "campaign")
+        run_hunt(out=out, suite="paper", num_shards=1)
+        # The stored wmm:arm pair is refused before "arm" is read as a
+        # machine name.
+        with pytest.raises(
+            CampaignError, match="'axiomatic' oracle.*'operational' oracle"
+        ):
+            run_hunt(out=out, oracle="operational")
+
+    def test_spec_mismatch_lists_the_oracle(self, tmp_path):
+        campaign = CampaignDir(tmp_path)
+        campaign.write_spec(CampaignSpec("paper", (("gam", "gam0"),), 1))
+        with pytest.raises(CampaignError, match="oracle=axiomatic.*oracle,"):
+            campaign.check_spec(
+                CampaignSpec(
+                    "paper", (("gam", "gam0"),), 1, oracle="operational"
+                )
+            )
+
 
 class TestHuntOracleCLI:
+    @pytest.mark.parametrize("pair", ["gam:gam", "gam"])
+    def test_resume_reads_pairs_under_the_stored_oracle(
+        self, tmp_path, capsys, pair
+    ):
+        out = str(tmp_path / "campaign")
+        argv = ["hunt", "--suite", "paper", "--shards", "2", "--out", out]
+        assert main(argv + ["--oracle", "operational", "--pair", "gam"]) == 0
+        first = capsys.readouterr().out
+        # --oracle is not restated: the campaign's own oracle picks the
+        # --pair grammar, so both spellings of the self-pair resume.
+        assert main(["hunt", "--out", out, "--pair", pair]) == 0
+        resumed = capsys.readouterr().out
+        assert "shard 2/2: already complete" in resumed
+        report = first[first.index("Hunt report"):]
+        assert resumed[resumed.index("Hunt report"):] == report
+
     def test_bare_pair_name_is_self_pair_shorthand(self, tmp_path, capsys):
         status = main(
             [

@@ -1,8 +1,10 @@
-"""One-thread programs must run sequentially on every abstract machine.
+"""One-thread programs must run sequentially under every oracle.
 
 A single processor has no one to race with, so each machine — GAM, GAM0,
-SC and TSO — must allow exactly one outcome on a one-thread program: the
-one a straight-line interpreter computes.  The corpus comes from
+SC and TSO — and each axiomatic model of the comparison zoo, under both
+the frontier kernel and the order enumerator, must allow exactly one
+outcome on a one-thread program: the one a straight-line interpreter
+computes.  The corpus comes from
 ``equivalence/randprog.py`` with one processor, enough instructions for
 same-address access pairs, frequent ``loc + r - r`` addresses that resolve
 late, and RMWs; the GAM0 store-address kill bug broke this property on
@@ -13,12 +15,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.axiomatic import project_outcome
+from repro.core.axiomatic import enumerate_outcomes, project_outcome
 from repro.core.operational import GAM0_MACHINE, GAM_MACHINE, explore
 from repro.core.reference_machines import sc_outcomes, tso_outcomes
 from repro.equivalence.randprog import RandomProgramConfig, random_suite
+from repro.eval.litmus_matrix import _MATRIX_MODELS
 from repro.isa.expr import evaluate
 from repro.isa.instructions import Branch, Load, RegOp, Rmw, Store
+from repro.models.spec import resolve_model
 
 CONFIG = RandomProgramConfig(
     num_procs=1,
@@ -35,6 +39,14 @@ MACHINES = {
     "sc": lambda test: sc_outcomes(test, project="full"),
     "tso": lambda test: tso_outcomes(test, project="full"),
 }
+
+KERNEL_LESS = ("arm", "plsc")
+"""Zoo models the frontier kernel refuses with ``ValueError`` (their
+dynamic clauses need the order enumerator; see ``tests/test_kernel.py``)."""
+
+ORACLES = [(model, "orders") for model in _MATRIX_MODELS] + [
+    (model, "kernel") for model in _MATRIX_MODELS if model not in KERNEL_LESS
+]
 
 
 def straight_line(test):
@@ -76,3 +88,16 @@ def test_corpus_exercises_the_hazards():
 @pytest.mark.parametrize("test", CORPUS, ids=lambda test: test.name)
 def test_one_thread_program_has_exactly_the_sequential_outcome(test, machine):
     assert MACHINES[machine](test) == {straight_line(test)}
+
+
+@pytest.mark.parametrize("model, engine", ORACLES)
+def test_every_axiomatic_oracle_runs_one_thread_programs_sequentially(
+    model, engine
+):
+    resolved = resolve_model(model)
+    for test in CORPUS:
+        outcomes = enumerate_outcomes(
+            test, resolved, project="full", engine=engine
+        )
+        assert outcomes == {straight_line(test)}, test.name
+
