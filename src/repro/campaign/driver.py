@@ -278,6 +278,7 @@ def _evaluate_shards(
     ]
 
     def row(results: Sequence[object]) -> dict:
+        """The kind's shard row for one test's column results."""
         entries: dict = {}
         for pair, (a, b) in zip(pairs, slots):
             entries.update(kind.store(pair, kind.profile(results[a], results[b])))
