@@ -5,7 +5,7 @@
   preserved program order).
 * :mod:`repro.core.axiomatic` — the axiomatic checking engine.
 * :mod:`repro.core.kernel` — the frontier-memoized bitmask enumeration
-  kernel (the engine's fast path for models without dynamic clauses).
+  kernel (the engine's fast path for every verdict of the model zoo).
 * :mod:`repro.core.operational` — the Figure 17 abstract machine with
   exhaustive exploration.
 * :mod:`repro.core.construction` — Section III's construction procedure as

@@ -22,15 +22,17 @@ repository because every static clause edge goes forward in program order
 same-address stores by program order (so load values are determined as soon
 as the load is placed — see :func:`_place_load_value`).
 
-Two enumeration engines serve step 2.  Models with no execution-dependent
-clauses and no coherence side condition take the **frontier kernel**
+Two enumeration engines serve step 2.  Outcome-set and verdict queries for
+every model of the zoo take the **frontier kernel**
 (:mod:`repro.core.kernel`): a bitmask DP over ``(placed events, last store
-per address)`` abstract states that answers outcome-set and verdict
-queries without materializing any order.  ARM, ``plsc`` and every
-:func:`enumerate_executions` consumer take the exact order enumerator
-below.  Both paths share all candidate preparation through
-:class:`CandidatePrefix`, and the parity suite holds them byte-identical
-on every registered test.
+per address)`` abstract states that answers them without materializing any
+order.  ARM's SALdLdARM and the per-location-SC side condition of ``plsc``
+reduce to one same-source check on same-address load pairs, which the DP
+carries in its state (see :func:`kernel_supports` for the exact
+preconditions).  Models outside them, and every :func:`enumerate_executions`
+consumer (``witness``, ``diff``), take the exact order enumerator below.
+Both paths share all candidate preparation through :class:`CandidatePrefix`,
+and the parity suite holds them byte-identical on every registered test.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .events import (
     init_events,
     store_part,
 )
-from .kernel import FrontierKernel, kernel_supports
+from .kernel import FrontierKernel, kernel_supports, needs_same_source
 from .ppo import Clause, DynamicClause, PpoContext, compute_ppo, project_to_memory
 
 __all__ = [
@@ -676,44 +678,6 @@ def _final_memory(
     return final
 
 
-class _MemoizedOrders:
-    """A replayable view over one ``_orders_with_load_values`` generator.
-
-    Multiple consumers (models sharing the same static-ppo DAG and
-    load-value axiom) iterate independently; items already produced are
-    served from the cache, and the underlying generator is advanced only
-    when some consumer runs past it.  A short-circuiting consumer (e.g.
-    :func:`is_allowed`) therefore pays only for the prefix it needs, while
-    a later full enumeration resumes where it left off.
-    """
-
-    __slots__ = ("_gen", "_cache", "_exhausted")
-
-    def __init__(self, gen: Iterator) -> None:
-        self._gen = gen
-        self._cache: list = []
-        self._exhausted = False
-
-    def __iter__(self) -> Iterator:
-        index = 0
-        while True:
-            if index < len(self._cache):
-                yield self._cache[index]
-                index += 1
-                continue
-            if self._exhausted:
-                return
-            try:
-                item = next(self._gen)
-            except StopIteration:
-                self._exhausted = True
-                return
-            self._cache.append(item)
-            # Re-check the cache rather than yielding ``item`` directly: a
-            # concurrently iterating consumer may have advanced the
-            # generator while this one was suspended at ``yield``.
-
-
 class CandidatePrefix:
     """The model-independent prefix of :func:`enumerate_executions`.
 
@@ -728,13 +692,12 @@ class CandidatePrefix:
 
     1. ``base(i)`` — the model-independent candidate (events, dependency
        contexts, forwarding metadata), built lazily and shared by all.
-    2. ``edges_for(i, model)`` — the static-ppo memory DAG, keyed by the
+    2. ``candidate(i, model)`` — the static-ppo memory DAG, keyed by the
        model's *clause names*; models with identical clause sets (e.g. ARM
        vs GAM0, PLSC vs Alpha) share one evaluation.  Clause names fully
        determine clause behaviour in this repository's vocabulary.
-    3. ``orders_for(...)`` — the ``(mo, rf)`` enumeration, keyed by the
-       resulting DAG and the load-value axiom, wrapped in a
-       :class:`_MemoizedOrders` so partial consumption is never wasted.
+    3. ``kernel_for(i, candidate, model)`` — the frontier DP, keyed by the
+       resulting DAG, the load-value axiom and the same-source check flag.
 
     ``extra_values`` must cover whatever a later caller would have passed
     to :func:`enumerate_executions`; asked-outcome values are always
@@ -752,8 +715,7 @@ class CandidatePrefix:
         )
         self._bases: dict[int, Optional[_Candidate]] = {}
         self._edges: dict[tuple[int, tuple[str, ...]], frozenset] = {}
-        self._orders: dict[tuple[int, frozenset, str], _MemoizedOrders] = {}
-        self._kernels: dict[tuple[int, frozenset, str], FrontierKernel] = {}
+        self._kernels: dict[tuple[int, frozenset, str, bool], FrontierKernel] = {}
         self._dynamic_memo: dict = {}
 
     def covers(self, extra_values: Iterable[int]) -> bool:
@@ -783,30 +745,23 @@ class CandidatePrefix:
             edges = self._edges[key] = _static_memory_edges(base, model.clauses)
         return replace(base, mem_edges=edges)
 
-    def orders_for(
-        self, combo_index: int, candidate: _Candidate, load_value_mode: str
-    ) -> _MemoizedOrders:
-        """The memoized ``(mo, rf)`` stream for one DAG + load-value axiom."""
-        key = (combo_index, candidate.mem_edges, load_value_mode)
-        orders = self._orders.get(key)
-        if orders is None:
-            orders = self._orders[key] = _MemoizedOrders(
-                _orders_with_load_values(candidate, load_value_mode)
-            )
-        return orders
-
     def kernel_for(
-        self, combo_index: int, candidate: _Candidate, load_value_mode: str
+        self, combo_index: int, candidate: _Candidate, model: MemoryModel
     ) -> FrontierKernel:
-        """The frontier kernel for one DAG + load-value axiom (memoized).
+        """The frontier kernel for ``model`` on one candidate (memoized).
 
-        Keyed exactly like :meth:`orders_for`, so models whose clause sets
-        induce the same memory DAG share one solved DP.
+        Keyed by the memory DAG, the load-value axiom and whether the model
+        needs the same-source check (ARM, plsc), so models whose clause sets
+        induce the same DAG share one solved DP only when they also agree
+        on the check: ARM has GAM0's DAG and plsc has Alpha's.
         """
-        key = (combo_index, candidate.mem_edges, load_value_mode)
+        same_source = needs_same_source(model)
+        key = (combo_index, candidate.mem_edges, model.load_value, same_source)
         kernel = self._kernels.get(key)
         if kernel is None:
-            kernel = self._kernels[key] = FrontierKernel(candidate, load_value_mode)
+            kernel = self._kernels[key] = FrontierKernel(
+                candidate, model.load_value, same_source
+            )
         return kernel
 
     def dynamic_memo(self) -> dict:
@@ -836,7 +791,7 @@ def enumerate_executions(
             continue
         dynamic_key = (combo_index, model.clause_names())
         final_regs = _final_regs_of(candidate.runs)
-        for mo, rf in prefix.orders_for(combo_index, candidate, model.load_value):
+        for mo, rf in _orders_with_load_values(candidate, model.load_value):
             if not _dynamic_clauses_hold(
                 candidate,
                 model,
@@ -891,8 +846,7 @@ def project_outcome(
 def _kernel_selected(model: MemoryModel, engine: str) -> bool:
     """Resolve the ``engine`` argument: should the frontier kernel serve?
 
-    ``"auto"`` picks the kernel whenever it is exact for the model (no
-    dynamic clauses, no coherence side condition — see
+    ``"auto"`` picks the kernel whenever it is exact for the model (see
     :func:`repro.core.kernel.kernel_supports`) unless the environment sets
     ``REPRO_ENUM_KERNEL=0``; ``"kernel"`` forces it (raising for models it
     cannot serve); ``"orders"`` forces the exact order enumerator.
@@ -903,7 +857,8 @@ def _kernel_selected(model: MemoryModel, engine: str) -> bool:
         if not kernel_supports(model):
             raise ValueError(
                 f"model {model.name!r} needs the exact order enumerator "
-                "(execution-dependent clauses or a coherence side condition)"
+                "(a dynamic clause other than SALdLdARM, or a coherence side "
+                "condition without SAMemSt and LoadValueGAM)"
             )
         return True
     if engine != "auto":
@@ -918,8 +873,9 @@ def _count_dispatch(model: MemoryModel, kernel_selected: bool) -> None:
 
     ``kernel`` when the frontier DP serves; ``orders`` when the kernel
     could serve but was forced off (``engine="orders"`` or
-    ``REPRO_ENUM_KERNEL=0``); ``backtracker`` when the model needs the
-    exact enumerator (dynamic clauses / coherence side condition).
+    ``REPRO_ENUM_KERNEL=0``); ``backtracker`` when the model is outside
+    :func:`kernel_supports` (no zoo model is) and needs the exact
+    enumerator.
     """
     if not _obs_current().active:
         return
@@ -958,7 +914,7 @@ def _kernel_outcomes(
         candidate = prefix.candidate(combo_index, model)
         if candidate is None:
             continue
-        kernel = prefix.kernel_for(combo_index, candidate, model.load_value)
+        kernel = prefix.kernel_for(combo_index, candidate, model)
         finals = kernel.final_memories()
         if not finals:
             continue
@@ -988,7 +944,7 @@ def _kernel_is_allowed(
         candidate = prefix.candidate(combo_index, model)
         if candidate is None:
             continue
-        kernel = prefix.kernel_for(combo_index, candidate, model.load_value)
+        kernel = prefix.kernel_for(combo_index, candidate, model)
         finals = kernel.final_memories()
         if not outcome.mem:
             if finals:

@@ -22,11 +22,31 @@ order, every remaining decision depends on exactly two things:
 
 Two partial orders reaching the same ``(placed set, last-store values)``
 state therefore have identical sets of legal completions and identical
-reachable final memories; exploring the state once is exact.  Event
-identity of the last store is irrelevant on this path because nothing
-downstream reads it: read-from sources, coherence side conditions and
-execution-dependent (dynamic) ppo clauses are exactly the features the
-dispatch in :mod:`repro.core.axiomatic` routes to the slow path.
+reachable final memories; exploring the state once is exact for every model
+whose only side conditions are static ppo and LoadValue.
+
+**Same-address load pairs (ARM and plsc).**  A *window pair* is two pure
+loads of one processor to one address with no same-address store or RMW
+between them in program order — exactly the pairs ARM's SALdLdARM scans.
+In any memory order respecting the static ppo DAG:
+
+* SALdLdARM fails only when the younger load of a window pair is placed
+  before the older one and the two read from different stores.  Its edges
+  join memory events directly, so closing them with the static edges adds
+  no further constraint.
+* Per-location SC (``plsc``) fails under exactly the same condition when
+  the model has SAMemSt and LoadValueGAM: those rule out the coWW, coRW1,
+  coRW2 and coWR patterns of Herding Cats' lemma, and coRR needs a window
+  pair placed out of order with different sources.
+
+So both reduce to one *same-source check*: placing the older load of a
+window pair whose younger partner is already placed requires the two
+read-from sources to be equal.  When a candidate has window pairs and the
+model needs the check, the DP state holds the *identity* of the last store
+per address (-1 for the initial value; values are read back from it) and
+the source of each placed younger window load whose older partners are not
+all placed yet.  Candidates without window pairs keep the value-keyed
+state.
 
 **Representation.**  Events and edges are integer bitmasks: node ``i``'s
 predecessors are a single ``pred_mask[i]`` int, readiness is two mask
@@ -40,7 +60,9 @@ pre-placement state, then the store half's write is applied), realizing the
 state once and scans the ``n`` nodes per state: ``O(S * n)`` where ``S`` is
 bounded by (number of antichain-downsets of the ppo DAG) x (number of
 reachable per-address value tuples) — for litmus-sized tests a few hundred
-states where the order enumerator walks millions of interleavings.
+states where the order enumerator walks millions of interleavings.  The
+same-source state refines values into store identities and adds at most one
+pending source per younger window load.
 """
 
 from __future__ import annotations
@@ -54,26 +76,44 @@ from ..obs import observe as _obs_observe
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .axiomatic import MemoryModel, _Candidate
 
-__all__ = ["kernel_supports", "FrontierKernel"]
+__all__ = ["kernel_supports", "needs_same_source", "FrontierKernel"]
 
 
 def kernel_supports(model: "MemoryModel") -> bool:
     """Can the frontier kernel serve this model exactly?
 
-    The kernel never materializes read-from relations or complete orders,
-    so models with execution-dependent ppo clauses (ARM's SALdLdARM) or a
-    per-location-SC side condition (``plsc``) need the exact enumerator.
+    The same-source check of the module docstring covers ARM's SALdLdARM
+    (the only execution-dependent clause the kernel knows) and the
+    per-location-SC side condition, the latter only under its proof's
+    preconditions: stores ordered by SAMemSt and the LoadValueGAM axiom.
+    Every other model needs the exact order enumerator.
     """
-    return not model.dynamic_clauses and not model.requires_coherence
+    if any(clause.name != "SALdLdARM" for clause in model.dynamic_clauses):
+        return False
+    if model.requires_coherence:
+        return model.load_value == "gam" and any(
+            clause.name == "SAMemSt" for clause in model.clauses
+        )
+    return True
+
+
+def needs_same_source(model: "MemoryModel") -> bool:
+    """Does the kernel need the same-source check to serve ``model``?
+
+    True for the models :func:`kernel_supports` admits through it: those
+    with SALdLdARM or a per-location-SC side condition (ARM, plsc).
+    """
+    return bool(model.dynamic_clauses) or model.requires_coherence
 
 
 class FrontierKernel:
-    """The frontier DP for one candidate DAG and load-value axiom.
+    """The frontier DP for one candidate DAG, load-value axiom and check flag.
 
     Built from a specialized candidate (events plus the model's static-ppo
     memory DAG); :meth:`final_memories` answers "which final memories can a
-    legal memory order reach?" without materializing any order.  Instances
-    are cached per ``(combo, DAG, axiom)`` by
+    legal memory order reach?" without materializing any order.
+    ``same_source`` turns on the window-pair check of the module docstring
+    (ARM, plsc).  Instances are cached per ``(combo, DAG, axiom, check)`` by
     :class:`repro.core.axiomatic.CandidatePrefix`, so models with identical
     clause sets share one solved DP.
     """
@@ -86,11 +126,15 @@ class FrontierKernel:
         "_checks",
         "_writes",
         "_init_values",
+        "_links",
+        "_pending_slots",
         "_memo",
         "_finals",
     )
 
-    def __init__(self, candidate: "_Candidate", load_value_mode: str) -> None:
+    def __init__(
+        self, candidate: "_Candidate", load_value_mode: str, same_source: bool
+    ) -> None:
         pairs = candidate.rmw_pairs
         folded = set(pairs.values())
         node_eids = [e.eid for e in candidate.events if e.eid not in folded]
@@ -136,13 +180,42 @@ class FrontierKernel:
                 store_event = candidate.event_by_id[store_eid]
                 writes[i] = (slot[store_event.addr], store_event.value)
 
+        # Per node taking part in a window pair: ``(own_slot, older_mask,
+        # partners)`` — its pending-source slot as a younger load (-1: none),
+        # the mask of its older partners, and ``(bit, slot, older_mask)`` for
+        # each of its younger partners.
+        window = _window_pairs(candidate, node_of) if same_source else []
+        links: Optional[list] = None
+        pending_slot: dict[int, int] = {}
+        if window:
+            older_mask = [0] * n
+            partners: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+            for older, younger in window:
+                older_mask[younger] |= 1 << older
+            pending_slot = {
+                younger: index
+                for index, younger in enumerate(sorted({y for _, y in window}))
+            }
+            for older, younger in window:
+                partners[older].append(
+                    (1 << younger, pending_slot[younger], older_mask[younger])
+                )
+            links = [
+                (pending_slot.get(i, -1), older_mask[i], tuple(partners[i]))
+                if older_mask[i] or partners[i]
+                else None
+                for i in range(n)
+            ]
+
         self._n = n
         self._full = (1 << n) - 1
         self._pred_mask = pred_mask
         self._checks = checks
         self._writes = writes
         self._init_values = tuple(init_values)
-        self._memo: dict[tuple[int, tuple[int, ...]], frozenset] = {}
+        self._links = links
+        self._pending_slots = len(pending_slot)
+        self._memo: dict[tuple, frozenset] = {}
         self._finals: Optional[frozenset[tuple[int, ...]]] = None
         _obs_incr("kernel.builds")
 
@@ -151,7 +224,12 @@ class FrontierKernel:
         legal memory order reaches; empty iff no order satisfies the
         LoadValue axiom (the combination is unrealizable)."""
         if self._finals is None:
-            self._finals = self._solve(0, self._init_values)
+            if self._links is None:
+                self._finals = self._solve(0, self._init_values)
+            else:
+                self._finals = self._solve_sources(
+                    0, (-1,) * len(self.addresses), (None,) * self._pending_slots
+                )
             # Telemetry at the solve boundary only — never in the DP loop.
             _obs_incr("kernel.dp.states", len(self._memo))
             _obs_observe("kernel.frontier.nodes", len(self._finals))
@@ -202,3 +280,112 @@ class FrontierKernel:
         outcome = frozenset(results)
         self._memo[key] = outcome
         return outcome
+
+    def _solve_sources(
+        self,
+        placed: int,
+        last: tuple[int, ...],
+        pending: tuple[Optional[int], ...],
+    ) -> frozenset[tuple[int, ...]]:
+        """:meth:`_solve` with the same-source check.
+
+        ``last`` holds the last store *node* per address (-1: the initial
+        value) and ``pending`` the read-from source of each placed younger
+        window load whose older partners are not all placed (else None).
+        """
+        if placed == self._full:
+            init_values, writes = self._init_values, self._writes
+            final = tuple(
+                init_values[addr_slot] if source < 0 else writes[source][1]
+                for addr_slot, source in enumerate(last)
+            )
+            return frozenset((final,))
+        key = (placed, last, pending)
+        cached = self._memo.get(key)
+        if cached is not None:
+            return cached
+        pred_mask = self._pred_mask
+        checks = self._checks
+        writes = self._writes
+        links = self._links
+        init_values = self._init_values
+        results: set[tuple[int, ...]] = set()
+        for i in range(self._n):
+            bit = 1 << i
+            if placed & bit or pred_mask[i] & ~placed:
+                continue
+            successor_pending: Optional[tuple[Optional[int], ...]] = pending
+            check = checks[i]
+            if check is not None:
+                addr_slot, expected, fwd_bit, _ = check
+                if fwd_bit >= 0 and not placed >> fwd_bit & 1:
+                    source = fwd_bit
+                else:
+                    source = last[addr_slot]
+                value = init_values[addr_slot] if source < 0 else writes[source][1]
+                if value != expected:
+                    continue
+                link = links[i]
+                if link is not None:
+                    successor_pending = _advance_pending(
+                        link, placed | bit, source, pending
+                    )
+                    if successor_pending is None:
+                        continue
+            write = writes[i]
+            if write is not None:
+                mutable = list(last)
+                mutable[write[0]] = i
+                successor = tuple(mutable)
+            else:
+                successor = last
+            results.update(
+                self._solve_sources(placed | bit, successor, successor_pending)
+            )
+        outcome = frozenset(results)
+        self._memo[key] = outcome
+        return outcome
+
+
+def _window_pairs(
+    candidate: "_Candidate", node_of: dict[tuple[int, int], int]
+) -> list[tuple[int, int]]:
+    """``(older, younger)`` node pairs of pure same-address loads of one
+    processor with no same-address store or RMW between them in program
+    order — the pairs :class:`repro.core.ppo.SALdLdARM` scans."""
+    pairs = candidate.rmw_pairs
+    events = candidate.events
+    window: list[tuple[int, int]] = []
+    for position, older in enumerate(events):
+        if older.is_store or older.eid in pairs:
+            continue
+        for younger in events[position + 1 :]:
+            if younger.proc != older.proc:
+                break
+            if younger.addr != older.addr:
+                continue
+            if younger.is_store or younger.eid in pairs:
+                break
+            window.append((node_of[older.eid], node_of[younger.eid]))
+    return window
+
+
+def _advance_pending(
+    link: tuple[int, int, tuple[tuple[int, int, int], ...]],
+    placed: int,
+    source: int,
+    pending: tuple[Optional[int], ...],
+) -> Optional[tuple[Optional[int], ...]]:
+    """The pending sources once a window load reading ``source`` is placed
+    (``placed`` includes it); None when the same-source check fails."""
+    own_slot, older_mask, partners = link
+    updated = list(pending)
+    for younger_bit, younger_slot, younger_older in partners:
+        if placed & younger_bit:
+            if pending[younger_slot] != source:
+                return None
+            if not younger_older & ~placed:
+                updated[younger_slot] = None
+    if own_slot >= 0 and older_mask & ~placed:
+        updated[own_slot] = source
+    return tuple(updated)

@@ -75,7 +75,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 8
+ENGINE_VERSION = 9
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -122,6 +122,11 @@ Version history:
   longer keeps a load that read memory before the store or RMW ahead of
   it was addressed.  GAM0 machine outcome sets changed, so version-7
   operational entries must miss.
+* 9 — the frontier kernel serves ARM and ``plsc`` through a same-source
+  check on same-address load pairs, so every zoo verdict and outcome set
+  now comes from the DP.  Results are parity-tested identical, but the
+  enumeration path for those models changed, so version-8 entries
+  re-verify rather than vouch for it.
 """
 
 ModelLike = Union[str, MemoryModel]

@@ -147,8 +147,10 @@ METRICS: dict[str, MetricSpec] = {
         _counter(
             "engine.dispatch.backtracker",
             "queries",
-            "Queries requiring the exact backtracking enumerator (dynamic "
-            "clauses or coherence side conditions).",
+            "Queries requiring the exact backtracking enumerator: models "
+            "outside the kernel's preconditions (a dynamic clause other than "
+            "SALdLdARM, or coherence without SAMemSt and LoadValueGAM); no "
+            "zoo model.",
         ),
         # --- engine: result cache --------------------------------------
         _counter(

@@ -3,32 +3,61 @@
 Covers the tentpole properties: the kernel serves exactly the models it
 claims to (dispatch rules), it produces results identical to the exact
 order enumerator on every registered test and on a generated suite
-(differential parity — the exactness proof made executable), and the
-outcome-directed register pruning of ``is_allowed`` changes verdicts for
-nothing.
+(differential parity — the exactness proof made executable), the
+same-source check on same-address load pairs makes it exact for ARM and
+``plsc``, and the outcome-directed register pruning of ``is_allowed``
+changes verdicts for nothing.
 """
 
 import pytest
 
 from repro.core.axiomatic import (
     CandidatePrefix,
+    MemoryModel,
     enumerate_outcomes,
     is_allowed,
     kernel_supports,
 )
+from repro.equivalence.randprog import RandomProgramConfig, random_suite
 from repro.litmus.dsl import LitmusBuilder
 from repro.litmus.frontend.suite import resolve_suite
 from repro.litmus.registry import all_tests, get_test
 from repro.models.registry import MODELS, get_model
+from repro.models.spec import resolve_model
+from repro.obs import collecting
 
 _FAST_MODELS = ("sc", "sc-gamlv", "tso", "gam", "gam0", "wmm", "alpha_like")
-_SLOW_MODELS = ("arm", "plsc")
+_SAME_SOURCE_MODELS = ("arm", "plsc", "ctor:same_address_loads=arm")
+"""Models the kernel serves through the same-source check."""
+
+# Per-location SC without SAMemSt: stores are ordered among themselves but
+# not after older same-address loads, so coRW patterns can occur and the
+# same-source check alone is not exact.
+_COHERENT_ORDER_SS = MemoryModel.from_spec(
+    """model plsc-orderss
+loadvalue gam
+coherence required
+ppo PairwiseOrder(S,S)
+ppo SARmwLd
+ppo FenceOrd
+"""
+)
+
+_LOAD_HEAVY = random_suite(
+    60,
+    seed=20261017,
+    config=RandomProgramConfig(
+        num_procs=2, max_instrs=4, num_locations=1, load_weight=6, rmw_weight=1.0
+    ),
+    name_prefix="loc1",
+)
+"""One-location, load-heavy programs with RMWs: dense in window pairs."""
 
 
 def _assert_parity(test, model_names, prefix=None):
     """Outcome sets and verdicts must agree between the two engines."""
     for name in model_names:
-        model = get_model(name)
+        model = resolve_model(name)
         kernel = enumerate_outcomes(
             test, model, project="full", prefix=prefix, engine="kernel"
         )
@@ -42,22 +71,48 @@ def _assert_parity(test, model_names, prefix=None):
             ), f"{test.name} x {name}: verdicts diverge"
 
 
+def _dispatch_counters(run):
+    with collecting() as recorder:
+        run()
+    counters = recorder.snapshot().counters
+    return {
+        name.rsplit(".", 1)[1]: count
+        for name, count in counters.items()
+        if name.startswith("engine.dispatch.")
+    }
+
+
 class TestDispatch:
-    def test_kernel_supports_the_static_zoo(self):
-        for name in _FAST_MODELS:
+    def test_kernel_supports_the_whole_zoo(self):
+        for name in MODELS:
             assert kernel_supports(get_model(name)), name
+        assert kernel_supports(resolve_model("ctor:same_address_loads=arm"))
 
-    def test_kernel_rejects_dynamic_and_coherent_models(self):
-        for name in _SLOW_MODELS:
-            assert not kernel_supports(get_model(name)), name
+    def test_kernel_rejects_coherence_without_samemst(self):
+        assert not kernel_supports(_COHERENT_ORDER_SS)
+        test = get_test("corr")
+        with pytest.raises(ValueError):
+            enumerate_outcomes(test, _COHERENT_ORDER_SS, engine="kernel")
+        with pytest.raises(ValueError):
+            is_allowed(test, _COHERENT_ORDER_SS, engine="kernel")
 
-    def test_engine_kernel_raises_for_unsupported_models(self):
-        test = get_test("dekker")
-        for name in _SLOW_MODELS:
-            with pytest.raises(ValueError):
-                enumerate_outcomes(test, get_model(name), engine="kernel")
-            with pytest.raises(ValueError):
-                is_allowed(test, get_model(name), engine="kernel")
+    def test_kernel_rejects_coherence_under_load_value_sc(self):
+        model = MemoryModel(
+            name="plsc-sclv",
+            clauses=get_model("plsc").clauses,
+            load_value="sc",
+            requires_coherence=True,
+        )
+        assert not kernel_supports(model)
+
+    def test_auto_routes_unsupported_models_to_orders(self):
+        test = get_test("corr")
+        prefix = CandidatePrefix(test)
+        counts = _dispatch_counters(
+            lambda: enumerate_outcomes(test, _COHERENT_ORDER_SS, prefix=prefix)
+        )
+        assert counts == {"backtracker": 1}
+        assert not prefix._kernels
 
     def test_unknown_engine_rejected(self):
         test = get_test("dekker")
@@ -66,25 +121,25 @@ class TestDispatch:
 
     def test_env_var_disables_kernel(self, monkeypatch):
         # With REPRO_ENUM_KERNEL=0 the auto dispatch must take the order
-        # enumerator: the orders stream gets consumed, no kernel is built.
+        # enumerator: no kernel is built.
         monkeypatch.setenv("REPRO_ENUM_KERNEL", "0")
         test = get_test("dekker")
         prefix = CandidatePrefix(test)
-        outcomes = enumerate_outcomes(test, get_model("gam"), prefix=prefix)
-        assert outcomes
-        assert not prefix._kernels and prefix._orders
+        counts = _dispatch_counters(
+            lambda: enumerate_outcomes(test, get_model("gam"), prefix=prefix)
+        )
+        assert counts == {"orders": 1}
+        assert not prefix._kernels
 
-    def test_auto_uses_kernel_for_static_models(self):
+    @pytest.mark.parametrize("name", ["gam", "arm", "plsc"])
+    def test_auto_uses_kernel(self, name):
         test = get_test("dekker")
         prefix = CandidatePrefix(test)
-        enumerate_outcomes(test, get_model("gam"), prefix=prefix)
-        assert prefix._kernels and not prefix._orders
-
-    def test_auto_uses_orders_for_arm(self):
-        test = get_test("dekker")
-        prefix = CandidatePrefix(test)
-        enumerate_outcomes(test, get_model("arm"), prefix=prefix)
-        assert not prefix._kernels and prefix._orders
+        counts = _dispatch_counters(
+            lambda: enumerate_outcomes(test, get_model(name), prefix=prefix)
+        )
+        assert counts == {"kernel": 1}
+        assert prefix._kernels
 
 
 class TestKernelInternals:
@@ -102,7 +157,7 @@ class TestKernelInternals:
         prefix = CandidatePrefix(test)
         model = get_model("gam")
         candidate = prefix.candidate(0, model)
-        kernel = prefix.kernel_for(0, candidate, model.load_value)
+        kernel = prefix.kernel_for(0, candidate, model)
         for values in kernel.final_memories():
             assert len(values) == len(kernel.addresses)
             memory = kernel.as_memory(values)
@@ -126,7 +181,39 @@ class TestKernelInternals:
     @pytest.mark.parametrize("test_name", ["rmw-swap", "rmw-fetch-add", "rmw+ld"])
     def test_rmw_composite_nodes(self, test_name):
         test = get_test(test_name)
-        _assert_parity(test, _FAST_MODELS)
+        _assert_parity(test, _FAST_MODELS + _SAME_SOURCE_MODELS)
+
+    def test_same_source_check_gets_its_own_kernel(self):
+        # ARM has GAM0's static DAG: on a combination with a same-address
+        # load pair the two must not share one solved DP.
+        test = get_test("corr")
+        prefix = CandidatePrefix(test)
+        arm, gam0 = get_model("arm"), get_model("gam0")
+        index = next(i for i in range(len(prefix.combos)) if prefix.base(i))
+        arm_candidate = prefix.candidate(index, arm)
+        gam0_candidate = prefix.candidate(index, gam0)
+        assert arm_candidate.mem_edges == gam0_candidate.mem_edges
+        arm_kernel = prefix.kernel_for(index, arm_candidate, arm)
+        gam0_kernel = prefix.kernel_for(index, gam0_candidate, gam0)
+        assert arm_kernel is not gam0_kernel
+        assert prefix.kernel_for(index, arm_candidate, arm) is arm_kernel
+
+
+class TestSameSourceParity:
+    """Kernel vs order enumerator for the same-source models (tier-1)."""
+
+    def test_registered_suite(self):
+        for test in all_tests():
+            _assert_parity(test, _SAME_SOURCE_MODELS, prefix=CandidatePrefix(test))
+
+    @pytest.mark.parametrize("suite", ["gen:edges=4", "rand:n=60,seed=3"])
+    def test_generated_suites(self, suite):
+        for test in resolve_suite(suite):
+            _assert_parity(test, _SAME_SOURCE_MODELS, prefix=CandidatePrefix(test))
+
+    def test_load_heavy_one_location_corpus(self):
+        for test in _LOAD_HEAVY:
+            _assert_parity(test, _SAME_SOURCE_MODELS, prefix=CandidatePrefix(test))
 
 
 class TestParityQuick:
@@ -159,8 +246,7 @@ class TestParityFull:
     def test_registered_suite_parity(self):
         for test in all_tests():
             prefix = CandidatePrefix(test)
-            fast = [name for name in MODELS if kernel_supports(get_model(name))]
-            _assert_parity(test, fast, prefix=prefix)
+            _assert_parity(test, MODELS, prefix=prefix)
             # Auto dispatch must agree with both engines everywhere.
             for name in MODELS:
                 model = get_model(name)
@@ -183,3 +269,7 @@ class TestParityFull:
                 ) == enumerate_outcomes(
                     test, model, project="full", prefix=prefix, engine="orders"
                 ), f"{test.name} x {name}"
+
+    def test_same_source_gen5_parity(self):
+        for test in resolve_suite("gen:edges=5"):
+            _assert_parity(test, _SAME_SOURCE_MODELS, prefix=CandidatePrefix(test))

@@ -40,12 +40,8 @@ MACHINES = {
     "tso": lambda test: tso_outcomes(test, project="full"),
 }
 
-KERNEL_LESS = ("arm", "plsc")
-"""Zoo models the frontier kernel refuses with ``ValueError`` (their
-dynamic clauses need the order enumerator; see ``tests/test_kernel.py``)."""
-
-ORACLES = [(model, "orders") for model in _MATRIX_MODELS] + [
-    (model, "kernel") for model in _MATRIX_MODELS if model not in KERNEL_LESS
+ORACLES = [
+    (model, engine) for engine in ("orders", "kernel") for model in _MATRIX_MODELS
 ]
 
 

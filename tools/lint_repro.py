@@ -4,8 +4,9 @@
 The pure AST analyzers live in :mod:`repro.lint.repo`; this wrapper adds
 the filesystem walk, the ``git diff`` glue for the ``R004``
 engine-version-bump check, and report rendering/exit policy.  CI runs it
-over ``src/`` on every push; run it locally before sending an
-engine-touching change.
+over ``src/`` on every push, and on pull requests adds the ``R004`` check
+against the base branch; run it locally before sending an engine-touching
+change.
 
 Usage::
 
