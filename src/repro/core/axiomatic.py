@@ -66,7 +66,12 @@ from .events import (
     init_events,
     store_part,
 )
-from .kernel import FrontierKernel, kernel_supports, needs_same_source
+from .kernel import (
+    FrontierKernel,
+    kernel_supports,
+    needs_same_source,
+    window_pairs,
+)
 from .ppo import Clause, DynamicClause, PpoContext, compute_ppo, project_to_memory
 
 __all__ = [
@@ -697,7 +702,9 @@ class CandidatePrefix:
        vs GAM0, PLSC vs Alpha) share one evaluation.  Clause names fully
        determine clause behaviour in this repository's vocabulary.
     3. ``kernel_for(i, candidate, model)`` — the frontier DP, keyed by the
-       resulting DAG, the load-value axiom and the same-source check flag.
+       resulting DAG, the load-value axiom and whether the same-source
+       check is on (the model needs it and the combination has window
+       pairs, found once per combination).
 
     ``extra_values`` must cover whatever a later caller would have passed
     to :func:`enumerate_executions`; asked-outcome values are always
@@ -716,6 +723,7 @@ class CandidatePrefix:
         self._bases: dict[int, Optional[_Candidate]] = {}
         self._edges: dict[tuple[int, tuple[str, ...]], frozenset] = {}
         self._kernels: dict[tuple[int, frozenset, str, bool], FrontierKernel] = {}
+        self._windows: dict[int, tuple] = {}
         self._dynamic_memo: dict = {}
 
     def covers(self, extra_values: Iterable[int]) -> bool:
@@ -750,17 +758,23 @@ class CandidatePrefix:
     ) -> FrontierKernel:
         """The frontier kernel for ``model`` on one candidate (memoized).
 
-        Keyed by the memory DAG, the load-value axiom and whether the model
-        needs the same-source check (ARM, plsc), so models whose clause sets
-        induce the same DAG share one solved DP only when they also agree
-        on the check: ARM has GAM0's DAG and plsc has Alpha's.
+        Keyed by the memory DAG, the load-value axiom and whether the
+        same-source check is on: the model needs it (ARM, plsc) and the
+        combination has window pairs.  Models whose clause sets induce the
+        same DAG share one solved DP unless the check is on for one of them
+        only: ARM has GAM0's DAG and plsc has Alpha's, and they share it on
+        every combination without window pairs.
         """
-        same_source = needs_same_source(model)
-        key = (combo_index, candidate.mem_edges, model.load_value, same_source)
+        window: tuple = ()
+        if needs_same_source(model):
+            window = self._windows.get(combo_index)
+            if window is None:
+                window = self._windows[combo_index] = window_pairs(candidate)
+        key = (combo_index, candidate.mem_edges, model.load_value, bool(window))
         kernel = self._kernels.get(key)
         if kernel is None:
             kernel = self._kernels[key] = FrontierKernel(
-                candidate, model.load_value, same_source
+                candidate, model.load_value, window
             )
         return kernel
 

@@ -41,12 +41,14 @@ In any memory order respecting the static ppo DAG:
 
 So both reduce to one *same-source check*: placing the older load of a
 window pair whose younger partner is already placed requires the two
-read-from sources to be equal.  When a candidate has window pairs and the
-model needs the check, the DP state holds the *identity* of the last store
-per address (-1 for the initial value; values are read back from it) and
+read-from sources to be equal.  One DP loop serves both cases; only the
+state's *tokens* differ.  The state is the placed set plus one tuple: a
+token per address for its last placed store, then — with the check on —
 the source of each placed younger window load whose older partners are not
-all placed yet.  Candidates without window pairs keep the value-keyed
-state.
+all placed yet.  Without the check a token is the stored value, exactly
+the value-keyed state above.  With it (the model needs the check and the
+candidate has window pairs) a token is the store's identity, -1 for the
+initial value, and values are read back from it at full placement.
 
 **Representation.**  Events and edges are integer bitmasks: node ``i``'s
 predecessors are a single ``pred_mask[i]`` int, readiness is two mask
@@ -75,8 +77,9 @@ from ..obs import observe as _obs_observe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .axiomatic import MemoryModel, _Candidate
+    from .events import EventId
 
-__all__ = ["kernel_supports", "needs_same_source", "FrontierKernel"]
+__all__ = ["kernel_supports", "needs_same_source", "window_pairs", "FrontierKernel"]
 
 
 def kernel_supports(model: "MemoryModel") -> bool:
@@ -107,15 +110,17 @@ def needs_same_source(model: "MemoryModel") -> bool:
 
 
 class FrontierKernel:
-    """The frontier DP for one candidate DAG, load-value axiom and check flag.
+    """The frontier DP for one candidate DAG and load-value axiom.
 
     Built from a specialized candidate (events plus the model's static-ppo
     memory DAG); :meth:`final_memories` answers "which final memories can a
-    legal memory order reach?" without materializing any order.
-    ``same_source`` turns on the window-pair check of the module docstring
-    (ARM, plsc).  Instances are cached per ``(combo, DAG, axiom, check)`` by
+    legal memory order reach?" without materializing any order.  A
+    non-empty ``window`` (the candidate's :func:`window_pairs`) turns on the
+    same-source check of the module docstring (ARM, plsc).  Instances are
+    cached per ``(combo, DAG, axiom, check on)`` by
     :class:`repro.core.axiomatic.CandidatePrefix`, so models with identical
-    clause sets share one solved DP.
+    clause sets share one solved DP, and so does a checking model with a
+    non-checking one wherever the candidate has no window pairs.
     """
 
     __slots__ = (
@@ -125,15 +130,17 @@ class FrontierKernel:
         "_pred_mask",
         "_checks",
         "_writes",
-        "_init_values",
-        "_links",
-        "_pending_slots",
+        "_start",
+        "_token_values",
         "_memo",
         "_finals",
     )
 
     def __init__(
-        self, candidate: "_Candidate", load_value_mode: str, same_source: bool
+        self,
+        candidate: "_Candidate",
+        load_value_mode: str,
+        window: tuple[tuple[EventId, EventId], ...] = (),
     ) -> None:
         pairs = candidate.rmw_pairs
         folded = set(pairs.values())
@@ -157,64 +164,82 @@ class FrontierKernel:
         for event in candidate.inits:
             init_values[slot[event.addr]] = event.value
 
-        # Per node: an optional load check ``(slot, expected, fwd_bit,
-        # fwd_value)`` (fwd_bit < 0: no forwarding candidate) and an
-        # optional store write ``(slot, value)`` (the store half for RMWs).
-        checks: list[Optional[tuple[int, int, int, int]]] = [None] * n
+        # The DP state is one tuple: a store *token* per address, then one
+        # pending-source slot per younger window load.  Without the check a
+        # token is the stored value and there are no pending slots; with it
+        # a token is the store's node (-1: the initial value), so that read-
+        # from sources can be compared, and values are read back at the end.
+        sourced = bool(window)
+        store_values: dict[int, int] = {}
         writes: list[Optional[tuple[int, int]]] = [None] * n
         for i, eid in enumerate(node_eids):
-            event = candidate.event_by_id[eid]
-            if event.is_store:
-                writes[i] = (slot[event.addr], event.value)
-                continue
-            fwd_bit, fwd_value = -1, 0
-            if load_value_mode == "gam" and eid not in candidate.no_forward:
-                po_stores = candidate.po_stores.get(eid, ())
-                if po_stores:
-                    youngest = po_stores[-1]
-                    fwd_bit = node_of[youngest.eid]
-                    fwd_value = youngest.value
-            checks[i] = (slot[event.addr], event.value, fwd_bit, fwd_value)
-            store_eid = pairs.get(eid)
-            if store_eid is not None:
-                store_event = candidate.event_by_id[store_eid]
-                writes[i] = (slot[store_event.addr], store_event.value)
+            store = candidate.event_by_id[pairs.get(eid, eid)]
+            if store.is_store:
+                store_values[i] = store.value
+                writes[i] = (slot[store.addr], i if sourced else store.value)
 
-        # Per node taking part in a window pair: ``(own_slot, older_mask,
-        # partners)`` — its pending-source slot as a younger load (-1: none),
-        # the mask of its older partners, and ``(bit, slot, older_mask)`` for
-        # each of its younger partners.
-        window = _window_pairs(candidate, node_of) if same_source else []
-        links: Optional[list] = None
-        pending_slot: dict[int, int] = {}
-        if window:
+        # Per window node: ``(own_slot, older_mask, partners)`` — its
+        # pending-source slot as a younger load (-1: none), the mask of its
+        # older partners, and ``(bit, slot, older_mask)`` for each of its
+        # younger partners.
+        links: list[Optional[tuple]] = [None] * n
+        if sourced:
             older_mask = [0] * n
             partners: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-            for older, younger in window:
+            window_nodes = [(node_of[a], node_of[b]) for a, b in window]
+            for older, younger in window_nodes:
                 older_mask[younger] |= 1 << older
+            youngers = sorted({y for _, y in window_nodes})
             pending_slot = {
-                younger: index
-                for index, younger in enumerate(sorted({y for _, y in window}))
+                younger: len(self.addresses) + index
+                for index, younger in enumerate(youngers)
             }
-            for older, younger in window:
+            for older, younger in window_nodes:
                 partners[older].append(
                     (1 << younger, pending_slot[younger], older_mask[younger])
                 )
-            links = [
-                (pending_slot.get(i, -1), older_mask[i], tuple(partners[i]))
-                if older_mask[i] or partners[i]
-                else None
-                for i in range(n)
-            ]
+            for i in range(n):
+                if older_mask[i] or partners[i]:
+                    links[i] = (
+                        pending_slot.get(i, -1), older_mask[i], tuple(partners[i])
+                    )
+            start: tuple = (-1,) * len(self.addresses) + (None,) * len(youngers)
+        else:
+            start = tuple(init_values)
+
+        # Per load node: ``(slot, accepted, fwd_bit, fwd_token, link)`` —
+        # the tokens that carry the value it returns, its forwarding store
+        # (fwd_bit < 0: none) and its window link.
+        checks: list[Optional[tuple]] = [None] * n
+        for i, eid in enumerate(node_eids):
+            event = candidate.event_by_id[eid]
+            if event.is_store:
+                continue
+            addr_slot = slot[event.addr]
+            accepted: tuple[int, ...] = (event.value,)
+            if sourced:
+                accepted = tuple(
+                    node
+                    for node, value in store_values.items()
+                    if value == event.value and writes[node][0] == addr_slot
+                ) + ((-1,) if init_values[addr_slot] == event.value else ())
+            fwd_bit, fwd_token = -1, 0
+            if load_value_mode == "gam" and eid not in candidate.no_forward:
+                po_stores = candidate.po_stores.get(eid, ())
+                if po_stores:
+                    fwd_bit = node_of[po_stores[-1].eid]
+                    fwd_token = fwd_bit if sourced else po_stores[-1].value
+            checks[i] = (addr_slot, accepted, fwd_bit, fwd_token, links[i])
 
         self._n = n
         self._full = (1 << n) - 1
         self._pred_mask = pred_mask
         self._checks = checks
         self._writes = writes
-        self._init_values = tuple(init_values)
-        self._links = links
-        self._pending_slots = len(pending_slot)
+        self._start = start
+        self._token_values: Optional[tuple[list[int], dict[int, int]]] = (
+            (init_values, store_values) if sourced else None
+        )
         self._memo: dict[tuple, frozenset] = {}
         self._finals: Optional[frozenset[tuple[int, ...]]] = None
         _obs_incr("kernel.builds")
@@ -224,12 +249,7 @@ class FrontierKernel:
         legal memory order reaches; empty iff no order satisfies the
         LoadValue axiom (the combination is unrealizable)."""
         if self._finals is None:
-            if self._links is None:
-                self._finals = self._solve(0, self._init_values)
-            else:
-                self._finals = self._solve_sources(
-                    0, (-1,) * len(self.addresses), (None,) * self._pending_slots
-                )
+            self._finals = self._solve(0, self._start)
             # Telemetry at the solve boundary only — never in the DP loop.
             _obs_incr("kernel.dp.states", len(self._memo))
             _obs_observe("kernel.frontier.nodes", len(self._finals))
@@ -239,12 +259,16 @@ class FrontierKernel:
         """One :meth:`final_memories` tuple as an ``addr -> value`` dict."""
         return dict(zip(self.addresses, values))
 
-    def _solve(
-        self, placed: int, last: tuple[int, ...]
-    ) -> frozenset[tuple[int, ...]]:
+    def _solve(self, placed: int, state: tuple) -> frozenset[tuple[int, ...]]:
         if placed == self._full:
-            return frozenset((last,))
-        key = (placed, last)
+            if self._token_values is not None:
+                init_values, store_values = self._token_values
+                state = tuple(
+                    init_values[addr_slot] if token < 0 else store_values[token]
+                    for addr_slot, token in enumerate(state[: len(init_values)])
+                )
+            return frozenset((state,))
+        key = (placed, state)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
@@ -256,106 +280,40 @@ class FrontierKernel:
             bit = 1 << i
             if placed & bit or pred_mask[i] & ~placed:
                 continue
+            successor = state
             check = checks[i]
             if check is not None:
-                addr_slot, expected, fwd_bit, fwd_value = check
+                addr_slot, accepted, fwd_bit, fwd_token, link = check
                 if fwd_bit >= 0 and not placed >> fwd_bit & 1:
-                    value = fwd_value
+                    source = fwd_token
                 else:
-                    value = last[addr_slot]
-                if value != expected:
+                    source = state[addr_slot]
+                if source not in accepted:
                     continue
+                if link is not None:
+                    successor = _advance_pending(link, placed | bit, source, state)
+                    if successor is None:
+                        continue
             write = writes[i]
             if write is not None:
-                addr_slot, value = write
-                if last[addr_slot] == value:
-                    successor = last
-                else:
-                    mutable = list(last)
-                    mutable[addr_slot] = value
+                addr_slot, written_token = write
+                if successor[addr_slot] != written_token:
+                    mutable = list(successor)
+                    mutable[addr_slot] = written_token
                     successor = tuple(mutable)
-            else:
-                successor = last
             results.update(self._solve(placed | bit, successor))
         outcome = frozenset(results)
         self._memo[key] = outcome
         return outcome
 
-    def _solve_sources(
-        self,
-        placed: int,
-        last: tuple[int, ...],
-        pending: tuple[Optional[int], ...],
-    ) -> frozenset[tuple[int, ...]]:
-        """:meth:`_solve` with the same-source check.
 
-        ``last`` holds the last store *node* per address (-1: the initial
-        value) and ``pending`` the read-from source of each placed younger
-        window load whose older partners are not all placed (else None).
-        """
-        if placed == self._full:
-            init_values, writes = self._init_values, self._writes
-            final = tuple(
-                init_values[addr_slot] if source < 0 else writes[source][1]
-                for addr_slot, source in enumerate(last)
-            )
-            return frozenset((final,))
-        key = (placed, last, pending)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        pred_mask = self._pred_mask
-        checks = self._checks
-        writes = self._writes
-        links = self._links
-        init_values = self._init_values
-        results: set[tuple[int, ...]] = set()
-        for i in range(self._n):
-            bit = 1 << i
-            if placed & bit or pred_mask[i] & ~placed:
-                continue
-            successor_pending: Optional[tuple[Optional[int], ...]] = pending
-            check = checks[i]
-            if check is not None:
-                addr_slot, expected, fwd_bit, _ = check
-                if fwd_bit >= 0 and not placed >> fwd_bit & 1:
-                    source = fwd_bit
-                else:
-                    source = last[addr_slot]
-                value = init_values[addr_slot] if source < 0 else writes[source][1]
-                if value != expected:
-                    continue
-                link = links[i]
-                if link is not None:
-                    successor_pending = _advance_pending(
-                        link, placed | bit, source, pending
-                    )
-                    if successor_pending is None:
-                        continue
-            write = writes[i]
-            if write is not None:
-                mutable = list(last)
-                mutable[write[0]] = i
-                successor = tuple(mutable)
-            else:
-                successor = last
-            results.update(
-                self._solve_sources(placed | bit, successor, successor_pending)
-            )
-        outcome = frozenset(results)
-        self._memo[key] = outcome
-        return outcome
-
-
-def _window_pairs(
-    candidate: "_Candidate", node_of: dict[tuple[int, int], int]
-) -> list[tuple[int, int]]:
-    """``(older, younger)`` node pairs of pure same-address loads of one
+def window_pairs(candidate: "_Candidate") -> tuple[tuple[EventId, EventId], ...]:
+    """``(older, younger)`` event pairs of pure same-address loads of one
     processor with no same-address store or RMW between them in program
     order — the pairs :class:`repro.core.ppo.SALdLdARM` scans."""
     pairs = candidate.rmw_pairs
     events = candidate.events
-    window: list[tuple[int, int]] = []
+    window: list[tuple[EventId, EventId]] = []
     for position, older in enumerate(events):
         if older.is_store or older.eid in pairs:
             continue
@@ -366,23 +324,23 @@ def _window_pairs(
                 continue
             if younger.is_store or younger.eid in pairs:
                 break
-            window.append((node_of[older.eid], node_of[younger.eid]))
-    return window
+            window.append((older.eid, younger.eid))
+    return tuple(window)
 
 
 def _advance_pending(
     link: tuple[int, int, tuple[tuple[int, int, int], ...]],
     placed: int,
     source: int,
-    pending: tuple[Optional[int], ...],
-) -> Optional[tuple[Optional[int], ...]]:
-    """The pending sources once a window load reading ``source`` is placed
+    state: tuple,
+) -> Optional[tuple]:
+    """The DP state once a window load reading ``source`` is placed
     (``placed`` includes it); None when the same-source check fails."""
     own_slot, older_mask, partners = link
-    updated = list(pending)
+    updated = list(state)
     for younger_bit, younger_slot, younger_older in partners:
         if placed & younger_bit:
-            if pending[younger_slot] != source:
+            if state[younger_slot] != source:
                 return None
             if not younger_older & ~placed:
                 updated[younger_slot] = None

@@ -198,6 +198,25 @@ class TestKernelInternals:
         assert arm_kernel is not gam0_kernel
         assert prefix.kernel_for(index, arm_candidate, arm) is arm_kernel
 
+    @pytest.mark.parametrize("checking,plain", [("arm", "gam0"), ("plsc", "alpha_like")])
+    def test_window_free_combinations_share_one_kernel(self, checking, plain):
+        # mp has no same-address load pair, so the same-source check is
+        # idle and the checking model reuses the plain model's solved DP.
+        test = get_test("mp")
+        prefix = CandidatePrefix(test)
+        checking, plain = get_model(checking), get_model(plain)
+        shared = 0
+        for index in range(len(prefix.combos)):
+            if prefix.base(index) is None:
+                continue
+            checking_kernel = prefix.kernel_for(
+                index, prefix.candidate(index, checking), checking
+            )
+            plain_kernel = prefix.kernel_for(index, prefix.candidate(index, plain), plain)
+            assert checking_kernel is plain_kernel
+            shared += 1
+        assert shared
+
 
 class TestSameSourceParity:
     """Kernel vs order enumerator for the same-source models (tier-1)."""
