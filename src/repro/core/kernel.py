@@ -140,7 +140,7 @@ class FrontierKernel:
         self,
         candidate: "_Candidate",
         load_value_mode: str,
-        window: tuple[tuple[EventId, EventId], ...] = (),
+        window: tuple[tuple[EventId, EventId], ...],
     ) -> None:
         pairs = candidate.rmw_pairs
         folded = set(pairs.values())
