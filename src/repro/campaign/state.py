@@ -5,9 +5,11 @@ A campaign directory is the on-disk identity of a hunt.  Layout::
     <out>/
         campaign.json        the spec: suite, pairs, shard count, engine
                              version, model content digests
-        cache/               the engine's content-hashed ResultCache
-                             (fine-grained resume: interrupted shards
-                             lose at most one in-flight cell)
+        cache/cells.sqlite   the engine's content-hashed ResultCache
+                             (fine-grained resume: each batch commits
+                             its cells in one transaction, so an
+                             interrupted shard loses only the batches
+                             in flight)
         shards/shard-NNNN.json   one verdict record per completed shard
                              (coarse-grained resume: completed shards
                              are never re-evaluated)

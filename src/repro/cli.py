@@ -30,9 +30,8 @@ Commands:
   run report (a ``stats.json`` file or a campaign directory), or diff
   the counters of two (see :mod:`repro.obs` and
   ``docs/observability.md``);
-* ``cache stats DIR`` / ``cache purge DIR --stale-tmp [--older-than S]``
-  — inspect an engine result cache (entry and orphaned temp-file
-  counts/bytes) and sweep stale ``*.tmp`` debris left by killed runs;
+* ``cache stats DIR`` — inspect an engine result cache (entry count and
+  the database's bytes on disk);
 * ``import FILE [FILE ...]`` — parse and validate ``.litmus`` files;
 * ``export [--suite SUITE] [-o DIR]`` — print/write tests as ``.litmus``;
 * ``model show MODEL`` / ``model import FILE ...`` /
@@ -474,40 +473,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="single-report rendering (default: text; ignored when diffing)",
     )
 
-    cache_cmd = sub.add_parser(
-        "cache", help="inspect and clean engine result caches"
-    )
+    cache_cmd = sub.add_parser("cache", help="inspect engine result caches")
     cache_sub = cache_cmd.add_subparsers(dest="cache_command", required=True)
 
     cache_stats = cache_sub.add_parser(
-        "stats", help="entry and temp-file counts/bytes for a cache directory"
+        "stats", help="entry count and bytes on disk of a cache directory"
     )
     cache_stats.add_argument(
         "dir",
         metavar="DIR",
         help="cache directory (a --cache DIR or a campaign's cache/)",
-    )
-
-    cache_purge = cache_sub.add_parser(
-        "purge", help="delete stale cache debris (crash-orphaned temp files)"
-    )
-    cache_purge.add_argument(
-        "dir",
-        metavar="DIR",
-        help="cache directory (a --cache DIR or a campaign's cache/)",
-    )
-    cache_purge.add_argument(
-        "--stale-tmp",
-        action="store_true",
-        help="sweep orphaned *.tmp files left behind by killed workers",
-    )
-    cache_purge.add_argument(
-        "--older-than",
-        type=float,
-        default=3600.0,
-        metavar="SECONDS",
-        help="only remove temp files at least this old "
-        "(default: 3600 — an hour; live runs rename theirs within seconds)",
     )
 
     import_cmd = sub.add_parser(
@@ -1055,36 +1030,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     import os
-    import time
 
     from .engine import ResultCache
+    from .engine.cache import DB_NAME
 
-    # Guard before ResultCache touches the path: the constructor creates
-    # missing directories, and a typo'd path must not become one.
-    if not os.path.isdir(args.dir):
+    # Guard before ResultCache touches the path: opening a cache creates
+    # its directory and database, and a typo'd path must not become one.
+    if not os.path.isfile(os.path.join(args.dir, DB_NAME)):
         raise CLIUsageError(f"not a cache directory: {args.dir!r}")
-    cache = ResultCache(args.dir)
-    if args.cache_command == "stats":
-        stats = cache.stats()
-        print(f"cache {args.dir}")
-        print(f"  entries:         {stats.entries} ({stats.entry_bytes} bytes)")
-        print(f"  stale tmp files: {stats.tmp_files} ({stats.tmp_bytes} bytes)")
-        return 0
-    # purge
-    if not args.stale_tmp:
-        raise CLIUsageError(
-            "nothing selected to purge; pass --stale-tmp to sweep "
-            "orphaned temp files"
-        )
-    # The clock read stays here in the CLI: the engine's cache method
-    # takes `now` as data so the engine itself stays clock-free (R005).
-    removed, reclaimed = cache.purge_stale_tmp(
-        older_than=args.older_than, now=time.time()
-    )
-    print(
-        f"removed {removed} stale tmp file(s) older than "
-        f"{args.older_than:g}s ({reclaimed} bytes reclaimed)"
-    )
+    stats = ResultCache(args.dir).stats()
+    print(f"cache {args.dir}")
+    print(f"  entries: {stats.entries}")
+    print(f"  on disk: {stats.disk_bytes} bytes")
     return 0
 
 

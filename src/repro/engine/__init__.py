@@ -34,10 +34,11 @@ Architecture::
      order = deterministic;      │   per clause set
      killable: deadlines and     │
      crashed workers recover     ▼
-     per ExecutionPolicy)   ResultCache (optional, content-hashed JSON;
-        │                   key = test content + oracle (model clauses
-        └─────────────────► or machine variant) + ENGINE_VERSION, so
-                            entries can't go stale)
+     per ExecutionPolicy)   ResultCache (optional; one SQLite file in
+        │                   WAL mode, one transaction per batch; JSON
+        └─────────────────► payloads keyed by SHA-256 of test content +
+                            oracle (model clauses or machine variant) +
+                            ENGINE_VERSION, so entries can't go stale)
 
 The three layers:
 
@@ -69,7 +70,8 @@ model is any :data:`~repro.engine.cells.ModelLike` — a registry name, a
 :class:`~repro.core.axiomatic.MemoryModel` — and the cache keys hash
 model *content* (clauses + axioms), so a file-defined model caches
 correctly and an edited one misses.  Several processes may share one
-cache directory, so independent runs warm each other's results.
+cache directory (its database serializes their commits), so independent
+runs warm each other's results.
 """
 
 from __future__ import annotations

@@ -1,40 +1,51 @@
-"""On-disk result cache: content-hashed cells, JSON payloads.
+"""On-disk result cache: content-hashed cells in one SQLite database.
 
 Each cell's canonical descriptor (see :func:`repro.engine.cells
 .cell_descriptor`) is hashed with SHA-256; the verdict / outcome-set
-payload is stored as ``<hash>.json`` under the cache directory.  Because
-the key covers the test content, the model's clauses and the engine
-version, a cache entry can never serve a stale result: any change to the
-inputs changes the key, and semantic engine changes bump
+payload is stored as JSON text under that key, in the table
+``cells(key, payload)`` of ``cells.sqlite`` in the cache directory.
+Because the key covers the test content, the model's clauses and the
+engine version, a cache entry can never serve a stale result: any change
+to the inputs changes the key, and semantic engine changes bump
 :data:`~repro.engine.cells.ENGINE_VERSION`.
 
 Outcome sets round-trip losslessly (register names are strings, processor
 ids / addresses / values are ints), so cached results are byte-identical
-to freshly computed ones once rendered.  Writes go through a temp file and
-an atomic rename, which keeps concurrent pool workers from ever observing
-a torn entry.
+to freshly computed ones once rendered.  Stores made inside
+:meth:`ResultCache.batch` are written together in one transaction when
+the block exits, so a batch of cells costs one commit, not one write per
+cell.
 
 The cache directory is safe to *share*: any number of processes — pool
-workers, several independent runs — may read and write one directory
-concurrently.  Writers never collide (``mkstemp`` names are unique,
-``os.replace`` is atomic, and duplicate stores of one key are idempotent
-by construction: the key hashes the inputs and the payload is a pure
-function of them), readers never see a torn entry, and a writer that is
-killed mid-store leaves only an orphaned ``*.tmp`` file that lookups
-ignore and :meth:`ResultCache.purge_stale_tmp` sweeps.  Entries are
-self-validating and version-keyed, so a warmed directory ships between
-machines with a plain ``cp -r`` or ``tar``.
+workers, several independent runs — may read and write one database
+concurrently.  The database runs in WAL mode, so readers never block
+the writer or each other, and writers queue for the write lock under a
+busy timeout.  Duplicate stores of one key are idempotent by
+construction (the key hashes the inputs and the payload is a pure
+function of them).  A transaction is atomic: a writer killed inside one
+is rolled back by the next process to open the file, so readers see a
+batch whole or not at all and nothing is ever left orphaned.  Each
+process keeps one connection per database, and a forked child opens its
+own rather than using its parent's.  ``sqlite3`` is imported when the
+first cache is opened, so runs without a cache never load it.
+
+Entries are self-validating and version-keyed, so a warmed cache ships
+between machines as its directory: copy it (``cells.sqlite`` together
+with its ``-wal`` file) while no writer is running.  A directory left by
+the older one-JSON-file-per-cell layout has no database, so it simply
+starts cold; its files are never read.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import pathlib
-import tempfile
-from typing import Optional, Sequence
+import time
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..litmus.test import LitmusTest, Outcome
 from ..obs import current as _obs_current
@@ -52,31 +63,52 @@ from .cells import (
 )
 
 __all__ = [
+    "DB_NAME",
     "CacheStats",
     "ResultCache",
     "batch_cache_keys",
     "cell_cache_key",
 ]
 
+DB_NAME = "cells.sqlite"
+"""The database file inside a cache directory."""
 
-def _digest(descriptor: dict) -> str:
-    text = json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
+_BUSY_TIMEOUT_S = 60.0
+_INIT_ATTEMPTS = 100
+_INIT_RETRY_S = 0.05
+
+_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS cells("
+    "key TEXT PRIMARY KEY, payload TEXT NOT NULL) WITHOUT ROWID"
+)
+_SELECT = "SELECT payload FROM cells WHERE key = ?"
+_UPSERT = "INSERT OR REPLACE INTO cells (key, payload) VALUES (?, ?)"
+
+
+def _canonical(descriptor: dict) -> str:
+    return json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def cell_cache_key(cell: CellSpec) -> str:
     """The SHA-256 content hash identifying a cell's cache entry."""
-    return _digest(cell_descriptor(cell))
+    return _sha256(_canonical(cell_descriptor(cell)))
 
 
 def batch_cache_keys(test: LitmusTest, cells: Sequence[CellSpec]) -> list[str]:
     """:func:`cell_cache_key` for every cell of one test's batch.
 
-    The test's descriptor is built once and each model's once, instead of
-    once per cell: model descriptors resolve the model, and test
-    descriptors render every instruction.
+    The test's descriptor is built and serialized once and each model's
+    descriptor built once, instead of once per cell: model descriptors
+    resolve the model, and test descriptors render every instruction.
+    Each cell's descriptor is serialized with an empty test part, and
+    since ``"test"`` sorts after every other descriptor key, its closing
+    ``{}}`` is where the test's canonical JSON goes.
     """
-    test_part = test_descriptor(test)
+    test_text = _canonical(test_descriptor(test))
     model_parts: dict = {}
     keys = []
     for cell in cells:
@@ -87,7 +119,8 @@ def batch_cache_keys(test: LitmusTest, cells: Sequence[CellSpec]) -> list[str]:
             model_part = model_parts.get(slot)
             if model_part is None:
                 model_part = model_parts[slot] = model_descriptor(cell.model)
-        keys.append(_digest(cell_descriptor(cell, test_part, model_part)))
+        text = _canonical(cell_descriptor(cell, {}, model_part))
+        keys.append(_sha256(text[:-3] + test_text + "}"))
     return keys
 
 
@@ -157,106 +190,161 @@ def _decode(cell: CellSpec, payload: dict) -> CellResult:
 
 @dataclasses.dataclass(frozen=True)
 class CacheStats:
-    """A point-in-time inventory of a cache directory.
+    """A point-in-time inventory of a cache database.
 
-    ``tmp_files`` counts orphaned ``*.tmp`` spool files — the residue of
-    writers that died between ``mkstemp`` and the atomic rename (a
-    SIGKILLed pool worker, a machine crash).  They are invisible to
-    lookups but accumulate bytes forever unless swept by
-    :meth:`ResultCache.purge_stale_tmp`.
+    ``entries`` counts committed rows; ``disk_bytes`` is the size of the
+    database file plus its write-ahead log.
     """
 
     entries: int
-    entry_bytes: int
-    tmp_files: int
-    tmp_bytes: int
+    disk_bytes: int
+
+
+# (pid, database path) -> (connection, (st_dev, st_ino) of its file), in
+# least-recently-opened order.
+_connections: dict = {}
+_MAX_CONNECTIONS = 16
+
+
+def _initialize(db) -> None:
+    """Put a new connection's database in WAL mode and create the table.
+
+    Switching a file to WAL needs an exclusive lock, and SQLite can report
+    it busy without waiting out the busy timeout when other processes are
+    opening the same fresh file.  So the switch is skipped once the file
+    is in WAL mode, and a busy first open sleeps briefly and starts over.
+    """
+    import sqlite3
+
+    for attempt in range(_INIT_ATTEMPTS):
+        try:
+            if db.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
+                db.execute("PRAGMA journal_mode=WAL")
+            db.execute(_SCHEMA)
+            return
+        except sqlite3.OperationalError as exc:
+            # SQLITE_BUSY and SQLITE_LOCKED both read "... is locked".
+            if "locked" not in str(exc) or attempt == _INIT_ATTEMPTS - 1:
+                raise
+            time.sleep(_INIT_RETRY_S)
+
+
+def _connection(path: str):
+    """This process's connection to the database at ``path``.
+
+    Connections are kept per (process, path).  A forked child finds its
+    parent's connections in the table but opens its own: a connection
+    must not cross a fork, and the parent's entries are left untouched.
+    A connection whose file has since been deleted or replaced (the
+    directory was removed under a live process) is replaced by one on the
+    file now at ``path``.  Past :data:`_MAX_CONNECTIONS` paths the least
+    recently opened is dropped from the table; a connection closes once
+    no open :class:`ResultCache` uses it.
+    """
+    import sqlite3
+
+    slot = (os.getpid(), path)
+    entry = _connections.pop(slot, None)
+    if entry is not None:
+        try:
+            stat = os.stat(path)
+        except FileNotFoundError:
+            stat = None
+        if stat is not None and (stat.st_dev, stat.st_ino) == entry[1]:
+            _connections[slot] = entry
+            return entry[0]
+    own = [other for other in _connections if other[0] == slot[0]]
+    if len(own) >= _MAX_CONNECTIONS:
+        del _connections[own[0]]
+    db = sqlite3.connect(path, timeout=_BUSY_TIMEOUT_S, isolation_level=None)
+    _initialize(db)
+    db.execute("PRAGMA synchronous=NORMAL")
+    stat = os.stat(path)
+    _connections[slot] = (db, (stat.st_dev, stat.st_ino))
+    return db
 
 
 class ResultCache:
-    """A directory of content-addressed cell results."""
+    """A directory holding one database of content-addressed cell results.
+
+    Opening the cache creates the directory and the database as needed.
+    """
 
     def __init__(self, root: os.PathLike | str) -> None:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self.path = self.root / DB_NAME
+        self._db = _connection(os.path.abspath(self.path))
+        self._pending: Optional[dict[str, str]] = None
 
-    def _path(self, key: str) -> pathlib.Path:
-        return self.root / f"{key}.json"
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        """Write the block's stores in one transaction when it exits.
 
-    def entry_path(self, cell: CellSpec) -> pathlib.Path:
-        """Where ``cell``'s result lives (whether or not it exists yet)."""
-        return self._path(cell_cache_key(cell))
+        Until then the stores wait in memory, where this cache's loads
+        still find them, so the write lock is held only for the commit,
+        never while cells are evaluated.  If the block raises, its stores
+        are dropped.
+        """
+        pending = self._pending = {}
+        try:
+            yield
+        finally:
+            self._pending = None
+        if pending:
+            self.write_rows(pending.items())
+
+    def write_rows(self, rows: Iterable[tuple[str, str]]) -> None:
+        """Commit raw ``(key, payload)`` rows in one transaction.
+
+        ``BEGIN IMMEDIATE`` takes the write lock up front, so concurrent
+        writers queue under the busy timeout instead of failing at commit.
+        """
+        db = self._db
+        db.execute("BEGIN IMMEDIATE")
+        try:
+            db.executemany(_UPSERT, rows)
+            db.execute("COMMIT")
+        except BaseException:
+            if db.in_transaction:
+                db.execute("ROLLBACK")
+            raise
 
     def stats(self) -> CacheStats:
-        """Count committed entries and orphaned temp files, with sizes.
-
-        Files that vanish mid-scan (a concurrent purge or rename) are
-        simply skipped — the inventory is advisory, not transactional.
-        """
-        entries = entry_bytes = tmp_files = tmp_bytes = 0
-        for path in sorted(self.root.iterdir()):
+        """Count the committed entries and measure the files on disk."""
+        (entries,) = self._db.execute("SELECT COUNT(*) FROM cells").fetchone()
+        disk_bytes = 0
+        for path in (self.path, self.path.with_name(DB_NAME + "-wal")):
             try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            if path.suffix == ".json":
-                entries += 1
-                entry_bytes += size
-            elif path.suffix == ".tmp":
-                tmp_files += 1
-                tmp_bytes += size
-        return CacheStats(entries, entry_bytes, tmp_files, tmp_bytes)
-
-    def purge_stale_tmp(self, older_than: float, now: float) -> tuple[int, int]:
-        """Delete orphaned ``*.tmp`` files older than ``older_than`` seconds.
-
-        ``now`` is the caller's wall-clock reading (``time.time()``),
-        passed in rather than read here so the engine itself stays free
-        of raw clock reads; ages are judged against file mtimes.  Young
-        temp files are left alone — they may belong to a live writer.
-        Returns ``(files_removed, bytes_reclaimed)``.
-        """
-        removed = reclaimed = 0
-        for path in sorted(self.root.glob("*.tmp")):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            if now - stat.st_mtime < older_than:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-            reclaimed += stat.st_size
-        return removed, reclaimed
+                disk_bytes += path.stat().st_size
+            except FileNotFoundError:
+                pass
+        return CacheStats(entries, disk_bytes)
 
     def load(self, cell: CellSpec, key: Optional[str] = None) -> Optional[CellResult]:
         """The cached result for ``cell``, or ``None`` on a miss.
 
         ``key`` is the cell's :func:`cell_cache_key` when the caller has
-        already computed it.  Unreadable or mismatched entries (e.g. a
-        kind collision from a truncated write that slipped past the
-        atomic rename) count as misses rather than errors; telemetry
-        additionally counts them as ``engine.cache.stale``.
+        already computed it.  Unreadable or mismatched payloads (e.g. a
+        row overwritten with garbage) count as misses rather than errors;
+        telemetry additionally counts them as ``engine.cache.stale``.
         """
-        path = self._path(key if key is not None else cell_cache_key(cell))
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            _count_lookup(cell, "miss")
-            return None
-        except OSError:
-            _obs_incr("engine.cache.stale")
-            _count_lookup(cell, "miss")
-            return None
+        if key is None:
+            key = cell_cache_key(cell)
+        text = self._pending.get(key) if self._pending else None
+        if text is None:
+            row = self._db.execute(_SELECT, (key,)).fetchone()
+            if row is None:
+                _count_lookup(cell, "miss")
+                return None
+            text = row[0]
         try:
             payload = json.loads(text)
         except ValueError:
             _obs_incr("engine.cache.stale")
             _count_lookup(cell, "miss")
             return None
-        if payload.get("kind") != _kind(cell):
+        if not isinstance(payload, dict) or payload.get("kind") != _kind(cell):
             _obs_incr("engine.cache.stale")
             _count_lookup(cell, "miss")
             return None
@@ -272,42 +360,18 @@ class ResultCache:
     def store(
         self, cell: CellSpec, result: CellResult, key: Optional[str] = None
     ) -> None:
-        """Persist a cell result atomically (temp file + rename).
+        """Persist a cell result: now, or at the end of an open :meth:`batch`.
 
-        Safe against concurrent writers sharing the directory: the temp
-        name is unique per writer, the rename is atomic, and two writers
-        racing on one key write identical bytes (the payload is a pure
-        function of the key's inputs), so whichever rename lands last is
-        as good as the other.  If the directory itself vanished under a
-        concurrent purge, it is recreated and the write retried once —
-        the one failure shape a shared store must shrug off.  ``key`` is
-        as for :meth:`load`.
+        Two writers racing on one key write identical payloads (the
+        payload is a pure function of the key's inputs), so whichever
+        commit lands last is as good as the other.  ``key`` is as for
+        :meth:`load`.
         """
         _obs_incr("engine.cache.store")
         if key is None:
             key = cell_cache_key(cell)
         payload = json.dumps(_encode(cell, result), sort_keys=True)
-        try:
-            self._spool(key, payload)
-        except FileNotFoundError:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._spool(key, payload)
-
-    def _spool(self, key: str, payload: str) -> None:
-        """One temp-file + atomic-rename write, orphan-guarded.
-
-        Any failure past ``mkstemp`` unlinks the temp file, so the only
-        way to orphan one is a hard kill mid-write — and those orphans
-        are invisible to lookups and swept by :meth:`purge_stale_tmp`.
-        """
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        if self._pending is not None:
+            self._pending[key] = payload
+        else:
+            self.write_rows([(key, payload)])

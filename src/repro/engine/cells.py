@@ -75,7 +75,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 9
+ENGINE_VERSION = 10
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -127,6 +127,12 @@ Version history:
   now comes from the DP.  Results are parity-tested identical, but the
   enumeration path for those models changed, so version-8 entries
   re-verify rather than vouch for it.
+* 10 — the result cache moved from one JSON file per cell to one SQLite
+  database per cache directory, written one transaction per batch, and
+  batch keys splice a once-serialized test part into each cell's
+  canonical JSON.  Keys and payloads are unchanged, but the cache's
+  storage and keying code changed and the R004 invariant ties every
+  engine-path diff to a bump, so version-9 entries re-verify.
 """
 
 ModelLike = Union[str, MemoryModel]

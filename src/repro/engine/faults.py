@@ -25,7 +25,7 @@ Kinds:
   execution raises :class:`InjectedFault` instead — killing the caller's
   own interpreter would take the test harness down with it.
 * ``corrupt`` — after the batch stores its results, overwrite the first
-  cell's cache entry with garbage bytes; exercises the cache's
+  cell's payload row with garbage; exercises the cache's
   stale-entry recovery (the next load must count a miss and recompute).
 
 Selectors (all optional; an action with none fires on every batch):
@@ -78,7 +78,7 @@ FAULT_KINDS: dict[str, str] = {
     ),
     "corrupt": (
         "after the batch stores its results, overwrite the first cell's "
-        "cache entry with garbage bytes"
+        "payload row in the cache with garbage"
     ),
 }
 """The fault vocabulary, rendered into ``docs/robustness.md``."""
@@ -271,13 +271,14 @@ def fire_after_batch(
 ) -> None:
     """Fire the post-store faults (``corrupt``) for a completed batch.
 
-    Overwrites the first cell's cache entry with non-JSON garbage; a
+    Overwrites the first cell's payload row with non-JSON garbage; a
     no-op without a cache directory (there is nothing to corrupt).
     """
     for action in plan.select(batch_index, test_name, attempt):
         if action.kind != "corrupt" or cache_dir is None or not cells:
             continue
-        from .cache import ResultCache
+        from .cache import ResultCache, cell_cache_key
 
-        path = ResultCache(cache_dir).entry_path(cells[0])
-        path.write_bytes(b"\x00corrupted-by-fault-injection\x00")
+        ResultCache(cache_dir).write_rows(
+            [(cell_cache_key(cells[0]), "\x00corrupted-by-fault-injection\x00")]
+        )

@@ -51,6 +51,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from typing import Callable, Optional, Sequence
 
 from ..core.axiomatic import CandidatePrefix, DomainOverflowError
@@ -120,7 +121,8 @@ def _evaluate_batch(
 
     The prefix is built lazily: a batch fully served from the cache never
     enumerates a single program run.  Each cell's cache key is computed
-    once, up front, and serves both its lookup and its store.
+    once, up front, and serves both its lookup and its store; the batch's
+    stores are committed together, in one transaction, when it finishes.
     """
     with time_block("engine.batch.seconds"):
         incr("engine.batches")
@@ -131,19 +133,20 @@ def _evaluate_batch(
         )
         prefix: Optional[CandidatePrefix] = None
         results: list[CellResult] = []
-        for cell, key in zip(cells, keys):
-            if cache is not None:
-                cached = cache.load(cell, key)
-                if cached is not None:
-                    results.append(cached)
-                    continue
-            if prefix is None:
-                prefix = CandidatePrefix(test)
-            with time_block("engine.cell.seconds"):
-                result = evaluate_cell(cell, prefix)
-            if cache is not None:
-                cache.store(cell, result, key)
-            results.append(result)
+        with cache.batch() if cache is not None else nullcontext():
+            for cell, key in zip(cells, keys):
+                if cache is not None:
+                    cached = cache.load(cell, key)
+                    if cached is not None:
+                        results.append(cached)
+                        continue
+                if prefix is None:
+                    prefix = CandidatePrefix(test)
+                with time_block("engine.cell.seconds"):
+                    result = evaluate_cell(cell, prefix)
+                if cache is not None:
+                    cache.store(cell, result, key)
+                results.append(result)
         return results
 
 
@@ -277,8 +280,10 @@ def evaluate_cells(
     recorder = current()
     recorder.incr("engine.cells.requested", len(cells))
     if cache_dir is not None:
-        ResultCache(cache_dir)  # create/validate in the parent: a bad path
-        # should fail here with a plain OSError, not as a worker error.
+        # Open the cache in the parent: a bad path fails here with a plain
+        # OSError, not as a worker error, and the database is in WAL mode
+        # before any worker opens it.
+        ResultCache(cache_dir)
     groups = _group_by_test(cells)
     results: list[Optional[CellResult]] = [None] * len(cells)
 

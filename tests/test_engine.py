@@ -7,9 +7,13 @@ wall-time.  Worker error reporting (DomainOverflowError with the
 offending test's name) is exercised in both serial and pooled modes.
 """
 
+import contextlib
 import json
 import multiprocessing
 import os
+import shutil
+import signal
+import sqlite3
 
 import pytest
 
@@ -26,6 +30,7 @@ from repro.engine import (
     cell_cache_key,
     evaluate_cells,
 )
+from repro.engine.cache import DB_NAME
 from repro.equivalence.checker import check_suite
 from repro.eval.litmus_matrix import litmus_matrix, render_matrix
 from repro.eval.strength import render_strength, strength_matrix
@@ -35,6 +40,13 @@ from repro.litmus.registry import get_test
 from repro.models.registry import get_model
 
 _ZOO = ("sc", "tso", "gam", "gam0", "arm", "wmm", "alpha_like", "plsc")
+
+
+def _rows(root):
+    """The committed ``key -> payload`` rows of the cache under ``root``,
+    read through a connection of the test's own."""
+    with contextlib.closing(sqlite3.connect(os.path.join(root, DB_NAME))) as db:
+        return dict(db.execute("SELECT key, payload FROM cells"))
 
 
 def _overflow_test(name="feedback-overflow"):
@@ -110,7 +122,7 @@ class TestCache:
             OutcomeSpec(test, "gam", project="full", oracle="operational:gam"),
         ]
         fresh = evaluate_cells(cells, cache_dir=cache)
-        assert len(list((tmp_path / "cache").glob("*.json"))) == 3
+        assert sorted(_rows(cache)) == sorted(cell_cache_key(c) for c in cells)
         cached = evaluate_cells(cells, cache_dir=cache)
         assert cached == fresh
 
@@ -126,8 +138,7 @@ class TestCache:
         test = get_test("dekker")
         cell = VerdictSpec(test, "gam")
         cache = ResultCache(tmp_path)
-        path = tmp_path / f"{cell_cache_key(cell)}.json"
-        path.write_text("{ not json")
+        cache.write_rows([(cell_cache_key(cell), "{ not json")])
         assert cache.load(cell) is None
         cache.store(cell, True)
         assert cache.load(cell) is True
@@ -164,77 +175,153 @@ class TestCache:
         assert evaluate_cells(cells, cache_dir=str(tmp_path)) == cold
         assert len(built) == len(cells)
         monkeypatch.undo()
-        # The batch keys are the per-cell keys, so entry_path (and the
-        # corrupt fault, which goes through it) finds what batches stored.
+        # The batch keys are the per-cell keys, so a lone load (and the
+        # corrupt fault, which keys its row the same way) finds what
+        # batches stored.
         keys = cache_module.batch_cache_keys(test, cells)
         assert keys == [cell_cache_key(cell) for cell in cells]
-        cache = ResultCache(tmp_path)
-        assert all(cache.entry_path(cell).exists() for cell in cells)
+        assert set(_rows(tmp_path)) == set(keys)
 
     def test_cache_payload_is_json(self, tmp_path):
         test = get_test("dekker")
         cell = OutcomeSpec(test, "sc", project="full")
         evaluate_cells([cell], cache_dir=str(tmp_path))
-        (payload_file,) = tmp_path.glob("*.json")
-        payload = json.loads(payload_file.read_text())
+        (payload_text,) = _rows(tmp_path).values()
+        payload = json.loads(payload_text)
         assert payload["kind"] == "outcomes"
         assert payload["outcomes"]  # non-empty, sorted canonical form
 
 
-def _hammer_store(root, names, rounds):
-    """One writer process: store/load the same keys over and over."""
-    cache = ResultCache(root)
+def _hammer_store(root, names, rounds, barrier):
+    """One writer process: open each of ``rounds`` fresh caches at the
+    same moment as its twin, then store and load the same cells in it,
+    one at a time or in one batch."""
     cells = [
         VerdictSpec(get_test(name), model)
         for name in names
         for model in ("sc", "gam")
     ]
     expected = {cell_cache_key(c): evaluate_cells([c])[0] for c in cells}
-    for _ in range(rounds):
-        for cell in cells:
-            cache.store(cell, expected[cell_cache_key(cell)])
-            loaded = cache.load(cell)
-            if loaded is not None and loaded != expected[cell_cache_key(cell)]:
-                return f"torn read for {cell_cache_key(cell)}"
-    return "ok"
+    try:
+        for index in range(rounds):
+            barrier.wait(timeout=60)
+            cache = ResultCache(os.path.join(root, str(index)))
+            with cache.batch() if index % 2 else contextlib.nullcontext():
+                for cell in cells:
+                    cache.store(cell, expected[cell_cache_key(cell)])
+            for cell in cells:
+                loaded = cache.load(cell)
+                if loaded != expected[cell_cache_key(cell)]:
+                    raise SystemExit(f"bad read for {cell_cache_key(cell)}")
+    except BaseException:
+        barrier.abort()  # fail the twin now, not at its barrier timeout
+        raise
+
+
+def _die_inside_commit(root, cell):
+    """Store ``cell`` alone, then SIGKILL this process inside the commit
+    of a batch of 500 rows, after they were written to the open
+    transaction and spilled to the write-ahead log."""
+
+    class _KillAtCommit:
+        def __init__(self, db):
+            self._db = db
+
+        def __getattr__(self, name):
+            return getattr(self._db, name)
+
+        def execute(self, sql, *args):
+            if sql == "COMMIT":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return self._db.execute(sql, *args)
+
+    cache = ResultCache(root)
+    cache.store(cell, True)
+    cache._db.execute("PRAGMA cache_size = 1")  # spill pages before commit
+    cache._db = _KillAtCommit(cache._db)
+    with cache.batch():
+        for index in range(500):
+            cache.store(cell, False, key=f"{index:064x}")
 
 
 class TestConcurrentStore:
     def test_two_processes_hammer_one_store(self, tmp_path):
-        """Satellite regression: concurrent multi-process writers are safe."""
+        """Two spawned writers open each fresh cache at the same moment,
+        so both race to put a new database in WAL mode, then share it."""
         root = str(tmp_path / "store")
         ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(2) as pool:
-            outcomes = pool.starmap(
-                _hammer_store, [(root, ("mp", "dekker"), 25), (root, ("mp", "dekker"), 25)]
+        barrier = ctx.Barrier(2)
+        procs = [
+            ctx.Process(
+                target=_hammer_store, args=(root, ("mp", "dekker"), 100, barrier)
             )
-        assert outcomes == ["ok", "ok"]
-        stats = ResultCache(root).stats()
-        assert stats.entries == 4
-        assert stats.tmp_files == 0  # no crash orphans from the race
+            for _ in range(2)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+        for index in range(100):
+            assert ResultCache(os.path.join(root, str(index))).stats().entries == 4
 
-    def test_failed_spool_leaves_no_orphan(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path)
+    def test_killed_writer_commits_nothing(self, tmp_path):
+        root = str(tmp_path / "store")
         cell = VerdictSpec(get_test("mp"), "sc")
+        ctx = multiprocessing.get_context("spawn")
+        proc = ctx.Process(target=_die_inside_commit, args=(root, cell))
+        proc.start()
+        proc.join(timeout=120)
+        assert proc.exitcode == -signal.SIGKILL
+        assert os.path.getsize(os.path.join(root, DB_NAME + "-wal")) > 0
+        cache = ResultCache(root)
+        assert cache.stats().entries == 1  # the batch's 500 rows never landed
+        assert cache.load(cell) is True
+        cache.store(cell, False)  # the dead writer's lock is gone
+        assert _rows(root) == {cell_cache_key(cell): '{"allowed": false, "kind": "verdict"}'}
 
-        def _explode(src, dst):
+    def test_failed_batch_commits_nothing(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cells = [VerdictSpec(get_test("mp"), model) for model in ("sc", "gam")]
+        with pytest.raises(RuntimeError, match="mid-batch"):
+            with cache.batch():
+                cache.store(cells[0], True)
+                assert cache.load(cells[0]) is True  # pending, yet visible
+                raise RuntimeError("mid-batch")
+        assert cache.load(cells[0]) is None
+
+        def _rows_then_failure():
+            yield (cell_cache_key(cells[0]), "{}")
             raise OSError("disk full")
 
-        monkeypatch.setattr(os, "replace", _explode)
         with pytest.raises(OSError, match="disk full"):
-            cache.store(cell, True)
-        assert list(tmp_path.glob("*.tmp")) == []
+            cache.write_rows(_rows_then_failure())
+        assert _rows(tmp_path) == {}
+        cache.store(cells[1], True)  # no transaction was left open
+        assert cache.load(cells[1]) is True
 
-    def test_store_survives_directory_deletion(self, tmp_path):
-        root = tmp_path / "store"
-        cache = ResultCache(root)
+    def test_open_connections_stay_bounded(self, tmp_path):
+        from repro.engine import cache as cache_module
+
+        first = ResultCache(tmp_path / "0")
+        for index in range(1, 2 * cache_module._MAX_CONNECTIONS):
+            ResultCache(tmp_path / str(index))
+        own = [slot for slot in cache_module._connections if slot[0] == os.getpid()]
+        assert len(own) == cache_module._MAX_CONNECTIONS
         cell = VerdictSpec(get_test("mp"), "sc")
-        cache.store(cell, True)
-        for entry in root.iterdir():
-            entry.unlink()
-        root.rmdir()  # a concurrent purge removed the whole directory
+        first.store(cell, True)  # an open cache keeps its dropped connection
+        assert ResultCache(tmp_path / "0").load(cell) is True
+
+    def test_reopens_after_directory_deletion(self, tmp_path):
+        root = tmp_path / "store"
+        cell = VerdictSpec(get_test("mp"), "sc")
+        ResultCache(root).store(cell, True)
+        shutil.rmtree(root)  # the directory is removed under a live process
+        cache = ResultCache(root)
+        assert cache.load(cell) is None
         cache.store(cell, True)
         assert cache.load(cell) is True
+        assert list(_rows(root)) == [cell_cache_key(cell)]
 
 
 class TestErrorReporting:

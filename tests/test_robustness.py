@@ -10,7 +10,9 @@ byte-identical to fault-free ones, and the default policy reproduces
 historical raising behaviour.
 """
 
+import contextlib
 import json
+import sqlite3
 
 import pytest
 
@@ -25,10 +27,12 @@ from repro.engine import (
     OutcomeSpec,
     ResultCache,
     VerdictSpec,
+    cell_cache_key,
     evaluate_cells,
     fault_plan_from_env,
     parse_fault_plan,
 )
+from repro.engine.cache import DB_NAME
 from repro.engine.faults import FAULTS_ENV_VAR
 from repro.litmus.registry import get_test
 from repro.obs import collecting
@@ -300,8 +304,11 @@ class TestCorruptionRecovery:
         assert evaluate_cells(
             cells, cache_dir=str(tmp_path), fault_plan=plan
         ) == baseline
-        entry = ResultCache(str(tmp_path)).entry_path(cells[0])
-        assert b"corrupted-by-fault-injection" in entry.read_bytes()
+        with contextlib.closing(sqlite3.connect(tmp_path / DB_NAME)) as db:
+            (payload,) = db.execute(
+                "SELECT payload FROM cells WHERE key = ?", (cell_cache_key(cells[0]),)
+            ).fetchone()
+        assert "corrupted-by-fault-injection" in payload
         with collecting() as recorder:
             rerun = evaluate_cells(cells, cache_dir=str(tmp_path))
             counters = recorder.snapshot().counters
@@ -316,52 +323,35 @@ class TestCacheMaintenance:
         test = get_test("mp")
         cells = [VerdictSpec(test, "gam")]
         evaluate_cells(cells, cache_dir=str(tmp_path))
-        (tmp_path / "orphan.tmp").write_bytes(b"dead")
         stats = cache.stats()
         assert stats.entries == 1
-        assert stats.entry_bytes > 0
-        assert stats.tmp_files == 1
-        assert stats.tmp_bytes == 4
+        on_disk = sum(
+            path.stat().st_size
+            for path in (tmp_path / DB_NAME, tmp_path / (DB_NAME + "-wal"))
+        )
+        assert stats.disk_bytes == on_disk > 0
 
-    def test_purge_respects_age(self, tmp_path):
-        import os
-
-        cache = ResultCache(str(tmp_path))
-        old = tmp_path / "old.tmp"
-        young = tmp_path / "young.tmp"
-        old.write_bytes(b"xxxx")
-        young.write_bytes(b"y")
-        now = os.stat(old).st_mtime + 7200.0
-        os.utime(young, (now - 10.0, now - 10.0))
-        removed, reclaimed = cache.purge_stale_tmp(older_than=3600.0, now=now)
-        assert (removed, reclaimed) == (1, 4)
-        assert not old.exists() and young.exists()
-
-    def test_cli_stats_and_purge(self, tmp_path, capsys):
-        import os
-
+    def test_cli_stats(self, tmp_path, capsys):
         from repro.cli import main
 
         cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        stale = cache_dir / "dead.tmp"
-        stale.write_bytes(b"dead")
-        past = os.stat(stale).st_mtime - 7200.0
-        os.utime(stale, (past, past))
+        evaluate_cells([VerdictSpec(get_test("mp"), "gam")], cache_dir=str(cache_dir))
         assert main(["cache", "stats", str(cache_dir)]) == 0
         out = capsys.readouterr().out
-        assert "stale tmp files: 1 (4 bytes)" in out
-        assert main(["cache", "purge", str(cache_dir), "--stale-tmp"]) == 0
-        assert "removed 1 stale tmp file(s)" in capsys.readouterr().out
-        assert not stale.exists()
+        assert "entries: 1\n" in out
+        disk_bytes = ResultCache(cache_dir).stats().disk_bytes
+        assert f"on disk: {disk_bytes} bytes" in out
 
     def test_cli_rejects_bad_input(self, tmp_path, capsys):
         from repro.cli import main
 
         assert main(["cache", "stats", str(tmp_path / "missing")]) == 2
         assert "not a cache directory" in capsys.readouterr().err
-        assert main(["cache", "purge", str(tmp_path)]) == 2
-        assert "--stale-tmp" in capsys.readouterr().err
+        # A directory without a database (an old JSON-file cache, a typo)
+        # is refused rather than turned into an empty cache.
+        assert main(["cache", "stats", str(tmp_path)]) == 2
+        assert "not a cache directory" in capsys.readouterr().err
+        assert not (tmp_path / DB_NAME).exists()
 
 
 class TestPolicyCli:

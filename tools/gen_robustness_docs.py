@@ -121,17 +121,16 @@ against the same cell grid fires the same faults.
 """
 
 _FOOTER = """\
-## Cache hygiene
+## Cache safety
 
-A killed worker can orphan `*.tmp` files mid-rename in a result cache.
-They are harmless (the cache writes atomically — a reader never sees a
-partial entry, and a corrupted entry is re-counted as a miss and
-recomputed) but they accumulate:
+A result cache is one SQLite database per directory, written one
+transaction per batch.  A worker killed mid-batch is rolled back by the
+next process to open the database, so a reader sees each batch whole or
+not at all and nothing is left behind to sweep; a corrupted entry is
+re-counted as a miss and recomputed.
 
 ```console
-$ repro cache stats DIR                       # entries + tmp debris
-$ repro cache purge DIR --stale-tmp           # sweep tmp files > 1h old
-$ repro cache purge DIR --stale-tmp --older-than 60
+$ repro cache stats DIR                       # entry count + bytes on disk
 ```
 
 ## Observability
