@@ -72,7 +72,14 @@ from .kernel import (
     needs_same_source,
     window_pairs,
 )
-from .ppo import Clause, DynamicClause, PpoContext, compute_ppo, project_to_memory
+from .ppo import (
+    Clause,
+    DynamicClause,
+    PpoContext,
+    close_rows,
+    compute_ppo,
+    project_to_memory,
+)
 
 __all__ = [
     "MemoryModel",
@@ -422,13 +429,15 @@ class _Candidate:
 def _prepare_base(
     test: LitmusTest,
     runs: tuple[ProgramRun, ...],
+    contexts: tuple[PpoContext, ...],
 ) -> Optional[_Candidate]:
     """Build the model-independent candidate base; prune impossible values.
 
     Returns ``None`` when some load's assigned value cannot come from any
     store to its address (nor from the initial memory) — a cheap necessary
-    condition for the LoadValue axiom under *every* model.  The returned
-    candidate has an empty ``mem_edges``; see
+    condition for the LoadValue axiom under *every* model.  ``contexts``
+    are the runs' ppo contexts, built once per run by the caller.  The
+    returned candidate has an empty ``mem_edges``; see
     :meth:`CandidatePrefix.candidate`.
     """
     events = build_events(runs)
@@ -451,8 +460,6 @@ def _prepare_base(
                 load_eid = (proc, executed.index)
                 rmw_pairs[load_eid] = (proc, store_part(executed.index))
                 no_forward.add(load_eid)
-
-    contexts = tuple(PpoContext.from_run(run) for run in runs)
 
     po_stores: dict[EventId, tuple[MemEvent, ...]] = {}
     for proc, run in enumerate(runs):
@@ -485,17 +492,76 @@ def _prepare_base(
     )
 
 
-def _static_memory_edges(
-    base: _Candidate,
-    clauses: tuple[Clause, ...],
-) -> frozenset[tuple[EventId, EventId]]:
-    """Evaluate a model's static clauses over a candidate base."""
-    mem_edges: set[tuple[EventId, EventId]] = set()
-    for proc, ctx in enumerate(base.contexts):
-        ppo = compute_ppo(ctx, clauses)
-        for a, b in project_to_memory(ctx, ppo):
-            mem_edges.add((base.src_eid(proc, a), (proc, b)))
-    return frozenset(mem_edges)
+class _ThreadPpo:
+    """Static ppo of one processor's run, shared by every clause set.
+
+    Holds the run's :class:`PpoContext`, each clause's edges as int bitmask
+    rows over stream positions (keyed by clause name, so clause sets that
+    share a clause evaluate it once), and per clause-name tuple the closed
+    ppo projected onto memory events.  A run appears in every combination
+    that picks it, so this work is done once per (processor, run).
+    """
+
+    __slots__ = (
+        "context",
+        "_position",
+        "_sources",
+        "_targets",
+        "_mask",
+        "_rows",
+        "_pairs",
+    )
+
+    def __init__(self, proc: int, run: ProgramRun) -> None:
+        self.context = PpoContext.from_run(run)
+        self._position = {e.index: pos for pos, e in enumerate(run.executed)}
+        # Per memory access: (position, source event) for the edges leaving
+        # it, and its target event keyed by its position bit.  An RMW's
+        # outgoing edges leave its store half, as in ``src_eid``.
+        sources = []
+        self._targets: dict[int, EventId] = {}
+        for e in run.memory_accesses():
+            position = self._position[e.index]
+            rmw = e.instr.is_load and e.instr.is_store
+            source = (proc, store_part(e.index) if rmw else e.index)
+            sources.append((position, source))
+            self._targets[1 << position] = (proc, e.index)
+        self._sources = tuple(sources)
+        self._mask = sum(self._targets)
+        self._rows: dict[str, tuple[int, ...]] = {}
+        self._pairs: dict[tuple[str, ...], tuple[tuple[EventId, EventId], ...]] = {}
+
+    def _clause_rows(self, clause: Clause) -> tuple[int, ...]:
+        rows = self._rows.get(clause.name)
+        if rows is None:
+            position = self._position
+            built = [0] * len(position)
+            for a, b in clause.edges(self.context):
+                built[position[a]] |= 1 << position[b]
+            rows = self._rows[clause.name] = tuple(built)
+        return rows
+
+    def memory_pairs(
+        self, clauses: tuple[Clause, ...], names: tuple[str, ...]
+    ) -> tuple[tuple[EventId, EventId], ...]:
+        """The closed ppo of ``clauses`` (named ``names``) between memory
+        events, as ``(source, target)`` event pairs."""
+        pairs = self._pairs.get(names)
+        if pairs is None:
+            rows = [0] * len(self._position)
+            for clause in clauses:
+                for i, row in enumerate(self._clause_rows(clause)):
+                    rows[i] |= row
+            close_rows(rows)
+            found = []
+            for position, source in self._sources:
+                row = rows[position] & self._mask
+                while row:
+                    bit = row & -row
+                    found.append((source, self._targets[bit]))
+                    row ^= bit
+            pairs = self._pairs[names] = tuple(found)
+        return pairs
 
 
 def _orders_with_load_values(
@@ -693,15 +759,22 @@ class CandidatePrefix:
     test and lets any number of models be judged against it — the core of
     the batch evaluation engine (:mod:`repro.engine`).
 
-    Three memoization layers live here, keyed per run-combination:
+    Four memoization layers live here:
 
-    1. ``base(i)`` — the model-independent candidate (events, dependency
-       contexts, forwarding metadata), built lazily and shared by all.
-    2. ``candidate(i, model)`` — the static-ppo memory DAG, keyed by the
-       model's *clause names*; models with identical clause sets (e.g. ARM
-       vs GAM0, PLSC vs Alpha) share one evaluation.  Clause names fully
-       determine clause behaviour in this repository's vocabulary.
-    3. ``kernel_for(i, candidate, model)`` — the frontier DP, keyed by the
+    1. Per (processor, run): the run's ppo context, each static clause's
+       edges as int bitmask rows keyed by clause name, and per clause-name
+       tuple the closed ppo projected onto memory events.  A run appears
+       in every combination that picks it, and clause sets that share a
+       clause (the zoo's six share most) evaluate it once.  Clause names
+       fully determine clause behaviour in this repository's vocabulary.
+    2. ``base(i)`` — the model-independent candidate of run combination
+       ``i`` (events, the runs' contexts, forwarding metadata), built
+       lazily and shared by all models.
+    3. ``candidate(i, model)`` — the base specialized with the static-ppo
+       memory DAG, the union of its processors' pairs from layer 1,
+       cached per ``(i, clause names)``; models with identical clause sets
+       (e.g. ARM vs GAM0, PLSC vs Alpha) get the same object.
+    4. ``kernel_for(i, candidate, model)`` — the frontier DP, keyed by the
        resulting DAG, the load-value axiom and whether the same-source
        check is on (the model needs it and the combination has window
        pairs, found once per combination).
@@ -720,8 +793,10 @@ class CandidatePrefix:
         self.combos: tuple[tuple[ProgramRun, ...], ...] = tuple(
             itertools.product(*per_proc)
         )
+        # Keyed on (processor, id(run)): the runs live as long as the prefix.
+        self._threads: dict[tuple[int, int], _ThreadPpo] = {}
         self._bases: dict[int, Optional[_Candidate]] = {}
-        self._edges: dict[tuple[int, tuple[str, ...]], frozenset] = {}
+        self._candidates: dict[tuple[int, tuple[str, ...]], _Candidate] = {}
         self._kernels: dict[tuple[int, frozenset, str, bool], FrontierKernel] = {}
         self._windows: dict[int, tuple] = {}
         self._dynamic_memo: dict = {}
@@ -734,11 +809,22 @@ class CandidatePrefix:
         """
         return set(extra_values) <= self.domains.wild
 
+    def _combo_threads(self, combo_index: int) -> tuple[_ThreadPpo, ...]:
+        """The per-(processor, run) ppo records of one run combination."""
+        threads = []
+        for proc, run in enumerate(self.combos[combo_index]):
+            thread = self._threads.get((proc, id(run)))
+            if thread is None:
+                thread = self._threads[(proc, id(run))] = _ThreadPpo(proc, run)
+            threads.append(thread)
+        return tuple(threads)
+
     def base(self, combo_index: int) -> Optional[_Candidate]:
         """The shared model-independent candidate for one run combination."""
         if combo_index not in self._bases:
+            contexts = tuple(t.context for t in self._combo_threads(combo_index))
             self._bases[combo_index] = _prepare_base(
-                self.test, self.combos[combo_index]
+                self.test, self.combos[combo_index], contexts
             )
         return self._bases[combo_index]
 
@@ -747,11 +833,19 @@ class CandidatePrefix:
         base = self.base(combo_index)
         if base is None:
             return None
-        key = (combo_index, tuple(c.name for c in model.clauses))
-        edges = self._edges.get(key)
-        if edges is None:
-            edges = self._edges[key] = _static_memory_edges(base, model.clauses)
-        return replace(base, mem_edges=edges)
+        names = tuple(c.name for c in model.clauses)
+        candidate = self._candidates.get((combo_index, names))
+        if candidate is None:
+            edges = frozenset(
+                itertools.chain.from_iterable(
+                    thread.memory_pairs(model.clauses, names)
+                    for thread in self._combo_threads(combo_index)
+                )
+            )
+            candidate = self._candidates[(combo_index, names)] = replace(
+                base, mem_edges=edges
+            )
+        return candidate
 
     def kernel_for(
         self, combo_index: int, candidate: _Candidate, model: MemoryModel

@@ -43,6 +43,7 @@ __all__ = [
     "clause_spec",
     "build_clause",
     "compute_ppo",
+    "close_rows",
     "transitive_closure",
     "project_to_memory",
 ]
@@ -417,6 +418,21 @@ def build_clause(name: str, args: tuple[str, ...] = ()) -> "Clause | DynamicClau
     )
 
 
+def close_rows(rows: list[int]) -> list[int]:
+    """Close a relation given as int bitmask rows, in place; returns ``rows``.
+
+    ``rows[i]`` has bit ``j`` set when ``i`` reaches ``j``.  Warshall's
+    algorithm over bitsets: after step ``k`` every row that reaches ``k``
+    also reaches everything ``k`` reaches.
+    """
+    for k, row_k in enumerate(rows):
+        bit = 1 << k
+        for i, row_i in enumerate(rows):
+            if row_i & bit:
+                rows[i] = row_i | row_k
+    return rows
+
+
 def transitive_closure(
     ctx: PpoContext,
     edges: Iterable[tuple[int, int]],
@@ -429,20 +445,14 @@ def transitive_closure(
     """
     order = [e.index for e in ctx.executed]
     position = {index: pos for pos, index in enumerate(order)}
-    n = len(order)
-    reach = [[False] * n for _ in range(n)]
+    rows = [0] * len(order)
     for a, b in edges:
-        reach[position[a]][position[b]] = True
-    for k in range(n):
-        row_k = reach[k]
-        for i in range(n):
-            if reach[i][k]:
-                row_i = reach[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
+        rows[position[a]] |= 1 << position[b]
     return frozenset(
-        (order[i], order[j]) for i in range(n) for j in range(n) if reach[i][j]
+        (order[i], order[j])
+        for i, row in enumerate(close_rows(rows))
+        for j in range(len(order))
+        if row >> j & 1
     )
 
 

@@ -75,7 +75,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 10
+ENGINE_VERSION = 11
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -133,6 +133,10 @@ Version history:
   canonical JSON.  Keys and payloads are unchanged, but the cache's
   storage and keying code changed and the R004 invariant ties every
   engine-path diff to a bump, so version-9 entries re-verify.
+* 11 — static ppo is evaluated once per (processor, run) and shared by
+  every clause set, closed over int bitmask rows.  Results are
+  parity-tested identical, but the candidate-preparation code changed,
+  so version-10 entries re-verify.
 """
 
 ModelLike = Union[str, MemoryModel]

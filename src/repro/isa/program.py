@@ -11,6 +11,7 @@ that assignment implies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .expr import evaluate
@@ -57,7 +58,6 @@ class ProgramRun:
 
     executed: tuple[ExecutedInstr, ...]
     final_regs: Mapping[str, int]
-
     def loads(self) -> tuple[ExecutedInstr, ...]:
         """Dynamic loads, in program order."""
         return tuple(e for e in self.executed if e.instr.is_load)
@@ -67,7 +67,11 @@ class ProgramRun:
         return tuple(e for e in self.executed if e.instr.is_store)
 
     def memory_accesses(self) -> tuple[ExecutedInstr, ...]:
-        """Dynamic loads and stores, in program order."""
+        """Dynamic loads and stores, in program order (built once per run)."""
+        return self._memory
+
+    @cached_property
+    def _memory(self) -> tuple[ExecutedInstr, ...]:
         return tuple(e for e in self.executed if e.instr.is_memory)
 
 

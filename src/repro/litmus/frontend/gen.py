@@ -61,6 +61,14 @@ read with an older same-address store in program order is not fed by
 ``rfi`` — both would smuggle in forwarding/coherence constraints the
 value assignment does not model.
 
+Enumeration is a depth-first search over edge sequences whose adjacent
+event types match.  The last edge is a *closing* edge: a canonical
+rotation always ends on an external edge (so that its event sequence
+starts on a fresh processor), so the search
+completes a prefix only with an external edge into the first event, and
+only when the prefix already holds an external edge of its own.  Every
+leaf still passes the full well-formedness check.
+
 Everything is deterministic: enumeration follows a fixed vocabulary
 order, each cycle is kept only in its canonical rotation, structurally
 identical tests are deduplicated by content, and an optional ``seed``
@@ -259,20 +267,30 @@ def enumerate_cycles(max_edges: int = 4) -> Iterator[tuple[Edge, ...]]:
             f"cycles need at least {MIN_CYCLE_EDGES} edges, got budget {max_edges}"
         )
     ordered = [VOCABULARY[name] for name in sorted(VOCABULARY)]
+    externals = [edge for edge in ordered if edge.external]
 
-    def extend(prefix: tuple[Edge, ...], length: int) -> Iterator[tuple[Edge, ...]]:
-        if len(prefix) == length:
-            if prefix[-1].dst == prefix[0].src and _well_formed(prefix):
-                yield prefix
+    def extend(
+        prefix: tuple[Edge, ...], length: int, has_external: bool
+    ) -> Iterator[tuple[Edge, ...]]:
+        if len(prefix) == length - 1:
+            # A canonical rotation ends on an external edge back into the
+            # first event, and a cycle needs another external edge before it.
+            if not has_external:
+                return
+            for edge in externals:
+                if edge.src == prefix[-1].dst and edge.dst == prefix[0].src:
+                    cycle = prefix + (edge,)
+                    if _well_formed(cycle):
+                        yield cycle
             return
         for edge in ordered:
             if edge.src != prefix[-1].dst:
                 continue
-            yield from extend(prefix + (edge,), length)
+            yield from extend(prefix + (edge,), length, has_external or edge.external)
 
     for length in range(MIN_CYCLE_EDGES, max_edges + 1):
         for first in ordered:
-            yield from extend((first,), length)
+            yield from extend((first,), length, first.external)
 
 
 @dataclass(frozen=True)

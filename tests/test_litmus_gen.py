@@ -1,5 +1,6 @@
 """Tests for the cycle-based litmus generator and its engine integration."""
 
+import hashlib
 import pickle
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from repro.core.axiomatic import is_allowed
 from repro.eval.litmus_matrix import litmus_matrix, render_matrix
 from repro.litmus.frontend.gen import (
+    MIN_CYCLE_EDGES,
     VOCABULARY,
+    _well_formed,
     cycle_name,
     cycle_to_test,
     enumerate_cycles,
@@ -48,6 +51,51 @@ class TestEnumeration:
         small = {cycle_name(c) for c in enumerate_cycles(4)}
         large = {cycle_name(c) for c in enumerate_cycles(5)}
         assert small < large
+
+
+def _unpruned_cycles(max_edges):
+    """The reference search: every type-matching edge sequence, with the
+    closing and well-formedness checks made only on complete ones."""
+    ordered = [VOCABULARY[name] for name in sorted(VOCABULARY)]
+
+    def extend(prefix, length):
+        if len(prefix) == length:
+            if prefix[-1].dst == prefix[0].src and _well_formed(prefix):
+                yield prefix
+            return
+        for edge in ordered:
+            if edge.src == prefix[-1].dst:
+                yield from extend(prefix + (edge,), length)
+
+    for length in range(MIN_CYCLE_EDGES, max_edges + 1):
+        for first in ordered:
+            yield from extend((first,), length)
+
+
+def _count_and_digest(max_edges):
+    names = [cycle_name(c) for c in enumerate_cycles(max_edges)]
+    digest = hashlib.sha256("\n".join(names).encode()).hexdigest()[:16]
+    return len(names), digest
+
+
+class TestClosingEdgeSearch:
+    """The closing-edge search yields the unpruned search's cycles, in
+    the same order."""
+
+    @pytest.mark.parametrize("max_edges", [3, 4, 5])
+    def test_matches_unpruned_search(self, max_edges):
+        assert list(enumerate_cycles(max_edges)) == list(_unpruned_cycles(max_edges))
+
+    @pytest.mark.parametrize(
+        "max_edges, count, digest",
+        [(4, 83, "9d2101a11aa36943"), (5, 1856, "8d0a3d47fe675ea1")],
+    )
+    def test_pinned_digest(self, max_edges, count, digest):
+        assert _count_and_digest(max_edges) == (count, digest)
+
+    @pytest.mark.slow
+    def test_pinned_digest_six_edges(self):
+        assert _count_and_digest(6) == (30743, "867f808736d41af5")
 
 
 class TestGeneratedSuite:

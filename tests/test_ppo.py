@@ -1,5 +1,8 @@
 """Unit tests for each case of Definition 6 (preserved program order)."""
 
+import pytest
+
+from repro.core.axiomatic import CandidatePrefix
 from repro.core.ppo import (
     AddrSt,
     BrSt,
@@ -18,6 +21,8 @@ from repro.core.ppo import (
 from repro.isa.expr import BinOp, Const, Reg
 from repro.isa.instructions import Branch, Fence, Load, Nop, RegOp, Store
 from repro.isa.program import Program
+from repro.litmus.frontend.suite import resolve_suite
+from repro.models.registry import get_model, model_names
 
 A, B = 0x100, 0x200
 
@@ -263,3 +268,48 @@ class TestClosureAndProjection:
         ppo = compute_ppo(ctx, clauses)
         position = {e.index: i for i, e in enumerate(ctx.executed)}
         assert all(position[a] < position[b] for a, b in ppo)
+
+
+def _zoo_clause_sets():
+    """One zoo model per distinct static clause set."""
+    by_names = {}
+    for name in model_names():
+        model = get_model(name)
+        by_names.setdefault(tuple(c.name for c in model.clauses), model)
+    return list(by_names.values())
+
+
+class TestPrefixStaticPpo:
+    """``CandidatePrefix`` shares clause rows and closed pairs per
+    (processor, run); its DAG must equal the per-processor fold of
+    ``compute_ppo`` and ``project_to_memory``."""
+
+    @pytest.mark.parametrize("suite", ["all", "gen:edges=4", "rand:n=60,seed=3"])
+    def test_mem_edges_match_reference_fold(self, suite):
+        clause_sets = _zoo_clause_sets()
+        assert len(clause_sets) == 6
+        checked = 0
+        for test in resolve_suite(suite):
+            prefix = CandidatePrefix(test)
+            for combo_index in range(len(prefix.combos)):
+                for model in clause_sets:
+                    candidate = prefix.candidate(combo_index, model)
+                    if candidate is None:
+                        continue
+                    expected = set()
+                    for proc, ctx in enumerate(candidate.contexts):
+                        ppo = compute_ppo(ctx, model.clauses)
+                        for a, b in project_to_memory(ctx, ppo):
+                            expected.add((candidate.src_eid(proc, a), (proc, b)))
+                    assert candidate.mem_edges == expected, (test.name, model.name)
+                    checked += 1
+        assert checked > 0
+
+    def test_candidate_is_shared_by_equal_clause_sets(self):
+        test = resolve_suite("paper")[0]
+        prefix = CandidatePrefix(test)
+        combo_index = next(
+            i for i in range(len(prefix.combos)) if prefix.base(i) is not None
+        )
+        gam0, arm = get_model("gam0"), get_model("arm")
+        assert prefix.candidate(combo_index, gam0) is prefix.candidate(combo_index, arm)

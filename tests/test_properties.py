@@ -24,6 +24,8 @@ from repro.core.ppo import PpoContext, compute_ppo, transitive_closure
 from repro.equivalence.checker import check_pair
 from repro.equivalence.randprog import RandomProgramConfig, random_litmus_test
 from repro.isa.expr import BinOp, Const, Reg, UnOp, evaluate, registers_read
+from repro.isa.instructions import Nop
+from repro.isa.program import Program
 from repro.models.registry import get_model
 
 # ---------------------------------------------------------------------------
@@ -115,6 +117,32 @@ def test_ppo_edges_point_forward_and_close(seed):
         position = {e.index: i for i, e in enumerate(ctx.executed)}
         assert all(position[a] < position[b] for a, b in ppo)
         assert transitive_closure(ctx, ppo) == ppo
+
+
+def _naive_closure(edges):
+    closed = set(edges)
+    while True:
+        extra = {(a, d) for a, b in closed for c, d in closed if b == c} - closed
+        if not extra:
+            return frozenset(closed)
+        closed |= extra
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+        )
+    )
+)
+def test_transitive_closure_matches_naive_fixpoint(size_and_edges):
+    """The int-row closure equals a naive fixpoint on arbitrary edge sets,
+    cycles and self-loops included."""
+    n, edges = size_and_edges
+    ctx = PpoContext.from_run(Program([Nop()] * n).execute({}))
+    assert transitive_closure(ctx, edges) == _naive_closure(edges)
 
 
 @_PROPERTY_SETTINGS
