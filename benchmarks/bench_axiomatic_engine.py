@@ -5,12 +5,8 @@ enumeration on small tests, verdicts on the paper's hardest figures (RSW /
 RNSW, six-load programs with dependency chains), and a four-processor
 test (IRIW).
 
-The default-path benchmarks ride whatever engine dispatch picks (the
-frontier kernel for GAM); the ``engine="orders"`` variants pin the exact
-order enumerator so the kernel's advantage stays measured run over run.
-``tools/run_benches.py`` runs this file twice — once with
-``REPRO_ENUM_KERNEL=0`` and once with the default — and records the
-before/after medians in ``BENCH_axiomatic.json`` at the repo root.
+Every query is answered by the frontier kernel (:mod:`repro.core.kernel`).
+These are micro-benchmarks; end-to-end gains are measured by ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -45,15 +41,6 @@ def test_verdict_iriw_four_procs(benchmark):
     assert allowed is True
 
 
-@pytest.mark.parametrize("test_name", ["rsw", "rnsw"])
-def test_verdict_hard_figures_orders_engine(benchmark, test_name):
-    """The exact order enumerator on the same figures (kernel comparison)."""
-    test = get_test(test_name)
-    gam = get_model("gam")
-    allowed = benchmark(lambda: is_allowed(test, gam, engine="orders"))
-    assert allowed is False
-
-
 def test_outcome_set_iriw(benchmark):
     """Full outcome-set enumeration on the four-processor test."""
     test = get_test("iriw")
@@ -63,7 +50,8 @@ def test_outcome_set_iriw(benchmark):
 
 
 def test_arm_dynamic_clause_overhead(benchmark):
-    """ARM verdicts re-close ppo per candidate execution (dynamic clause)."""
+    """ARM verdicts: the kernel's same-source check on same-address load
+    pairs (SALdLdARM), carried in the DP state."""
     test = get_test("rsw")
     arm = get_model("arm")
     allowed = benchmark(lambda: is_allowed(test, arm))

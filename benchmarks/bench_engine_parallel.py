@@ -4,7 +4,7 @@ The seed architecture evaluated every (test, model) verdict independently:
 each ``is_allowed`` call re-derived the test's value domains, program runs
 and candidate events from scratch, once per model in the zoo.  The engine
 (:mod:`repro.engine`) computes that model-independent prefix once per test
-and shares static-ppo DAGs and order enumerations between models with
+and shares static-ppo DAGs and solved kernel DPs between models with
 identical clause sets.
 
 This module times three configurations of the full paper-suite matrix —
@@ -14,11 +14,9 @@ of them, asserts the tentpole's >= 2x speedup, and writes the wall-times
 to ``results/BENCH_engine_parallel.json`` so the perf trajectory of the
 matrix workload is tracked run over run.
 
-The seed path is pinned to ``engine="orders"``: the seed predates the
-frontier kernel (PR 4), so the historical baseline is per-cell
-recomputation *through the exact order enumerator*.  The engine rows ride
-whatever the current default engine is, which is exactly the trajectory
-this file exists to record.
+The seed path recomputes every cell from scratch through the same
+frontier kernel the engine uses, so the ratio measures what sharing the
+model-independent prefix across the zoo buys.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ def _seed_serial_matrix(tests, model_names=_ZOO):
                 VerdictCell(
                     test_name=test.name,
                     model_name=name,
-                    allowed=is_allowed(test, model, engine="orders"),
+                    allowed=is_allowed(test, model),
                     expected=test.expect.get(name),
                 )
             )

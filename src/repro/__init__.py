@@ -34,7 +34,7 @@ Quickstart::
     assert not is_allowed(test, get_model("sc"))    # SC forbids
 """
 
-from .core.axiomatic import enumerate_executions, enumerate_outcomes, is_allowed
+from .core.axiomatic import enumerate_outcomes, is_allowed
 from .core.construction import assemble, derivation_chain
 from .core.operational import (
     GAM0_MACHINE,
@@ -68,7 +68,6 @@ __all__ = [
     "resolve_models",
     "is_allowed",
     "enumerate_outcomes",
-    "enumerate_executions",
     "assemble",
     "derivation_chain",
     "explore",

@@ -20,8 +20,8 @@ from typing import Optional
 from .core.axiomatic import (
     CandidatePrefix,
     MemoryModel,
-    enumerate_executions,
     enumerate_outcomes,
+    find_execution,
 )
 from .core.events import Execution, base_index, INIT_PROC, RMW_STORE_PART
 from .litmus.test import LitmusTest, Outcome
@@ -34,7 +34,8 @@ def find_witness(
     model: MemoryModel,
     outcome: Optional[Outcome] = None,
 ) -> Optional[Execution]:
-    """The first execution matching ``outcome`` (default: the asked one).
+    """The first execution matching ``outcome`` (default: the asked one);
+    see :func:`repro.core.axiomatic.find_execution` for the order.
 
     Returns ``None`` when the model forbids the outcome — there is no
     witness, which *is* the explanation (no memory order satisfies all the
@@ -44,11 +45,7 @@ def find_witness(
         outcome = test.asked
     if outcome is None:
         raise ValueError(f"test {test.name!r} has no asked outcome")
-    extra = {v for _, _, v in outcome.regs} | {v for _, v in outcome.mem}
-    for execution in enumerate_executions(test, model, extra):
-        if outcome.matches(execution.final_regs, execution.final_mem):
-            return execution
-    return None
+    return find_execution(test, model, outcome)
 
 
 def _event_label(test: LitmusTest, execution: Execution, eid) -> str:

@@ -4,29 +4,27 @@
   :mod:`repro.core.ppo` — the vocabulary of Section IV-A (events, ddep/adep,
   preserved program order).
 * :mod:`repro.core.axiomatic` — the axiomatic checking engine.
-* :mod:`repro.core.kernel` — the frontier-memoized bitmask enumeration
-  kernel (the engine's fast path for every verdict of the model zoo).
+* :mod:`repro.core.kernel` — the frontier-memoized bitmask DP that answers
+  every verdict, outcome set and witness of the axiomatic engine.
 * :mod:`repro.core.operational` — the Figure 17 abstract machine with
   exhaustive exploration.
 * :mod:`repro.core.construction` — Section III's construction procedure as
   a model factory.
-* :mod:`repro.core.perloc_sc` — the per-location SC property.
 """
 
 from .axiomatic import (
     CandidatePrefix,
     DomainOverflowError,
     MemoryModel,
-    enumerate_executions,
     enumerate_outcomes,
+    find_execution,
     is_allowed,
     value_domain,
 )
 from .construction import CONSTRAINTS, assemble, derivation_chain
 from .dependencies import adep_edges, ddep_edges
 from .events import EventId, Execution, MemEvent
-from .kernel import FrontierKernel, kernel_supports
-from .perloc_sc import execution_is_per_location_sc, per_location_orders
+from .kernel import FrontierKernel
 from .ppo import (
     AddrSt,
     BrSt,
@@ -49,12 +47,11 @@ __all__ = [
     "MemoryModel",
     "CandidatePrefix",
     "DomainOverflowError",
-    "enumerate_executions",
     "enumerate_outcomes",
+    "find_execution",
     "is_allowed",
     "value_domain",
     "FrontierKernel",
-    "kernel_supports",
     "assemble",
     "derivation_chain",
     "CONSTRAINTS",
@@ -63,8 +60,6 @@ __all__ = [
     "Execution",
     "ddep_edges",
     "adep_edges",
-    "execution_is_per_location_sc",
-    "per_location_orders",
     "PpoContext",
     "Clause",
     "DynamicClause",

@@ -1,7 +1,7 @@
 """The axiomatic checking engine (Section IV-A made executable).
 
-Given a litmus test and a :class:`MemoryModel`, the engine enumerates every
-execution ``<po, mo, rf>`` satisfying the model's axioms:
+Given a litmus test and a :class:`MemoryModel`, the engine decides which
+executions ``<po, mo, rf>`` satisfy the model's axioms:
 
 1. **Candidate load values.**  A closed value domain is computed
    (:func:`value_domain`); each processor's program is replayed under every
@@ -10,36 +10,32 @@ execution ``<po, mo, rf>`` satisfying the model's axioms:
 2. **Memory orders.**  The static ppo clauses are evaluated per processor
    and projected onto memory events; every topological order of the
    resulting DAG is a candidate ``<mo`` (axiom InstOrder holds by
-   construction).  During enumeration each load's value is derived from the
-   LoadValue axiom incrementally and mismatching prefixes are pruned.
-3. **Post-checks.**  Execution-dependent clauses (ARM's SALdLdARM) and the
-   per-location-SC side condition are verified against the completed
-   execution; survivors are yielded as :class:`~repro.core.events.Execution`.
+   construction).  Each load's value is derived from the LoadValue axiom
+   as it is placed, so mismatching prefixes die early.
+3. **Execution-dependent conditions.**  ARM's SALdLdARM and the
+   per-location-SC side condition of ``plsc`` reduce to one same-source
+   check on same-address load pairs, applied at placement.
+
+The **frontier kernel** (:mod:`repro.core.kernel`) answers step 2 and 3 as a
+bitmask DP over ``(placed events, last store per address)`` abstract states:
+outcome sets and verdicts come from its memo without materializing any
+order, and :func:`find_execution` walks the memo to read back the first
+witness execution.  All candidate preparation is shared across models
+through :class:`CandidatePrefix`.
 
 The engine is exact (sound and complete) for the model classes in this
 repository because every static clause edge goes forward in program order
 (so the per-processor projection is acyclic) and every model orders
 same-address stores by program order (so load values are determined as soon
-as the load is placed — see :func:`_place_load_value`).
-
-Two enumeration engines serve step 2.  Outcome-set and verdict queries for
-every model of the zoo take the **frontier kernel**
-(:mod:`repro.core.kernel`): a bitmask DP over ``(placed events, last store
-per address)`` abstract states that answers them without materializing any
-order.  ARM's SALdLdARM and the per-location-SC side condition of ``plsc``
-reduce to one same-source check on same-address load pairs, which the DP
-carries in its state (see :func:`kernel_supports` for the exact
-preconditions).  Models outside them, and every :func:`enumerate_executions`
-consumer (``witness``, ``diff``), take the exact order enumerator below.
-Both paths share all candidate preparation through :class:`CandidatePrefix`,
-and the parity suite holds them byte-identical on every registered test.
+as the load is placed).  :class:`MemoryModel` refuses models outside that
+class: no same-address store order, an execution-dependent clause other
+than SALdLdARM, or a coherence side condition without SAMemSt and
+LoadValueGAM.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -56,7 +52,6 @@ from ..isa.instructions import (
 )
 from ..isa.program import ExecutedInstr, Program, ProgramError, ProgramRun
 from ..litmus.test import LitmusTest, Outcome
-from ..obs import current as _obs_current
 from ..obs import incr as _obs_incr
 from .events import (
     EventId,
@@ -66,20 +61,8 @@ from .events import (
     init_events,
     store_part,
 )
-from .kernel import (
-    FrontierKernel,
-    kernel_supports,
-    needs_same_source,
-    window_pairs,
-)
-from .ppo import (
-    Clause,
-    DynamicClause,
-    PpoContext,
-    close_rows,
-    compute_ppo,
-    project_to_memory,
-)
+from .kernel import FrontierKernel, needs_same_source, window_pairs
+from .ppo import Clause, DynamicClause, PpoContext, close_rows
 
 __all__ = [
     "MemoryModel",
@@ -88,10 +71,9 @@ __all__ = [
     "CandidatePrefix",
     "value_domain",
     "value_domains",
-    "enumerate_executions",
     "enumerate_outcomes",
+    "find_execution",
     "is_allowed",
-    "kernel_supports",
     "project_outcome",
 ]
 
@@ -119,7 +101,8 @@ class MemoryModel:
             same-address store earlier in ``<mo`` *or* local ``<po``), or
             ``"sc"`` for LoadValueSC (``<mo`` only, Figure 3).
         requires_coherence: if True, executions must additionally be
-            per-location sequentializable (used by the ``plsc`` yardstick).
+            per-location sequentializable (used by the ``plsc`` yardstick);
+            needs SAMemSt and ``load_value="gam"``.
         description: one-line summary for reports.
     """
 
@@ -138,6 +121,18 @@ class MemoryModel:
                 f"model {self.name!r} must order same-address stores by program "
                 "order (include SAMemSt or OrderSS); the enumeration engine "
                 "relies on it and so does single-thread correctness"
+            )
+        if any(c.name != "SALdLdARM" for c in self.dynamic_clauses):
+            raise ValueError(
+                f"model {self.name!r}: SALdLdARM is the only execution-dependent "
+                "clause the engine supports"
+            )
+        if self.requires_coherence and not (
+            self.load_value == "gam" and any(c.name == "SAMemSt" for c in self.clauses)
+        ):
+            raise ValueError(
+                f"model {self.name!r}: 'coherence required' needs SAMemSt and "
+                "LoadValueGAM; the engine checks per-location SC only under both"
             )
 
     def _orders_same_address_stores(self) -> bool:
@@ -564,178 +559,6 @@ class _ThreadPpo:
         return pairs
 
 
-def _orders_with_load_values(
-    candidate: _Candidate,
-    load_value_mode: str,
-) -> Iterator[tuple[tuple[EventId, ...], dict[EventId, EventId]]]:
-    """Yield ``(mo, rf)`` for every topological order with consistent loads.
-
-    The incremental LoadValue check: when a load is placed, its value is
-    already determined — either the youngest *unplaced* program-order-earlier
-    same-address store (which, by store coherence, will be the
-    memory-order-youngest candidate), or the latest placed store to the
-    address.  Mismatches prune the whole subtree.
-
-    An RMW's two halves form one composite placement unit keyed by the load
-    half: the load half's value is checked against the latest placed store,
-    then the store half is placed immediately after, which realizes the
-    "executes by accessing the memory system at one instant" semantics of
-    Section III-C (atomicity holds because nothing intervenes in ``<mo``).
-    """
-    pairs = candidate.rmw_pairs
-    folded = set(pairs.values())
-    nodes = [e.eid for e in candidate.events if e.eid not in folded]
-    node_of = {eid: eid for eid in nodes}
-    for load_eid, store_eid in pairs.items():
-        node_of[store_eid] = load_eid
-    succs: dict[EventId, list[EventId]] = {eid: [] for eid in nodes}
-    indegree: dict[EventId, int] = {eid: 0 for eid in nodes}
-    for a, b in candidate.mem_edges:
-        node_a, node_b = node_of[a], node_of[b]
-        if node_a != node_b:
-            succs[node_a].append(node_b)
-            indegree[node_b] += 1
-
-    last_store: dict[int, MemEvent] = {e.addr: e for e in candidate.inits}
-    placed: list[EventId] = []
-    placed_nodes: set[EventId] = set()
-    placed_stores: set[EventId] = set()
-    rf: dict[EventId, EventId] = {}
-
-    def determined_value(event: MemEvent) -> tuple[int, EventId]:
-        if load_value_mode == "gam" and event.eid not in candidate.no_forward:
-            for store in reversed(candidate.po_stores.get(event.eid, ())):
-                if store.eid not in placed_stores:
-                    return store.value, store.eid
-                break  # the youngest program-order store is already placed
-        source = last_store[event.addr]
-        return source.value, source.eid
-
-    def place_events(node: EventId) -> Optional[list[tuple[MemEvent, object]]]:
-        """Place the node's event(s); None means a load value mismatched."""
-        undo: list[tuple[MemEvent, object]] = []
-        event = candidate.event_by_id[node]
-        if event.is_store:
-            undo.append((event, last_store.get(event.addr)))
-            last_store[event.addr] = event
-            placed_stores.add(event.eid)
-            placed.append(event.eid)
-            return undo
-        value, source = determined_value(event)
-        if value != event.value:
-            return None
-        rf[node] = source
-        placed.append(node)
-        undo.append((event, None))
-        store_eid = pairs.get(node)
-        if store_eid is not None:
-            store_event = candidate.event_by_id[store_eid]
-            undo.append((store_event, last_store.get(store_event.addr)))
-            last_store[store_event.addr] = store_event
-            placed_stores.add(store_eid)
-            placed.append(store_eid)
-        return undo
-
-    def unplace_events(node: EventId, undo: list[tuple[MemEvent, object]]) -> None:
-        for event, saved in reversed(undo):
-            placed.pop()
-            if event.is_store:
-                placed_stores.discard(event.eid)
-                if saved is None:
-                    last_store.pop(event.addr, None)
-                else:
-                    last_store[event.addr] = saved
-            else:
-                rf.pop(event.eid, None)
-
-    # The ready frontier is maintained incrementally (drop the placed node,
-    # insort successors whose last predecessor was just placed) rather than
-    # rescanning every node at every depth; keeping it sorted by position in
-    # ``nodes`` preserves the exact enumeration order of the rescan.
-    node_position = {eid: i for i, eid in enumerate(nodes)}
-
-    def backtrack(
-        ready: list[EventId],
-    ) -> Iterator[tuple[tuple[EventId, ...], dict[EventId, EventId]]]:
-        if len(placed_nodes) == len(nodes):
-            init_order = tuple(e.eid for e in candidate.inits)
-            yield init_order + tuple(placed), dict(rf)
-            return
-        for position, node in enumerate(ready):
-            undo = place_events(node)
-            if undo is None:
-                continue
-            placed_nodes.add(node)
-            next_ready = ready[:position] + ready[position + 1 :]
-            for succ in succs[node]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    bisect.insort(next_ready, succ, key=node_position.__getitem__)
-            yield from backtrack(next_ready)
-            for succ in succs[node]:
-                indegree[succ] += 1
-            placed_nodes.remove(node)
-            unplace_events(node, undo)
-
-    yield from backtrack([eid for eid in nodes if indegree[eid] == 0])
-
-
-def _dynamic_memory_edges(
-    candidate: _Candidate,
-    model: MemoryModel,
-    proc: int,
-    rf_local: Mapping[int, EventId],
-) -> tuple[tuple[EventId, EventId], ...]:
-    """One processor's (static + dynamic) ppo projected onto memory events."""
-    ctx = candidate.contexts[proc]
-    ppo = compute_ppo(ctx, model.clauses, model.dynamic_clauses, rf_local)
-    return tuple(
-        (candidate.src_eid(proc, a), (proc, b))
-        for a, b in project_to_memory(ctx, ppo)
-    )
-
-
-def _dynamic_clauses_hold(
-    candidate: _Candidate,
-    model: MemoryModel,
-    mo: tuple[EventId, ...],
-    rf: Mapping[EventId, EventId],
-    memo: Optional[dict] = None,
-    memo_key: object = None,
-) -> bool:
-    """Post-check execution-dependent ppo clauses against a completed order.
-
-    Recomputes the full (static + dynamic) transitive ppo per processor and
-    requires every memory-to-memory edge to agree with ``mo``.  The dynamic
-    ppo depends on the execution only through each processor's local
-    read-from map, so the projected edges are memoized under
-    ``(memo_key, proc, rf_local)`` when a ``memo`` dict is supplied — many
-    memory orders share the same read-from and skip the ppo re-closure.
-    """
-    if not model.dynamic_clauses:
-        return True
-    position = {eid: i for i, eid in enumerate(mo)}
-    for proc in range(len(candidate.contexts)):
-        rf_local = {
-            index: rf[(proc, index)]
-            for (p, index) in rf
-            if p == proc
-        }
-        if memo is None:
-            edges = _dynamic_memory_edges(candidate, model, proc, rf_local)
-        else:
-            key = (memo_key, proc, frozenset(rf_local.items()))
-            edges = memo.get(key)
-            if edges is None:
-                edges = memo[key] = _dynamic_memory_edges(
-                    candidate, model, proc, rf_local
-                )
-        for a, b in edges:
-            if position[a] >= position[b]:
-                return False
-    return True
-
-
 def _final_memory(
     candidate: _Candidate,
     mo: tuple[EventId, ...],
@@ -750,7 +573,7 @@ def _final_memory(
 
 
 class CandidatePrefix:
-    """The model-independent prefix of :func:`enumerate_executions`.
+    """The model-independent prefix of every engine query.
 
     Building a verdict for one ``(test, model)`` pair starts with work that
     does not depend on the model at all: the value domains, the per-program
@@ -780,7 +603,7 @@ class CandidatePrefix:
        pairs, found once per combination).
 
     ``extra_values`` must cover whatever a later caller would have passed
-    to :func:`enumerate_executions`; asked-outcome values are always
+    to the entry points; asked-outcome values are always
     included by :func:`value_domains`, so a plain ``CandidatePrefix(test)``
     serves default verdicts, outcome enumeration and equivalence checks.
     """
@@ -799,7 +622,6 @@ class CandidatePrefix:
         self._candidates: dict[tuple[int, tuple[str, ...]], _Candidate] = {}
         self._kernels: dict[tuple[int, frozenset, str, bool], FrontierKernel] = {}
         self._windows: dict[int, tuple] = {}
-        self._dynamic_memo: dict = {}
 
     def covers(self, extra_values: Iterable[int]) -> bool:
         """Would this prefix's domains be unchanged under ``extra_values``?
@@ -872,56 +694,6 @@ class CandidatePrefix:
             )
         return kernel
 
-    def dynamic_memo(self) -> dict:
-        """Shared memo for :func:`_dynamic_clauses_hold` projections."""
-        return self._dynamic_memo
-
-
-def enumerate_executions(
-    test: LitmusTest,
-    model: MemoryModel,
-    extra_values: Iterable[int] = (),
-    prefix: Optional[CandidatePrefix] = None,
-) -> Iterator[Execution]:
-    """Yield every execution of ``test`` the model's axioms allow.
-
-    ``prefix`` shares the model-independent work (value domains, program
-    runs, candidate bases) across calls for the same test; a prefix whose
-    domains do not cover ``extra_values`` is ignored and rebuilt.
-    """
-    from .perloc_sc import execution_is_per_location_sc  # cycle-free import
-
-    if prefix is None or not prefix.covers(extra_values):
-        prefix = CandidatePrefix(test, extra_values)
-    for combo_index in range(len(prefix.combos)):
-        candidate = prefix.candidate(combo_index, model)
-        if candidate is None:
-            continue
-        dynamic_key = (combo_index, model.clause_names())
-        final_regs = _final_regs_of(candidate.runs)
-        for mo, rf in _orders_with_load_values(candidate, model.load_value):
-            if not _dynamic_clauses_hold(
-                candidate,
-                model,
-                mo,
-                rf,
-                memo=prefix.dynamic_memo(),
-                memo_key=dynamic_key,
-            ):
-                continue
-            execution = Execution(
-                runs=candidate.runs,
-                events=candidate.events,
-                inits=candidate.inits,
-                mo=mo,
-                rf=rf,
-                final_regs=final_regs,
-                final_mem=_final_memory(candidate, mo),
-            )
-            if model.requires_coherence and not execution_is_per_location_sc(execution):
-                continue
-            yield execution
-
 
 def project_outcome(
     test: LitmusTest,
@@ -951,50 +723,6 @@ def project_outcome(
     return Outcome(regs=regs, mem=mem)
 
 
-def _kernel_selected(model: MemoryModel, engine: str) -> bool:
-    """Resolve the ``engine`` argument: should the frontier kernel serve?
-
-    ``"auto"`` picks the kernel whenever it is exact for the model (see
-    :func:`repro.core.kernel.kernel_supports`) unless the environment sets
-    ``REPRO_ENUM_KERNEL=0``; ``"kernel"`` forces it (raising for models it
-    cannot serve); ``"orders"`` forces the exact order enumerator.
-    """
-    if engine == "orders":
-        return False
-    if engine == "kernel":
-        if not kernel_supports(model):
-            raise ValueError(
-                f"model {model.name!r} needs the exact order enumerator "
-                "(a dynamic clause other than SALdLdARM, or a coherence side "
-                "condition without SAMemSt and LoadValueGAM)"
-            )
-        return True
-    if engine != "auto":
-        raise ValueError(f"unknown engine {engine!r}; expected auto|kernel|orders")
-    if os.environ.get("REPRO_ENUM_KERNEL", "").strip() == "0":
-        return False
-    return kernel_supports(model)
-
-
-def _count_dispatch(model: MemoryModel, kernel_selected: bool) -> None:
-    """Record which enumeration engine answers a query (telemetry only).
-
-    ``kernel`` when the frontier DP serves; ``orders`` when the kernel
-    could serve but was forced off (``engine="orders"`` or
-    ``REPRO_ENUM_KERNEL=0``); ``backtracker`` when the model is outside
-    :func:`kernel_supports` (no zoo model is) and needs the exact
-    enumerator.
-    """
-    if not _obs_current().active:
-        return
-    if kernel_selected:
-        _obs_incr("engine.dispatch.kernel")
-    elif kernel_supports(model):
-        _obs_incr("engine.dispatch.orders")
-    else:
-        _obs_incr("engine.dispatch.backtracker")
-
-
 def _final_regs_of(runs: Sequence[ProgramRun]) -> dict[tuple[int, str], int]:
     """The fixed final register file of one run combination."""
     return {
@@ -1012,11 +740,104 @@ def _regs_feasible(runs: Sequence[ProgramRun], outcome: Outcome) -> bool:
     return True
 
 
-def _kernel_outcomes(
-    prefix: CandidatePrefix, model: MemoryModel, project: str
+def _matching_combos(
+    prefix: CandidatePrefix, model: MemoryModel, outcome: Outcome
+) -> Iterator[tuple[_Candidate, FrontierKernel, frozenset[tuple[int, ...]]]]:
+    """``(candidate, kernel, final memories matching outcome)`` for each run
+    combination, in order, that reaches ``outcome``.
+
+    Within one run combination the final registers are fixed before any
+    memory order is chosen, so combinations whose registers cannot match
+    ``outcome`` are skipped before candidate events, ppo DAGs or the DP are
+    ever built — the dominant saving for *forbidden* verdicts, which must
+    otherwise exhaust every combination.
+    """
+    for combo_index, runs in enumerate(prefix.combos):
+        if not _regs_feasible(runs, outcome):
+            _obs_incr("kernel.prune.regs_infeasible")
+            continue
+        candidate = prefix.candidate(combo_index, model)
+        if candidate is None:
+            continue
+        kernel = prefix.kernel_for(combo_index, candidate, model)
+        finals = kernel.final_memories()
+        if outcome.mem:
+            final_regs = _final_regs_of(runs)
+            finals = frozenset(
+                v for v in finals if outcome.matches(final_regs, kernel.as_memory(v))
+            )
+        if finals:
+            yield candidate, kernel, finals
+
+
+def _witness(
+    candidate: _Candidate, nodes: Sequence[EventId], load_value_mode: str
+) -> tuple[tuple[EventId, ...], dict[EventId, EventId]]:
+    """``(mo, rf)`` of the memory order that places ``nodes`` in turn.
+
+    ``mo`` is the init stores, then each node's event, an RMW's store half
+    straight after its load half.  A load reads its youngest
+    program-order-earlier same-address store while that store is unplaced
+    and forwarding is allowed (LoadValueGAM, not an RMW); otherwise it
+    reads the last placed store to its address.
+    """
+    mo = [e.eid for e in candidate.inits]
+    last_store = {e.addr: e.eid for e in candidate.inits}
+    placed: set[EventId] = set()
+    rf: dict[EventId, EventId] = {}
+    for eid in nodes:
+        event = candidate.event_by_id[eid]
+        mo.append(eid)
+        store_eid: Optional[EventId] = eid
+        if not event.is_store:
+            po_stores = candidate.po_stores.get(eid, ())
+            if (
+                load_value_mode == "gam"
+                and eid not in candidate.no_forward
+                and po_stores
+                and po_stores[-1].eid not in placed
+            ):
+                rf[eid] = po_stores[-1].eid
+            else:
+                rf[eid] = last_store[event.addr]
+            store_eid = candidate.rmw_pairs.get(eid)
+            if store_eid is None:
+                continue
+            mo.append(store_eid)
+        placed.add(store_eid)
+        last_store[event.addr] = store_eid
+    return tuple(mo), rf
+
+
+def _outcome_prefix(
+    test: LitmusTest,
+    outcome: Outcome,
+    extra_values: Iterable[int],
+    prefix: Optional[CandidatePrefix],
+) -> CandidatePrefix:
+    """``prefix`` if its domains cover ``outcome``'s values and
+    ``extra_values``, else a fresh prefix that does."""
+    extra = set(extra_values)
+    extra.update(v for _, _, v in outcome.regs)
+    extra.update(v for _, v in outcome.mem)
+    if prefix is None or not prefix.covers(extra):
+        prefix = CandidatePrefix(test, extra)
+    return prefix
+
+
+def enumerate_outcomes(
+    test: LitmusTest,
+    model: MemoryModel,
+    extra_values: Iterable[int] = (),
+    project: str = "observed",
+    prefix: Optional[CandidatePrefix] = None,
 ) -> frozenset[Outcome]:
-    """Outcome enumeration through the frontier kernel (fast path)."""
-    test = prefix.test
+    """The set of allowed outcomes, projected per :func:`project_outcome`."""
+    if project not in ("observed", "full"):
+        raise ValueError(f"unknown projection {project!r}")
+    _obs_incr("engine.dispatch.kernel")
+    if prefix is None or not prefix.covers(extra_values):
+        prefix = CandidatePrefix(test, extra_values)
     outcomes: set[Outcome] = set()
     for combo_index in range(len(prefix.combos)):
         candidate = prefix.candidate(combo_index, model)
@@ -1034,96 +855,51 @@ def _kernel_outcomes(
     return frozenset(outcomes)
 
 
-def _kernel_is_allowed(
-    prefix: CandidatePrefix, model: MemoryModel, outcome: Outcome
-) -> bool:
-    """Verdict through the frontier kernel, with outcome-directed pruning.
-
-    Within one run combination the final registers are fixed before any
-    memory order is chosen, so combinations whose registers cannot match
-    ``outcome`` are skipped before candidate events, ppo DAGs or the DP are
-    ever built — the dominant saving for *forbidden* verdicts, which must
-    otherwise exhaust every combination.
-    """
-    for combo_index, runs in enumerate(prefix.combos):
-        if not _regs_feasible(runs, outcome):
-            _obs_incr("kernel.prune.regs_infeasible")
-            continue
-        candidate = prefix.candidate(combo_index, model)
-        if candidate is None:
-            continue
-        kernel = prefix.kernel_for(combo_index, candidate, model)
-        finals = kernel.final_memories()
-        if not outcome.mem:
-            if finals:
-                return True
-            continue
-        for values in finals:
-            memory = kernel.as_memory(values)
-            if all(memory.get(addr, 0) == value for addr, value in outcome.mem):
-                return True
-    return False
-
-
-def enumerate_outcomes(
-    test: LitmusTest,
-    model: MemoryModel,
-    extra_values: Iterable[int] = (),
-    project: str = "observed",
-    prefix: Optional[CandidatePrefix] = None,
-    engine: str = "auto",
-) -> frozenset[Outcome]:
-    """The set of allowed outcomes, projected per :func:`project_outcome`.
-
-    Dispatches to the frontier kernel when it is exact for ``model`` (see
-    :func:`_kernel_selected`); ``engine="orders"`` forces the exact order
-    enumerator, ``engine="kernel"`` forces the kernel.  Both engines return
-    identical sets — the parity suite enforces it.
-    """
-    if project not in ("observed", "full"):
-        raise ValueError(f"unknown projection {project!r}")
-    kernel_selected = _kernel_selected(model, engine)
-    _count_dispatch(model, kernel_selected)
-    if kernel_selected:
-        if prefix is None or not prefix.covers(extra_values):
-            prefix = CandidatePrefix(test, extra_values)
-        return _kernel_outcomes(prefix, model, project)
-    outcomes: set[Outcome] = set()
-    for execution in enumerate_executions(test, model, extra_values, prefix=prefix):
-        outcomes.add(
-            project_outcome(test, execution.final_regs, execution.final_mem, project)
-        )
-    return frozenset(outcomes)
-
-
 def is_allowed(
     test: LitmusTest,
     model: MemoryModel,
     outcome: Optional[Outcome] = None,
     extra_values: Iterable[int] = (),
     prefix: Optional[CandidatePrefix] = None,
-    engine: str = "auto",
 ) -> bool:
     """Does the model allow ``outcome`` (default: the test's asked outcome)?
 
-    Dispatches like :func:`enumerate_outcomes`; the kernel path additionally
-    prunes whole run combinations whose fixed final registers cannot match
-    the outcome before any enumeration work happens.
+    Whole run combinations whose fixed final registers cannot match the
+    outcome are pruned before any enumeration work happens.
     """
     if outcome is None:
         outcome = test.asked
     if outcome is None:
         raise ValueError(f"test {test.name!r} has no asked outcome")
-    extra = set(extra_values)
-    extra.update(v for _, _, v in outcome.regs)
-    extra.update(v for _, v in outcome.mem)
-    kernel_selected = _kernel_selected(model, engine)
-    _count_dispatch(model, kernel_selected)
-    if kernel_selected:
-        if prefix is None or not prefix.covers(extra):
-            prefix = CandidatePrefix(test, extra)
-        return _kernel_is_allowed(prefix, model, outcome)
-    for execution in enumerate_executions(test, model, extra, prefix=prefix):
-        if outcome.matches(execution.final_regs, execution.final_mem):
-            return True
-    return False
+    _obs_incr("engine.dispatch.kernel")
+    prefix = _outcome_prefix(test, outcome, extra_values, prefix)
+    return next(_matching_combos(prefix, model, outcome), None) is not None
+
+
+def find_execution(
+    test: LitmusTest, model: MemoryModel, outcome: Outcome
+) -> Optional[Execution]:
+    """The first execution the model allows whose final state matches
+    ``outcome``, or None when the model forbids it.
+
+    "First" is a depth-first enumeration's order: run combinations in
+    order, then memory orders lexicographically by node (events in
+    processor and program order, an RMW as one node).  The kernel's memo
+    steers the walk (:meth:`FrontierKernel.placement_order`), so it never
+    backtracks.
+    """
+    prefix = _outcome_prefix(test, outcome, (), None)
+    found = next(_matching_combos(prefix, model, outcome), None)
+    if found is None:
+        return None
+    candidate, kernel, finals = found
+    mo, rf = _witness(candidate, kernel.placement_order(finals), model.load_value)
+    return Execution(
+        runs=candidate.runs,
+        events=candidate.events,
+        inits=candidate.inits,
+        mo=mo,
+        rf=rf,
+        final_regs=_final_regs_of(candidate.runs),
+        final_mem=_final_memory(candidate, mo),
+    )

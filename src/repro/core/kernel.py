@@ -1,10 +1,11 @@
-"""Frontier-memoized bitmask enumeration kernel — the engine's fast path.
+"""Frontier-memoized bitmask enumeration kernel — the axiomatic engine.
 
-The exact enumerator (:func:`repro.core.axiomatic._orders_with_load_values`)
-backtracks through *every* topological order of the memory-event DAG:
-factorial in event count, and a *forbidden* verdict — the dominant case in
-differential hunts — must exhaust the whole space.  This module collapses
-that search into a dynamic program over DAG antichains.
+Enumerating memory orders one by one means backtracking through *every*
+topological order of the memory-event DAG: factorial in event count, and a
+*forbidden* verdict — the dominant case in differential hunts — must exhaust
+the whole space.  This module collapses that search into a dynamic program
+over DAG antichains, and reads a witness order back out of its memo
+(:meth:`FrontierKernel.placement_order`).
 
 **The abstract-state argument.**  Within one candidate value combination the
 program runs are fixed, so final registers are fixed; the only thing a
@@ -38,6 +39,9 @@ In any memory order respecting the static ppo DAG:
   the model has SAMemSt and LoadValueGAM: those rule out the coWW, coRW1,
   coRW2 and coWR patterns of Herding Cats' lemma, and coRR needs a window
   pair placed out of order with different sources.
+  :class:`~repro.core.axiomatic.MemoryModel` refuses a coherence side
+  condition without those two preconditions, and any execution-dependent
+  clause other than SALdLdARM.
 
 So both reduce to one *same-source check*: placing the older load of a
 window pair whose younger partner is already placed requires the two
@@ -62,7 +66,7 @@ pre-placement state, then the store half's write is applied), realizing the
 state once and scans the ``n`` nodes per state: ``O(S * n)`` where ``S`` is
 bounded by (number of antichain-downsets of the ppo DAG) x (number of
 reachable per-address value tuples) — for litmus-sized tests a few hundred
-states where the order enumerator walks millions of interleavings.  The
+states where enumerating orders walks millions of interleavings.  The
 same-source state refines values into store identities and adds at most one
 pending source per younger window load.
 """
@@ -70,7 +74,7 @@ pending source per younger window load.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..obs import incr as _obs_incr
 from ..obs import observe as _obs_observe
@@ -79,32 +83,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .axiomatic import MemoryModel, _Candidate
     from .events import EventId
 
-__all__ = ["kernel_supports", "needs_same_source", "window_pairs", "FrontierKernel"]
-
-
-def kernel_supports(model: "MemoryModel") -> bool:
-    """Can the frontier kernel serve this model exactly?
-
-    The same-source check of the module docstring covers ARM's SALdLdARM
-    (the only execution-dependent clause the kernel knows) and the
-    per-location-SC side condition, the latter only under its proof's
-    preconditions: stores ordered by SAMemSt and the LoadValueGAM axiom.
-    Every other model needs the exact order enumerator.
-    """
-    if any(clause.name != "SALdLdARM" for clause in model.dynamic_clauses):
-        return False
-    if model.requires_coherence:
-        return model.load_value == "gam" and any(
-            clause.name == "SAMemSt" for clause in model.clauses
-        )
-    return True
+__all__ = ["needs_same_source", "window_pairs", "FrontierKernel"]
 
 
 def needs_same_source(model: "MemoryModel") -> bool:
     """Does the kernel need the same-source check to serve ``model``?
 
-    True for the models :func:`kernel_supports` admits through it: those
-    with SALdLdARM or a per-location-SC side condition (ARM, plsc).
+    True for the models with SALdLdARM or a per-location-SC side condition
+    (ARM, plsc); :class:`repro.core.axiomatic.MemoryModel` refuses any other
+    execution-dependent condition.
     """
     return bool(model.dynamic_clauses) or model.requires_coherence
 
@@ -125,6 +112,7 @@ class FrontierKernel:
 
     __slots__ = (
         "addresses",
+        "nodes",
         "_n",
         "_full",
         "_pred_mask",
@@ -231,6 +219,7 @@ class FrontierKernel:
                     fwd_token = fwd_bit if sourced else po_stores[-1].value
             checks[i] = (addr_slot, accepted, fwd_bit, fwd_token, links[i])
 
+        self.nodes: tuple[EventId, ...] = tuple(node_eids)
         self._n = n
         self._full = (1 << n) - 1
         self._pred_mask = pred_mask
@@ -259,6 +248,25 @@ class FrontierKernel:
         """One :meth:`final_memories` tuple as an ``addr -> value`` dict."""
         return dict(zip(self.addresses, values))
 
+    def placement_order(self, finals: frozenset[tuple[int, ...]]) -> list[EventId]:
+        """The lexicographically first legal node order (by node number)
+        whose final memory is in ``finals`` (non-empty, drawn from
+        :meth:`final_memories`), as the nodes' event ids.
+
+        At each step the walk takes the lowest-numbered ready node whose
+        successor state still reaches one of ``finals``; the memo answers
+        that without backtracking.
+        """
+        placed, state = 0, self._start
+        order: list[EventId] = []
+        while placed != self._full:
+            for i, successor in self._moves(placed, state):
+                if not finals.isdisjoint(self._solve(placed | 1 << i, successor)):
+                    break
+            order.append(self.nodes[i])
+            placed, state = placed | 1 << i, successor
+        return order
+
     def _solve(self, placed: int, state: tuple) -> frozenset[tuple[int, ...]]:
         if placed == self._full:
             if self._token_values is not None:
@@ -272,10 +280,19 @@ class FrontierKernel:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
+        results: set[tuple[int, ...]] = set()
+        for i, successor in self._moves(placed, state):
+            results.update(self._solve(placed | 1 << i, successor))
+        outcome = frozenset(results)
+        self._memo[key] = outcome
+        return outcome
+
+    def _moves(self, placed: int, state: tuple) -> Iterator[tuple[int, tuple]]:
+        """``(node, successor state)`` for every legal placement from
+        ``(placed, state)``, lowest-numbered node first."""
         pred_mask = self._pred_mask
         checks = self._checks
         writes = self._writes
-        results: set[tuple[int, ...]] = set()
         for i in range(self._n):
             bit = 1 << i
             if placed & bit or pred_mask[i] & ~placed:
@@ -301,10 +318,7 @@ class FrontierKernel:
                     mutable = list(successor)
                     mutable[addr_slot] = written_token
                     successor = tuple(mutable)
-            results.update(self._solve(placed | bit, successor))
-        outcome = frozenset(results)
-        self._memo[key] = outcome
-        return outcome
+            yield i, successor
 
 
 def window_pairs(candidate: "_Candidate") -> tuple[tuple[EventId, EventId], ...]:

@@ -10,7 +10,7 @@ A *cell* is one entry of a test × model grid evaluated under an *oracle*:
 The oracle selects *which definition* answers the cell:
 
 * ``"axiomatic"`` (the default) resolves the cell's :data:`ModelLike` and
-  runs the axiomatic enumeration (order enumerator or frontier kernel);
+  runs the axiomatic engine (the frontier kernel);
 * ``"operational:<machine>"`` exhaustively explores one of the abstract
   machines named by :func:`operational_machines` — the Figure 17 GAM
   machine, its GAM0 variant, or the SC/TSO reference machines.  The
@@ -75,7 +75,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 11
+ENGINE_VERSION = 12
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -137,6 +137,11 @@ Version history:
   every clause set, closed over int bitmask rows.  Results are
   parity-tested identical, but the candidate-preparation code changed,
   so version-10 entries re-verify.
+* 12 — the frontier kernel is the only axiomatic engine: the order
+  enumerator left ``src/``, witnesses are read back from the DP's memo,
+  and ``MemoryModel`` refuses specs the kernel cannot check exactly.
+  Results are parity-tested identical, but the engine path changed, so
+  version-11 entries re-verify.
 """
 
 ModelLike = Union[str, MemoryModel]

@@ -273,7 +273,7 @@ CODES: dict[str, CodeInfo] = dict(
             "order) and `SALdLdARM` (ARM's weaker alternative).  They are "
             "rival answers to the same design question (Section III-E); "
             "together the static clause dominates and the dynamic one is "
-            "dead code that forces the slow enumeration path.",
+            "dead code that still turns on the kernel's same-source check.",
             "`ppo SALdLd` and `dynamic SALdLdARM` in one model.",
         ),
         _info(

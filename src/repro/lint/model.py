@@ -50,8 +50,8 @@ IMPLICATIONS: tuple[tuple[frozenset[str], str, str], ...] = (
         frozenset(("PairwiseOrder(L,L)",)),
         "SALdLdARM",
         "PairwiseOrder(L,L) orders every same-thread load pair; the "
-        "dynamic same-address subset SALdLdARM adds nothing and forces "
-        "the slow enumeration path",
+        "dynamic same-address subset SALdLdARM adds nothing and still "
+        "turns on the kernel's same-source check",
     ),
     (
         frozenset(("PairwiseOrder(S,L)",)),
@@ -143,8 +143,8 @@ def lint_model(model: MemoryModel) -> list[Diagnostic]:
                 "M004",
                 model.name,
                 "carries both SALdLd and SALdLdARM; the static clause "
-                "dominates and the dynamic one is dead code that forces "
-                "the slow enumeration path",
+                "dominates and the dynamic one is dead code that still "
+                "turns on the kernel's same-source check",
             )
         )
 

@@ -138,20 +138,6 @@ METRICS: dict[str, MetricSpec] = {
             "queries",
             "Allowed/enumerate queries answered by the frontier DP kernel.",
         ),
-        _counter(
-            "engine.dispatch.orders",
-            "queries",
-            "Queries answered by the legacy order enumerator although the "
-            "kernel supports the model (kernel disabled or forced off).",
-        ),
-        _counter(
-            "engine.dispatch.backtracker",
-            "queries",
-            "Queries requiring the exact backtracking enumerator: models "
-            "outside the kernel's preconditions (a dynamic clause other than "
-            "SALdLdARM, or coherence without SAMemSt and LoadValueGAM); no "
-            "zoo model.",
-        ),
         # --- engine: result cache --------------------------------------
         _counter(
             "engine.cache.hit",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .events import EventId, Execution, MemEvent, po_sort_key
+from repro.core.events import EventId, Execution, MemEvent, po_sort_key
 
 __all__ = ["execution_is_per_location_sc", "coherence_edges", "per_location_orders"]
 

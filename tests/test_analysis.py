@@ -2,9 +2,25 @@
 
 import pytest
 
+from reference import reference_witness
 from repro.analysis import diff_models, find_witness, render_diff, render_execution
-from repro.litmus.registry import get_test
-from repro.models.registry import get_model
+from repro.core.axiomatic import CandidatePrefix, enumerate_outcomes
+from repro.litmus.frontend.suite import resolve_suite
+from repro.litmus.registry import all_tests, get_test
+from repro.models.registry import MODELS, get_model
+
+
+def _assert_witness_parity(test, model, outcome=None):
+    """The kernel's witness is the reference enumerator's first match."""
+    witness = find_witness(test, model, outcome)
+    reference = reference_witness(test, model, outcome)
+    label = f"{test.name} x {model.name}: {outcome or test.asked}"
+    if reference is None:
+        assert witness is None, label
+        return
+    assert witness is not None, label
+    assert (witness.mo, witness.rf) == (reference.mo, reference.rf), label
+    assert render_execution(test, witness) == render_execution(test, reference), label
 
 
 class TestWitness:
@@ -46,6 +62,31 @@ class TestWitness:
         witness = find_witness(test, get_model("gam"), outcome)
         rendered = render_execution(test, witness)
         assert "load half" in rendered and "store half" in rendered
+
+
+class TestWitnessParity:
+    """``find_witness`` against the reference order enumerator, over every
+    registry model."""
+
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_asked_outcome_over_catalogue(self, model_name):
+        model = get_model(model_name)
+        for test in all_tests():
+            if test.asked is not None:
+                _assert_witness_parity(test, model)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("suite", ["all", "gen:edges=4", "rand:n=60,seed=3"])
+    def test_asked_and_every_full_outcome(self, suite):
+        models = [get_model(name) for name in MODELS]
+        for test in resolve_suite(suite):
+            prefix = CandidatePrefix(test)
+            for model in models:
+                if test.asked is not None:
+                    _assert_witness_parity(test, model)
+                outcomes = enumerate_outcomes(test, model, project="full", prefix=prefix)
+                for outcome in sorted(outcomes, key=str):
+                    _assert_witness_parity(test, model, outcome)
 
 
 class TestDiff:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.axiomatic import enumerate_executions
+from reference import enumerate_executions
 from repro.core.events import (
     INIT_PROC,
     MemEvent,

@@ -1,8 +1,8 @@
 """Tests for the frontier-memoized enumeration kernel (repro.core.kernel).
 
-Covers the tentpole properties: the kernel serves exactly the models it
-claims to (dispatch rules), it produces results identical to the exact
-order enumerator on every registered test and on a generated suite
+Covers the tentpole properties: every query goes to the kernel, it
+produces results identical to the reference order enumerator
+(``tests/reference``) on every registered test and on generated suites
 (differential parity — the exactness proof made executable), the
 same-source check on same-address load pairs makes it exact for ARM and
 ``plsc``, and the outcome-directed register pruning of ``is_allowed``
@@ -11,13 +11,8 @@ changes verdicts for nothing.
 
 import pytest
 
-from repro.core.axiomatic import (
-    CandidatePrefix,
-    MemoryModel,
-    enumerate_outcomes,
-    is_allowed,
-    kernel_supports,
-)
+from reference import reference_allowed, reference_outcomes
+from repro.core.axiomatic import CandidatePrefix, enumerate_outcomes, is_allowed
 from repro.equivalence.randprog import RandomProgramConfig, random_suite
 from repro.litmus.dsl import LitmusBuilder
 from repro.litmus.frontend.suite import resolve_suite
@@ -29,19 +24,6 @@ from repro.obs import collecting
 _FAST_MODELS = ("sc", "sc-gamlv", "tso", "gam", "gam0", "wmm", "alpha_like")
 _SAME_SOURCE_MODELS = ("arm", "plsc", "ctor:same_address_loads=arm")
 """Models the kernel serves through the same-source check."""
-
-# Per-location SC without SAMemSt: stores are ordered among themselves but
-# not after older same-address loads, so coRW patterns can occur and the
-# same-source check alone is not exact.
-_COHERENT_ORDER_SS = MemoryModel.from_spec(
-    """model plsc-orderss
-loadvalue gam
-coherence required
-ppo PairwiseOrder(S,S)
-ppo SARmwLd
-ppo FenceOrd
-"""
-)
 
 _LOAD_HEAVY = random_suite(
     60,
@@ -55,19 +37,15 @@ _LOAD_HEAVY = random_suite(
 
 
 def _assert_parity(test, model_names, prefix=None):
-    """Outcome sets and verdicts must agree between the two engines."""
+    """Outcome sets and verdicts must agree with the reference enumerator."""
     for name in model_names:
         model = resolve_model(name)
-        kernel = enumerate_outcomes(
-            test, model, project="full", prefix=prefix, engine="kernel"
-        )
-        orders = enumerate_outcomes(
-            test, model, project="full", prefix=prefix, engine="orders"
-        )
-        assert kernel == orders, f"{test.name} x {name}: outcome sets diverge"
+        kernel = enumerate_outcomes(test, model, project="full", prefix=prefix)
+        reference = reference_outcomes(test, model, project="full", prefix=prefix)
+        assert kernel == reference, f"{test.name} x {name}: outcome sets diverge"
         if test.asked is not None:
-            assert is_allowed(test, model, prefix=prefix, engine="kernel") == (
-                is_allowed(test, model, prefix=prefix, engine="orders")
+            assert is_allowed(test, model, prefix=prefix) == (
+                reference_allowed(test, model, prefix=prefix)
             ), f"{test.name} x {name}: verdicts diverge"
 
 
@@ -83,54 +61,6 @@ def _dispatch_counters(run):
 
 
 class TestDispatch:
-    def test_kernel_supports_the_whole_zoo(self):
-        for name in MODELS:
-            assert kernel_supports(get_model(name)), name
-        assert kernel_supports(resolve_model("ctor:same_address_loads=arm"))
-
-    def test_kernel_rejects_coherence_without_samemst(self):
-        assert not kernel_supports(_COHERENT_ORDER_SS)
-        test = get_test("corr")
-        with pytest.raises(ValueError):
-            enumerate_outcomes(test, _COHERENT_ORDER_SS, engine="kernel")
-        with pytest.raises(ValueError):
-            is_allowed(test, _COHERENT_ORDER_SS, engine="kernel")
-
-    def test_kernel_rejects_coherence_under_load_value_sc(self):
-        model = MemoryModel(
-            name="plsc-sclv",
-            clauses=get_model("plsc").clauses,
-            load_value="sc",
-            requires_coherence=True,
-        )
-        assert not kernel_supports(model)
-
-    def test_auto_routes_unsupported_models_to_orders(self):
-        test = get_test("corr")
-        prefix = CandidatePrefix(test)
-        counts = _dispatch_counters(
-            lambda: enumerate_outcomes(test, _COHERENT_ORDER_SS, prefix=prefix)
-        )
-        assert counts == {"backtracker": 1}
-        assert not prefix._kernels
-
-    def test_unknown_engine_rejected(self):
-        test = get_test("dekker")
-        with pytest.raises(ValueError):
-            enumerate_outcomes(test, get_model("gam"), engine="fastest")
-
-    def test_env_var_disables_kernel(self, monkeypatch):
-        # With REPRO_ENUM_KERNEL=0 the auto dispatch must take the order
-        # enumerator: no kernel is built.
-        monkeypatch.setenv("REPRO_ENUM_KERNEL", "0")
-        test = get_test("dekker")
-        prefix = CandidatePrefix(test)
-        counts = _dispatch_counters(
-            lambda: enumerate_outcomes(test, get_model("gam"), prefix=prefix)
-        )
-        assert counts == {"orders": 1}
-        assert not prefix._kernels
-
     @pytest.mark.parametrize("name", ["gam", "arm", "plsc"])
     def test_auto_uses_kernel(self, name):
         test = get_test("dekker")
@@ -174,9 +104,7 @@ class TestKernelInternals:
         builder.proc().ld("r1", "a").ld("r2", "a")
         test = builder.build(asked={"P1.r1": 1, "P1.r2": 0})
         model = get_model("sc")
-        assert is_allowed(test, model, engine="kernel") == is_allowed(
-            test, model, engine="orders"
-        )
+        assert is_allowed(test, model) == reference_allowed(test, model)
 
     @pytest.mark.parametrize("test_name", ["rmw-swap", "rmw-fetch-add", "rmw+ld"])
     def test_rmw_composite_nodes(self, test_name):
@@ -219,7 +147,7 @@ class TestKernelInternals:
 
 
 class TestSameSourceParity:
-    """Kernel vs order enumerator for the same-source models (tier-1)."""
+    """Kernel vs reference enumerator for the same-source models (tier-1)."""
 
     def test_registered_suite(self):
         for test in all_tests():
@@ -236,7 +164,7 @@ class TestSameSourceParity:
 
 
 class TestParityQuick:
-    """Kernel vs order enumerator on representative figures (tier-1)."""
+    """Kernel vs reference enumerator on representative figures (tier-1)."""
 
     @pytest.mark.parametrize(
         "test_name",
@@ -252,42 +180,23 @@ class TestParityQuick:
         addr_outcome = test.parse_outcome({"a": 2})
         for name in ("sc", "gam"):
             model = get_model(name)
-            assert is_allowed(test, model, addr_outcome, engine="kernel") == (
-                is_allowed(test, model, addr_outcome, engine="orders")
+            assert is_allowed(test, model, addr_outcome) == (
+                reference_allowed(test, model, addr_outcome)
             )
 
 
 @pytest.mark.slow
 class TestParityFull:
-    """The differential parity sweep: every registered test and a generated
-    suite, across the whole model zoo (auto dispatch included)."""
+    """The differential parity sweep: every registered test and generated
+    suites, across the whole model zoo."""
 
     def test_registered_suite_parity(self):
         for test in all_tests():
-            prefix = CandidatePrefix(test)
-            _assert_parity(test, MODELS, prefix=prefix)
-            # Auto dispatch must agree with both engines everywhere.
-            for name in MODELS:
-                model = get_model(name)
-                assert enumerate_outcomes(
-                    test, model, project="full", prefix=prefix
-                ) == enumerate_outcomes(
-                    test, model, project="full", prefix=prefix, engine="orders"
-                ), f"{test.name} x {name}"
+            _assert_parity(test, MODELS, prefix=CandidatePrefix(test))
 
     def test_generated_suite_parity(self):
         for test in resolve_suite("gen:edges=3"):
-            prefix = CandidatePrefix(test)
-            for name in MODELS:
-                model = get_model(name)
-                assert is_allowed(test, model, prefix=prefix) == is_allowed(
-                    test, model, prefix=prefix, engine="orders"
-                ), f"{test.name} x {name}"
-                assert enumerate_outcomes(
-                    test, model, project="full", prefix=prefix
-                ) == enumerate_outcomes(
-                    test, model, project="full", prefix=prefix, engine="orders"
-                ), f"{test.name} x {name}"
+            _assert_parity(test, MODELS, prefix=CandidatePrefix(test))
 
     def test_same_source_gen5_parity(self):
         for test in resolve_suite("gen:edges=5"):

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.axiomatic import MemoryModel
 from repro.core.construction import CTOR_KNOBS, assemble
-from repro.core.ppo import build_clause, clause_spec
+from repro.core.ppo import DynamicClause, build_clause, clause_spec
 from repro.engine import (
     ResultCache,
     VerdictSpec,
@@ -138,6 +138,50 @@ class TestParserErrors:
         # A model without SAMemSt/OrderSS violates the engine invariant.
         message = self._error("model weird\nppo FenceOrd\n")
         assert "line 1" in message and "same-address stores" in message
+
+    def test_coherence_without_samemst_refused(self):
+        # Stores ordered by PairwiseOrder(S,S) alone leave coRW patterns
+        # open, which the engine's same-source check does not cover.
+        message = self._error(
+            "model plsc-orderss\n"
+            "loadvalue gam\n"
+            "coherence required\n"
+            "ppo PairwiseOrder(S,S)\n"
+            "ppo SARmwLd\n"
+            "ppo FenceOrd\n"
+        )
+        assert "line 1" in message and "SAMemSt" in message
+
+    def test_coherence_under_load_value_sc_refused(self):
+        message = self._error(
+            "model plsc-sclv\nloadvalue sc\ncoherence required\nppo SAMemSt\n"
+        )
+        assert "line 1" in message and "LoadValueGAM" in message
+
+    def test_constructor_refuses_what_the_engine_cannot_check(self):
+        plsc = MemoryModel.from_spec("model p\ncoherence required\nppo SAMemSt\n")
+        assert plsc.requires_coherence
+        with pytest.raises(ValueError, match="SAMemSt and LoadValueGAM"):
+            MemoryModel(
+                name="plsc-sclv",
+                clauses=plsc.clauses,
+                load_value="sc",
+                requires_coherence=True,
+            )
+        with pytest.raises(ValueError, match="SAMemSt and LoadValueGAM"):
+            MemoryModel(
+                name="plsc-orderss",
+                clauses=(build_clause("PairwiseOrder", ("S", "S")),),
+                requires_coherence=True,
+            )
+
+        class OtherDynamic(DynamicClause):
+            name = "OtherDynamic"
+
+        with pytest.raises(ValueError, match="only execution-dependent"):
+            MemoryModel(
+                name="m", clauses=plsc.clauses, dynamic_clauses=(OtherDynamic(),)
+            )
 
     def test_empty_input(self):
         assert "empty model definition" in self._error("# nothing here\n")

@@ -76,7 +76,7 @@ def test_rnsw_read_pattern_forbidden_by_coherence():
     claim is about the read-from pattern, so we inspect rf directly under
     the weakest coherent model.
     """
-    from repro.core.axiomatic import enumerate_executions
+    from reference import enumerate_executions
     from repro.core.events import INIT_PROC
     from repro.litmus.registry import get_test
 

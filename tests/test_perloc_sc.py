@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.axiomatic import enumerate_executions
-from repro.core.perloc_sc import (
+from reference import (
     coherence_edges,
+    enumerate_executions,
     execution_is_per_location_sc,
     per_location_orders,
 )

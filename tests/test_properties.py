@@ -17,9 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.axiomatic import enumerate_executions, enumerate_outcomes
+from reference import enumerate_executions, execution_is_per_location_sc
+from repro.core.axiomatic import enumerate_outcomes
 from repro.core.dependencies import adep_edges, ddep_edges
-from repro.core.perloc_sc import execution_is_per_location_sc
 from repro.core.ppo import PpoContext, compute_ppo, transitive_closure
 from repro.equivalence.checker import check_pair
 from repro.equivalence.randprog import RandomProgramConfig, random_litmus_test

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.axiomatic import enumerate_executions, enumerate_outcomes, is_allowed
+from reference import enumerate_executions, execution_is_per_location_sc
+from repro.core.axiomatic import enumerate_outcomes, is_allowed
 from repro.core.events import RMW_STORE_PART, base_index, po_sort_key, store_part
 from repro.core.operational import GAM0_MACHINE, GAM_MACHINE, operational_outcomes
-from repro.core.perloc_sc import execution_is_per_location_sc
 from repro.core.reference_machines import sc_outcomes, tso_outcomes
 from repro.equivalence.checker import fuzz_equivalence
 from repro.equivalence.randprog import RandomProgramConfig

@@ -69,7 +69,13 @@ the order above); the parse/print round trip is byte-stable for every
 model in the zoo, which `tests/test_model_spec.py` asserts.  Models must
 order same-address stores (`SAMemSt` or `PairwiseOrder(S,S)`) — the
 enumeration engine and single-thread correctness rely on it — so a
-`.model` file omitting both is rejected at parse time.
+`.model` file omitting both is rejected at parse time.  Likewise,
+`coherence required` needs `ppo SAMemSt` and `loadvalue gam`, and the
+only `dynamic` clause is `SALdLdARM`: the engine checks per-location SC
+and SALdLdARM with one same-source check on same-address load pairs,
+which is exact only under those preconditions (Herding Cats'
+per-location-SC lemma; see docs/architecture.md).  Specs outside them
+are refused with a line-numbered `ModelSpecError`.
 
 Example — `examples/no_addrst.model`, the paper's drop-AddrSt
 experiment (`repro check lb+addrpo-st -m examples/no_addrst.model`):
