@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from repro.equivalence.checker import check_pair, fuzz_equivalence
+from repro.equivalence.checker import check_suite, fuzz_equivalence
 from repro.equivalence.randprog import RandomProgramConfig
 from repro.litmus.registry import get_test
 
 
 def test_equivalence_one_test(benchmark):
     test = get_test("mp+addr")
-    report = benchmark(lambda: check_pair(test, "gam"))
+    (report,) = benchmark(lambda: check_suite([test], pair_names=("gam",)))
     assert report.equivalent
 
 

@@ -617,10 +617,9 @@ def run_hunt(
             raise CampaignError(f"--shards must be >= 1, got {num_shards}")
         suite_spec = suite
         mode = oracle if oracle is not None else ORACLE_AXIOMATIC
-        default_pairs = (
+        requested_pairs = tuple(pairs) if pairs else (
             DEFAULT_ORACLE_PAIRS if mode == ORACLE_OPERATIONAL else DEFAULT_PAIRS
         )
-        requested_pairs = tuple(pairs) if pairs else default_pairs
         shards = num_shards if num_shards is not None else _DEFAULT_SHARDS
     else:
         # The stored pairs only mean something under the stored oracle, so

@@ -51,7 +51,6 @@ __all__ = [
     "ORACLE_AXIOMATIC",
     "ORACLE_OPERATIONAL",
     "expand_pair_specs",
-    "expand_oracle_pairs",
     "member_names",
     "model_digest",
     "oracle_digest",
@@ -102,118 +101,86 @@ def oracle_digest(oracle: str) -> str:
     return hashlib.sha256(descriptor.encode("utf-8")).hexdigest()
 
 
-class _MemberClaims:
-    """Collision-checked model-name claiming shared by pair expansions."""
-
-    def __init__(self) -> None:
-        self.lookup: dict[str, ModelLike] = {}
-
-    def claim(self, name: str, spec: str, model: ModelLike) -> None:
-        existing = self.lookup.get(name)
-        if existing is not None and model_descriptor(
-            existing
-        ) != model_descriptor(model):
-            raise CampaignError(
-                f"model name {name!r} (from spec {spec!r}) collides "
-                "with a different model of the same name in this campaign"
-            )
-        self.lookup.setdefault(name, model)
-
-    def expand_side(self, spec: str) -> list[str]:
-        from ..models.registry import REGISTRY
-        from ..models.spec import resolve_models
-
-        if spec in REGISTRY:
-            self.claim(spec, spec, spec)
-            return [spec]
-        names: list[str] = []
-        for model in resolve_models(spec):
-            self.claim(model.name, spec, model)
-            names.append(model.name)
-        return names
-
-
 def expand_pair_specs(
     pairs: Sequence[tuple[str, str]],
+    oracle: str = ORACLE_AXIOMATIC,
 ) -> tuple[tuple[tuple[str, str], ...], dict[str, ModelLike]]:
     """Expand pair *specs* into concrete named pairs plus a model lookup.
 
-    Each side of a pair is a model spec (see
+    The first side of a pair is a model spec (see
     :func:`repro.models.spec.resolve_models`).  A registry name stays a
     name — preserving the historical campaign identity for plain pairs —
     while family specs (``space:...``, ``.model`` directories) fan out
-    into one concrete pair per member, cross-producting when both sides
-    are families.  Self-pairs (same display name on both sides) are
-    skipped and duplicates deduplicated, in deterministic spec order.
+    into one concrete pair per member.  Under :data:`ORACLE_AXIOMATIC`
+    the second side is a model spec too (cross-producting when both
+    sides are families), and self-pairs (same display name on both
+    sides) are skipped.  Under :data:`ORACLE_OPERATIONAL` the second side
+    names one of the abstract machines (:func:`repro.engine.cells
+    .operational_machines`) and every member is paired with the
+    machine's oracle label, so a concrete pair reads
+    ``("gam", "operational:gam")``.  Duplicates are dropped, in
+    deterministic spec order.
 
     Returns:
-        ``(concrete_pairs, models_by_name)`` where every name in a
+        ``(concrete_pairs, models_by_name)`` where every model name in a
         concrete pair keys a :data:`~repro.engine.ModelLike` in the
         lookup (the spec string itself for registry names, the resolved
-        model otherwise).
+        model otherwise); machine sides carry no model.
 
     Raises:
-        CampaignError: two different specs produce members with the same
-            name but different content (the verdict table would silently
-            conflate them).
+        CampaignError: an unknown machine name, an empty expansion, or
+            two different specs producing members with the same name but
+            different content (the verdict table would silently conflate
+            them).
     """
-    claims = _MemberClaims()
+    from ..engine.cells import operational_machines  # cycle-free import
+    from ..models.registry import REGISTRY
+    from ..models.spec import resolve_models
+
+    lookup: dict[str, ModelLike] = {}
+
+    def expand_side(spec: str) -> list[str]:
+        """The member names of one model spec, each claimed in ``lookup``."""
+        if spec in REGISTRY:
+            members = [(spec, spec)]
+        else:
+            members = [(model.name, model) for model in resolve_models(spec)]
+        for name, model in members:
+            existing = lookup.setdefault(name, model)
+            if existing is not model and model_descriptor(
+                existing
+            ) != model_descriptor(model):
+                raise CampaignError(
+                    f"model name {name!r} (from spec {spec!r}) collides "
+                    "with a different model of the same name in this campaign"
+                )
+        return [name for name, _ in members]
+
+    operational = oracle == ORACLE_OPERATIONAL
+    machines = operational_machines()
     concrete: list[tuple[str, str]] = []
     for a_spec, b_spec in pairs:
-        for name_a in claims.expand_side(a_spec):
-            for name_b in claims.expand_side(b_spec):
+        if operational and b_spec not in machines:
+            raise CampaignError(
+                f"unknown operational machine {b_spec!r}; "
+                f"supported: {', '.join(machines)}"
+            )
+        for name_a in expand_side(a_spec):
+            if operational:
+                names_b = [f"operational:{b_spec}"]
+            else:
+                names_b = expand_side(b_spec)
+            for name_b in names_b:
                 pair = (name_a, name_b)
                 if name_a != name_b and pair not in concrete:
                     concrete.append(pair)
     if not concrete:
+        kind = "oracle" if operational else "two-sided"
         raise CampaignError(
             f"pair specs {[':'.join(p) for p in pairs]} expand to no "
-            "two-sided pairs"
+            f"{kind} pairs"
         )
-    return tuple(concrete), claims.lookup
-
-
-def expand_oracle_pairs(
-    pairs: Sequence[tuple[str, str]],
-) -> tuple[tuple[tuple[str, str], ...], dict[str, ModelLike]]:
-    """Expand (model spec, machine) pairs for an operational campaign.
-
-    The first side of each pair is a model spec (family specs fan out,
-    exactly as in :func:`expand_pair_specs`); the second names one of
-    the abstract machines (:func:`repro.engine.cells
-    .operational_machines`).  Every expanded member is paired with the
-    machine's oracle label, so a concrete pair reads
-    ``("gam", "operational:gam")``.
-
-    Returns:
-        ``(concrete_pairs, models_by_name)`` — the lookup covers the
-        axiomatic sides only; machine sides carry no model.
-
-    Raises:
-        CampaignError: an unknown machine name, a member-name collision,
-            or an empty expansion.
-    """
-    from ..engine.cells import operational_machines  # cycle-free import
-
-    machines = operational_machines()
-    claims = _MemberClaims()
-    concrete: list[tuple[str, str]] = []
-    for model_spec, machine in pairs:
-        if machine not in machines:
-            raise CampaignError(
-                f"unknown operational machine {machine!r}; "
-                f"supported: {', '.join(machines)}"
-            )
-        for name in claims.expand_side(model_spec):
-            pair = (name, f"operational:{machine}")
-            if pair not in concrete:
-                concrete.append(pair)
-    if not concrete:
-        raise CampaignError(
-            f"pair specs {[':'.join(p) for p in pairs]} expand to no "
-            "oracle pairs"
-        )
-    return tuple(concrete), claims.lookup
+    return tuple(concrete), lookup
 
 
 def member_names(
@@ -290,9 +257,7 @@ class CampaignSpec:
         file edited between runs must change the expansion's digests so
         :meth:`CampaignDir.check_spec` refuses a stale resume.
         """
-        if self.oracle == ORACLE_OPERATIONAL:
-            return expand_oracle_pairs(self.pairs)
-        return expand_pair_specs(self.pairs)
+        return expand_pair_specs(self.pairs, self.oracle)
 
     @property
     def model_names(self) -> tuple[str, ...]:

@@ -6,7 +6,10 @@ execution result, address-available/address, data-available/data and the
 predicted branch target.  Each of the paper's eight rules is transliterated
 below; the exploration driver fires every enabled rule from every reachable
 state (with memoization), so the set of terminal register/memory states is
-the machine's full behaviour set.
+the machine's full behaviour set.  That driver (:func:`explore_machine`)
+takes any built machine, so the SC and TSO reference machines
+(:mod:`repro.core.reference_machines`) run on the same loop, under the
+same state cap and telemetry, with their own step rules.
 
 **State encoding.**  States are plain tuples, so the hashing and equality
 checks that memoization runs on every successor happen in C:
@@ -74,6 +77,7 @@ __all__ = [
     "GAM0_MACHINE",
     "ExplorationResult",
     "explore",
+    "explore_machine",
     "operational_outcomes",
     "operational_allows",
 ]
@@ -515,19 +519,18 @@ _MAX_STATES = 2_000_000
 
 
 def _terminal_states(
-    test: LitmusTest,
-    variant: MachineVariant,
-    max_states: int,
-    seen: set[_State],
+    machine, max_states: int, seen: set
 ) -> Iterator[tuple[dict[tuple[int, str], int], dict[int, int]]]:
-    """Depth-first search of the machine, yielding each terminal state's
+    """Depth-first search of ``machine``, yielding each terminal state's
     final registers and memory.
 
-    ``seen`` collects every visited state, so callers can report how many
-    there were.  Raises ``RuntimeError`` once more than ``max_states``
-    distinct states have been visited.
+    ``machine`` is any built machine: an object with ``test``,
+    ``initial_states()`` (a fresh list), ``successors(state)``,
+    ``is_terminal(state)`` and ``final_state(state)``.  ``seen`` collects
+    every visited state, so callers can report how many there were.
+    Raises ``RuntimeError`` once more than ``max_states`` distinct states
+    have been visited.
     """
-    machine = _Machine(test, variant)
     stack = machine.initial_states()
     seen.update(stack)
     while stack:
@@ -541,9 +544,38 @@ def _terminal_states(
             if len(seen) > before:
                 if len(seen) > max_states:
                     raise RuntimeError(
-                        f"state-space explosion exploring {test.name!r}"
+                        f"state-space explosion exploring {machine.test.name!r}"
                     )
                 stack.append(successor)
+
+
+def explore_machine(
+    machine, project: str = "observed", max_states: int = _MAX_STATES
+) -> ExplorationResult:
+    """Exhaustively explore a built machine (see :func:`_terminal_states`).
+
+    The one exploration driver: the GAM/GAM0 machines come through
+    :func:`explore`, the SC and TSO reference machines through
+    :mod:`repro.core.reference_machines`, and every run feeds the
+    ``operational.explore.*`` telemetry.
+    """
+    seen: set = set()
+    outcomes: set[Outcome] = set()
+    terminals = 0
+    with _obs_time_block("operational.explore.time"):
+        for regs, mem in _terminal_states(machine, max_states, seen):
+            terminals += 1
+            outcomes.add(project_outcome(machine.test, regs, mem, project))
+    recorder = _obs_current()
+    if recorder.active:
+        recorder.incr("operational.explore.runs")
+        recorder.incr("operational.explore.states", len(seen))
+        recorder.incr("operational.explore.terminals", terminals)
+    return ExplorationResult(
+        outcomes=frozenset(outcomes),
+        states_visited=len(seen),
+        terminal_states=terminals,
+    )
 
 
 def explore(
@@ -557,23 +589,7 @@ def explore(
     Raises ``RuntimeError`` if more than ``max_states`` distinct states are
     visited (a safety valve; litmus tests stay far below it).
     """
-    seen: set[_State] = set()
-    outcomes: set[Outcome] = set()
-    terminals = 0
-    with _obs_time_block("operational.explore.time"):
-        for regs, mem in _terminal_states(test, variant, max_states, seen):
-            terminals += 1
-            outcomes.add(project_outcome(test, regs, mem, project))
-    recorder = _obs_current()
-    if recorder.active:
-        recorder.incr("operational.explore.runs")
-        recorder.incr("operational.explore.states", len(seen))
-        recorder.incr("operational.explore.terminals", terminals)
-    return ExplorationResult(
-        outcomes=frozenset(outcomes),
-        states_visited=len(seen),
-        terminal_states=terminals,
-    )
+    return explore_machine(_Machine(test, variant), project, max_states)
 
 
 def operational_outcomes(
@@ -599,5 +615,5 @@ def operational_allows(
         outcome = test.asked
     if outcome is None:
         raise ValueError(f"test {test.name!r} has no asked outcome")
-    terminals = _terminal_states(test, variant, _MAX_STATES, set())
+    terminals = _terminal_states(_Machine(test, variant), _MAX_STATES, set())
     return any(outcome.matches(regs, mem) for regs, mem in terminals)

@@ -7,9 +7,13 @@ paper recalls in Section II-B): stores enter the buffer, drain to memory
 nondeterministically, loads check their own buffer first, and ``FenceSL``
 (the only fence TSO needs) waits for an empty buffer.
 
-Both machines are explored exhaustively; their outcome sets are compared
-against the corresponding axiomatic models in the equivalence tests, which
-cross-validates the axiomatic engine from a second direction.
+Only the step rules (:func:`_step_proc`, :func:`_drain_one`) are defined
+here; :class:`_SeqMachine` hands them to the GAM machine's driver,
+:func:`repro.core.operational.explore_machine`, which explores both
+machines exhaustively under its state cap and telemetry.  Their outcome
+sets are compared against the corresponding axiomatic models in the
+equivalence tests, which cross-validates the axiomatic engine from a
+second direction.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from ..isa.instructions import (
     Store,
 )
 from ..litmus.test import LitmusTest, Outcome
-from .axiomatic import project_outcome
+from .operational import explore_machine
 
 __all__ = ["sc_outcomes", "tso_outcomes"]
 
@@ -162,47 +166,58 @@ def _drain_one(state: _SeqState, proc: int) -> Iterator[_SeqState]:
     yield _SeqState(memory=_mem_write(state, addr, value), procs=tuple(procs))
 
 
-def _explore(
-    test: LitmusTest,
-    with_store_buffer: bool,
-    project: str,
-) -> frozenset[Outcome]:
-    initial = _SeqState(
-        memory=tuple(sorted(test.initial_memory.items())),
-        procs=tuple(_SeqProcState(0, ()) for _ in test.programs),
-    )
-    stack = [initial]
-    seen = {initial}
-    outcomes: set[Outcome] = set()
-    while stack:
-        state = stack.pop()
-        successors = []
-        for proc in range(len(test.programs)):
-            successors.extend(_step_proc(test, state, proc, with_store_buffer))
-            if with_store_buffer:
-                successors.extend(_drain_one(state, proc))
-        if not successors:
-            final_regs = {
-                (proc, reg): _reg_read(pstate, reg)
-                for proc, pstate in enumerate(state.procs)
-                for reg in test.programs[proc].registers()
-            }
-            outcomes.add(
-                project_outcome(test, final_regs, dict(state.memory), project)
+class _SeqMachine:
+    """The SC machine, or with store buffers the TSO machine, built for
+    :func:`~repro.core.operational.explore_machine`."""
+
+    def __init__(self, test: LitmusTest, with_store_buffer: bool) -> None:
+        self.test = test
+        self.with_store_buffer = with_store_buffer
+        self.ends = tuple(len(program) for program in test.programs)
+
+    def initial_states(self) -> list[_SeqState]:
+        return [
+            _SeqState(
+                memory=tuple(sorted(self.test.initial_memory.items())),
+                procs=tuple(_SeqProcState(0, ()) for _ in self.test.programs),
             )
-            continue
-        for successor in successors:
-            if successor not in seen:
-                seen.add(successor)
-                stack.append(successor)
-    return frozenset(outcomes)
+        ]
+
+    def successors(self, state: _SeqState) -> list[_SeqState]:
+        out: list[_SeqState] = []
+        for proc in range(len(self.test.programs)):
+            out.extend(_step_proc(self.test, state, proc, self.with_store_buffer))
+            if self.with_store_buffer:
+                out.extend(_drain_one(state, proc))
+        return out
+
+    def is_terminal(self, state: _SeqState) -> bool:
+        """Every program finished and every store buffer drained.
+
+        No other state is stuck: an unfinished SC processor can always
+        step, and a blocked TSO processor has a buffer entry to drain.
+        """
+        for pstate, end in zip(state.procs, self.ends):
+            if pstate.pc < end or pstate.store_buffer:
+                return False
+        return True
+
+    def final_state(
+        self, state: _SeqState
+    ) -> tuple[dict[tuple[int, str], int], dict[int, int]]:
+        regs = {
+            (proc, reg): _reg_read(pstate, reg)
+            for proc, pstate in enumerate(state.procs)
+            for reg in self.test.programs[proc].registers()
+        }
+        return regs, dict(state.memory)
 
 
 def sc_outcomes(test: LitmusTest, project: str = "observed") -> frozenset[Outcome]:
     """All outcomes of the SC abstract machine (Figure 1)."""
-    return _explore(test, with_store_buffer=False, project=project)
+    return explore_machine(_SeqMachine(test, False), project).outcomes
 
 
 def tso_outcomes(test: LitmusTest, project: str = "observed") -> frozenset[Outcome]:
     """All outcomes of the TSO store-buffer machine."""
-    return _explore(test, with_store_buffer=True, project=project)
+    return explore_machine(_SeqMachine(test, True), project).outcomes

@@ -75,7 +75,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 12
+ENGINE_VERSION = 13
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -142,6 +142,9 @@ Version history:
   and ``MemoryModel`` refuses specs the kernel cannot check exactly.
   Results are parity-tested identical, but the engine path changed, so
   version-11 entries re-verify.
+* 13 — the SC and TSO reference machines run on the GAM machine's
+  exploration loop and state cap; outcome sets are unchanged, but the
+  machine path changed, so version-12 entries re-verify.
 """
 
 ModelLike = Union[str, MemoryModel]

@@ -2,18 +2,14 @@
 
 from .checker import (
     EquivalenceReport,
-    check_pair,
     check_suite,
-    default_pairs,
     fuzz_equivalence,
 )
 from .randprog import RandomProgramConfig, random_litmus_test
 
 __all__ = [
     "EquivalenceReport",
-    "check_pair",
     "check_suite",
-    "default_pairs",
     "fuzz_equivalence",
     "RandomProgramConfig",
     "random_litmus_test",

@@ -7,6 +7,9 @@ property empirically by comparing complete outcome sets:
 * the GAM0 machine variant against the GAM0 axioms,
 * the SC and TSO reference machines against their axiomatic models.
 
+A pair is named after its abstract machine
+(:func:`repro.engine.operational_machines`), and each comparison is two
+ordinary engine cells, so there is one evaluation path: the batch engine.
 ``project="full"`` comparisons include every register and every named
 location, so a mismatch anywhere in the final state is caught.
 """
@@ -14,24 +17,13 @@ location, so a mismatch anywhere in the final state is caught.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from ..core.axiomatic import MemoryModel, enumerate_outcomes
-from ..core.operational import (
-    GAM0_MACHINE,
-    GAM_MACHINE,
-    MachineVariant,
-    operational_outcomes,
-)
-from ..core.reference_machines import sc_outcomes, tso_outcomes
 from ..litmus.test import LitmusTest, Outcome
-from ..models.spec import resolve_model
 from .randprog import RandomProgramConfig, random_suite
 
 __all__ = [
     "EquivalenceReport",
-    "check_pair",
-    "default_pairs",
     "check_suite",
     "fuzz_equivalence",
 ]
@@ -71,70 +63,43 @@ class EquivalenceReport:
         )
 
 
-OutcomeFn = Callable[[LitmusTest], frozenset[Outcome]]
-
-
-def _machine_fn(variant: MachineVariant) -> OutcomeFn:
-    return lambda test: operational_outcomes(test, variant, project="full")
-
-
-def _axiomatic_fn(model: MemoryModel) -> OutcomeFn:
-    return lambda test: enumerate_outcomes(test, model, project="full")
-
-
-def default_pairs() -> dict[str, tuple[OutcomeFn, OutcomeFn]]:
-    """The four definition pairs this repository can cross-check."""
-    return {
-        "gam": (_axiomatic_fn(resolve_model("gam")), _machine_fn(GAM_MACHINE)),
-        "gam0": (_axiomatic_fn(resolve_model("gam0")), _machine_fn(GAM0_MACHINE)),
-        "sc": (
-            _axiomatic_fn(resolve_model("sc")),
-            lambda test: sc_outcomes(test, project="full"),
-        ),
-        "tso": (
-            _axiomatic_fn(resolve_model("tso")),
-            lambda test: tso_outcomes(test, project="full"),
-        ),
-    }
-
-
-def check_pair(
-    test: LitmusTest,
-    pair_name: str,
-    pairs: Optional[dict[str, tuple[OutcomeFn, OutcomeFn]]] = None,
-) -> EquivalenceReport:
-    """Compare one definition pair on one test."""
-    pairs = pairs or default_pairs()
-    ax_fn, op_fn = pairs[pair_name]
-    return EquivalenceReport(
-        test_name=test.name,
-        pair_name=pair_name,
-        axiomatic=ax_fn(test),
-        operational=op_fn(test),
-    )
-
-
-def _engine_reports(
-    tests: Sequence[LitmusTest],
-    pair_names: Sequence[str],
-    jobs: int,
-    cache_dir: Optional[str],
+def check_suite(
+    tests: Iterable[LitmusTest],
+    pair_names: Sequence[str] = ("gam", "gam0", "sc", "tso"),
+    jobs: int = 1,
+    cache_dir: Optional[str] = None,
     policy=None,
     fault_plan=None,
     evaluate=None,
 ) -> list[EquivalenceReport]:
-    """Evaluate default-pair cells through the batch engine.
+    """Compare the requested pairs over a whole suite.
 
-    Each (test, pair) comparison is two ordinary outcome cells — the
-    axiomatic model under the default oracle and the same-named abstract
-    machine under ``operational:<pair>`` — so equivalence checking shares
-    the scheduler, the cache and the telemetry with every other grid.
+    Each (test, pair) comparison is two ordinary outcome cells of the
+    batch engine (:mod:`repro.engine`) — the axiomatic model under the
+    default oracle and the same-named abstract machine under
+    ``operational:<pair>`` — so equivalence checking shares the
+    scheduler, the cache and the telemetry with every other grid:
+    per-test candidate prefixes are shared across ``pair_names``,
+    ``jobs`` fans tests out over a process pool and ``cache_dir`` makes
+    repeat runs incremental.  ``policy``/``fault_plan`` are the engine's
+    fault-tolerance and fault-injection hooks, and ``evaluate`` is any
+    :func:`~repro.engine.evaluate_cells`-shaped callable standing in for
+    the engine.
+
+    Raises:
+        KeyError: a pair name that is not an abstract machine
+            (:func:`repro.engine.operational_machines`).
     """
-    from ..engine import CellFailure, OutcomeSpec, evaluate_cells
+    from ..engine import (
+        CellFailure,
+        OutcomeSpec,
+        evaluate_cells,
+        operational_machines,
+    )
 
     if evaluate is None:
         evaluate = evaluate_cells
-    known = default_pairs()
+    known = operational_machines()
     for pair_name in pair_names:
         if pair_name not in known:
             raise KeyError(
@@ -175,60 +140,21 @@ def _engine_reports(
     return reports
 
 
-def check_suite(
-    tests: Iterable[LitmusTest],
-    pair_names: Sequence[str] = ("gam", "gam0", "sc", "tso"),
-    pairs: Optional[dict[str, tuple[OutcomeFn, OutcomeFn]]] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    policy=None,
-    fault_plan=None,
-    evaluate=None,
-) -> list[EquivalenceReport]:
-    """Compare the requested pairs over a whole suite.
-
-    With the default pairs, evaluation goes through the batch engine
-    (:mod:`repro.engine`): per-test candidate prefixes are shared across
-    ``pair_names``, ``jobs`` fans tests out over a process pool and
-    ``cache_dir`` makes repeat runs incremental.  A custom ``pairs``
-    mapping may hold arbitrary callables (often closures the pool cannot
-    ship), so it is evaluated in-process regardless of ``jobs``, and
-    ``policy``/``fault_plan`` (the engine's fault-tolerance and
-    fault-injection hooks) and ``evaluate`` (any
-    :func:`~repro.engine.evaluate_cells`-shaped callable standing in
-    for the engine) do not apply.
-    """
-    materialized = list(tests)
-    if pairs is None:
-        return _engine_reports(
-            materialized, pair_names, jobs, cache_dir,
-            policy=policy, fault_plan=fault_plan, evaluate=evaluate,
-        )
-    reports = []
-    for test in materialized:
-        for pair_name in pair_names:
-            reports.append(check_pair(test, pair_name, pairs))
-    return reports
-
-
 def fuzz_equivalence(
     num_tests: int,
     seed: int = 0,
     config: Optional[RandomProgramConfig] = None,
     pair_names: Sequence[str] = ("gam", "gam0"),
-    pairs: Optional[dict[str, tuple[OutcomeFn, OutcomeFn]]] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
 ) -> list[EquivalenceReport]:
     """Random-program equivalence fuzzing (deterministic per seed).
 
     Returns one report per (random test, pair); callers assert all
-    ``report.equivalent``.  ``pairs``, ``jobs`` and ``cache_dir`` behave
-    exactly as in :func:`check_suite`; test generation itself is always
-    in-process so the sequence of random programs is identical whatever
-    the fan-out.
+    ``report.equivalent``.  ``jobs`` and ``cache_dir`` behave exactly as
+    in :func:`check_suite`; test generation itself is always in-process
+    so the sequence of random programs is identical whatever the
+    fan-out.
     """
     tests = random_suite(num_tests, seed=seed, config=config, name_prefix="fuzz")
-    return check_suite(
-        tests, pair_names=pair_names, pairs=pairs, jobs=jobs, cache_dir=cache_dir
-    )
+    return check_suite(tests, pair_names=pair_names, jobs=jobs, cache_dir=cache_dir)

@@ -196,17 +196,20 @@ METRICS: dict[str, MetricSpec] = {
         _counter(
             "operational.explore.runs",
             "explorations",
-            "Exhaustive GAM-machine explorations performed.",
+            "Exhaustive abstract-machine explorations performed (GAM, "
+            "GAM0, SC and TSO machines).",
         ),
         _counter(
             "operational.explore.states",
             "states",
-            "Distinct machine states visited across all explorations.",
+            "Distinct machine states visited across all explorations of "
+            "the four abstract machines.",
         ),
         _counter(
             "operational.explore.terminals",
             "states",
-            "Terminal machine states reached across all explorations.",
+            "Terminal machine states reached across all explorations of "
+            "the four abstract machines.",
         ),
         # --- campaign driver -------------------------------------------
         _counter(
@@ -253,7 +256,8 @@ METRICS: dict[str, MetricSpec] = {
         ),
         _timer(
             "operational.explore.time",
-            "Wall time of each exhaustive GAM-machine exploration.",
+            "Wall time of each exhaustive exploration of an abstract "
+            "machine (GAM, GAM0, SC or TSO).",
         ),
         _timer(
             "campaign.shard.seconds",

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.operational import GAM0_MACHINE, explore
-from repro.equivalence.checker import check_pair
+from repro.equivalence.checker import check_suite
 from repro.litmus.frontend.parser import parse_litmus_file
 
 WITNESSES = sorted(Path(__file__).parent.glob("*.litmus"))
@@ -33,7 +33,7 @@ def test_the_witnesses_are_present():
 @pytest.mark.parametrize("pair", ["gam", "gam0"])
 @pytest.mark.parametrize("path", WITNESSES, ids=lambda path: path.stem)
 def test_axioms_and_machine_agree(path, pair):
-    report = check_pair(parse_litmus_file(path), pair)
+    (report,) = check_suite([parse_litmus_file(path)], pair_names=(pair,))
     assert report.equivalent, report.differences()
 
 

@@ -8,7 +8,7 @@ likewise for the GAM0, SC and TSO definition pairs.
 
 import pytest
 
-from repro.equivalence.checker import check_pair, check_suite, fuzz_equivalence
+from repro.equivalence.checker import check_suite, fuzz_equivalence
 from repro.equivalence.randprog import RandomProgramConfig, random_litmus_test
 from repro.litmus.registry import all_tests
 from repro.litmus.registry import test_names as litmus_test_names
@@ -27,7 +27,7 @@ _CASES = [
 def test_definitions_equivalent_on_catalogue(test_name, pair):
     from repro.litmus.registry import get_test
 
-    report = check_pair(get_test(test_name), pair)
+    (report,) = check_suite([get_test(test_name)], pair_names=(pair,))
     operational_only, axiomatic_only = report.differences()
     assert report.equivalent, (
         f"{pair} definitions disagree on {test_name}: "
@@ -41,57 +41,6 @@ def test_check_suite_aggregates_reports():
     reports = check_suite(tests, pair_names=("gam",))
     assert len(reports) == 2
     assert all(r.equivalent for r in reports)
-
-
-def test_check_suite_accepts_custom_pairs():
-    # Regression: check_suite used to hardcode default_pairs(), ignoring
-    # any custom mapping a caller wanted to compare.
-    from repro.core.axiomatic import enumerate_outcomes
-    from repro.models.registry import get_model
-
-    def gam_outcomes(test):
-        return enumerate_outcomes(test, get_model("gam"), project="full")
-
-    def sc_outcomes_fn(test):
-        return enumerate_outcomes(test, get_model("sc"), project="full")
-
-    pairs = {
-        "gam-vs-self": (gam_outcomes, gam_outcomes),
-        "gam-vs-sc": (gam_outcomes, sc_outcomes_fn),
-    }
-    tests = [t for t in all_tests() if t.name == "dekker"]
-    reports = check_suite(
-        tests, pair_names=("gam-vs-self", "gam-vs-sc"), pairs=pairs
-    )
-    assert [r.pair_name for r in reports] == ["gam-vs-self", "gam-vs-sc"]
-    assert reports[0].equivalent
-    assert not reports[1].equivalent  # SC forbids dekker's asked outcome
-
-
-def test_fuzz_equivalence_accepts_custom_pairs():
-    from repro.core.axiomatic import enumerate_outcomes
-    from repro.models.registry import get_model
-
-    def gam_outcomes(test):
-        return enumerate_outcomes(test, get_model("gam"), project="full")
-
-    reports = fuzz_equivalence(
-        2,
-        seed=7,
-        config=RandomProgramConfig(num_procs=2, max_instrs=3),
-        pair_names=("self",),
-        pairs={"self": (gam_outcomes, gam_outcomes)},
-    )
-    assert len(reports) == 2
-    assert all(r.equivalent for r in reports)
-    # The generated test sequence must match the default-pairs path.
-    default = fuzz_equivalence(
-        2,
-        seed=7,
-        config=RandomProgramConfig(num_procs=2, max_instrs=3),
-        pair_names=("gam",),
-    )
-    assert [r.test_name for r in reports] == [r.test_name for r in default]
 
 
 def test_fuzz_equivalence_deterministic():

@@ -1,4 +1,4 @@
-"""The GAM/GAM0 explorers against the recorded state-count fixture.
+"""The GAM, GAM0, SC and TSO explorations against the recorded state-count fixture.
 
 ``tests/data/machine_states.json`` (written by
 ``tools/record_machine_states.py``) pins, per (test, machine), the number

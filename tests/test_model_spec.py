@@ -573,6 +573,32 @@ class TestHuntSpace:
         with pytest.raises(CampaignError, match="collides"):
             expand_pair_specs([("gam", "arm"), (str(family), "wmm")])
 
+    def test_operational_oracle_pairs_members_with_the_machine(self):
+        from repro.campaign.state import ORACLE_OPERATIONAL, expand_pair_specs
+
+        concrete, lookup = expand_pair_specs(
+            [("space:same_address_loads=*", "gam"), ("sc", "sc")],
+            ORACLE_OPERATIONAL,
+        )
+        assert all(machine == "operational:gam" for _, machine in concrete[:-1])
+        assert len(concrete) > 2
+        assert concrete[-1] == ("sc", "operational:sc")
+        assert set(lookup) == {model for model, _ in concrete}
+
+    def test_expansion_errors_name_the_oracle(self):
+        from repro.campaign.state import (
+            ORACLE_OPERATIONAL,
+            CampaignError,
+            expand_pair_specs,
+        )
+
+        with pytest.raises(CampaignError, match="unknown operational machine 'arm'"):
+            expand_pair_specs([("gam", "arm")], ORACLE_OPERATIONAL)
+        with pytest.raises(CampaignError, match="expand to no oracle pairs"):
+            expand_pair_specs([], ORACLE_OPERATIONAL)
+        with pytest.raises(CampaignError, match="expand to no two-sided pairs"):
+            expand_pair_specs([("gam", "gam")])
+
 
 class TestCliModelSpecs:
     def test_list_models_marks_aliases_once(self, capsys):

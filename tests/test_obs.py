@@ -331,6 +331,17 @@ class TestCliStats:
         assert payload["command"] == "matrix"
         assert payload["meta"]["suite"] == "gen:edges=3"
 
+    def test_equiv_counts_reference_machine_explorations(self, capsys):
+        # The SC and TSO machines run on the shared exploration loop, so
+        # their explorations feed the operational.explore.* counters.
+        from repro.cli import main
+
+        assert main(["equiv", "dekker", "--pairs", "sc,tso", "--stats", "json"]) == 0
+        counters = json.loads(capsys.readouterr().err)["counters"]
+        assert counters["operational.explore.runs"] == 2
+        assert counters["operational.explore.states"] == 47
+        assert counters["operational.explore.terminals"] == 7
+
     def test_stats_command_renders_and_diffs(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -21,7 +21,7 @@ from reference import enumerate_executions, execution_is_per_location_sc
 from repro.core.axiomatic import enumerate_outcomes
 from repro.core.dependencies import adep_edges, ddep_edges
 from repro.core.ppo import PpoContext, compute_ppo, transitive_closure
-from repro.equivalence.checker import check_pair
+from repro.equivalence.checker import check_suite
 from repro.equivalence.randprog import RandomProgramConfig, random_litmus_test
 from repro.isa.expr import BinOp, Const, Reg, UnOp, evaluate, registers_read
 from repro.isa.instructions import Nop
@@ -200,7 +200,7 @@ def test_every_gam_execution_is_per_location_sc(seed):
 @given(st.integers(0, 10_000))
 def test_operational_equals_axiomatic_on_random_programs(seed):
     test = random_litmus_test(seed, _FAST_CONFIG)
-    report = check_pair(test, "gam")
+    (report,) = check_suite([test], pair_names=("gam",))
     assert report.equivalent
 
 

@@ -1,6 +1,9 @@
 """Unit tests for the SC and TSO reference machines."""
 
-from repro.core.reference_machines import sc_outcomes, tso_outcomes
+import pytest
+
+from repro.core.operational import explore_machine
+from repro.core.reference_machines import _SeqMachine, sc_outcomes, tso_outcomes
 from repro.litmus.dsl import LitmusBuilder
 from repro.litmus.registry import get_test
 
@@ -65,3 +68,13 @@ class TestTsoMachine:
         test = b.build(asked={"a": 9})
         (outcome,) = tso_outcomes(test)
         assert (b.locations["a"], 9) in outcome.mem
+
+
+class TestSharedExplorer:
+    """Both machines run on the GAM machine's exploration loop."""
+
+    @pytest.mark.parametrize("with_store_buffer", [False, True], ids=["sc", "tso"])
+    def test_state_cap_enforced(self, with_store_buffer):
+        machine = _SeqMachine(get_test("dekker"), with_store_buffer)
+        with pytest.raises(RuntimeError, match="state-space explosion exploring 'dekker'"):
+            explore_machine(machine, max_states=3)

@@ -1,7 +1,8 @@
 """Record the abstract machines' state counts for the parity fixture.
 
 Explores every catalogue test plus the ``rand:n=60,seed=3`` corpus under
-the GAM and GAM0 machines and writes, per (test, machine), the number of
+the GAM, GAM0, SC and TSO machines (all on the one exploration loop,
+:func:`repro.core.operational.explore_machine`) and writes, per (test, machine), the number of
 distinct states visited, the number of terminal states reached and a
 digest of the full-projection outcome set to
 ``tests/data/machine_states.json``.  ``tests/test_machine_state_parity.py``
@@ -23,7 +24,7 @@ import sys
 from pathlib import Path
 
 SUITES = ("all", "rand:n=60,seed=3")
-MACHINES = ("gam", "gam0")
+MACHINES = ("gam", "gam0", "sc", "tso")
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "machine_states.json"
 
 
@@ -42,10 +43,15 @@ def fixture_tests():
 
 def record_row(test, machine: str) -> dict:
     """One fixture row: what exploring ``test`` under ``machine`` produces."""
-    from repro.core.operational import GAM0_MACHINE, GAM_MACHINE, explore
+    from repro.core.operational import GAM0_MACHINE, GAM_MACHINE, explore, explore_machine
+    from repro.core.reference_machines import _SeqMachine
 
-    variant = {"gam": GAM_MACHINE, "gam0": GAM0_MACHINE}[machine]
-    result = explore(test, variant, project="full")
+    if machine in ("sc", "tso"):
+        seq = _SeqMachine(test, with_store_buffer=machine == "tso")
+        result = explore_machine(seq, project="full")
+    else:
+        variant = {"gam": GAM_MACHINE, "gam0": GAM0_MACHINE}[machine]
+        result = explore(test, variant, project="full")
     return {
         "states_visited": result.states_visited,
         "terminal_states": result.terminal_states,
