@@ -23,10 +23,10 @@ interrupt and re-invoke:
    records in the same pass into ``quarantine.json``, and listed in the
    report — skipped work is reported, never silently dropped.
 3. **Minimization** — each discrepant test is greedily shrunk while the
-   pair still diverges (:mod:`.minimize`), written to
-   ``witnesses/*.litmus``, re-parsed, and re-checked through the pair's
-   own divergence check, so every reported witness is *known* to still
-   diverge as a ``.litmus`` file.
+   pair still diverges (:mod:`.minimize`), all of them in lockstep rounds
+   of one engine call each, written to ``witnesses/*.litmus``, re-parsed,
+   and re-checked through the pair's own divergence, so every reported
+   witness is *known* to still diverge as a ``.litmus`` file.
 4. **Report** — the ranked report (smallest witness first) is written as
    ``report.txt`` + ``report.json`` and returned, alongside a telemetry
    run report (``stats.json``, see :mod:`repro.obs`) covering shard
@@ -49,6 +49,7 @@ from ..engine import (
     ExecutionPolicy,
     FaultPlan,
     ModelLike,
+    WorkerPool,
     evaluate_cells,
 )
 from ..eval.discrepancy import (
@@ -65,7 +66,15 @@ from ..litmus.frontend.parser import LitmusParseError, parse_litmus_file
 from ..litmus.frontend.suite import resolve_suite, shard_suite
 from ..litmus.test import LitmusTest
 from ..obs import RunReport, collecting, incr, monotonic, time_block
-from .minimize import divergence_check, instruction_count, minimize_divergence
+# ``minimize_divergence`` is not called here (the lockstep rounds drive the
+# same search); it stays importable from this module because perfbench's
+# traced runs wrap it under this name.
+from .minimize import (
+    divergences,
+    instruction_count,
+    minimize_divergence,
+    minimize_in_lockstep,
+)
 from .state import (
     ORACLE_AXIOMATIC,
     ORACLE_OPERATIONAL,
@@ -253,6 +262,7 @@ def _evaluate_shards(
     policy: Optional[ExecutionPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     stall_after: float = 30.0,
+    pool: Optional[WorkerPool] = None,
 ) -> None:
     """Run every incomplete shard's cell grid and persist its record.
 
@@ -338,6 +348,7 @@ def _evaluate_shards(
                 fault_plan=fault_plan,
                 on_stall=progress.on_stall if heartbeat else None,
                 stall_after=stall_after,
+                pool=pool,
             )
             width = len(columns)
             entries = []
@@ -404,55 +415,80 @@ def _minimize_and_write(
     tests_by_name: dict[str, LitmusTest],
     lookup: Mapping[str, ModelLike],
     log: Callable[[str], None],
+    jobs: int,
+    pool: WorkerPool,
 ) -> list[WitnessRecord]:
-    """Minimize each discrepancy, write its witness, re-verify it."""
-    records: list[WitnessRecord] = []
-    for disc in discrepancies:
+    """Minimize every discrepancy in lockstep, write its witness, re-verify it.
+
+    Each lockstep round judges every unfinished search's next candidate
+    in one engine call over the run's workers, and the written
+    ``.litmus`` files are re-checked in one more round; each round is one
+    ``campaign.minimize.seconds`` sample.
+    """
+    if not discrepancies:
+        return []
+    # Machine sides are oracle labels, not models, and pass through as is.
+    columns = [
+        kind.columns(tuple(lookup.get(side, side) for side in disc.pair))
+        for disc in discrepancies
+    ]
+
+    def judge(round_: list[tuple[int, LitmusTest]]) -> list[bool]:
         with time_block("campaign.minimize.seconds"):
-            # Cheap per-discrepancy closure; the engine cache underneath
-            # dedupes the actual cell work across discrepancies.  Machine
-            # sides are oracle labels, not models, and pass through as is.
-            check = divergence_check(
-                tuple(lookup.get(side, side) for side in disc.pair),
-                campaign.cache_dir,
+            return divergences(
+                [(candidate, columns[index]) for index, candidate in round_],
                 kind,
+                campaign.cache_dir,
+                jobs,
+                pool,
             )
-            result = minimize_divergence(tests_by_name[disc.test_name], check)
-            stem = _witness_stem(disc)
-            witness = replace(
-                result.test,
-                name=stem,
-                source="hunt minimizer",
-                description=(
-                    f"Minimized {kind.title(disc.pair)} divergence "
-                    f"of {disc.test_name}."
-                ),
+
+    results = minimize_in_lockstep(
+        [tests_by_name[disc.test_name] for disc in discrepancies], judge
+    )
+    paths = []
+    for disc, result in zip(discrepancies, results):
+        stem = _witness_stem(disc)
+        witness = replace(
+            result.test,
+            name=stem,
+            source="hunt minimizer",
+            description=(
+                f"Minimized {kind.title(disc.pair)} divergence "
+                f"of {disc.test_name}."
+            ),
+        )
+        path = campaign.witness_dir / f"{stem}.litmus"
+        path.write_text(print_litmus(witness), encoding="utf-8")
+        paths.append(path)
+    # Re-check the *files*: a reported witness must still diverge as
+    # .litmus text, not just in memory.
+    verified = judge(
+        [(index, parse_litmus_file(str(path))) for index, path in enumerate(paths)]
+    )
+    records: list[WitnessRecord] = []
+    for disc, result, path, ok in zip(discrepancies, results, paths, verified):
+        if not ok:
+            raise CampaignError(
+                f"witness {path.stem!r} lost its divergence in the .litmus "
+                "round trip — this is a bug in the minimizer or printer"
             )
-            path = campaign.witness_dir / f"{stem}.litmus"
-            path.write_text(print_litmus(witness), encoding="utf-8")
-            # Re-check the *file*: the reported witness must still diverge
-            # as .litmus text, not just in memory.
-            if not check(parse_litmus_file(str(path))):
-                raise CampaignError(
-                    f"witness {stem!r} lost its divergence in the .litmus "
-                    "round trip — this is a bug in the minimizer or printer"
-                )
-            log(
-                f"minimized {disc.describe()} — "
-                f"{result.original_instrs} -> {result.minimized_instrs} instrs "
-                f"({result.checks} checks)"
+        log(
+            f"minimized {disc.describe()} — "
+            f"{result.original_instrs} -> {result.minimized_instrs} instrs "
+            f"({result.checks} checks)"
+        )
+        incr("campaign.witnesses")
+        records.append(
+            WitnessRecord(
+                discrepancy=disc,
+                path=str(path),
+                relpath=str(path.relative_to(campaign.root)),
+                original_instrs=result.original_instrs,
+                minimized_instrs=result.minimized_instrs,
+                checks=result.checks,
             )
-            incr("campaign.witnesses")
-            records.append(
-                WitnessRecord(
-                    discrepancy=disc,
-                    path=str(path),
-                    relpath=str(path.relative_to(campaign.root)),
-                    original_instrs=result.original_instrs,
-                    minimized_instrs=result.minimized_instrs,
-                    checks=result.checks,
-                )
-            )
+        )
     return records
 
 
@@ -562,7 +598,8 @@ def run_hunt(
             operational oracle these are ``(model spec, machine)`` pairs
             defaulting to :data:`DEFAULT_ORACLE_PAIRS`.
         num_shards: deterministic suite chunks (default 4 when fresh).
-        jobs: worker processes per shard's engine run.
+        jobs: worker processes for the run, shared by the shards'
+            engine runs and the minimizer's rounds.
         resume: require existing state (a guard against typo'd ``--out``
             silently starting a fresh hunt).
         lint: run the lint pre-flight (:func:`repro.lint.preflight_tests`
@@ -715,7 +752,9 @@ def run_hunt(
     # one (so the printed report covers the whole hunt), else collect
     # privately — stats.json is written either way.
     kind = _PAIR_KINDS[spec.oracle]
-    with collecting(reuse=True) as recorder:
+    # One worker pool serves the shards and the minimizer; it starts on
+    # the first pooled call and is joined before this function returns.
+    with collecting(reuse=True) as recorder, WorkerPool(jobs) as pool:
         _evaluate_shards(
             campaign,
             spec,
@@ -729,6 +768,7 @@ def run_hunt(
             policy,
             fault_plan,
             stall_after,
+            pool,
         )
 
         with time_block("campaign.mine.seconds"):
@@ -749,7 +789,7 @@ def run_hunt(
 
         tests_by_name = {test.name: test for test in tests}
         witnesses = _minimize_and_write(
-            campaign, kind, discrepancies, tests_by_name, lookup, log
+            campaign, kind, discrepancies, tests_by_name, lookup, log, jobs, pool
         )
 
         text = _render_report(

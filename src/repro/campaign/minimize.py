@@ -11,19 +11,27 @@ binding from the asked outcome (a condition over a value nobody produces
 can never diverge), and processors left with no instructions are removed
 with the remaining processors renumbered.
 
+The greedy search is a generator (:func:`_minimization_steps`) that
+yields each candidate test and receives its verdict, so many searches
+can run in *lockstep* (:func:`minimize_in_lockstep`): each round asks
+one judge about every unfinished search's pending candidate, and a hunt
+judges a round with one engine call (:func:`divergences`) whose batches
+its workers share.  :func:`minimize_divergence` is the one-search case.
+
 Everything is deterministic: candidate deletions are tried in (processor,
 instruction-index) order and the first success restarts the scan, so a
-given (test, pair) always minimizes to the same witness — which is what
-lets an interrupted campaign reproduce its report exactly on re-run.
+given (test, pair) always minimizes to the same witness — whether alone
+or in lockstep with others, since each search sees only its own verdicts
+— which is what lets an interrupted campaign reproduce its report
+exactly on re-run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Generator, Optional, Sequence
 
-from ..core.axiomatic import DomainOverflowError
-from ..engine import EngineWorkerError, ModelLike, evaluate_cells
+from ..engine import CellFailure, ExecutionPolicy, ModelLike, WorkerPool, evaluate_cells
 from ..eval.discrepancy import AXIOMATIC_PAIRS, PairKind
 from ..isa.program import Program, ProgramError
 from ..litmus.test import LitmusTest, Outcome
@@ -31,7 +39,9 @@ from ..litmus.test import LitmusTest, Outcome
 __all__ = [
     "MinimizationResult",
     "divergence_check",
+    "divergences",
     "minimize_divergence",
+    "minimize_in_lockstep",
     "instruction_count",
 ]
 
@@ -57,6 +67,57 @@ class MinimizationResult:
     checks: int
 
 
+_JUDGE_POLICY = ExecutionPolicy(on_error="skip")
+"""Divergence questions run under ``skip``: a variant the engine cannot
+evaluate (domain overflow, a worker error) comes back as
+:class:`~repro.engine.CellFailure` and counts as non-diverging, which
+simply makes the minimizer reject that deletion."""
+
+
+def divergences(
+    questions: Sequence[tuple[LitmusTest, tuple[Any, Any]]],
+    kind: PairKind = AXIOMATIC_PAIRS,
+    cache_dir: Optional[str] = None,
+    jobs: int = 1,
+    pool: Optional[WorkerPool] = None,
+) -> list[bool]:
+    """Whether each ``(test, columns)`` question diverges, in one engine call.
+
+    ``columns`` is ``kind.columns(pair)`` for the question's pair.  Every
+    evaluable question contributes its two cells to one
+    :func:`~repro.engine.evaluate_cells` call over ``jobs`` workers
+    (``pool`` when the caller keeps one per run), so identical tests —
+    the same variant reached by two searches — share one batch.  Tests
+    ``kind.evaluable`` rejects answer ``False`` without cells.
+    """
+    evaluable = [kind.evaluable(test) for test, _ in questions]
+    cells = [
+        kind.cell(test, *column)
+        for (test, columns), ok in zip(questions, evaluable)
+        if ok
+        for column in columns
+    ]
+    results = iter(
+        evaluate_cells(
+            cells, jobs=jobs, cache_dir=cache_dir, policy=_JUDGE_POLICY, pool=pool
+        )
+        if cells
+        else ()
+    )
+    verdicts = []
+    for ok in evaluable:
+        if not ok:
+            verdicts.append(False)
+            continue
+        a, b = next(results), next(results)
+        verdicts.append(
+            not isinstance(a, CellFailure)
+            and not isinstance(b, CellFailure)
+            and kind.diverges(kind.profile(a, b))
+        )
+    return verdicts
+
+
 def divergence_check(
     pair: tuple[ModelLike, ModelLike],
     cache_dir: Optional[str] = None,
@@ -73,26 +134,15 @@ def divergence_check(
     ``(model, "operational:<machine>")`` and it diverges when the axioms
     and the machine allow different full-projection outcome sets.
 
-    Both cells go through the batch engine, sharing one candidate prefix
-    per variant, and — with ``cache_dir`` set — every check is cached:
-    re-running an interrupted minimization replays its prior decisions
-    from disk.  Variants the engine cannot evaluate (domain overflow and
-    kin) count as non-diverging, which simply makes the minimizer reject
-    that deletion.
+    Each check is one :func:`divergences` question: both cells go through
+    the batch engine, sharing one candidate prefix per variant, and —
+    with ``cache_dir`` set — every check is cached: re-running an
+    interrupted minimization replays its prior decisions from disk.
     """
     columns = kind.columns(pair)
 
     def check(test: LitmusTest) -> bool:
-        if not kind.evaluable(test):
-            return False
-        try:
-            a, b = evaluate_cells(
-                [kind.cell(test, *column) for column in columns],
-                cache_dir=cache_dir,
-            )
-        except (DomainOverflowError, EngineWorkerError):
-            return False
-        return kind.diverges(kind.profile(a, b))
+        return divergences([(test, columns)], kind, cache_dir)[0]
 
     return check
 
@@ -193,6 +243,79 @@ def _drop_empty_programs(test: LitmusTest) -> LitmusTest:
     )
 
 
+def _minimization_steps(
+    test: LitmusTest, max_checks: int
+) -> Generator[LitmusTest, bool, MinimizationResult]:
+    """The greedy search as a generator: yields each candidate test and
+    receives whether it still diverges; returns the result.
+
+    The first candidate is ``test`` itself, which must diverge.  Later
+    candidates delete one instruction from the current witness; the first
+    that diverges becomes the witness and the scan restarts.
+    """
+    if not (yield test):
+        raise ValueError(
+            f"test {test.name!r} does not diverge for this model pair"
+        )
+    current = test
+    checks = 0
+    progress = True
+    while progress and checks < max_checks:
+        progress = False
+        for proc_index in range(len(current.programs)):
+            for instr_index in range(len(current.programs[proc_index])):
+                variant = _delete_instruction(current, proc_index, instr_index)
+                if variant is None:
+                    continue
+                checks += 1
+                if (yield variant):
+                    current = variant
+                    progress = True
+                    break
+                if checks >= max_checks:
+                    break
+            if progress or checks >= max_checks:
+                break
+    current = _drop_empty_programs(current)
+    return MinimizationResult(
+        test=current,
+        original_instrs=instruction_count(test),
+        minimized_instrs=instruction_count(current),
+        checks=checks,
+    )
+
+
+def minimize_in_lockstep(
+    tests: Sequence[LitmusTest],
+    judge: Callable[[list[tuple[int, LitmusTest]]], list[bool]],
+    max_checks: int = 10_000,
+) -> list[MinimizationResult]:
+    """Minimize every test at once, one ``judge`` call per round.
+
+    Each round hands ``judge`` the ``(index, candidate)`` pair of every
+    unfinished search (``index`` into ``tests``), in index order, and
+    ``judge`` returns whether each candidate diverges, in the same order.
+    A search sees only its own verdicts, so each result is exactly what
+    :func:`minimize_divergence` returns for that test alone under the
+    same predicate.
+
+    Raises:
+        ValueError: if some test does not diverge to begin with.
+    """
+    searches = [_minimization_steps(test, max_checks) for test in tests]
+    pending = {index: next(search) for index, search in enumerate(searches)}
+    results: list = [None] * len(tests)
+    while pending:
+        round_ = list(pending.items())
+        for (index, _candidate), verdict in zip(round_, judge(round_)):
+            try:
+                pending[index] = searches[index].send(verdict)
+            except StopIteration as done:
+                results[index] = done.value
+                del pending[index]
+    return results
+
+
 def minimize_divergence(
     test: LitmusTest,
     check: Callable[[LitmusTest], bool],
@@ -215,33 +338,9 @@ def minimize_divergence(
     Raises:
         ValueError: if ``test`` does not diverge to begin with.
     """
-    if not check(test):
-        raise ValueError(
-            f"test {test.name!r} does not diverge for this model pair"
-        )
-    current = test
-    checks = 0
-    progress = True
-    while progress and checks < max_checks:
-        progress = False
-        for proc_index in range(len(current.programs)):
-            for instr_index in range(len(current.programs[proc_index])):
-                variant = _delete_instruction(current, proc_index, instr_index)
-                if variant is None:
-                    continue
-                checks += 1
-                if check(variant):
-                    current = variant
-                    progress = True
-                    break
-                if checks >= max_checks:
-                    break
-            if progress or checks >= max_checks:
-                break
-    current = _drop_empty_programs(current)
-    return MinimizationResult(
-        test=current,
-        original_instrs=instruction_count(test),
-        minimized_instrs=instruction_count(current),
-        checks=checks,
+    [result] = minimize_in_lockstep(
+        [test],
+        lambda round_: [check(candidate) for _, candidate in round_],
+        max_checks,
     )
+    return result

@@ -361,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes per shard (default: 1, serial)",
+        help="worker processes shared by the shards and the minimizer "
+        "(default: 1, serial)",
     )
     hunt.add_argument(
         "--no-lint",

@@ -29,15 +29,17 @@ Architecture::
         │  jobs>1 or deadline    │ one CandidatePrefix per test:
         ▼                        │   value domains + program runs
     ProcessPoolExecutor          │   + candidate bases, shared by
-    (one batch per future,       │   every model; static-ppo DAGs and
-     consumed in submission      │   (mo, rf) enumerations memoized
-     order = deterministic;      │   per clause set
-     killable: deadlines and     │
-     crashed workers recover     ▼
-     per ExecutionPolicy)   ResultCache (optional; one SQLite file in
-        │                   WAL mode, one transaction per batch; JSON
-        └─────────────────► payloads keyed by SHA-256 of test content +
-                            oracle (model clauses or machine variant) +
+    (a run of consecutive        │   every model; static-ppo DAGs and
+     batches per future,         │   (mo, rf) enumerations memoized
+     consumed in submission      │   per clause set
+     order = deterministic;      │
+     one WorkerPool may serve    │
+     a whole run; killable:      │
+     deadlines and crashed       ▼
+     workers recover per    ResultCache (optional; one SQLite file in
+     ExecutionPolicy)       WAL mode, one transaction per batch; JSON
+        │                   payloads keyed by SHA-256 of test content +
+        └─────────────────► oracle (model clauses or machine variant) +
                             ENGINE_VERSION, so entries can't go stale)
 
 The three layers:
@@ -107,7 +109,7 @@ from .policy import (
     CellFailure,
     ExecutionPolicy,
 )
-from .scheduler import EngineWorkerError, evaluate_cells
+from .scheduler import EngineWorkerError, WorkerPool, evaluate_cells
 
 __all__ = [
     "ENGINE_VERSION",
@@ -126,6 +128,7 @@ __all__ = [
     "oracle_descriptor",
     "parse_oracle",
     "EngineWorkerError",
+    "WorkerPool",
     "CacheStats",
     "CellFailure",
     "DEFAULT_POLICY",

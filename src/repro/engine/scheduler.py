@@ -13,6 +13,17 @@ come back in the order the cells were given; pooled batches are consumed
 strictly in submission order, which keeps the ``on_batch`` stream and
 all telemetry merges deterministic regardless of worker scheduling.
 
+A litmus batch takes well under a millisecond, less than a pool round
+trip, so each future carries a run of consecutive batches — about four
+futures per worker, at most 64 batches each — and returns one tagged
+result per batch.  Chunks fall back to one batch where recovery needs
+to know which batch a future held: when a deadline is armed (deadlines
+are per batch) and while a broken pool's suspects are probed.  A caller
+that makes many pooled calls, like a hunt's shards and its minimizer
+rounds, passes one :class:`WorkerPool` to all of them, so the workers
+start once per run; a crash or deadline kill replaces the pool's
+executor in place.
+
 Failure semantics are identical serial and pooled.  Worker failures are
 translated, not propagated raw: a
 :class:`~repro.core.axiomatic.DomainOverflowError` raised inside a batch
@@ -62,7 +73,7 @@ from .cells import CellResult, CellSpec, evaluate_cell, test_descriptor
 from .faults import FaultPlan, fault_plan_from_env, fire_after_batch, fire_before_batch
 from .policy import DEFAULT_POLICY, ON_ERROR_QUARANTINE, CellFailure, ExecutionPolicy
 
-__all__ = ["EngineWorkerError", "evaluate_cells"]
+__all__ = ["EngineWorkerError", "WorkerPool", "evaluate_cells"]
 
 
 class EngineWorkerError(RuntimeError):
@@ -207,6 +218,26 @@ def _run_batch(payload: tuple) -> tuple:
         )
 
 
+def _run_chunk(payloads: Sequence[tuple]) -> list[tuple]:
+    """Pool-side runner for consecutive batches: one tagged tuple each.
+
+    Each batch goes through :func:`_run_batch` (looked up as a module
+    global, so a wrapped runner is honoured), which keeps errors,
+    overflows and telemetry snapshots per batch.
+    """
+    return [_run_batch(payload) for payload in payloads]
+
+
+def _chunk_size(batches: int, workers: int) -> int:
+    """Batches per future: about four futures per worker, at most 64.
+
+    One litmus test is a sub-millisecond batch, far below the pool's
+    per-future round trip, so consecutive batches share a future; four
+    per worker leave enough futures to balance uneven batch times.
+    """
+    return max(1, min(64, batches // (4 * workers)))
+
+
 def _backoff_sleep(policy: ExecutionPolicy, attempt: int) -> None:
     """Sleep before retry ``attempt`` (>= 2): ``backoff * 2**(attempt-2)``."""
     if policy.backoff <= 0:
@@ -230,6 +261,46 @@ def _kill_executor(executor: ProcessPoolExecutor) -> None:
     executor.shutdown(wait=False, cancel_futures=True)
 
 
+class WorkerPool:
+    """A process pool shared by every pooled :func:`evaluate_cells` call
+    of one run.
+
+    The executor starts on first use, so a run whose calls all stay
+    serial never forks.  A deadline kill or a crash restart replaces it
+    in place (:meth:`kill`; the next use starts a fresh one), and
+    :meth:`close` — also the context-manager exit — shuts it down and
+    joins its workers, so none outlives the run.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = max(workers, 1)
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    def executor(self) -> ProcessPoolExecutor:
+        """The live executor, started (or restarted) on demand."""
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        return self._executor
+
+    def kill(self) -> None:
+        """Kill the workers and drop the executor (see :func:`_kill_executor`)."""
+        if self._executor is not None:
+            _kill_executor(self._executor)
+            self._executor = None
+
+    def close(self) -> None:
+        """Shut the executor down and join its workers."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 def evaluate_cells(
     cells: Sequence[CellSpec],
     jobs: int = 1,
@@ -239,6 +310,7 @@ def evaluate_cells(
     fault_plan: Optional[FaultPlan] = None,
     on_stall: Optional[Callable[[LitmusTest, float], None]] = None,
     stall_after: float = 30.0,
+    pool: Optional[WorkerPool] = None,
 ) -> list[CellResult]:
     """Evaluate a cell grid; results are ordered exactly like ``cells``.
 
@@ -246,9 +318,11 @@ def evaluate_cells(
     pickling, behaviour identical to the serial seed path.  ``jobs > 1``
     fans per-test batches out over a process pool; a ``policy`` with a
     deadline routes even ``jobs=1`` through a one-worker pool, because
-    only a pool can be killed out from under a hung batch.  With
-    ``cache_dir`` set, results are served from / persisted to the on-disk
-    :class:`~repro.engine.cache.ResultCache`.
+    only a pool can be killed out from under a hung batch.  That pool is
+    ``pool`` when the caller keeps one :class:`WorkerPool` for a whole
+    run (this call leaves it open), else a private one shut down before
+    returning.  With ``cache_dir`` set, results are served from /
+    persisted to the on-disk :class:`~repro.engine.cache.ResultCache`.
 
     ``policy`` (default :data:`~repro.engine.policy.DEFAULT_POLICY`)
     decides what failed batches become: exceptions (``fail``), inline
@@ -340,6 +414,7 @@ def evaluate_cells(
                 groups,
                 cells,
                 cache_dir,
+                pool,
                 jobs,
                 policy,
                 plan,
@@ -403,6 +478,7 @@ def _evaluate_pooled(
     groups: list[tuple[LitmusTest, list[int]]],
     cells: Sequence[CellSpec],
     cache_dir: Optional[str],
+    pool: Optional[WorkerPool],
     jobs: int,
     policy: ExecutionPolicy,
     plan: FaultPlan,
@@ -412,15 +488,19 @@ def _evaluate_pooled(
     accept: Callable,
     finalize_failure: Callable,
 ) -> None:
-    """Pooled evaluation: sliding submission window, deadlines, recovery.
+    """Pooled evaluation: chunked futures, deadlines, recovery.
 
-    Batches are consumed strictly in submission order (deterministic
-    ``on_batch`` stream and telemetry merges).  With a deadline armed the
-    in-flight window equals the worker count, so every submitted future
-    is genuinely running and elapsed-since-submission is its runtime;
-    without one the window is ``2 * workers`` — enough queued work to
-    keep workers busy across uneven batch times, while bounding how many
-    batches a crashed pool puts under suspicion.
+    Each future carries a run of consecutive batches (see
+    :func:`_chunk_size`) and comes back as one tagged tuple per batch;
+    batches are consumed strictly in submission order (deterministic
+    ``on_batch`` stream and telemetry merges), so a chunk's later batches
+    wait in ``ready`` while an earlier one is retried.  Chunks hold one
+    batch when a deadline is armed — deadlines are per batch — and inside
+    the crash-probe window.  The in-flight window counts futures: with a
+    deadline it equals the worker count, so every submitted future is
+    genuinely running and elapsed-since-submission is its runtime;
+    without one it is ``2 * workers`` — enough queued work to keep
+    workers busy across uneven chunk times.
 
     Recovery events:
 
@@ -431,95 +511,96 @@ def _evaluate_pooled(
     * ``BrokenProcessPool`` — any in-flight batch may have killed the
       worker, so the whole window re-runs one batch at a time on fresh
       pools; the batch that breaks a pool it has to itself is the
-      culprit and is charged an attempt, the rest are exonerated.
+      culprit and is charged an attempt, the rest are exonerated;
+    * ``"error"`` — the batch alone is re-submitted for its retries, on
+      the same (healthy) pool.
     """
-    workers = min(max(jobs, 1), len(groups))
+    owned = pool is None
+    if owned:
+        pool = WorkerPool(min(max(jobs, 1), len(groups)))
+    workers = pool.workers
     window_cap = workers if policy.needs_pool else 2 * workers
+    chunk = 1 if policy.needs_pool else _chunk_size(len(groups), workers)
     total = len(groups)
     attempts = [1] * total
-    inflight: dict[int, tuple] = {}
-    executor: Optional[ProcessPoolExecutor] = None
+    inflight: dict[int, tuple] = {}  # first slot -> (future, submitted)
+    ready: dict[int, tuple] = {}  # slot -> its tagged outcome, not yet consumed
     position = 0
     next_submit = 0
     serial_until = 0
 
-    def _submit(slot: int) -> None:
-        test, indices = groups[slot]
-        payload = (
-            slot,
-            attempts[slot],
-            test,
-            [cells[i] for i in indices],
-            cache_dir,
-            recorder.active,
-            plan,
-        )
-        inflight[slot] = (executor.submit(_run_batch, payload), monotonic())
+    def _submit(start: int, end: int) -> None:
+        payloads = [
+            (
+                slot,
+                attempts[slot],
+                groups[slot][0],
+                [cells[i] for i in groups[slot][1]],
+                cache_dir,
+                recorder.active,
+                plan,
+            )
+            for slot in range(start, end)
+        ]
+        future = pool.executor().submit(_run_chunk, payloads)
+        inflight[start] = (future, monotonic())
+
+    def _fill_window() -> None:
+        """Submit chunks until the window is full; stop on a broken pool."""
+        nonlocal next_submit
+        window = 1 if position < serial_until else window_cap
+        while next_submit < total and len(inflight) < window:
+            size = 1 if next_submit < serial_until else chunk
+            end = min(next_submit + size, total)
+            try:
+                _submit(next_submit, end)
+            except BrokenProcessPool:
+                # A worker died since the last result; the in-flight
+                # future that killed it reports the break when its turn
+                # comes (or the wait below does, if none is left).
+                return
+            next_submit = end
 
     def _restart_pool() -> None:
-        """Kill the pool and put every in-flight batch back in the queue."""
-        nonlocal executor, next_submit
+        """Kill the pool and put every unconsumed batch back in the queue."""
+        nonlocal next_submit
         incr("engine.pool.restarts")
-        _kill_executor(executor)
-        executor = None
+        pool.kill()
         inflight.clear()
+        ready.clear()
         next_submit = position
+
+    def _charge(reason: str, message: str) -> None:
+        """Spend one of the head batch's attempts on a kill or a crash."""
+        nonlocal position, next_submit
+        if attempts[position] <= policy.retries:
+            incr("engine.retries")
+            attempts[position] += 1
+            _backoff_sleep(policy, attempts[position])
+        else:
+            finalize_failure(position, reason, message, "", attempts[position])
+            position += 1
+            next_submit = position
 
     try:
         while position < total:
-            if executor is None:
-                executor = ProcessPoolExecutor(max_workers=workers)
-            window = 1 if position < serial_until else window_cap
-            while next_submit < total and len(inflight) < window:
-                _submit(next_submit)
-                next_submit += 1
-            future, submitted = inflight[position]
-            test = groups[position][0]
-            outcome: Optional[tuple] = None
+            _fill_window()
+            outcome = ready.pop(position, None)
             event: Optional[str] = None
-            stalls_fired = 0
-            while True:
-                waited = monotonic() - submitted
-                step: Optional[float] = None
-                if policy.timeout is not None:
-                    remaining = policy.timeout - waited
-                    if remaining <= 0 and not future.done():
-                        event = "timeout"
-                        break
-                    step = max(remaining, 0.0)
-                if on_stall is not None and stall_after > 0:
-                    to_stall = stall_after * (stalls_fired + 1) - waited
-                    if to_stall <= 0:
-                        stalls_fired += 1
-                        on_stall(test, waited)
-                        continue
-                    step = to_stall if step is None else min(step, to_stall)
-                try:
-                    outcome = future.result(timeout=step)
-                    break
-                except FutureTimeout:
-                    continue
-                except BrokenProcessPool:
-                    event = "broken"
-                    break
+            if outcome is None:
+                event, outcomes = _await_chunk(
+                    inflight.get(position), groups[position][0], policy,
+                    on_stall, stall_after,
+                )
+                if event is None:
+                    del inflight[position]
+                    ready.update(enumerate(outcomes, start=position))
+                    outcome = ready.pop(position)
 
             if event == "timeout":
                 incr("engine.timeouts")
                 _restart_pool()
-                if attempts[position] <= policy.retries:
-                    incr("engine.retries")
-                    attempts[position] += 1
-                    _backoff_sleep(policy, attempts[position])
-                else:
-                    finalize_failure(
-                        position,
-                        "timeout",
-                        f"batch exceeded the {policy.timeout:g}s deadline",
-                        "",
-                        attempts[position],
-                    )
-                    position += 1
-                    next_submit = position
+                _charge("timeout", f"batch exceeded the {policy.timeout:g}s deadline")
                 continue
 
             if event == "broken":
@@ -529,23 +610,10 @@ def _evaluate_pooled(
                     # Any of the in-flight batches may be the crasher;
                     # probe them one at a time, no attempts charged yet.
                     serial_until = position + suspects
-                elif attempts[position] <= policy.retries:
-                    incr("engine.retries")
-                    attempts[position] += 1
-                    _backoff_sleep(policy, attempts[position])
-                else:
-                    finalize_failure(
-                        position,
-                        "crash",
-                        "worker process died mid-batch (pool broken)",
-                        "",
-                        attempts[position],
-                    )
-                    position += 1
-                    next_submit = position
+                elif suspects == 1:
+                    _charge("crash", "worker process died mid-batch (pool broken)")
                 continue
 
-            del inflight[position]
             tag = outcome[0]
             if tag == "ok":
                 if outcome[2] is not None:
@@ -561,16 +629,58 @@ def _evaluate_pooled(
                     incr("engine.retries")
                     attempts[position] += 1
                     _backoff_sleep(policy, attempts[position])
-                    _submit(position)  # same pool: the worker is healthy
+                    try:
+                        _submit(position, position + 1)  # the worker is healthy
+                    except BrokenProcessPool:
+                        _restart_pool()  # re-queues this batch and the rest
                 else:
                     finalize_failure(
                         position, "error", message, worker_tb, attempts[position]
                     )
                     position += 1
     except BaseException:
-        if executor is not None:
-            _kill_executor(executor)
+        pool.kill()
         raise
-    else:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    if owned:
+        pool.close()
+
+
+def _await_chunk(
+    entry: Optional[tuple],
+    test: LitmusTest,
+    policy: ExecutionPolicy,
+    on_stall: Optional[Callable[[LitmusTest, float], None]],
+    stall_after: float,
+) -> tuple[Optional[str], list]:
+    """Wait for the head chunk: ``(None, outcomes)``, ``("timeout", [])``
+    or ``("broken", [])``.
+
+    ``entry`` is ``None`` when the head chunk could not be submitted
+    because the pool was already broken.  ``test`` (the head batch's) is
+    what ``on_stall`` reports every ``stall_after`` seconds of waiting.
+    """
+    if entry is None:
+        return "broken", []
+    future, submitted = entry
+    stalls_fired = 0
+    while True:
+        waited = monotonic() - submitted
+        step: Optional[float] = None
+        if policy.timeout is not None:
+            remaining = policy.timeout - waited
+            if remaining <= 0 and not future.done():
+                return "timeout", []
+            step = max(remaining, 0.0)
+        if on_stall is not None and stall_after > 0:
+            to_stall = stall_after * (stalls_fired + 1) - waited
+            if to_stall <= 0:
+                stalls_fired += 1
+                on_stall(test, waited)
+                continue
+            step = to_stall if step is None else min(step, to_stall)
+        try:
+            return None, future.result(timeout=step)
+        except FutureTimeout:
+            continue
+        except BrokenProcessPool:
+            return "broken", []

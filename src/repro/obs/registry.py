@@ -269,7 +269,9 @@ METRICS: dict[str, MetricSpec] = {
         ),
         _timer(
             "campaign.minimize.seconds",
-            "Wall time of each witness divergence-check + minimization.",
+            "Wall time of each lockstep minimization round: one engine call "
+            "judging every unfinished witness's next candidate (the last "
+            "round re-checks the written .litmus files).",
         ),
         # --- histograms -------------------------------------------------
         _histogram(

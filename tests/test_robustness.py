@@ -13,6 +13,7 @@ historical raising behaviour.
 import contextlib
 import json
 import sqlite3
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.engine import (
 )
 from repro.engine.cache import DB_NAME
 from repro.engine.faults import FAULTS_ENV_VAR
+from repro.litmus import registry
 from repro.litmus.registry import get_test
 from repro.obs import collecting
 
@@ -44,6 +46,40 @@ QUARANTINE = ExecutionPolicy(backoff=0.0, on_error="quarantine")
 def _verdict_cells(*names):
     tests = [get_test(name) for name in names]
     return [VerdictSpec(test, model) for test in tests for model in ("sc", "gam")]
+
+
+def _essence(result):
+    """What a caller keys on: tracebacks name the dispatch frame (serial
+    loop vs pool worker), so they are left out."""
+    if isinstance(result, CellFailure):
+        return (result.test_name, result.reason, result.message, result.attempts)
+    return result
+
+
+class _RecordingPool(ProcessPoolExecutor):
+    """A pool that counts its starts and the batches each future carries."""
+
+    starts = 0
+    futures: list = []
+
+    def __init__(self, *args, **kwargs):
+        type(self).starts += 1
+        super().__init__(*args, **kwargs)
+
+    def submit(self, fn, *args, **kwargs):
+        self.futures.append(len(args[0]))
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Route the scheduler's pools through :class:`_RecordingPool`."""
+    from repro.engine import scheduler
+
+    monkeypatch.setattr(_RecordingPool, "starts", 0)
+    monkeypatch.setattr(_RecordingPool, "futures", [])
+    monkeypatch.setattr(scheduler, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool
 
 
 class TestExecutionPolicy:
@@ -213,20 +249,7 @@ class TestPooledFailures:
         plan = parse_fault_plan("raise:test=lb")
         serial = evaluate_cells(cells, policy=QUIET, fault_plan=plan)
         pooled = evaluate_cells(cells, jobs=2, policy=QUIET, fault_plan=plan)
-
-        def essence(result):
-            # Tracebacks name the dispatch frame (serial loop vs pool
-            # worker); everything the caller keys on must match.
-            if isinstance(result, CellFailure):
-                return (
-                    result.test_name,
-                    result.reason,
-                    result.message,
-                    result.attempts,
-                )
-            return result
-
-        assert [essence(r) for r in pooled] == [essence(r) for r in serial]
+        assert [_essence(r) for r in pooled] == [_essence(r) for r in serial]
 
     def test_worker_crash_is_quarantined_and_attributed(self):
         cells = _verdict_cells("mp", "lb", "corr")
@@ -293,6 +316,121 @@ class TestPooledFailures:
             stall_after=0.25,
         )
         assert any(name == "lb" and waited >= 0.25 for name, waited in calls)
+
+
+class TestChunkedFailures:
+    """Faults on a batch in the middle of a multi-batch future."""
+
+    JOBS = 2
+
+    @pytest.fixture
+    def grid(self, recording_pool):
+        """Every registry test x (sc, gam), and the test in mid-chunk."""
+        from repro.engine import scheduler
+
+        names = registry.test_names()
+        assert len(names) >= 24
+        chunk = scheduler._chunk_size(len(names), self.JOBS)
+        assert chunk >= 3
+        return _verdict_cells(*names), names[chunk + chunk // 2]
+
+    def test_fault_free_counters_match_serial(self, grid):
+        cells, _victim = grid
+        with collecting() as recorder:
+            serial = evaluate_cells(cells)
+            serial_counters = recorder.snapshot().counters
+        with collecting() as recorder:
+            pooled = evaluate_cells(cells, jobs=self.JOBS)
+            pooled_counters = recorder.snapshot().counters
+        assert pooled == serial
+        assert pooled_counters == serial_counters
+        assert max(_RecordingPool.futures) > 1  # some future held a run
+
+    def test_raise_mid_chunk_matches_serial(self, grid):
+        cells, victim = grid
+        plan = parse_fault_plan(f"raise:test={victim}")
+        serial = evaluate_cells(cells, policy=QUIET, fault_plan=plan)
+        pooled = evaluate_cells(cells, jobs=self.JOBS, policy=QUIET, fault_plan=plan)
+        assert [_essence(r) for r in pooled] == [_essence(r) for r in serial]
+        assert {r.test_name for r in pooled if isinstance(r, CellFailure)} == {victim}
+        assert max(_RecordingPool.futures) > 1  # some future held a run
+
+    def test_raise_mid_chunk_retry_recovers_in_order(self, grid):
+        cells, victim = grid
+        baseline = evaluate_cells(cells)
+        plan = parse_fault_plan(f"raise:test={victim},attempts=1")
+        policy = ExecutionPolicy(retries=1, backoff=0.0, on_error="fail")
+        seen = []
+        with collecting() as recorder:
+            results = evaluate_cells(
+                cells, jobs=self.JOBS, policy=policy, fault_plan=plan,
+                on_batch=lambda test, _results: seen.append(test.name),
+            )
+            counters = recorder.snapshot().counters
+        assert results == baseline
+        assert seen == list(dict.fromkeys(cell.test.name for cell in cells))
+        assert counters["engine.retries"] == 1
+
+    def test_crash_mid_chunk_blames_only_the_crasher(self, grid):
+        cells, victim = grid
+        baseline = evaluate_cells(cells)
+        plan = parse_fault_plan(f"crash:test={victim}")
+        with collecting() as recorder:
+            results = evaluate_cells(
+                cells, jobs=self.JOBS, policy=QUARANTINE, fault_plan=plan
+            )
+            counters = recorder.snapshot().counters
+        for cell, got, want in zip(cells, results, baseline):
+            if cell.test.name == victim:
+                assert isinstance(got, CellFailure)
+                assert got.reason == "crash"
+            else:
+                assert got == want  # innocents are never blamed
+        assert counters["engine.pool.restarts"] >= 1
+        assert counters["engine.batches.quarantined"] == 1
+        assert max(_RecordingPool.futures) > 1  # some future held a run
+
+    def test_crash_mid_chunk_retry_recovers(self, grid):
+        cells, victim = grid
+        baseline = evaluate_cells(cells)
+        plan = parse_fault_plan(f"crash:test={victim},attempts=1")
+        policy = ExecutionPolicy(retries=1, backoff=0.0, on_error="fail")
+        with collecting() as recorder:
+            results = evaluate_cells(
+                cells, jobs=self.JOBS, policy=policy, fault_plan=plan
+            )
+            counters = recorder.snapshot().counters
+        assert results == baseline
+        assert counters["engine.pool.restarts"] >= 1
+
+
+class TestWorkerPool:
+    def test_one_pool_serves_many_calls(self, recording_pool):
+        from repro.engine import WorkerPool
+
+        cells = _verdict_cells("mp", "lb", "corr")
+        baseline = evaluate_cells(cells)
+        with WorkerPool(2) as pool:
+            for _ in range(3):
+                assert evaluate_cells(cells, jobs=2, pool=pool) == baseline
+        assert recording_pool.starts == 1
+        assert pool._executor is None  # shut down and joined on exit
+
+    def test_crash_restart_replaces_the_run_pool(self, recording_pool):
+        from repro.engine import WorkerPool
+
+        cells = _verdict_cells("mp", "lb", "corr")
+        baseline = evaluate_cells(cells)
+        plan = parse_fault_plan("crash:test=lb,attempts=1")
+        policy = ExecutionPolicy(retries=1, backoff=0.0)
+        with WorkerPool(2) as pool:
+            results = evaluate_cells(
+                cells, jobs=2, policy=policy, fault_plan=plan, pool=pool
+            )
+            assert results == baseline
+            # The replacement executor keeps serving later calls.
+            assert evaluate_cells(cells, jobs=2, pool=pool) == baseline
+        assert recording_pool.starts >= 2
 
 
 class TestCorruptionRecovery:

@@ -55,11 +55,15 @@ HUNTS = {
 }
 
 
-def run_hunt(name: str, out: Path) -> dict[str, bytes]:
-    """Run hunt ``name`` into ``out``; its pinned files, by relative path."""
+def run_hunt(name: str, out: Path, jobs: int = 1) -> dict[str, bytes]:
+    """Run hunt ``name`` into ``out`` with ``jobs`` workers; its pinned
+    files, by relative path (the same for every ``jobs``)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "hunt", *HUNTS[name], "--out", str(out)],
+        [
+            sys.executable, "-m", "repro", "hunt", *HUNTS[name],
+            "--jobs", str(jobs), "--out", str(out),
+        ],
         env=env,
         capture_output=True,
         text=True,
