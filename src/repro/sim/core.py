@@ -83,17 +83,6 @@ class _Entry:
                 return False
         return True
 
-    def next_source_cycle(self) -> Optional[int]:
-        """Earliest cycle all known producers finish, if all are scheduled."""
-        latest = 0
-        for producer in self.producers:
-            if producer.committed:
-                continue
-            if producer.done_cycle is None:
-                return None
-            latest = max(latest, producer.done_cycle)
-        return latest
-
 
 class OOOCore:
     """The out-of-order core; one instance simulates one trace.

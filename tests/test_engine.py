@@ -36,7 +36,8 @@ from repro.eval.litmus_matrix import litmus_matrix, render_matrix
 from repro.eval.strength import render_strength, strength_matrix
 from repro.isa.expr import BinOp, Const, Reg
 from repro.litmus.dsl import LitmusBuilder
-from repro.litmus.registry import get_test
+from repro.litmus.frontend.suite import resolve_suite
+from repro.litmus.registry import get_test, paper_suite
 from repro.models.registry import get_model
 
 _ZOO = ("sc", "tso", "gam", "gam0", "arm", "wmm", "alpha_like", "plsc")
@@ -66,7 +67,7 @@ def _overflow_test(name="feedback-overflow"):
 
 
 class TestSharedPrefix:
-    @pytest.mark.parametrize("test_name", ["dekker", "mp+addr", "corr", "iriw"])
+    @pytest.mark.parametrize("test_name", [t.name for t in paper_suite()] + ["iriw"])
     def test_shared_prefix_matches_fresh_verdicts(self, test_name):
         test = get_test(test_name)
         prefix = CandidatePrefix(test)
@@ -105,7 +106,7 @@ class TestSharedPrefix:
         assert is_allowed(test, gam, outcome=outcome, prefix=prefix) is False
 
     def test_engine_cells_match_direct_calls(self):
-        tests = [get_test("dekker"), get_test("mp")]
+        tests = [*paper_suite(), get_test("mp")]
         cells = [VerdictSpec(t, m) for t in tests for m in _ZOO]
         results = evaluate_cells(cells)
         for cell, result in zip(cells, results):
@@ -382,8 +383,12 @@ class TestOnBatchHook:
 
 @pytest.mark.slow
 class TestParallelParity:
-    def test_matrix_jobs2_identical(self):
-        tests = [get_test("dekker"), get_test("mp"), get_test("corr")]
+    @pytest.mark.parametrize("suite", ["dekker,mp,corr", "gen:edges=4"])
+    def test_matrix_jobs2_identical(self, suite):
+        if suite.startswith("gen:"):
+            tests = resolve_suite(suite)
+        else:
+            tests = [get_test(name) for name in suite.split(",")]
         serial = render_matrix(litmus_matrix(tests=tests, jobs=1))
         parallel = render_matrix(litmus_matrix(tests=tests, jobs=2))
         assert serial == parallel

@@ -1,4 +1,12 @@
-"""Tests for the experiment harnesses (repro.eval)."""
+"""Tests for the experiment harnesses (repro.eval).
+
+The ``slow`` classes at the end check the paper's Section V claims (GAM
+performs about as well as ARM, GAM0 and Alpha*) with the tight bounds: one
+shared twelve-workload sweep for Figure 18 and Tables II-III, and the
+kill-penalty and ROB-size ablations on one ``gcc.166`` trace.
+"""
+
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +16,28 @@ from repro.eval.render import render_bar_chart, render_table
 from repro.eval.table2 import render_table2, table2
 from repro.eval.table3 import render_table3, table3
 from repro.sim.config import CoreConfig
+from repro.sim.core import OOOCore
+from repro.sim.policies import GAM, GAM0
+from repro.workloads.generator import generate_trace
+from repro.workloads.profiles import get_profile
+
+# A reduced Figure 18 sweep: workloads spanning the profile characters
+# (ILP-bound, branchy, streaming, pointer-chasing) at 5,000 uOPs each.
+SECTION_V_WORKLOADS = (
+    "astar.lakes",
+    "bzip2.source",
+    "gcc.166",
+    "gobmk.nngs",
+    "h264ref.frem",
+    "hmmer.retro",
+    "lbm",
+    "libquantum",
+    "mcf",
+    "namd",
+    "sjeng",
+    "sphinx3",
+)
+SECTION_V_LENGTH = 5_000
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +152,67 @@ class TestTables(object):
     def test_renderers(self, sweep):
         assert "Table II" in render_table2(table2(sweep))
         assert "Table III" in render_table3(table3(sweep))
+
+
+@pytest.fixture(scope="module")
+def section_v_sweep():
+    """The reduced sweep shared by the Figure 18 and Table II/III claims."""
+    return run_figure18(workloads=SECTION_V_WORKLOADS, trace_length=SECTION_V_LENGTH)
+
+
+@pytest.mark.slow
+class TestSectionVClaims:
+    @pytest.mark.parametrize("model", ["ARM", "GAM0", "Alpha*"])
+    def test_figure18_relaxations_gain_little(self, section_v_sweep, model):
+        # Paper: average gain < 0.3%, never above 3%.  Short synthetic
+        # traces are noisier, so the envelope here is 2% / 6%.
+        average = section_v_sweep.average_normalized(model)
+        assert 0.98 < average < 1.02, f"{model} average {average}"
+        assert section_v_sweep.max_normalized(model) < 1.06, model
+
+    def test_table2_kills_and_stalls_are_rare(self, section_v_sweep):
+        rows = {row.label: row for row in table2(section_v_sweep)}
+        kills = rows["Kills in GAM"]
+        assert kills.average_per_1k < 2.0, "kills should be rare (paper: 0.2)"
+        assert kills.max_per_1k < 8.0, "paper max is 3.24; same order expected"
+
+        gam = rows["Stalls in GAM"].average_per_1k
+        arm = rows["Stalls in ARM"].average_per_1k
+        assert gam < 8.0, "stalls should be rare (paper: 0.19)"
+        # ARM performs the same stall search as GAM (Section V-A).
+        assert abs(gam - arm) < max(0.5, 0.3 * gam)
+
+    def test_table3_forwarding_is_frequent_but_useless(self, section_v_sweep):
+        forwardings, miss_reduction = table3(section_v_sweep)
+        assert forwardings.label == "Load-load forwardings"
+        assert forwardings.average_per_1k > 3.0, "forwarding should be frequent (paper: 22)"
+        assert forwardings.max_per_1k > 10.0
+
+        assert miss_reduction.label == "Reduced L1 load misses over GAM"
+        assert abs(miss_reduction.average_per_1k) < 1.0, (
+            "forwarded loads would have hit the L1 anyway (paper: 0.01)"
+        )
+
+
+@pytest.fixture(scope="module")
+def ablation_trace():
+    return generate_trace(get_profile("gcc.166"), length=4_000, seed=3)
+
+
+@pytest.mark.slow
+class TestCoreAblations:
+    @pytest.mark.parametrize("kill_penalty", [5, 10, 20])
+    def test_kill_penalty_keeps_gam0_gap_small(self, ablation_trace, kill_penalty):
+        # GAM's cost is kills x penalty: even at double the Table I redirect
+        # penalty, GAM0's uPC gain over GAM stays under 5%.
+        config = replace(CoreConfig.haswell_like(), kill_penalty=kill_penalty)
+        gam = OOOCore(config=config, policy=GAM).run(ablation_trace)
+        gam0 = OOOCore(config=config, policy=GAM0).run(ablation_trace)
+        assert gam.committed_uops == len(ablation_trace)
+        assert gam0.upc / gam.upc < 1.05
+
+    @pytest.mark.parametrize("rob_entries", [48, 96, 192])
+    def test_rob_size_commits_every_uop(self, ablation_trace, rob_entries):
+        config = replace(CoreConfig.haswell_like(), rob_entries=rob_entries)
+        stats = OOOCore(config=config, policy=GAM).run(ablation_trace)
+        assert stats.committed_uops == len(ablation_trace)
