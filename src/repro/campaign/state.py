@@ -196,7 +196,7 @@ def member_names(
 
 
 def suite_digest(tests) -> str:
-    """Content digest of a resolved suite (ordered test descriptors).
+    """Content digest of a resolved suite (ordered test content keys).
 
     A ``gen:`` spec's meaning is a function of the generator's code, and
     a ``.litmus`` path's meaning is a function of the files on disk —
@@ -204,13 +204,7 @@ def suite_digest(tests) -> str:
     resolved tests lets :meth:`CampaignDir.check_spec` refuse a resume
     whose shard records describe tests the spec no longer produces.
     """
-    from ..engine.cells import test_descriptor  # cycle-free import
-
-    payload = json.dumps(
-        [test_descriptor(test) for test in tests],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    payload = "[" + ",".join(test.content_key for test in tests) + "]"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -1,7 +1,10 @@
 """On-disk result cache: content-hashed cells in one SQLite database.
 
 Each cell's canonical descriptor (see :func:`repro.engine.cells
-.cell_descriptor`) is hashed with SHA-256; the verdict / outcome-set
+.cell_descriptor`) is hashed with SHA-256.  Its test part is the test's
+``content_key`` (:class:`~repro.litmus.test.LitmusTest`), serialized
+once per test object and pickled along with it, so neither the parent
+nor a pool worker describes a test twice.  The verdict / outcome-set
 payload is stored as JSON text under that key, in the table
 ``cells(key, payload)`` of ``cells.sqlite`` in the cache directory.
 Because the key covers the test content, the model's clauses and the
@@ -45,9 +48,9 @@ import json
 import os
 import pathlib
 import time
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
-from ..litmus.test import LitmusTest, Outcome
+from ..litmus.test import Outcome
 from ..obs import current as _obs_current
 from ..obs import incr as _obs_incr
 from .cells import (
@@ -57,16 +60,13 @@ from .cells import (
     OutcomeSpec,
     VerdictSpec,
     cell_descriptor,
-    model_descriptor,
     model_display_name,
-    test_descriptor,
 )
 
 __all__ = [
     "DB_NAME",
     "CacheStats",
     "ResultCache",
-    "batch_cache_keys",
     "cell_cache_key",
 ]
 
@@ -94,34 +94,15 @@ def _sha256(text: str) -> str:
 
 
 def cell_cache_key(cell: CellSpec) -> str:
-    """The SHA-256 content hash identifying a cell's cache entry."""
-    return _sha256(_canonical(cell_descriptor(cell)))
+    """The SHA-256 content hash identifying a cell's cache entry.
 
-
-def batch_cache_keys(test: LitmusTest, cells: Sequence[CellSpec]) -> list[str]:
-    """:func:`cell_cache_key` for every cell of one test's batch.
-
-    The test's descriptor is built and serialized once and each model's
-    descriptor built once, instead of once per cell: model descriptors
-    resolve the model, and test descriptors render every instruction.
-    Each cell's descriptor is serialized with an empty test part, and
-    since ``"test"`` sorts after every other descriptor key, its closing
-    ``{}}`` is where the test's canonical JSON goes.
+    The hashed text is the canonical JSON of :func:`cell_descriptor`,
+    built with an empty test part: ``"test"`` sorts after every other
+    descriptor key, so its closing ``{}}`` is where the test's cached
+    ``content_key`` goes.
     """
-    test_text = _canonical(test_descriptor(test))
-    model_parts: dict = {}
-    keys = []
-    for cell in cells:
-        model_part = None
-        if cell.oracle == ORACLE_AXIOMATIC:
-            # Spec strings key by value; built models by identity.
-            slot = cell.model if isinstance(cell.model, str) else id(cell.model)
-            model_part = model_parts.get(slot)
-            if model_part is None:
-                model_part = model_parts[slot] = model_descriptor(cell.model)
-        text = _canonical(cell_descriptor(cell, {}, model_part))
-        keys.append(_sha256(text[:-3] + test_text + "}"))
-    return keys
+    text = _canonical(cell_descriptor(cell, {}))
+    return _sha256(text[:-3] + cell.test.content_key + "}")
 
 
 def _cell_label(cell: CellSpec) -> str:

@@ -53,7 +53,7 @@ from ..core.operational import (
     operational_outcomes,
 )
 from ..core.reference_machines import sc_outcomes, tso_outcomes
-from ..litmus.test import LitmusTest, Outcome
+from ..litmus.test import LitmusTest, Outcome, test_descriptor
 from ..models.spec import resolve_model
 from ..obs import current as _obs_current
 
@@ -75,7 +75,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 13
+ENGINE_VERSION = 14
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -145,6 +145,10 @@ Version history:
 * 13 — the SC and TSO reference machines run on the GAM machine's
   exploration loop and state cap; outcome sets are unchanged, but the
   machine path changed, so version-12 entries re-verify.
+* 14 — a test's descriptor moved to :mod:`repro.litmus.test` and is
+  serialized once per test object, as its cached ``content_key``, which
+  every cell key splices in.  Keys are unchanged apart from the version,
+  but the keying code changed, so version-13 entries re-verify.
 """
 
 ModelLike = Union[str, MemoryModel]
@@ -280,25 +284,6 @@ CellResult = Union[bool, frozenset]
 """``bool`` for verdicts, ``frozenset[Outcome]`` for outcome sets."""
 
 
-def test_descriptor(test: LitmusTest) -> dict:
-    """Canonical content descriptor of a litmus test (name-independent)."""
-    asked = None
-    if test.asked is not None:
-        asked = {
-            "regs": sorted([proc, reg, value] for proc, reg, value in test.asked.regs),
-            "mem": sorted([addr, value] for addr, value in test.asked.mem),
-        }
-    return {
-        "programs": [
-            [repr(instr) for instr in program] for program in test.programs
-        ],
-        "locations": sorted(test.locations.items()),
-        "initial_memory": sorted(test.initial_memory.items()),
-        "asked": asked,
-        "observed": sorted([proc, reg] for proc, reg in test.observed),
-    }
-
-
 def model_descriptor(model: ModelLike) -> dict:
     """Canonical content descriptor of a model (name-independent).
 
@@ -315,18 +300,14 @@ def model_descriptor(model: ModelLike) -> dict:
     }
 
 
-def cell_descriptor(
-    cell: CellSpec,
-    test_part: Optional[dict] = None,
-    model_part: Optional[dict] = None,
-) -> dict:
+def cell_descriptor(cell: CellSpec, test_part: Optional[dict] = None) -> dict:
     """The canonical descriptor hashed into a cell's cache key.
 
     Operational cells omit the model descriptor: the machine alone
     determines the result, so cells that differ only in their display
-    model share one cache entry.  ``test_part`` and ``model_part`` are
-    the cell's already-built :func:`test_descriptor` and
-    :func:`model_descriptor`, for callers keying many cells at once.
+    model share one cache entry.  ``test_part`` replaces the cell's
+    :func:`test_descriptor`; :func:`~repro.engine.cache.cell_cache_key`
+    passes ``{}`` and splices in the test's cached ``content_key``.
     """
     _, machine = parse_oracle(cell.oracle)
     descriptor = {
@@ -335,9 +316,7 @@ def cell_descriptor(
         "test": test_part if test_part is not None else test_descriptor(cell.test),
     }
     if machine is None:
-        descriptor["model"] = (
-            model_part if model_part is not None else model_descriptor(cell.model)
-        )
+        descriptor["model"] = model_descriptor(cell.model)
     if isinstance(cell, VerdictSpec):
         descriptor["kind"] = "verdict"
         return descriptor
@@ -376,13 +355,11 @@ def evaluate_cell(cell: CellSpec, prefix: Optional[CandidatePrefix]) -> CellResu
 
     ``prefix`` must have been built for ``cell.test`` (or be ``None`` to
     rebuild per call); sharing it across all axiomatic cells of one test
-    is the engine's central amortization.  Engine dispatch happens
-    underneath: :func:`~repro.core.axiomatic.is_allowed` and
-    :func:`~repro.core.axiomatic.enumerate_outcomes` route each model to
-    the frontier kernel when it is exact for it and to the order
-    enumerator otherwise, and the kernel's solved DPs live on the shared
-    prefix alongside the memoized order streams.  Operational cells
-    bypass the prefix entirely and explore their abstract machine.
+    is the engine's central amortization.  Axiomatic cells go through
+    :func:`~repro.core.axiomatic.is_allowed` and
+    :func:`~repro.core.axiomatic.enumerate_outcomes` to the frontier
+    kernel, whose solved DPs live on the shared prefix.  Operational
+    cells bypass the prefix entirely and explore their abstract machine.
     """
     kind, machine = parse_oracle(cell.oracle)
     recorder = _obs_current()

@@ -68,8 +68,10 @@ from typing import Callable, Optional, Sequence
 from ..core.axiomatic import CandidatePrefix, DomainOverflowError
 from ..litmus.test import LitmusTest
 from ..obs import collecting, current, incr, monotonic, observe, time_block
-from .cache import ResultCache, batch_cache_keys
-from .cells import CellResult, CellSpec, evaluate_cell, test_descriptor
+from .cache import ResultCache, cell_cache_key
+from .cells import CellResult, CellSpec, evaluate_cell
+# Not called here; it stays importable because perfbench's traced runs wrap it.
+from .cells import test_descriptor  # noqa: F401
 from .faults import FaultPlan, fault_plan_from_env, fire_after_batch, fire_before_batch
 from .policy import DEFAULT_POLICY, ON_ERROR_QUARANTINE, CellFailure, ExecutionPolicy
 
@@ -101,24 +103,19 @@ class EngineWorkerError(RuntimeError):
 def _group_by_test(
     cells: Sequence[CellSpec],
 ) -> list[tuple[LitmusTest, list[int]]]:
-    """Group cell indices by test identity, preserving first-seen order.
+    """Group cell indices by test content, preserving first-seen order.
 
-    Identity is object identity first (the common case: callers build all
-    of a test's cells from one object) with a content-descriptor fallback
-    so structurally identical duplicates still share a prefix.
+    The key is the test's cached ``content_key``, so structurally
+    identical duplicates share a prefix, and each test object is
+    described once for grouping, cache keys and the pool's pickles.
     """
     groups: list[tuple[LitmusTest, list[int]]] = []
-    by_key: dict = {}
+    by_key: dict[str, int] = {}
     for index, cell in enumerate(cells):
-        key = id(cell.test)
-        slot = by_key.get(key)
+        slot = by_key.get(cell.test.content_key)
         if slot is None:
-            content = repr(sorted(test_descriptor(cell.test).items()))
-            slot = by_key.get(content)
-            if slot is None:
-                groups.append((cell.test, []))
-                slot = by_key[content] = len(groups) - 1
-            by_key[key] = slot
+            groups.append((cell.test, []))
+            slot = by_key[cell.test.content_key] = len(groups) - 1
         groups[slot][1].append(index)
     return groups
 
@@ -132,21 +129,20 @@ def _evaluate_batch(
 
     The prefix is built lazily: a batch fully served from the cache never
     enumerates a single program run.  Each cell's cache key is computed
-    once, up front, and serves both its lookup and its store; the batch's
-    stores are committed together, in one transaction, when it finishes.
+    once and serves both its lookup and its store; the batch's stores are
+    committed together, in one transaction, when it finishes.
     """
     with time_block("engine.batch.seconds"):
         incr("engine.batches")
         observe("engine.batch.cells", len(cells))
         cache = ResultCache(cache_dir) if cache_dir is not None else None
-        keys: Sequence[Optional[str]] = (
-            batch_cache_keys(test, cells) if cache is not None else [None] * len(cells)
-        )
         prefix: Optional[CandidatePrefix] = None
         results: list[CellResult] = []
         with cache.batch() if cache is not None else nullcontext():
-            for cell, key in zip(cells, keys):
+            for cell in cells:
+                key = None
                 if cache is not None:
+                    key = cell_cache_key(cell)
                     cached = cache.load(cell, key)
                     if cached is not None:
                         results.append(cached)

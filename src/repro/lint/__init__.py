@@ -66,13 +66,15 @@ __all__ = [
 def preflight_tests(tests: Sequence[LitmusTest]) -> list[Diagnostic]:
     """Error-level litmus findings only — the gen/hunt admission check.
 
-    Edge-signature matching is disabled (it is informational and costs a
-    generator enumeration); warnings pass.  A non-empty result means the
-    suite should be refused.
+    Runs the per-test checks (:func:`lint_test`) alone: the cross-test
+    findings are never errors (``L009`` warns, ``L010`` informs), so the
+    canonical hash and edge signatures behind them are not computed.  A
+    non-empty result means the suite should be refused.
     """
     return [
         finding
-        for finding in lint_tests(tests, signature_edges=0)
+        for test in tests
+        for finding in lint_test(test)
         if finding.severity is Severity.ERROR
     ]
 

@@ -334,8 +334,9 @@ CODES: dict[str, CodeInfo] = dict(
             Severity.ERROR,
             "engine-version-not-bumped",
             "A diff touches code that computes cached results "
-            "(`src/repro/core/`, `src/repro/engine/cells.py` or "
-            "`src/repro/engine/cache.py`) without changing "
+            "(`src/repro/core/`, `src/repro/engine/cells.py`, "
+            "`src/repro/engine/cache.py` or `src/repro/litmus/test.py`, "
+            "whose test descriptor is cache-key material) without changing "
             "`ENGINE_VERSION` in `src/repro/engine/cells.py`.  The "
             "on-disk result cache keys on that version; forgetting the "
             "bump serves stale verdicts computed by old code.  The "

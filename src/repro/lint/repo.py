@@ -108,13 +108,15 @@ ENGINE_PATHS = (
     "src/repro/core/",
     "src/repro/engine/cells.py",
     "src/repro/engine/cache.py",
+    "src/repro/litmus/test.py",
 )
 """Paths whose diffs require an ``ENGINE_VERSION`` bump (``R004``).
 
 These compute what the result cache stores — the axioms, the kernel,
-the abstract machines, cell evaluation and keying, and the payload
-codec.  The scheduler, policies and fault harness decide only how cells
-run, never what they return, so diffs there leave cache entries valid.
+the abstract machines, cell evaluation and keying, the payload codec,
+and the litmus test's content key.  The scheduler, policies and fault
+harness decide only how cells run, never what they return, so diffs
+there leave cache entries valid.
 """
 
 ENGINE_VERSION_FILE = "src/repro/engine/cells.py"

@@ -406,19 +406,6 @@ def cycle_to_test(edges: Sequence[Edge], name: str = "") -> LitmusTest:
     return builder.build(asked=asked)
 
 
-def _content_key(test: LitmusTest) -> tuple:
-    """Structural identity of a test, ignoring its name and description."""
-    asked = None
-    if test.asked is not None:
-        asked = (tuple(sorted(test.asked.regs)), tuple(sorted(test.asked.mem)))
-    return (
-        tuple(tuple(repr(instr) for instr in program) for program in test.programs),
-        tuple(sorted(test.locations.items())),
-        tuple(sorted(test.initial_memory.items())),
-        asked,
-    )
-
-
 def generate_suite(
     max_edges: int = 4,
     size: Optional[int] = None,
@@ -437,13 +424,12 @@ def generate_suite(
         test content; the same arguments always return the same suite.
     """
     tests: list[LitmusTest] = []
-    seen: set[tuple] = set()
+    seen: set[str] = set()
     for cycle in enumerate_cycles(max_edges):
         test = cycle_to_test(cycle)
-        key = _content_key(test)
-        if key in seen:
+        if test.content_key in seen:
             continue
-        seen.add(key)
+        seen.add(test.content_key)
         tests.append(test)
     if seed is not None:
         random.Random(seed).shuffle(tests)

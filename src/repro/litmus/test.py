@@ -9,12 +9,14 @@ vocabulary: a model **allows** or **forbids** the asked outcome.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ..isa.program import Program
 
-__all__ = ["Outcome", "OutcomeSpec", "LitmusTest"]
+__all__ = ["Outcome", "OutcomeSpec", "LitmusTest", "test_descriptor"]
 
 
 @dataclass(frozen=True, order=True)
@@ -117,6 +119,20 @@ class LitmusTest:
                 observed = {(proc, reg) for proc, reg, _ in self.asked.regs}
             object.__setattr__(self, "observed", frozenset(observed))
 
+    @cached_property
+    def content_key(self) -> str:
+        """The canonical JSON of :func:`test_descriptor`: the test's content
+        identity.
+
+        Built at most once per test object and kept in its ``__dict__``,
+        so it pickles with the test: every consumer (cache keys, batch
+        grouping, generator dedup, campaign suite digests) reads this
+        string instead of describing the test again.
+        """
+        return json.dumps(
+            test_descriptor(self), sort_keys=True, separators=(",", ":")
+        )
+
     @property
     def num_procs(self) -> int:
         """Number of processors in the test."""
@@ -142,3 +158,22 @@ class LitmusTest:
         if self.asked is not None:
             lines.append(f" asked: {self.asked}")
         return "\n".join(lines)
+
+
+def test_descriptor(test: LitmusTest) -> dict:
+    """Canonical content descriptor of a litmus test (name-independent)."""
+    asked = None
+    if test.asked is not None:
+        asked = {
+            "regs": sorted([proc, reg, value] for proc, reg, value in test.asked.regs),
+            "mem": sorted([addr, value] for addr, value in test.asked.mem),
+        }
+    return {
+        "programs": [
+            [repr(instr) for instr in program] for program in test.programs
+        ],
+        "locations": sorted(test.locations.items()),
+        "initial_memory": sorted(test.initial_memory.items()),
+        "asked": asked,
+        "observed": sorted([proc, reg] for proc, reg in test.observed),
+    }

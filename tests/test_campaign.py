@@ -7,6 +7,7 @@ witness minimization that provably preserves the divergence, and the
 ``repro hunt`` CLI wiring.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -192,6 +193,21 @@ class TestCampaignState:
         campaign.spec_path.write_text("{ not json")
         with pytest.raises(CampaignError, match="unreadable"):
             campaign.load_spec()
+
+    @pytest.mark.parametrize("suite", ["all", "gen:edges=4"])
+    def test_suite_digest_is_the_descriptor_list_digest(self, suite):
+        # Campaign directories record this digest, so resuming one written
+        # before tests carried a content key must read the same digest.
+        from repro.campaign.state import suite_digest
+        from repro.engine import cells
+
+        tests = resolve_suite(suite)
+        payload = json.dumps(
+            [cells.test_descriptor(test) for test in tests],
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert suite_digest(tests) == hashlib.sha256(payload.encode()).hexdigest()
 
     def test_incomplete_shard_reads_as_missing(self, tmp_path):
         campaign = CampaignDir(tmp_path)

@@ -153,35 +153,78 @@ class TestCache:
             VerdictSpec(get_test("mp"), "gam")
         )
 
-    def test_batch_computes_one_key_per_cell(self, tmp_path, monkeypatch):
+    def test_each_test_is_described_once_in_the_parent(self, tmp_path, monkeypatch):
+        """Grouping, cache keys and the pool's pickles share one content key:
+        each test object's descriptor is built once, in the parent."""
+        import pickle
+        from dataclasses import replace
+
+        import repro.litmus.test as test_module
         from repro.engine import cache as cache_module
+        from repro.engine import cells as cells_module
+        from repro.engine import scheduler as scheduler_module
 
-        test = get_test("dekker")
-        cells = [VerdictSpec(test, m) for m in ("sc", "tso", "gam")] + [
-            VerdictSpec(test, get_model("arm")),
-            OutcomeSpec(test, "gam", project="full"),
-            OutcomeSpec(test, "sc", project="full", oracle="operational:sc"),
-        ]
-        built = []
-        original = cache_module.cell_descriptor
+        log = tmp_path / "described.log"
+        original = cells_module.test_descriptor
 
-        def counting(*args, **kwargs):
-            built.append(args[0])
-            return original(*args, **kwargs)
+        def counting(test):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {id(test)}\n")
+            return original(test)
 
-        monkeypatch.setattr(cache_module, "cell_descriptor", counting)
-        cold = evaluate_cells(cells, cache_dir=str(tmp_path))
-        assert len(built) == len(cells)
-        built.clear()
-        assert evaluate_cells(cells, cache_dir=str(tmp_path)) == cold
-        assert len(built) == len(cells)
-        monkeypatch.undo()
-        # The batch keys are the per-cell keys, so a lone load (and the
-        # corrupt fault, which keys its row the same way) finds what
-        # batches stored.
-        keys = cache_module.batch_cache_keys(test, cells)
-        assert keys == [cell_cache_key(cell) for cell in cells]
-        assert set(_rows(tmp_path)) == set(keys)
+        for module in (test_module, cells_module, cache_module, scheduler_module):
+            monkeypatch.setattr(module, "test_descriptor", counting, raising=False)
+        keyed = []
+        original_cell = cache_module.cell_descriptor
+
+        def counting_cell(cell, *args):
+            keyed.append(cell)
+            return original_cell(cell, *args)
+
+        monkeypatch.setattr(cache_module, "cell_descriptor", counting_cell)
+
+        def described():
+            lines = log.read_text().splitlines() if log.exists() else []
+            log.unlink(missing_ok=True)
+            return [tuple(map(int, line.split())) for line in lines]
+
+        def cells_for(tests):
+            return [
+                cell
+                for test in tests
+                for cell in (
+                    VerdictSpec(test, "sc"),
+                    VerdictSpec(test, get_model("arm")),
+                    OutcomeSpec(test, "gam", project="full"),
+                    OutcomeSpec(test, "sc", project="full", oracle="operational:sc"),
+                )
+            ]
+
+        def fresh():
+            # Copies carry no cached key; the last duplicates the first's
+            # content, so it groups with it but is still its own object.
+            dekker, mp = get_test("dekker"), get_test("mp")
+            return [replace(dekker), replace(mp), replace(dekker)]
+
+        tests = fresh()
+        cells = cells_for(tests)
+        serial = evaluate_cells(cells, cache_dir=str(tmp_path / "serial"))
+        assert sorted(described()) == sorted((os.getpid(), id(t)) for t in tests)
+        assert evaluate_cells(cells, cache_dir=str(tmp_path / "serial")) == serial
+        assert described() == []
+        # One key per cell and call, serving both the lookup and the store.
+        assert sorted(map(id, keyed)) == sorted(map(id, cells + cells))
+        # Batches store under the per-cell keys, so a lone load (and the
+        # corrupt fault, which keys its row the same way) finds them.
+        assert set(_rows(tmp_path / "serial")) == {cell_cache_key(c) for c in cells}
+        assert "content_key" in pickle.loads(pickle.dumps(tests[0])).__dict__
+
+        tests = fresh()
+        pooled = evaluate_cells(
+            cells_for(tests), jobs=2, cache_dir=str(tmp_path / "pooled")
+        )
+        assert pooled == serial
+        assert sorted(described()) == sorted((os.getpid(), id(t)) for t in tests)
 
     def test_cache_payload_is_json(self, tmp_path):
         test = get_test("dekker")

@@ -465,6 +465,14 @@ class TestRepoCodes:
         assert _codes(findings) == ["R004"]
         assert "src/repro/core/operational.py" in findings[0].message
 
+    def test_r004_litmus_test_descriptor_counts_as_result_code(self):
+        # The test descriptor behind every cache key lives there.
+        findings = check_engine_version_bump(
+            ["src/repro/litmus/test.py"], version_bumped=False
+        )
+        assert _codes(findings) == ["R004"]
+        assert "src/repro/litmus/test.py" in findings[0].message
+
     def test_r004_quiet_for_dispatch_only_diffs(self):
         # Scheduling, policies and fault injection never change a result.
         assert check_engine_version_bump(
@@ -509,6 +517,36 @@ class TestCorpusGates:
         from repro.litmus.frontend.gen import generate_suite
 
         assert preflight_tests(generate_suite(max_edges=4)) == []
+
+    def test_preflight_is_error_filtered_lint_without_hashing(self, monkeypatch):
+        from repro.lint import canon
+        from repro.lint import litmus as litmus_lint
+        from repro.litmus.frontend.suite import resolve_suite
+
+        def tripping(name, locations, condition):
+            return _parse(
+                f"GAM {name}\n{{ {locations} }}\n P0       | P1          ;\n"
+                f" St [a] 1 | r1 = Ld [b] ;\nexists ({condition})\n"
+            )
+
+        tests = (
+            list(resolve_suite("all"))
+            + list(resolve_suite("gen:edges=4"))
+            + [
+                tripping("vacuous", "a; b;", "1:r9=1"),
+                tripping("bad-proc", "a; b;", "2:r1=1"),
+                tripping("aliased", "a @ 0x100; b @ 0x100;", "1:r1=1"),
+            ]
+        )
+        expected = [f for f in lint_tests(tests) if f.severity is Severity.ERROR]
+        assert {"L004", "L006", "L007"} <= set(_codes(expected))
+
+        def no_hash(test):
+            raise AssertionError("pre-flight computed a canonical hash")
+
+        monkeypatch.setattr(litmus_lint, "canonical_hash", no_hash)
+        monkeypatch.setattr(canon, "canonical_hash", no_hash)
+        assert preflight_tests(tests) == expected
 
     def test_preflight_reports_only_errors(self):
         vacuous = _parse(

@@ -104,11 +104,9 @@ class TestGeneratedSuite:
         assert len(default_suite) >= 50
 
     def test_names_and_content_deduplicated(self, default_suite):
-        from repro.litmus.frontend.gen import _content_key
-
         names = [test.name for test in default_suite]
         assert len(set(names)) == len(names)
-        keys = {_content_key(test) for test in default_suite}
+        keys = {test.content_key for test in default_suite}
         assert len(keys) == len(default_suite)
 
     def test_determinism(self, default_suite):
