@@ -134,14 +134,14 @@ def expand_pair_specs(
             them).
     """
     from ..engine.cells import operational_machines  # cycle-free import
-    from ..models.registry import REGISTRY
+    from ..models.registry import model_names
     from ..models.spec import resolve_models
 
     lookup: dict[str, ModelLike] = {}
 
     def expand_side(spec: str) -> list[str]:
         """The member names of one model spec, each claimed in ``lookup``."""
-        if spec in REGISTRY:
+        if spec in model_names():
             members = [(spec, spec)]
         else:
             members = [(model.name, model) for model in resolve_models(spec)]

@@ -35,7 +35,7 @@ Commands:
 * ``import FILE [FILE ...]`` — parse and validate ``.litmus`` files;
 * ``export [--suite SUITE] [-o DIR]`` — print/write tests as ``.litmus``;
 * ``model show MODEL`` / ``model import FILE ...`` /
-  ``model export [--model MODEL ...] [-o DIR]`` — print, validate/register
+  ``model export [--model MODEL ...] [-o DIR]`` — print, validate
   and write ``.model`` definitions (see :mod:`repro.models.spec`);
 * ``sim [--workloads ...] [--length N] [--checkpoints K]`` — Figure 18 +
   Tables II/III.
@@ -487,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     import_cmd = sub.add_parser(
-        "import", help="parse, validate and register .litmus files"
+        "import", help="parse and validate .litmus files"
     )
     import_cmd.add_argument(
         "files", nargs="+", metavar="FILE", help=".litmus files or directories"
@@ -566,16 +566,16 @@ def _cmd_list(args: argparse.Namespace) -> int:
             source = f" ({test.source})" if test.source else ""
             print(f"{test.name:24s}{source} {test.description}")
     elif args.what == "models":
-        from .models.registry import REGISTRY
+        from .models.registry import canonical_name, get_model, model_names
 
-        aliases = REGISTRY.aliases()
-        for name in REGISTRY.all_names():
-            if name in aliases:
+        for name in model_names():
+            target = canonical_name(name)
+            if target != name:
                 # An alias row points at its target instead of instantiating
                 # (and describing) the same model twice.
-                print(f"{name:12s} -> {aliases[name]}")
+                print(f"{name:12s} -> {target}")
             else:
-                print(f"{name:12s} {REGISTRY.get(name).description}")
+                print(f"{name:12s} {get_model(name).description}")
     else:
         from .workloads.profiles import PROFILES
 
@@ -610,11 +610,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 2
     if args.operational:
         from .engine import operational_machines
-        from .models.registry import REGISTRY
+        from .models.registry import canonical_name
 
         # Aliases resolve before the machine lookup, so `-m rmo` reaches
         # the gam0 machine rather than being rejected as unknown.
-        canonical = REGISTRY.canonical_name(args.model)
+        canonical = canonical_name(args.model)
         if canonical not in operational_machines():
             raise CLIUsageError(
                 "--operational supports models: "
@@ -867,7 +867,6 @@ def _write_litmus_dir(tests, out_dir: str) -> None:
 def _cmd_gen(args: argparse.Namespace) -> int:
     from .lint import dedupe_tests, preflight_tests
     from .litmus.frontend.gen import generate_suite
-    from .litmus.frontend.suite import SuiteRegistry
 
     try:
         tests = generate_suite(
@@ -884,7 +883,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             )
         print(f"dedupe: dropped {len(dropped)} isomorphic duplicate(s)")
     # Pre-flight: the generator must never emit tests the linter rejects;
-    # an error here is a generator bug, reported rather than registered.
+    # an error here is a generator bug, reported instead of emitted.
     errors = preflight_tests(tests)
     if errors:
         for finding in errors:
@@ -895,9 +894,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    # Generated names are deterministic functions of their cycle, so
-    # re-registering them (e.g. two gen runs in one process) is idempotent.
-    SuiteRegistry().register_all(tests, suite="generated", replace=True)
     if not args.quiet:
         for test in tests:
             print(f"{test.name:40s} P={test.num_procs} {test.asked}")
@@ -928,37 +924,19 @@ def _litmus_header_line(path: str) -> int:
     return 1
 
 
-def _iter_import_files(paths: Sequence[str]) -> list[str]:
-    """Expand import arguments: directories become their sorted ``.litmus``
-    entries, files pass through — mirroring suite-path resolution."""
-    import os
-
-    files: list[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            entries = [
-                os.path.join(path, entry)
-                for entry in sorted(os.listdir(path))
-                if entry.endswith(".litmus")
-            ]
-            if not entries:
-                raise CLIUsageError(f"no .litmus files in directory {path!r}")
-            files.extend(entries)
-        else:
-            files.append(path)
-    return files
-
-
 def _cmd_import(args: argparse.Namespace) -> int:
     from .lint import make
     from .litmus.frontend.parser import parse_litmus, parse_litmus_file
     from .litmus.frontend.printer import print_litmus
+    from .litmus.frontend.suite import litmus_files
 
     # Importing a file that shadows a catalogue name is fine for
     # validation; only duplicate names *within* the import fail, with a
-    # file:line diagnostic pointing at both definition sites.
+    # file:line diagnostic pointing at both definition sites.  Every
+    # argument expands first, so an empty directory fails before output.
+    files = [file for path in args.files for file in litmus_files(path)]
     seen: dict[str, tuple[str, int]] = {}
-    for path in _iter_import_files(args.files):
+    for path in files:
         test = parse_litmus_file(path)  # LitmusParseError reported by main
         header_line = _litmus_header_line(path)
         if test.name in seen:
@@ -990,14 +968,14 @@ def _cmd_import(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .lint import LintReport, lint_models, lint_tests
 
-    from .models.registry import REGISTRY
+    from .models.registry import canonical_names, get_model
     from .models.spec import resolve_models
 
     tests = _resolve_suite(args.suite)
     models = []
     for spec in args.models or ["zoo"]:
         if spec == "zoo":
-            models.extend(REGISTRY.get(name) for name in REGISTRY.names())
+            models.extend(get_model(name) for name in canonical_names())
         else:
             models.extend(resolve_models(spec))
     findings = lint_tests(tests, signature_edges=args.edges)
@@ -1076,9 +1054,9 @@ def _cmd_model(args: argparse.Namespace) -> int:
     if args.model_command == "import":
         from .models.spec import parse_model
 
-        # Like `repro import` for .litmus files this validates without
-        # touching the process-wide registry: shadowing a zoo name is fine
-        # for validation, only duplicates *within* the import fail.
+        # Like `repro import` for .litmus files this only validates:
+        # shadowing a zoo name is fine, only duplicates *within* the
+        # import fail.
         seen: dict[str, str] = {}
         for path in args.files:
             for model in load_model_path(path):
@@ -1107,9 +1085,9 @@ def _cmd_model(args: argparse.Namespace) -> int:
     if args.models:
         models = [model for spec in args.models for model in resolve_models(spec)]
     else:
-        from .models.registry import REGISTRY
+        from .models.registry import canonical_names, get_model
 
-        models = [REGISTRY.get(name) for name in REGISTRY.names()]
+        models = [get_model(name) for name in canonical_names()]
     if args.out is not None:
         import os
 

@@ -18,12 +18,9 @@ claimed subsumed by memory-to-memory pairwise orders.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Sequence
 
 from ..core.axiomatic import MemoryModel
-
-if TYPE_CHECKING:  # runtime import stays lazy to keep lint imports light
-    from ..models.registry import ModelRegistry
 from ..core.ppo import (
     DYNAMIC_CLAUSES,
     PARAMETRIC_CLAUSES,
@@ -163,28 +160,22 @@ def lint_model(model: MemoryModel) -> list[Diagnostic]:
     return findings
 
 
-def lint_models(
-    models: Sequence[MemoryModel],
-    registry: Optional["ModelRegistry"] = None,
-) -> list[Diagnostic]:
+def lint_models(models: Sequence[MemoryModel]) -> list[Diagnostic]:
     """Lint a model set: per-model checks plus ``M005``/``M006``.
 
     Args:
-        models: the models, in a deterministic order.
-        registry: the :class:`~repro.models.registry.ModelRegistry` to
-            compare canonical content against for ``M005`` (default: the
-            process-wide zoo registry).
+        models: the models, in a deterministic order; ``M005`` compares
+            their canonical content against the zoo.
 
     Returns:
         every finding, grouped per model in input order.
     """
-    from ..models.registry import REGISTRY
+    # runtime import stays lazy to keep lint imports light
+    from ..models.registry import canonical_name, canonical_names, get_model
 
-    if registry is None:
-        registry = REGISTRY
     twin_index: dict[tuple[object, ...], str] = {}
-    for name in registry.names():
-        twin_index.setdefault(canonical_model_key(registry.get(name)), name)
+    for name in canonical_names():
+        twin_index.setdefault(canonical_model_key(get_model(name)), name)
 
     findings: list[Diagnostic] = []
     first_by_name: dict[str, int] = {}
@@ -203,7 +194,7 @@ def lint_models(
         else:
             first_by_name[model.name] = position
         twin = twin_index.get(canonical_model_key(model))
-        if twin is not None and twin != registry.canonical_name(model.name):
+        if twin is not None and twin != canonical_name(model.name):
             findings.append(
                 make(
                     "M005",

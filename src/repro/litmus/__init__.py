@@ -1,7 +1,8 @@
 """Litmus-test infrastructure and the paper's test catalogue.
 
+The catalogue (:mod:`.registry`) is a read-only table built at import.
 The ``frontend`` subpackage adds the ``.litmus`` parser/printer, the
-cycle-based test generator and the mutable suite registry; its exports
+cycle-based test generator and ``--suite`` spec resolution; its exports
 are re-exported here for convenience.
 """
 
@@ -9,7 +10,6 @@ from .dsl import LitmusBuilder, ProcBuilder
 from .frontend import (
     LitmusParseError,
     LitmusPrintError,
-    SuiteRegistry,
     generate_suite,
     parse_litmus,
     print_litmus,
@@ -19,10 +19,8 @@ from .registry import (
     all_tests,
     get_test,
     paper_suite,
-    register,
     standard_suite,
     test_names,
-    unregister,
 )
 from .test import LitmusTest, Outcome
 
@@ -36,13 +34,10 @@ __all__ = [
     "test_names",
     "paper_suite",
     "standard_suite",
-    "register",
-    "unregister",
     "parse_litmus",
     "print_litmus",
     "LitmusParseError",
     "LitmusPrintError",
-    "SuiteRegistry",
     "generate_suite",
     "resolve_suite",
 ]

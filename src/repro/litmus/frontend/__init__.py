@@ -4,8 +4,8 @@ The scenario-diversity seam of the repository: instead of the fixed
 hand-coded catalogue, tests can be read from herd-style ``.litmus`` text
 (:mod:`.parser`), written back out (:mod:`.printer`), synthesized from
 critical cycles over a relaxation-edge vocabulary (:mod:`.gen`), and
-organized into mutable, collision-checked suites that the batch engine
-and the CLI consume (:mod:`.suite`).
+named by ``--suite`` specs that resolve to the test lists the batch
+engine and the CLI consume (:mod:`.suite`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .parser import LitmusParseError, parse_litmus, parse_litmus_file
 from .printer import LitmusPrintError, print_litmus
 from .suite import (
     STATIC_SUITES,
-    SuiteRegistry,
+    litmus_files,
     load_litmus_path,
     resolve_suite,
     shard_suite,
@@ -32,7 +32,7 @@ __all__ = [
     "LitmusPrintError",
     "print_litmus",
     "STATIC_SUITES",
-    "SuiteRegistry",
+    "litmus_files",
     "load_litmus_path",
     "resolve_suite",
     "shard_suite",

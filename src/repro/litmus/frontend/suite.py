@@ -1,9 +1,4 @@
-"""Mutable suite registry and suite-spec resolution for the CLI.
-
-:class:`SuiteRegistry` layers runtime registrations — parsed ``.litmus``
-files, generated suites, programmatically built tests — over the static
-catalogue, reusing :func:`repro.litmus.registry.register` so name
-collisions fail loudly everywhere.
+"""Suite-spec resolution for the CLI.
 
 :func:`resolve_suite` turns the CLI's ``--suite`` argument into a test
 list.  Accepted specs::
@@ -15,17 +10,20 @@ list.  Accepted specs::
     path/to/dir/                  every *.litmus file in a directory
 
 so ``repro matrix --suite gen:edges=4 --jobs 4`` pushes an unbounded,
-systematically generated test space through the PR-1 batch engine,
+systematically generated test space through the batch engine,
 ``repro hunt --oracle operational --suite rand:n=200`` fuzzes the
 abstract machines against the axioms over an addressable random corpus,
 and ``repro matrix --suite ./mytests/`` does the same for external
-corpora.
+corpora.  A suite is a test list, never a registration: the static
+catalogue (:mod:`repro.litmus.registry`) is read-only, and
+:func:`litmus_files` is the one directory expansion behind both path
+suites and ``repro import``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .. import registry
 from ..test import LitmusTest
@@ -33,7 +31,8 @@ from .gen import generate_suite
 from .parser import LitmusParseError, parse_litmus_file
 
 __all__ = [
-    "SuiteRegistry",
+    "litmus_files",
+    "load_litmus_path",
     "resolve_suite",
     "parse_gen_spec",
     "parse_rand_spec",
@@ -45,77 +44,21 @@ STATIC_SUITES = ("paper", "standard", "all")
 """Suite names resolved against the static catalogue."""
 
 
-class SuiteRegistry:
-    """Named litmus suites layered over the static registry.
+def litmus_files(path: str) -> list[str]:
+    """``path`` itself, or a directory's ``*.litmus`` entries sorted by name.
 
-    Tests added here are grouped into named suites (``"imported"``,
-    ``"generated"``, ...) and — unless ``attach=False`` — also pushed into
-    the global registry through its collision-checked :func:`register`
-    hook, so every name-based lookup (``repro show``, ``repro check``)
-    sees them for the rest of the process.
+    Raises :class:`LitmusParseError` for a directory holding none.
     """
-
-    def __init__(self, attach: bool = True) -> None:
-        self._suites: dict[str, dict[str, LitmusTest]] = {}
-        self._attach = attach
-
-    def register(
-        self, test: LitmusTest, suite: str = "custom", replace: bool = False
-    ) -> str:
-        """Add one test to ``suite``; collisions raise ``ValueError``."""
-        if not replace and any(
-            test.name in tests for tests in self._suites.values()
-        ):
-            raise ValueError(
-                f"litmus test name collision: {test.name!r} is already "
-                "registered in this suite registry"
-            )
-        if self._attach:
-            registry.register(test, replace=replace)
-        self._suites.setdefault(suite, {})[test.name] = test
-        return test.name
-
-    def register_all(
-        self,
-        tests: Iterable[LitmusTest],
-        suite: str = "custom",
-        replace: bool = False,
-    ) -> list[str]:
-        """Register a batch of tests, returning their names."""
-        return [self.register(test, suite=suite, replace=replace) for test in tests]
-
-    def load_path(self, path: str, suite: str = "imported") -> list[str]:
-        """Register ``path`` — one ``.litmus`` file or a directory of them.
-
-        Returns the registered names.  Raises :class:`LitmusParseError`
-        for unparsable input and ``ValueError`` on name collisions.
-        """
-        return self.register_all(load_litmus_path(path), suite=suite)
-
-    def suites(self) -> tuple[str, ...]:
-        """The registered suite names, in registration order."""
-        return tuple(self._suites)
-
-    def names(self, suite: Optional[str] = None) -> tuple[str, ...]:
-        """Test names in one suite (or across all of them)."""
-        if suite is not None:
-            return tuple(self._suites.get(suite, {}))
-        return tuple(
-            name for tests in self._suites.values() for name in tests
-        )
-
-    def tests(self, suite: Optional[str] = None) -> list[LitmusTest]:
-        """The tests of one suite (or all of them), in registration order."""
-        if suite is not None:
-            return list(self._suites.get(suite, {}).values())
-        return [test for tests in self._suites.values() for test in tests.values()]
-
-    def get(self, name: str) -> LitmusTest:
-        """Look a test up by name, falling back to the static registry."""
-        for tests in self._suites.values():
-            if name in tests:
-                return tests[name]
-        return registry.get_test(name)
+    if not os.path.isdir(path):
+        return [path]
+    files = [
+        os.path.join(path, entry)
+        for entry in sorted(os.listdir(path))
+        if entry.endswith(".litmus")
+    ]
+    if not files:
+        raise LitmusParseError(f"no .litmus files in directory {path!r}")
+    return files
 
 
 def load_litmus_path(path: str) -> list[LitmusTest]:
@@ -126,25 +69,18 @@ def load_litmus_path(path: str) -> list[LitmusTest]:
     matrices, the hunt pipeline) keys results by test name, so a
     collision would silently drop one of the tests.
     """
-    if os.path.isdir(path):
-        entries = sorted(
-            entry for entry in os.listdir(path) if entry.endswith(".litmus")
-        )
-        if not entries:
-            raise LitmusParseError(f"no .litmus files in directory {path!r}")
-        tests = [
-            parse_litmus_file(os.path.join(path, entry)) for entry in entries
-        ]
-        seen: dict[str, str] = {}
-        for test, entry in zip(tests, entries):
-            if test.name in seen:
-                raise LitmusParseError(
-                    f"duplicate test name {test.name!r} in directory "
-                    f"{path!r} (files {seen[test.name]!r} and {entry!r})"
-                )
-            seen[test.name] = entry
-        return tests
-    return [parse_litmus_file(path)]
+    files = litmus_files(path)
+    tests = [parse_litmus_file(file) for file in files]
+    seen: dict[str, str] = {}
+    for test, file in zip(tests, files):
+        entry = os.path.basename(file)
+        if test.name in seen:
+            raise LitmusParseError(
+                f"duplicate test name {test.name!r} in directory "
+                f"{path!r} (files {seen[test.name]!r} and {entry!r})"
+            )
+        seen[test.name] = entry
+    return tests
 
 
 def parse_gen_spec(spec: str) -> dict:

@@ -1,15 +1,16 @@
-"""Central registry of litmus tests, grouped into suites.
+"""The litmus catalogue: a read-only name -> builder table.
 
-The static catalogue (paper figures + the classic suite) is merged with a
-collision check — two builders registering the same name is always a bug,
-never a silent overwrite — and :func:`register` lets frontends (the
-``.litmus`` importer, the cycle generator) add tests at runtime under the
-same rule.
+The static catalogue (paper figures + the classic suite) is merged once,
+at import, with a collision check — two suites defining the same name is
+always a bug, never a silent overwrite.  Nothing adds to it afterwards:
+imported, generated and random tests reach the harnesses as ``--suite``
+specs (:func:`repro.litmus.frontend.suite.resolve_suite`), not as
+registrations.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping
 
 from .paper_tests import PAPER_TESTS
 from .standard_tests import STANDARD_TESTS
@@ -21,8 +22,6 @@ __all__ = [
     "test_names",
     "paper_suite",
     "standard_suite",
-    "register",
-    "unregister",
 ]
 
 TestBuilder = Callable[[], LitmusTest]
@@ -45,62 +44,13 @@ def _merged(*suites: Mapping[str, TestBuilder]) -> dict[str, TestBuilder]:
 _ALL: dict[str, TestBuilder] = _merged(PAPER_TESTS, STANDARD_TESTS)
 
 
-def register(
-    test: Union[LitmusTest, TestBuilder],
-    *,
-    name: str = "",
-    replace: bool = False,
-) -> str:
-    """Register a test (or zero-argument builder) under its name.
-
-    This is the hook the litmus frontend uses: imported ``.litmus`` files
-    and generated suites flow through it so name collisions fail loudly.
-
-    Args:
-        test: a built :class:`LitmusTest` or a callable returning one.
-        name: registration name; defaults to the test's own name.
-        replace: allow overwriting an existing registration.
-
-    Returns:
-        the name the test was registered under.
-
-    Raises:
-        ValueError: on a name collision when ``replace`` is false.
-    """
-    if isinstance(test, LitmusTest):
-        built = test
-        builder: TestBuilder = lambda built=built: built
-    else:
-        builder = test
-        built = builder()
-        if not isinstance(built, LitmusTest):
-            raise TypeError(f"builder returned {type(built).__name__}, not a LitmusTest")
-    key = name or built.name
-    if not key:
-        raise ValueError("cannot register a litmus test with an empty name")
-    if key in _ALL and not replace:
-        raise ValueError(
-            f"litmus test name collision: {key!r} is already registered "
-            "(pass replace=True to overwrite)"
-        )
-    _ALL[key] = builder
-    return key
-
-
-def unregister(name: str) -> None:
-    """Remove a runtime registration (static suite entries included)."""
-    if name not in _ALL:
-        raise KeyError(f"unknown litmus test {name!r}")
-    del _ALL[name]
-
-
 def test_names() -> tuple[str, ...]:
-    """All registered litmus test names, paper figures first."""
+    """All catalogue test names, paper figures first."""
     return tuple(_ALL)
 
 
 def get_test(name: str) -> LitmusTest:
-    """Build the litmus test registered under ``name``.
+    """Build the catalogue test named ``name``.
 
     Raises ``KeyError`` with the available names on a miss.
     """
@@ -110,7 +60,7 @@ def get_test(name: str) -> LitmusTest:
 
 
 def all_tests() -> Iterable[LitmusTest]:
-    """Yield every registered test (paper + standard + runtime suites)."""
+    """Yield every catalogue test (paper + standard)."""
     for builder in _ALL.values():
         yield builder()
 

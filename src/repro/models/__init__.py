@@ -1,18 +1,18 @@
 """The memory-model zoo: GAM, GAM0, ARM, WMM-like, Alpha-like, SC, TSO.
 
 Models are data here, not just code: every zoo model serializes to the
-``.model`` text format (:mod:`repro.models.spec`), user models register
-into the pluggable :class:`~repro.models.registry.ModelRegistry`, and
-:func:`~repro.models.spec.resolve_model` turns any model spec — a
-registry name, a ``.model`` file or directory, a ``ctor:`` construction
-point or a ``space:`` enumeration — into concrete
-:class:`~repro.core.axiomatic.MemoryModel` objects.
+``.model`` text format (:mod:`repro.models.spec`), the zoo itself is a
+read-only name table (:mod:`repro.models.registry`), and
+:func:`~repro.models.spec.resolve_model` turns any model spec — a zoo
+name, a ``.model`` file or directory, a ``ctor:`` construction point or
+a ``space:`` enumeration — into concrete
+:class:`~repro.core.axiomatic.MemoryModel` objects.  User models are
+specs, never registrations.
 """
 
 from .registry import (
-    MODELS,
-    REGISTRY,
-    ModelRegistry,
+    canonical_name,
+    canonical_names,
     comparison_models,
     get_model,
     model_names,
@@ -29,11 +29,10 @@ from .spec import (
 )
 
 __all__ = [
-    "MODELS",
-    "REGISTRY",
-    "ModelRegistry",
     "get_model",
     "model_names",
+    "canonical_name",
+    "canonical_names",
     "comparison_models",
     "ModelSpecError",
     "load_model_path",

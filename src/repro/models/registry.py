@@ -1,234 +1,88 @@
-"""Pluggable name -> memory model registry for the whole model zoo.
+"""The memory-model zoo: a read-only name -> model-factory table.
 
-The zoo used to be a hardcoded dict of factories; it is now a mutable
-:class:`ModelRegistry` (mirroring the litmus-side
-:mod:`repro.litmus.registry`): user-defined models — parsed ``.model``
-files, ``ctor:`` construction variants, programmatically built
-:class:`~repro.core.axiomatic.MemoryModel` objects — register under the
-same collision rules as the built-ins, and aliases (``"rmo"`` names the
-same model as ``"gam0"``) are first-class rather than duplicate rows.
+The zoo is the fixed set of points the paper's construction procedure
+passes through (Section III: GAM0, GAM, the ARM detour) plus the SC,
+TSO, WMM, Alpha-like and per-location-SC yardsticks.  The table is built
+at import and never changes; ``"rmo"`` is an alias of ``"gam0"`` (the
+paper: GAM0 is a corrected RMO), listed right after its target rather
+than as a second row building the same model.
 
-Name-based lookups everywhere go through the process-wide default
-:data:`REGISTRY`; ``repro.models.spec.resolve_model`` layers file /
-``ctor:`` / ``space:`` spec resolution on top of it.
+User-defined models never enter the table: they reach the engine as
+specs — a ``.model`` path, ``ctor:`` or ``space:`` — which
+:func:`repro.models.spec.resolve_model` resolves on top of these names.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Callable
 
 from ..core.axiomatic import MemoryModel
 from . import alpha, arm, gam, gam0, plsc, sc, tso, wmm
 
 __all__ = [
-    "ModelRegistry",
-    "REGISTRY",
-    "MODELS",
+    "canonical_name",
+    "canonical_names",
+    "comparison_models",
     "get_model",
     "model_names",
-    "comparison_models",
 ]
 
 ModelFactory = Callable[[], MemoryModel]
 
-
-class ModelRegistry:
-    """A mutable, collision-checked name -> model-factory mapping.
-
-    Two registrations under one name are always a bug, never a silent
-    overwrite (pass ``replace=True`` to overwrite deliberately).  Aliases
-    are tracked separately from canonical names so listings can annotate
-    them (``rmo -> gam0``) instead of instantiating the target twice.
-    """
-
-    def __init__(self) -> None:
-        self._factories: dict[str, ModelFactory] = {}
-        self._aliases: dict[str, str] = {}
-        self._order: list[str] = []
-
-    # -- registration ----------------------------------------------------
-
-    def register(
-        self,
-        model: Union[MemoryModel, ModelFactory],
-        *,
-        name: str = "",
-        aliases: tuple[str, ...] = (),
-        replace: bool = False,
-    ) -> str:
-        """Register a model (or zero-argument factory) under its name.
-
-        Args:
-            model: a built :class:`MemoryModel` or a callable returning one.
-            name: registration name; defaults to the model's own ``name``.
-            aliases: extra names resolving to the same registration.
-            replace: allow overwriting an existing name.
-
-        Returns:
-            the canonical name the model was registered under.
-
-        Raises:
-            ValueError: on a name collision when ``replace`` is false, or
-                an empty name.
-        """
-        if isinstance(model, MemoryModel):
-            built = model
-            factory: ModelFactory = lambda built=built: built
-        else:
-            factory = model
-            built = factory()
-            if not isinstance(built, MemoryModel):
-                raise TypeError(
-                    f"factory returned {type(built).__name__}, not a MemoryModel"
-                )
-        key = name or built.name
-        if not key:
-            raise ValueError("cannot register a model with an empty name")
-        if not replace and key in self:
-            raise ValueError(
-                f"model name collision: {key!r} is already registered "
-                "(pass replace=True to overwrite)"
-            )
-        self._aliases.pop(key, None)
-        if key not in self._order:  # replacing an alias keeps its position
-            self._order.append(key)
-        self._factories[key] = factory
-        for alias in aliases:
-            self.alias(alias, key, replace=replace)
-        return key
-
-    def alias(self, alias: str, target: str, replace: bool = False) -> None:
-        """Make ``alias`` resolve to the registration named ``target``.
-
-        ``target`` may itself be an alias (the chain is flattened at
-        registration time, so lookups stay one hop).
-        """
-        canonical = self._aliases.get(target, target)
-        if canonical not in self._factories:
-            raise KeyError(self._unknown(target))
-        if not replace and alias in self:
-            raise ValueError(
-                f"model name collision: {alias!r} is already registered "
-                "(pass replace=True to overwrite)"
-            )
-        if alias in self._factories:
-            self._drop(alias)
-        if alias not in self._aliases:
-            self._order.append(alias)
-        self._aliases[alias] = canonical
-
-    def _drop(self, name: str) -> None:
-        """Remove a canonical registration and every alias pointing at it."""
-        del self._factories[name]
-        dangling = [a for a, t in self._aliases.items() if t == name]
-        for a in dangling:
-            del self._aliases[a]
-        self._order = [
-            n for n in self._order if n != name and n not in dangling
-        ]
-
-    def unregister(self, name: str) -> None:
-        """Remove a registration — an alias alone, or a canonical name
-        together with every alias pointing at it."""
-        if name in self._aliases:
-            del self._aliases[name]
-            self._order.remove(name)
-            return
-        if name in self._factories:
-            self._drop(name)
-            return
-        raise KeyError(self._unknown(name))
-
-    # -- lookup ----------------------------------------------------------
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._factories or name in self._aliases
-
-    def canonical_name(self, name: str) -> str:
-        """Resolve an alias to its canonical name (identity otherwise).
-
-        Unknown names pass through unchanged, so callers can canonicalize
-        before their own lookup without double-reporting the miss.
-        """
-        return self._aliases.get(name, name)
-
-    def names(self) -> tuple[str, ...]:
-        """Canonical (non-alias) names, in registration order."""
-        return tuple(n for n in self._order if n in self._factories)
-
-    def all_names(self) -> tuple[str, ...]:
-        """Every name — canonical and alias — in registration order."""
-        return tuple(self._order)
-
-    def aliases(self) -> dict[str, str]:
-        """The ``alias -> canonical name`` mapping (a copy)."""
-        return dict(self._aliases)
-
-    def get(self, name: str) -> MemoryModel:
-        """Instantiate the model registered under ``name`` (or an alias).
-
-        Raises ``KeyError`` listing the sorted available names — aliases
-        annotated with their target — on a miss.
-        """
-        canonical = self._aliases.get(name, name)
-        if canonical not in self._factories:
-            raise KeyError(self._unknown(name))
-        return self._factories[canonical]()
-
-    def _unknown(self, name: str) -> str:
-        entries = [
-            f"{n} (= {self._aliases[n]})" if n in self._aliases else n
-            for n in sorted(self._order)
-        ]
-        return f"unknown model {name!r}; available: {', '.join(entries)}"
-
-
-REGISTRY = ModelRegistry()
-"""The process-wide default registry every name-based lookup consults."""
-
-for _factory, _name, _aliases in (
-    (sc.model, "sc", ()),
-    (sc.model_with_gam_load_value, "sc-gamlv", ()),
-    (tso.model, "tso", ()),
-    (gam.model, "gam", ()),
-    (gam0.model, "gam0", ("rmo",)),  # the paper: GAM0 is a corrected RMO
-    (arm.model, "arm", ()),
-    (wmm.model, "wmm", ()),
-    (alpha.model, "alpha_like", ()),
-    (plsc.model, "plsc", ()),
-):
-    REGISTRY.register(_factory, name=_name, aliases=_aliases)
-
-MODELS: dict[str, ModelFactory] = {
+_FACTORIES: dict[str, ModelFactory] = {
     "sc": sc.model,
     "sc-gamlv": sc.model_with_gam_load_value,
     "tso": tso.model,
     "gam": gam.model,
     "gam0": gam0.model,
-    "rmo": gam0.model,
     "arm": arm.model,
     "wmm": wmm.model,
     "alpha_like": alpha.model,
     "plsc": plsc.model,
 }
-"""Legacy snapshot of the static zoo (``"rmo"`` aliases ``"gam0"``).
 
-Kept for callers that iterate the built-in factories directly; runtime
-registrations go to :data:`REGISTRY` and do not appear here.
-"""
+_ALIASES: dict[str, str] = {"rmo": "gam0"}
+
+_NAMES: tuple[str, ...] = tuple(
+    entry
+    for name in _FACTORIES
+    for entry in (name, *(a for a, target in _ALIASES.items() if target == name))
+)
 
 
 def model_names() -> tuple[str, ...]:
-    """All registered model names, aliases included."""
-    return REGISTRY.all_names()
+    """Every zoo name, each alias right after its target."""
+    return _NAMES
+
+
+def canonical_names() -> tuple[str, ...]:
+    """The zoo's canonical (non-alias) names, in table order."""
+    return tuple(_FACTORIES)
+
+
+def canonical_name(name: str) -> str:
+    """Resolve an alias to its canonical name (identity otherwise).
+
+    Unknown names pass through unchanged, so callers can canonicalize
+    before their own lookup without double-reporting the miss.
+    """
+    return _ALIASES.get(name, name)
 
 
 def get_model(name: str) -> MemoryModel:
-    """Instantiate the model registered under ``name``.
+    """Instantiate the zoo model named ``name`` (or an alias of it).
 
-    Raises ``KeyError`` listing the available names on a miss.
+    Raises ``KeyError`` listing the sorted available names — aliases
+    annotated with their target — on a miss.
     """
-    return REGISTRY.get(name)
+    factory = _FACTORIES.get(_ALIASES.get(name, name))
+    if factory is None:
+        entries = [
+            f"{n} (= {_ALIASES[n]})" if n in _ALIASES else n
+            for n in sorted(_NAMES)
+        ]
+        raise KeyError(f"unknown model {name!r}; available: {', '.join(entries)}")
+    return factory()
 
 
 def comparison_models() -> tuple[MemoryModel, ...]:

@@ -461,17 +461,17 @@ def resolve_models(spec: Union[str, MemoryModel]) -> list[MemoryModel]:
         return [_ctor_model(spec)]
     if spec.startswith("space:"):
         return _space_models(spec)
-    from .registry import REGISTRY
+    from .registry import get_model, model_names
 
-    # Registry names win over paths (mirroring resolve_suite's static-name
+    # Zoo names win over paths (mirroring resolve_suite's static-name
     # precedence): a stray file or directory in the cwd that happens to be
     # called "gam" must not shadow the zoo.
-    if spec in REGISTRY:
-        return [REGISTRY.get(spec)]
+    if spec in model_names():
+        return [get_model(spec)]
     if os.path.exists(spec):
         return load_model_path(spec)
     try:
-        return [REGISTRY.get(spec)]  # raises the listing KeyError
+        return [get_model(spec)]  # raises the listing KeyError
     except KeyError as exc:
         raise KeyError(
             f"{exc.args[0]}; a model spec may also be a .model file or "

@@ -7,7 +7,7 @@ from repro.analysis import diff_models, find_witness, render_diff, render_execut
 from repro.core.axiomatic import CandidatePrefix, enumerate_outcomes
 from repro.litmus.frontend.suite import resolve_suite
 from repro.litmus.registry import all_tests, get_test
-from repro.models.registry import MODELS, get_model
+from repro.models.registry import get_model, model_names
 
 
 def _assert_witness_parity(test, model, outcome=None):
@@ -68,7 +68,7 @@ class TestWitnessParity:
     """``find_witness`` against the reference order enumerator, over every
     registry model."""
 
-    @pytest.mark.parametrize("model_name", MODELS)
+    @pytest.mark.parametrize("model_name", model_names())
     def test_asked_outcome_over_catalogue(self, model_name):
         model = get_model(model_name)
         for test in all_tests():
@@ -78,7 +78,7 @@ class TestWitnessParity:
     @pytest.mark.slow
     @pytest.mark.parametrize("suite", ["all", "gen:edges=4", "rand:n=60,seed=3"])
     def test_asked_and_every_full_outcome(self, suite):
-        models = [get_model(name) for name in MODELS]
+        models = [get_model(name) for name in model_names()]
         for test in resolve_suite(suite):
             prefix = CandidatePrefix(test)
             for model in models:

@@ -159,16 +159,6 @@ class TestMatrixEquivSim:
 
 
 class TestGenImportExport:
-    @pytest.fixture(autouse=True)
-    def _restore_registry(self):
-        """Undo the global registrations ``repro gen`` makes in-process."""
-        from repro.litmus import registry
-
-        before = set(registry.test_names())
-        yield
-        for name in set(registry.test_names()) - before:
-            registry.unregister(name)
-
     def test_gen_summary(self, capsys):
         assert main(["gen", "--edges", "4", "--quiet"]) == 0
         out = capsys.readouterr().out
@@ -180,14 +170,13 @@ class TestGenImportExport:
         assert main(["gen", "--edges", "4", "--size", "1", "--quiet"]) == 0
         capsys.readouterr()
 
-    def test_gen_registers_tests_in_process(self, capsys):
-        assert main(["gen", "--edges", "4", "--size", "1", "--quiet"]) == 0
-        capsys.readouterr()
-        from repro.litmus.frontend.gen import generate_suite
+    def test_gen_leaves_the_catalogue_unchanged(self, capsys):
+        from repro.litmus import registry
 
-        name = generate_suite(4, size=1)[0].name
-        assert main(["show", name, "--format", "litmus"]) == 0
-        assert f"GAM {name}" in capsys.readouterr().out
+        before = registry.test_names()
+        assert main(["gen", "--edges", "4", "--size", "3", "--quiet"]) == 0
+        capsys.readouterr()
+        assert registry.test_names() == before
 
     def test_gen_writes_files(self, capsys, tmp_path):
         out_dir = tmp_path / "generated"

@@ -17,7 +17,7 @@ from repro.equivalence.randprog import RandomProgramConfig, random_suite
 from repro.litmus.dsl import LitmusBuilder
 from repro.litmus.frontend.suite import resolve_suite
 from repro.litmus.registry import all_tests, get_test
-from repro.models.registry import MODELS, get_model
+from repro.models.registry import get_model, model_names
 from repro.models.spec import resolve_model
 from repro.obs import collecting
 
@@ -36,9 +36,9 @@ _LOAD_HEAVY = random_suite(
 """One-location, load-heavy programs with RMWs: dense in window pairs."""
 
 
-def _assert_parity(test, model_names, prefix=None):
+def _assert_parity(test, names, prefix=None):
     """Outcome sets and verdicts must agree with the reference enumerator."""
-    for name in model_names:
+    for name in names:
         model = resolve_model(name)
         kernel = enumerate_outcomes(test, model, project="full", prefix=prefix)
         reference = reference_outcomes(test, model, project="full", prefix=prefix)
@@ -192,11 +192,11 @@ class TestParityFull:
 
     def test_registered_suite_parity(self):
         for test in all_tests():
-            _assert_parity(test, MODELS, prefix=CandidatePrefix(test))
+            _assert_parity(test, model_names(), prefix=CandidatePrefix(test))
 
     def test_generated_suite_parity(self):
         for test in resolve_suite("gen:edges=3"):
-            _assert_parity(test, MODELS, prefix=CandidatePrefix(test))
+            _assert_parity(test, model_names(), prefix=CandidatePrefix(test))
 
     def test_same_source_gen5_parity(self):
         for test in resolve_suite("gen:edges=5"):

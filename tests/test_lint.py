@@ -36,7 +36,7 @@ from repro.lint import (
 from repro.lint.repo import check_engine_version_bump, lint_source
 from repro.litmus.frontend.parser import parse_litmus
 from repro.litmus.registry import all_tests, get_test
-from repro.models.registry import REGISTRY
+from repro.models.registry import canonical_names, get_model
 
 
 def _codes(findings) -> list[str]:
@@ -303,7 +303,7 @@ class TestModelCodes:
     )
 
     def test_zoo_models_are_clean(self):
-        models = [REGISTRY.get(name) for name in REGISTRY.names()]
+        models = [get_model(name) for name in canonical_names()]
         assert lint_models(models) == []
 
     def test_m001_uncataloged_clause(self):
@@ -344,7 +344,7 @@ class TestModelCodes:
         )
 
     def test_m005_registry_twin(self):
-        twin = replace(REGISTRY.get("gam"), name="mygam")
+        twin = replace(get_model("gam"), name="mygam")
         findings = [f for f in lint_models([twin]) if f.code == "M005"]
         assert len(findings) == 1
         assert "'gam'" in findings[0].message
@@ -352,7 +352,7 @@ class TestModelCodes:
     def test_m005_quiet_under_registry_aliases(self):
         # `rmo` is an alias of gam0: canonically identical by design, but
         # canonical_name flattens the alias so no twin is reported.
-        assert "M005" not in _codes(lint_models([REGISTRY.get("rmo")]))
+        assert "M005" not in _codes(lint_models([get_model("rmo")]))
 
     def test_m006_duplicate_model_name(self):
         a = _model("m", *self.GAM_SPECS)
@@ -510,7 +510,7 @@ class TestCorpusGates:
         assert errors == []
 
     def test_zoo_preflight_is_clean(self):
-        models = [REGISTRY.get(name) for name in REGISTRY.names()]
+        models = [get_model(name) for name in canonical_names()]
         assert preflight_models(models) == []
 
     def test_generated_suite_preflight_is_clean(self):
@@ -558,16 +558,6 @@ class TestCorpusGates:
 
 
 class TestLintCli:
-    @pytest.fixture(autouse=True)
-    def _restore_registry(self):
-        """Undo the global registrations ``repro gen`` makes in-process."""
-        from repro.litmus import registry
-
-        before = set(registry.test_names())
-        yield
-        for name in set(registry.test_names()) - before:
-            registry.unregister(name)
-
     def test_lint_corpus_and_zoo_exits_clean(self, capsys):
         assert main(["lint"]) == 0
         out = capsys.readouterr().out
@@ -629,7 +619,11 @@ class TestLintCli:
         (tmp_path / "a.litmus").write_text(print_litmus(get_test("dekker")))
         (tmp_path / "b.litmus").write_text(print_litmus(get_test("dekker")))
         assert main(["import", str(tmp_path)]) == 2
-        assert "L011" in capsys.readouterr().err
+        a, b = tmp_path / "a.litmus", tmp_path / "b.litmus"
+        assert capsys.readouterr().err == (
+            f"error   L011 {b}:1: dekker: test name collision: "
+            f"already imported from {a}:1\n"
+        )
 
 
 class TestHuntPreflight:

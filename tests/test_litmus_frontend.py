@@ -1,4 +1,4 @@
-"""Tests for the ``.litmus`` frontend: printer, parser, suites, registry."""
+"""Tests for the ``.litmus`` frontend: printer, parser, suites, catalogue."""
 
 import pytest
 
@@ -18,7 +18,7 @@ from repro.litmus.frontend.printer import (
     print_litmus,
 )
 from repro.litmus.frontend.suite import (
-    SuiteRegistry,
+    litmus_files,
     load_litmus_path,
     parse_gen_spec,
     resolve_suite,
@@ -282,75 +282,46 @@ class TestRegistryCollisions:
         with pytest.raises(ValueError, match="duplicate litmus test name"):
             registry._merged({"x": lambda: None}, {"x": lambda: None})
 
-    def test_register_and_unregister(self):
-        builder = LitmusBuilder("frontend-reg-test", locations=("a",))
-        builder.proc().st("a", 1)
-        test = builder.build()
-        try:
-            assert registry.register(test) == "frontend-reg-test"
-            assert registry.get_test("frontend-reg-test") == test
-            with pytest.raises(ValueError, match="collision"):
-                registry.register(test)
-            registry.register(test, replace=True)  # explicit override is fine
-        finally:
-            registry.unregister("frontend-reg-test")
-        with pytest.raises(KeyError):
-            registry.get_test("frontend-reg-test")
 
-    def test_register_rejects_existing_name(self):
-        with pytest.raises(ValueError, match="collision"):
-            registry.register(get_test("dekker"))
-
-    def test_unregister_unknown(self):
-        with pytest.raises(KeyError):
-            registry.unregister("never-registered")
-
-
-class TestSuiteRegistry:
-    def _test(self, name):
-        builder = LitmusBuilder(name, locations=("a",))
-        builder.proc().st("a", 1)
-        return builder.build()
-
-    def test_layering_and_lookup(self):
-        suite = SuiteRegistry(attach=False)
-        suite.register(self._test("local-one"), suite="mine")
-        assert suite.names("mine") == ("local-one",)
-        assert suite.get("local-one").name == "local-one"
-        # Unknown names fall back to the static registry.
-        assert suite.get("dekker").name == "dekker"
-        assert suite.suites() == ("mine",)
-
-    def test_local_collision(self):
-        suite = SuiteRegistry(attach=False)
-        suite.register(self._test("twice"))
-        with pytest.raises(ValueError, match="collision"):
-            suite.register(self._test("twice"))
-        suite.register(self._test("twice"), replace=True)
-
-    def test_attached_registration_hits_global_registry(self):
-        suite = SuiteRegistry(attach=True)
-        try:
-            suite.register(self._test("attached-test"))
-            assert registry.get_test("attached-test").name == "attached-test"
-            with pytest.raises(ValueError, match="collision"):
-                SuiteRegistry(attach=True).register(self._test("attached-test"))
-        finally:
-            registry.unregister("attached-test")
-
+class TestLoadLitmusPath:
     def test_load_path_file_and_dir(self, tmp_path):
         for name in ("mp", "lb"):
             (tmp_path / f"{name}.litmus").write_text(
                 print_litmus(get_test(name))
             )
-        suite = SuiteRegistry(attach=False)
-        names = suite.load_path(str(tmp_path), suite="from-disk")
-        assert names == ["lb", "mp"]  # sorted by file name
-        assert suite.get("mp") == get_test("mp")
+        (tmp_path / "notes.txt").write_text("not a test")
+        tests = load_litmus_path(str(tmp_path))
+        assert [test.name for test in tests] == ["lb", "mp"]  # by file name
+        assert tests[1] == get_test("mp")
+        assert load_litmus_path(str(tmp_path / "mp.litmus")) == [get_test("mp")]
+
+    def test_litmus_files_expands_directories_only(self, tmp_path):
+        for entry in ("b.litmus", "a.litmus", "c.txt"):
+            (tmp_path / entry).write_text("")
+        assert litmus_files(str(tmp_path)) == [
+            str(tmp_path / "a.litmus"),
+            str(tmp_path / "b.litmus"),
+        ]
+        # A file passes through unchecked: parsing reports its errors.
+        assert litmus_files(str(tmp_path / "c.txt")) == [str(tmp_path / "c.txt")]
 
     def test_load_path_empty_dir(self, tmp_path):
         with pytest.raises(LitmusParseError, match="no .litmus files"):
             load_litmus_path(str(tmp_path))
+
+    def test_import_empty_dir_is_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        (tmp_path / "one.litmus").write_text(print_litmus(get_test("mp")))
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        # Every argument expands before anything is imported.
+        assert main(["import", str(tmp_path / "one.litmus"), str(empty)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: no .litmus files in directory {str(empty)!r}\n"
+        )
 
 
 class TestResolveSuite:

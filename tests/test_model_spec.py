@@ -1,10 +1,10 @@
-"""The declarative model-spec API: .model format, registry, resolution.
+"""The declarative model-spec API: .model format, zoo table, resolution.
 
 Covers the PR-5 redesign end to end:
 
 * parse∘print byte-stability across the full zoo, and parser error paths
   carrying line numbers;
-* the mutable ``ModelRegistry`` (collisions, aliases, unregistration);
+* the read-only zoo table (aliases, the sorted unknown-name listing);
 * ``resolve_model``/``resolve_models`` over every spec form (names,
   files, directories, ``ctor:``, ``space:``);
 * engine-cache behaviour: an edited ``.model`` file changes the cache
@@ -27,7 +27,6 @@ from repro.engine import (
 from repro.engine.cells import model_descriptor
 from repro.litmus.registry import get_test
 from repro.models import (
-    ModelRegistry,
     ModelSpecError,
     get_model,
     load_model_path,
@@ -206,67 +205,6 @@ class TestClauseCatalog:
     def test_build_clause_rejects_args_on_plain_clauses(self):
         with pytest.raises(ValueError, match="takes no arguments"):
             build_clause("SAMemSt", ("L",))
-
-
-class TestModelRegistry:
-    def _registry(self):
-        registry = ModelRegistry()
-        registry.register(get_model("gam"))
-        registry.register(get_model("gam0"), aliases=("rmo",))
-        return registry
-
-    def test_collision_raises(self):
-        registry = self._registry()
-        with pytest.raises(ValueError, match="collision"):
-            registry.register(get_model("gam"))
-        registry.register(get_model("gam"), replace=True)  # explicit wins
-
-    def test_alias_resolves_and_annotates_errors(self):
-        registry = self._registry()
-        assert registry.get("rmo").name == "gam0"
-        assert registry.canonical_name("rmo") == "gam0"
-        with pytest.raises(KeyError) as excinfo:
-            registry.get("nope")
-        message = str(excinfo.value)
-        assert "rmo (= gam0)" in message
-        # sorted listing
-        assert message.index("gam") < message.index("rmo")
-
-    def test_alias_collision_raises(self):
-        registry = self._registry()
-        with pytest.raises(ValueError, match="collision"):
-            registry.alias("rmo", "gam")
-
-    def test_unregister_alias_keeps_target(self):
-        registry = self._registry()
-        registry.unregister("rmo")
-        assert "rmo" not in registry
-        assert registry.get("gam0").name == "gam0"
-
-    def test_unregister_canonical_drops_aliases(self):
-        registry = self._registry()
-        registry.unregister("gam0")
-        assert "rmo" not in registry and "gam0" not in registry
-        assert registry.names() == ("gam",)
-
-    def test_names_vs_all_names(self):
-        registry = self._registry()
-        assert registry.names() == ("gam", "gam0")
-        assert registry.all_names() == ("gam", "gam0", "rmo")
-        assert registry.aliases() == {"rmo": "gam0"}
-
-    def test_register_factory_and_empty_name(self):
-        registry = ModelRegistry()
-        assert registry.register(lambda: get_model("sc")) == "sc"
-        with pytest.raises(TypeError):
-            registry.register(lambda: "not a model")
-
-    def test_replace_over_alias_does_not_duplicate_listing(self):
-        registry = self._registry()
-        registry.register(get_model("tso"), name="rmo", replace=True)
-        assert registry.all_names() == ("gam", "gam0", "rmo")
-        assert registry.names() == ("gam", "gam0", "rmo")
-        assert registry.get("rmo").name == "tso"
 
 
 class TestResolve:
@@ -605,10 +543,27 @@ class TestCliModelSpecs:
         from repro.cli import main
 
         assert main(["list", "models"]) == 0
-        out = capsys.readouterr().out
-        assert "rmo          -> gam0" in out
-        # gam0's description appears exactly once (no duplicate row)
-        assert out.count("corrected RMO") == 1
+        # The static table in order: the alias row points at its target
+        # right after it, so gam0's description appears exactly once.
+        assert capsys.readouterr().out == (
+            "sc           Sequential consistency (Lamport); no reordering "
+            "at all.\n"
+            "sc-gamlv     SC with LoadValueGAM; provably equivalent to sc.\n"
+            "tso          Total Store Order with store-buffer forwarding.\n"
+            "gam          General Atomic Memory Model: all four reorderings, "
+            "syntactic dependency ordering, per-location SC.\n"
+            "gam0         GAM without same-address load-load ordering; a "
+            "corrected RMO.\n"
+            "rmo          -> gam0\n"
+            "arm          GAM0 + SALdLdARM: same-address loads reading "
+            "different stores stay ordered (ARMv8-style).\n"
+            "wmm          WMM-like [43]: no dependency ordering, loads always "
+            "ordered before younger stores (OOTA-free by construction).\n"
+            "alpha_like   Alpha-like relaxation: no dependency, branch or "
+            "same-address load ordering; demonstrates the OOTA problem.\n"
+            "plsc         Per-location SC yardstick: coherence only, no "
+            "cross-address ordering constraints.\n"
+        )
 
     def test_model_show_and_family(self, capsys):
         from repro.cli import main
@@ -647,11 +602,25 @@ class TestCliModelSpecs:
         ) == 0
         assert "ALLOWED" in capsys.readouterr().out
 
-    def test_check_operational_accepts_alias(self, capsys):
+    def test_check_operational_accepts_alias(self, capsys, monkeypatch):
+        import repro.engine
         from repro.cli import main
 
+        seen = []
+        evaluate = repro.engine.evaluate_cells
+
+        def spy(cells, **kwargs):
+            seen.extend(cells)
+            return evaluate(cells, **kwargs)
+
+        monkeypatch.setattr(repro.engine, "evaluate_cells", spy)
         assert main(["check", "corr", "-m", "rmo", "--operational"]) == 0
-        assert "abstract machine" in capsys.readouterr().out
+        assert [(cell.model, cell.oracle) for cell in seen] == [
+            ("gam0", "operational:gam0")
+        ]
+        assert capsys.readouterr().out == (
+            "corr: P1.r1=1, P1.r2=0 is ALLOWED under rmo (abstract machine)\n"
+        )
 
     def test_diff_with_ctor_spec(self, capsys):
         from repro.cli import main
@@ -669,4 +638,10 @@ class TestCliModelSpecs:
         from repro.cli import main
 
         assert main(["check", "dekker", "-m", "nope"]) == 2
-        assert "rmo (= gam0)" in capsys.readouterr().err
+        # The zoo sorted by name, each alias annotated with its target.
+        assert capsys.readouterr().err == (
+            "error: unknown model 'nope'; available: alpha_like, arm, gam, "
+            "gam0, plsc, rmo (= gam0), sc, sc-gamlv, tso, wmm; a model spec "
+            "may also be a .model file or directory path, ctor:knob=value,... "
+            "or space:knob=*,...\n"
+        )

@@ -149,7 +149,8 @@ spec (or the construction code) refuses to resume into stale state.
 See also: [architecture.md](architecture.md) for where model resolution
 sits in the stack, [cli.md](cli.md) for `repro model show/import/export`,
 and `examples/custom_model.py` for the library-level API
-(`resolve_model`, `to_spec`/`from_spec`, `ModelRegistry`).
+(`assemble`, and `resolve_model`/`resolve_models` over zoo names,
+`.model` files, `ctor:` and `space:` specs).
 """
 
 
