@@ -283,6 +283,24 @@ class TestRegistryCollisions:
             registry._merged({"x": lambda: None}, {"x": lambda: None})
 
 
+class TestCatalogueLookups:
+    def test_names_list_paper_figures_first(self):
+        from repro.litmus.paper_tests import PAPER_TESTS
+        from repro.litmus.standard_tests import STANDARD_TESTS
+
+        assert registry.test_names() == tuple(PAPER_TESTS) + tuple(STANDARD_TESTS)
+        assert [t.name for t in registry.paper_suite()] == list(PAPER_TESTS)
+        assert [t.name for t in registry.standard_suite()] == list(STANDARD_TESTS)
+
+    def test_unknown_test_lists_the_catalogue(self):
+        with pytest.raises(KeyError) as excinfo:
+            get_test("nope")
+        assert excinfo.value.args[0] == (
+            "unknown litmus test 'nope'; available: "
+            + ", ".join(registry.test_names())
+        )
+
+
 class TestLoadLitmusPath:
     def test_load_path_file_and_dir(self, tmp_path):
         for name in ("mp", "lb"):

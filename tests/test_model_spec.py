@@ -28,6 +28,9 @@ from repro.engine.cells import model_descriptor
 from repro.litmus.registry import get_test
 from repro.models import (
     ModelSpecError,
+    canonical_name,
+    canonical_names,
+    comparison_models,
     get_model,
     load_model_path,
     model_names,
@@ -205,6 +208,60 @@ class TestClauseCatalog:
     def test_build_clause_rejects_args_on_plain_clauses(self):
         with pytest.raises(ValueError, match="takes no arguments"):
             build_clause("SAMemSt", ("L",))
+
+
+class TestZooTable:
+    """The read-only zoo: names, the ``rmo`` alias and the error listing."""
+
+    @pytest.mark.parametrize("name", list(model_names()))
+    def test_every_name_builds_its_canonical_model(self, name):
+        # A row's key is the name its model carries (cache keys, ``list
+        # models`` and lint's twin check all read ``model.name``).
+        assert get_model(name).name == canonical_name(name)
+
+    def test_alias_builds_the_same_model_as_its_target(self):
+        assert canonical_name("rmo") == "gam0"
+        assert model_descriptor(get_model("rmo")) == model_descriptor(
+            get_model("gam0")
+        )
+        assert canonical_name("gam") == "gam"
+        # Unknown names pass through for the caller's own lookup.
+        assert canonical_name("nope") == "nope"
+
+    def test_names_list_each_alias_after_its_target(self):
+        assert model_names() == (
+            "sc", "sc-gamlv", "tso", "gam", "gam0", "rmo",
+            "arm", "wmm", "alpha_like", "plsc",
+        )
+        assert canonical_names() == tuple(
+            name for name in model_names() if name != "rmo"
+        )
+
+    def test_unknown_model_lists_sorted_names_with_aliases(self):
+        with pytest.raises(KeyError) as excinfo:
+            get_model("nope")
+        assert excinfo.value.args[0] == (
+            "unknown model 'nope'; available: alpha_like, arm, gam, gam0, "
+            "plsc, rmo (= gam0), sc, sc-gamlv, tso, wmm"
+        )
+
+    def test_comparison_models_strongest_first(self):
+        assert [model.name for model in comparison_models()] == [
+            "sc", "tso", "gam", "gam0", "arm", "wmm", "alpha_like", "plsc",
+        ]
+
+    def test_catalogues_expose_no_mutator(self):
+        from repro.litmus import registry as litmus_registry
+        from repro.models import registry as model_registry
+
+        for module in (model_registry, litmus_registry):
+            for name in ("register", "unregister", "alias"):
+                assert not hasattr(module, name), (module.__name__, name)
+        # Lookups hand out tuples, so a caller cannot edit a table
+        # through them.
+        assert isinstance(model_names(), tuple)
+        assert isinstance(canonical_names(), tuple)
+        assert isinstance(litmus_registry.test_names(), tuple)
 
 
 class TestResolve:
