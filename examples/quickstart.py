@@ -9,13 +9,8 @@ machine.
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    GAM_MACHINE,
-    LitmusBuilder,
-    get_model,
-    is_allowed,
-    operational_allows,
-)
+from repro import LitmusBuilder, get_model, is_allowed
+from repro.engine import VerdictSpec, evaluate_cells
 
 
 def main() -> None:
@@ -35,7 +30,9 @@ def main() -> None:
     print()
 
     # --- 3. Cross-check with the operational definition ------------------
-    machine_says = operational_allows(test, GAM_MACHINE)
+    (machine_says,) = evaluate_cells(
+        [VerdictSpec(test, "gam", oracle="operational:gam")]
+    )
     axioms_say = is_allowed(test, get_model("gam"))
     print(f"GAM abstract machine allows the outcome: {machine_says}")
     print(f"GAM axioms allow the outcome:            {axioms_say}")

@@ -40,7 +40,6 @@ from .core.operational import (
     GAM0_MACHINE,
     GAM_MACHINE,
     explore,
-    operational_allows,
     operational_outcomes,
 )
 from .litmus import LitmusBuilder, LitmusTest, Outcome, all_tests, get_test
@@ -72,7 +71,6 @@ __all__ = [
     "derivation_chain",
     "explore",
     "operational_outcomes",
-    "operational_allows",
     "GAM_MACHINE",
     "GAM0_MACHINE",
 ]

@@ -19,7 +19,6 @@ from .axiomatic import (
     enumerate_outcomes,
     find_execution,
     is_allowed,
-    value_domain,
 )
 from .construction import CONSTRAINTS, assemble, derivation_chain
 from .dependencies import adep_edges, ddep_edges
@@ -50,7 +49,6 @@ __all__ = [
     "enumerate_outcomes",
     "find_execution",
     "is_allowed",
-    "value_domain",
     "FrontierKernel",
     "assemble",
     "derivation_chain",

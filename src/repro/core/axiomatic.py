@@ -4,9 +4,10 @@ Given a litmus test and a :class:`MemoryModel`, the engine decides which
 executions ``<po, mo, rf>`` satisfy the model's axioms:
 
 1. **Candidate load values.**  A closed value domain is computed
-   (:func:`value_domain`); each processor's program is replayed under every
-   assignment of domain values to its loads, which fixes addresses, store
-   data and branch paths (``<po`` is the replayed stream).
+   per address (:func:`value_domains`); each processor's program is
+   replayed by :meth:`~repro.isa.program.Program.runs`, forking at every
+   load over its address's domain, which fixes addresses, store data and
+   branch paths (``<po`` is the replayed stream).
 2. **Memory orders.**  The static ppo clauses are evaluated per processor
    and projected onto memory events; every topological order of the
    resulting DAG is a candidate ``<mo`` (axiom InstOrder holds by
@@ -36,21 +37,12 @@ LoadValueGAM.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..isa.expr import Const, evaluate, registers_read
-from ..isa.instructions import (
-    Branch,
-    Fence,
-    Instruction,
-    Load,
-    Nop,
-    RegOp,
-    Rmw,
-    Store,
-)
-from ..isa.program import ExecutedInstr, Program, ProgramError, ProgramRun
+from ..isa.instructions import Load, RegOp, Rmw, Store
+from ..isa.program import Program, ProgramRun
 from ..litmus.test import LitmusTest, Outcome
 from ..obs import incr as _obs_incr
 from .events import (
@@ -69,7 +61,6 @@ __all__ = [
     "DomainOverflowError",
     "ValueDomains",
     "CandidatePrefix",
-    "value_domain",
     "value_domains",
     "enumerate_outcomes",
     "find_execution",
@@ -254,15 +245,6 @@ def value_domains(
     )
 
 
-def value_domain(
-    test: LitmusTest,
-    extra: Iterable[int] = (),
-    cap: int = _DOMAIN_CAP,
-) -> frozenset[int]:
-    """The flat union of :func:`value_domains` (compatibility helper)."""
-    return value_domains(test, extra, cap).everything()
-
-
 def _producible_stores(
     program: Program,
     by_addr: Mapping[int, set[int]],
@@ -316,80 +298,6 @@ def _eval_over(expr, possible: Mapping[str, set[int]]) -> set[int]:
     for values in itertools.product(*(sorted(possible.get(r, {0})) for r in regs)):
         results.add(evaluate(expr, dict(zip(regs, values))))
     return results
-
-
-def _enumerate_runs(
-    program: Program,
-    domains: ValueDomains,
-) -> list[ProgramRun]:
-    """Replay ``program`` under every assignment of domain values to loads.
-
-    Branches are resolved during replay, so only loads that actually execute
-    consume a domain choice, and each load's candidates come from its
-    *resolved address's* domain (the address is always known by the time the
-    replay reaches the load).
-
-    One DFS replay forks at each executed load over its candidate values in
-    ascending order — the same run order as enumerating assignments
-    load-by-load with one full :meth:`~repro.isa.program.Program.execute`
-    replay each, but every instruction along a shared prefix executes once
-    instead of once per revisit.
-    """
-    instructions = program.instructions
-    labels = program.labels
-    runs: list[ProgramRun] = []
-
-    def step(pc: int, regs: dict[str, int], executed: list[ExecutedInstr]) -> None:
-        while pc < len(instructions):
-            instr = instructions[pc]
-            next_pc = pc + 1
-            if isinstance(instr, Rmw):
-                addr = evaluate(instr.addr, regs)
-                for value in sorted(domains.for_address(addr)):
-                    forked = dict(regs)
-                    forked[instr.dst] = value
-                    data = evaluate(instr.data, forked)
-                    step(
-                        next_pc,
-                        forked,
-                        executed
-                        + [ExecutedInstr(pc, instr, addr=addr, value=value, data=data)],
-                    )
-                return
-            if isinstance(instr, Load):
-                addr = evaluate(instr.addr, regs)
-                for value in sorted(domains.for_address(addr)):
-                    forked = dict(regs)
-                    forked[instr.dst] = value
-                    step(
-                        next_pc,
-                        forked,
-                        executed + [ExecutedInstr(pc, instr, addr=addr, value=value)],
-                    )
-                return
-            if isinstance(instr, Store):
-                addr = evaluate(instr.addr, regs)
-                data = evaluate(instr.data, regs)
-                executed.append(ExecutedInstr(pc, instr, addr=addr, value=data))
-            elif isinstance(instr, RegOp):
-                result = evaluate(instr.expr, regs)
-                regs[instr.dst] = result
-                executed.append(ExecutedInstr(pc, instr, value=result))
-            elif isinstance(instr, Branch):
-                cond = evaluate(instr.cond, regs)
-                taken = cond != 0
-                executed.append(ExecutedInstr(pc, instr, value=cond, taken=taken))
-                if taken:
-                    next_pc = labels[instr.target]
-            elif isinstance(instr, (Fence, Nop)):
-                executed.append(ExecutedInstr(pc, instr))
-            else:
-                raise ProgramError(f"unknown instruction kind: {instr!r}")
-            pc = next_pc
-        runs.append(ProgramRun(tuple(executed), regs))
-
-    step(0, {name: 0 for name in program.registers()}, [])
-    return runs
 
 
 @dataclass
@@ -611,8 +519,12 @@ class CandidatePrefix:
     def __init__(self, test: LitmusTest, extra_values: Iterable[int] = ()) -> None:
         self.test = test
         self.extra_values = frozenset(extra_values)
-        self.domains = value_domains(test, self.extra_values)
-        per_proc = [_enumerate_runs(program, self.domains) for program in test.programs]
+        domains = self.domains = value_domains(test, self.extra_values)
+
+        def candidates(pc: int, addr: int) -> list[int]:
+            return sorted(domains.for_address(addr))
+
+        per_proc = [program.runs(candidates) for program in test.programs]
         self.combos: tuple[tuple[ProgramRun, ...], ...] = tuple(
             itertools.product(*per_proc)
         )

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from ..isa.expr import compile_expr, registers_read
 from ..isa.instructions import (
@@ -79,7 +79,6 @@ __all__ = [
     "explore",
     "explore_machine",
     "operational_outcomes",
-    "operational_allows",
 ]
 
 
@@ -518,54 +517,45 @@ _MAX_STATES = 2_000_000
 """Default cap on distinct states one exploration may visit."""
 
 
-def _terminal_states(
-    machine, max_states: int, seen: set
-) -> Iterator[tuple[dict[tuple[int, str], int], dict[int, int]]]:
-    """Depth-first search of ``machine``, yielding each terminal state's
-    final registers and memory.
+def explore_machine(
+    machine, project: str = "observed", max_states: Optional[int] = None
+) -> ExplorationResult:
+    """Exhaustively explore a built machine, depth first.
 
     ``machine`` is any built machine: an object with ``test``,
     ``initial_states()`` (a fresh list), ``successors(state)``,
-    ``is_terminal(state)`` and ``final_state(state)``.  ``seen`` collects
-    every visited state, so callers can report how many there were.
-    Raises ``RuntimeError`` once more than ``max_states`` distinct states
+    ``is_terminal(state)`` and ``final_state(state)``.  This is the one
+    exploration loop: the GAM/GAM0 machines come through :func:`explore`,
+    the SC and TSO reference machines through
+    :mod:`repro.core.reference_machines`, and every run feeds the
+    ``operational.explore.*`` telemetry.  Raises ``RuntimeError`` once
+    more than ``max_states`` distinct states (default ``_MAX_STATES``)
     have been visited.
     """
-    stack = machine.initial_states()
-    seen.update(stack)
-    while stack:
-        state = stack.pop()
-        if machine.is_terminal(state):
-            yield machine.final_state(state)
-            continue
-        for successor in machine.successors(state):
-            before = len(seen)
-            seen.add(successor)
-            if len(seen) > before:
-                if len(seen) > max_states:
-                    raise RuntimeError(
-                        f"state-space explosion exploring {machine.test.name!r}"
-                    )
-                stack.append(successor)
-
-
-def explore_machine(
-    machine, project: str = "observed", max_states: int = _MAX_STATES
-) -> ExplorationResult:
-    """Exhaustively explore a built machine (see :func:`_terminal_states`).
-
-    The one exploration driver: the GAM/GAM0 machines come through
-    :func:`explore`, the SC and TSO reference machines through
-    :mod:`repro.core.reference_machines`, and every run feeds the
-    ``operational.explore.*`` telemetry.
-    """
-    seen: set = set()
+    if max_states is None:
+        max_states = _MAX_STATES
+    test = machine.test
     outcomes: set[Outcome] = set()
     terminals = 0
     with _obs_time_block("operational.explore.time"):
-        for regs, mem in _terminal_states(machine, max_states, seen):
-            terminals += 1
-            outcomes.add(project_outcome(machine.test, regs, mem, project))
+        stack = machine.initial_states()
+        seen = set(stack)
+        while stack:
+            state = stack.pop()
+            if machine.is_terminal(state):
+                terminals += 1
+                regs, mem = machine.final_state(state)
+                outcomes.add(project_outcome(test, regs, mem, project))
+                continue
+            for successor in machine.successors(state):
+                before = len(seen)
+                seen.add(successor)
+                if len(seen) > before:
+                    if len(seen) > max_states:
+                        raise RuntimeError(
+                            f"state-space explosion exploring {test.name!r}"
+                        )
+                    stack.append(successor)
     recorder = _obs_current()
     if recorder.active:
         recorder.incr("operational.explore.runs")
@@ -582,12 +572,13 @@ def explore(
     test: LitmusTest,
     variant: MachineVariant = GAM_MACHINE,
     project: str = "observed",
-    max_states: int = _MAX_STATES,
+    max_states: Optional[int] = None,
 ) -> ExplorationResult:
     """Exhaustively explore the abstract machine on ``test``.
 
-    Raises ``RuntimeError`` if more than ``max_states`` distinct states are
-    visited (a safety valve; litmus tests stay far below it).
+    Raises ``RuntimeError`` if more than ``max_states`` distinct states
+    (default ``_MAX_STATES``) are visited (a safety valve; litmus tests
+    stay far below it).
     """
     return explore_machine(_Machine(test, variant), project, max_states)
 
@@ -599,21 +590,3 @@ def operational_outcomes(
 ) -> frozenset[Outcome]:
     """The abstract machine's allowed outcome set (projected)."""
     return explore(test, variant, project).outcomes
-
-
-def operational_allows(
-    test: LitmusTest,
-    variant: MachineVariant = GAM_MACHINE,
-    outcome: Optional[Outcome] = None,
-) -> bool:
-    """Does the machine allow ``outcome`` (default: the asked outcome)?
-
-    Explores like :func:`explore`, under its default state cap, but stops
-    at the first terminal state that matches.
-    """
-    if outcome is None:
-        outcome = test.asked
-    if outcome is None:
-        raise ValueError(f"test {test.name!r} has no asked outcome")
-    terminals = _terminal_states(_Machine(test, variant), _MAX_STATES, set())
-    return any(outcome.matches(regs, mem) for regs, mem in terminals)

@@ -8,7 +8,9 @@ nondeterministically, loads check their own buffer first, and ``FenceSL``
 (the only fence TSO needs) waits for an empty buffer.
 
 Only the step rules (:func:`_step_proc`, :func:`_drain_one`) are defined
-here; :class:`_SeqMachine` hands them to the GAM machine's driver,
+here; they read and write memory with the GAM machine's helpers, over the
+same sorted ``(addr, value)`` tuple, and :class:`_SeqMachine` hands them to
+the GAM machine's exploration loop,
 :func:`repro.core.operational.explore_machine`, which explores both
 machines exhaustively under its state cap and telemetry.  Their outcome
 sets are compared against the corresponding axiomatic models in the
@@ -33,7 +35,7 @@ from ..isa.instructions import (
     Store,
 )
 from ..litmus.test import LitmusTest, Outcome
-from .operational import explore_machine
+from .operational import _read_mem, _write_mem, explore_machine
 
 __all__ = ["sc_outcomes", "tso_outcomes"]
 
@@ -66,19 +68,6 @@ def _reg_write(pstate: _SeqProcState, name: str, value: int) -> tuple[tuple[str,
     return tuple(sorted(regs.items()))
 
 
-def _mem_read(state: _SeqState, addr: int) -> int:
-    for a, v in state.memory:
-        if a == addr:
-            return v
-    return 0
-
-
-def _mem_write(state: _SeqState, addr: int, value: int) -> tuple[tuple[int, int], ...]:
-    memory = dict(state.memory)
-    memory[addr] = value
-    return tuple(sorted(memory.items()))
-
-
 def _step_proc(
     test: LitmusTest,
     state: _SeqState,
@@ -100,9 +89,9 @@ def _step_proc(
         if with_store_buffer and pstate.store_buffer:
             return  # locked RMW drains the store buffer first (x86-style)
         addr = evaluate(instr.addr, regs)
-        old_value = _mem_read(state, addr)
+        old_value = _read_mem(state.memory, addr)
         new_value = evaluate(instr.data, {**regs, instr.dst: old_value})
-        new_memory = _mem_write(state, addr, new_value)
+        new_memory = _write_mem(state.memory, addr, new_value)
         new_pstate = replace(
             pstate, pc=next_pc, regs=_reg_write(pstate, instr.dst, old_value)
         )
@@ -115,7 +104,7 @@ def _step_proc(
                     value = buf_value
                     break
         if value is None:
-            value = _mem_read(state, addr)
+            value = _read_mem(state.memory, addr)
         new_pstate = replace(
             pstate, pc=next_pc, regs=_reg_write(pstate, instr.dst, value)
         )
@@ -129,7 +118,7 @@ def _step_proc(
                 store_buffer=pstate.store_buffer + ((addr, data),),
             )
         else:
-            new_memory = _mem_write(state, addr, data)
+            new_memory = _write_mem(state.memory, addr, data)
             new_pstate = replace(pstate, pc=next_pc)
     elif isinstance(instr, RegOp):
         result = evaluate(instr.expr, regs)
@@ -163,7 +152,7 @@ def _drain_one(state: _SeqState, proc: int) -> Iterator[_SeqState]:
     (addr, value), rest = pstate.store_buffer[0], pstate.store_buffer[1:]
     procs = list(state.procs)
     procs[proc] = replace(pstate, store_buffer=rest)
-    yield _SeqState(memory=_mem_write(state, addr, value), procs=tuple(procs))
+    yield _SeqState(memory=_write_mem(state.memory, addr, value), procs=tuple(procs))
 
 
 class _SeqMachine:

@@ -75,7 +75,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 14
+ENGINE_VERSION = 15
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -113,8 +113,8 @@ Version history:
 * 7 — the daemon is gone and R004 now tracks result semantics
   (``core/``, ``cells.py``, ``cache.py``).  Batches key each cell once
   from a per-batch test descriptor and per-model descriptors, cache
-  entries are checked against the spec type, and ``explore`` and
-  ``operational_allows`` share one exploration loop.  Results are
+  entries are checked against the spec type, and ``explore`` and the
+  early-exit machine verdict search share one exploration loop.  Results are
   unchanged, but the keying and machine paths changed, so version-6
   entries re-verify.
 * 8 — the GAM0 machine's store/RMW address resolution searches past
@@ -149,6 +149,13 @@ Version history:
   serialized once per test object, as its cached ``content_key``, which
   every cell key splices in.  Keys are unchanged apart from the version,
   but the keying code changed, so version-13 entries re-verify.
+* 15 — ``Program.runs`` is the one sequential interpreter: candidate runs
+  come from its forking replay instead of a copy inlined in the axiomatic
+  engine, the machine verdict is computed only by operational verdict
+  cells, exploration is one loop in ``explore_machine``, and the SC/TSO
+  machines share the GAM machine's memory helpers.  Results are
+  unchanged, but the run enumeration and machine paths changed, so
+  version-14 entries re-verify.
 """
 
 ModelLike = Union[str, MemoryModel]

@@ -1,18 +1,20 @@
 """Programs: per-processor instruction sequences with labels.
 
 A :class:`Program` is the code one processor runs in a litmus test.  Its key
-capability beyond storage is :meth:`Program.execute`: *deterministic replay*
-under an assignment of values to its loads.  The axiomatic checking engine
-(:mod:`repro.core.axiomatic`) enumerates candidate load-value assignments and
-uses replay to discover the concrete addresses, store data and branch paths
-that assignment implies.
+capability beyond storage is *replay*, the repository's one sequential
+interpreter.  :meth:`Program.runs` replays the program and forks at every
+executed load over the values a caller supplies, which fixes the concrete
+addresses, store data and branch paths each choice implies;
+:meth:`Program.execute` is the same replay with one value per load.  The
+axiomatic engine (:class:`repro.core.axiomatic.CandidatePrefix`) gets every
+candidate run from :meth:`Program.runs` over its value domains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .expr import evaluate
 from .instructions import Branch, Fence, Instruction, Load, Nop, RegOp, Rmw, Store
@@ -26,7 +28,7 @@ class ProgramError(ValueError):
 
 @dataclass(frozen=True)
 class ExecutedInstr:
-    """One dynamic instruction instance produced by :meth:`Program.execute`.
+    """One dynamic instruction instance of a replay (:meth:`Program.runs`).
 
     Attributes:
         index: static index of the instruction within its program.
@@ -58,6 +60,7 @@ class ProgramRun:
 
     executed: tuple[ExecutedInstr, ...]
     final_regs: Mapping[str, int]
+
     def loads(self) -> tuple[ExecutedInstr, ...]:
         """Dynamic loads, in program order."""
         return tuple(e for e in self.executed if e.instr.is_load)
@@ -170,60 +173,94 @@ class Program:
                 default to 0 (the litmus-test convention).
 
         Returns:
-            a :class:`ProgramRun` with the dynamic instruction stream and the
-            final register file.
+            the one :class:`ProgramRun` of :meth:`runs` under those values.
 
         Raises:
             KeyError: if an executed load has no assigned value.
-
-        The engine's run enumerator
-        (:func:`repro.core.axiomatic._enumerate_runs`) inlines these
-        per-instruction semantics to fork at loads without re-replaying;
-        any change here must be mirrored there.
         """
+
+        def assigned(pc: int, addr: int) -> tuple[int]:
+            if pc not in load_values:
+                raise KeyError(f"no value assigned to the load at index {pc}")
+            return (load_values[pc],)
+
+        (run,) = self.runs(assigned, initial_regs)
+        return run
+
+    def runs(
+        self,
+        values: Callable[[int, int], Iterable[int]],
+        initial_regs: Optional[Mapping[str, int]] = None,
+    ) -> list[ProgramRun]:
+        """Replay the program, forking at each executed load over ``values``.
+
+        Args:
+            values: called as ``values(pc, addr)`` when the load (or RMW) at
+                static index ``pc`` executes with resolved address ``addr``;
+                the replay forks once per value returned, in that order.
+            initial_regs: as for :meth:`execute`.
+
+        Returns:
+            every :class:`ProgramRun`, depth first: the runs of a load's
+            first value before those of its second.  Branches resolve during
+            the replay, so a load a branch skips consumes no choice, and an
+            instruction on a prefix shared by several runs executes once.
+        """
+        instructions = self.instructions
+        labels = self.labels
+        runs: list[ProgramRun] = []
+
+        def step(pc: int, regs: dict[str, int], executed: list[ExecutedInstr]) -> None:
+            while pc < len(instructions):
+                instr = instructions[pc]
+                next_pc = pc + 1
+                if isinstance(instr, Rmw):
+                    addr = evaluate(instr.addr, regs)
+                    for value in values(pc, addr):
+                        forked = dict(regs)
+                        forked[instr.dst] = value
+                        data = evaluate(instr.data, forked)
+                        step(
+                            next_pc,
+                            forked,
+                            executed
+                            + [ExecutedInstr(pc, instr, addr=addr, value=value, data=data)],
+                        )
+                    return
+                if isinstance(instr, Load):
+                    addr = evaluate(instr.addr, regs)
+                    for value in values(pc, addr):
+                        forked = dict(regs)
+                        forked[instr.dst] = value
+                        step(
+                            next_pc,
+                            forked,
+                            executed + [ExecutedInstr(pc, instr, addr=addr, value=value)],
+                        )
+                    return
+                if isinstance(instr, Store):
+                    addr = evaluate(instr.addr, regs)
+                    data = evaluate(instr.data, regs)
+                    executed.append(ExecutedInstr(pc, instr, addr=addr, value=data))
+                elif isinstance(instr, RegOp):
+                    result = evaluate(instr.expr, regs)
+                    regs[instr.dst] = result
+                    executed.append(ExecutedInstr(pc, instr, value=result))
+                elif isinstance(instr, Branch):
+                    cond = evaluate(instr.cond, regs)
+                    taken = cond != 0
+                    executed.append(ExecutedInstr(pc, instr, value=cond, taken=taken))
+                    if taken:
+                        next_pc = labels[instr.target]
+                elif isinstance(instr, (Fence, Nop)):
+                    executed.append(ExecutedInstr(pc, instr))
+                else:
+                    raise ProgramError(f"unknown instruction kind: {instr!r}")
+                pc = next_pc
+            runs.append(ProgramRun(tuple(executed), regs))
+
         regs: dict[str, int] = dict(initial_regs or {})
         for name in self.registers():
             regs.setdefault(name, 0)
-
-        executed: list[ExecutedInstr] = []
-        pc = 0
-        while pc < len(self.instructions):
-            instr = self.instructions[pc]
-            next_pc = pc + 1
-            if isinstance(instr, Rmw):
-                addr = evaluate(instr.addr, regs)
-                if pc not in load_values:
-                    raise KeyError(f"no value assigned to RMW at index {pc}")
-                loaded = load_values[pc]
-                regs[instr.dst] = loaded
-                stored = evaluate(instr.data, regs)
-                executed.append(
-                    ExecutedInstr(pc, instr, addr=addr, value=loaded, data=stored)
-                )
-            elif isinstance(instr, Load):
-                addr = evaluate(instr.addr, regs)
-                if pc not in load_values:
-                    raise KeyError(f"no value assigned to load at index {pc}")
-                value = load_values[pc]
-                regs[instr.dst] = value
-                executed.append(ExecutedInstr(pc, instr, addr=addr, value=value))
-            elif isinstance(instr, Store):
-                addr = evaluate(instr.addr, regs)
-                data = evaluate(instr.data, regs)
-                executed.append(ExecutedInstr(pc, instr, addr=addr, value=data))
-            elif isinstance(instr, RegOp):
-                result = evaluate(instr.expr, regs)
-                regs[instr.dst] = result
-                executed.append(ExecutedInstr(pc, instr, value=result))
-            elif isinstance(instr, Branch):
-                cond = evaluate(instr.cond, regs)
-                taken = cond != 0
-                executed.append(ExecutedInstr(pc, instr, value=cond, taken=taken))
-                if taken:
-                    next_pc = self.labels[instr.target]
-            elif isinstance(instr, (Fence, Nop)):
-                executed.append(ExecutedInstr(pc, instr))
-            else:
-                raise ProgramError(f"unknown instruction kind: {instr!r}")
-            pc = next_pc
-        return ProgramRun(tuple(executed), regs)
+        step(0, regs, [])
+        return runs

@@ -8,7 +8,7 @@ from repro.core.axiomatic import (
     MemoryModel,
     enumerate_outcomes,
     is_allowed,
-    value_domain,
+    value_domains,
 )
 from repro.core.ppo import FenceOrd, SAMemSt
 from repro.litmus.dsl import LitmusBuilder
@@ -19,23 +19,23 @@ from repro.models.registry import get_model
 class TestValueDomain:
     def test_includes_initial_and_stored_values(self):
         test = get_test("dekker")
-        domain = value_domain(test)
+        domain = value_domains(test).everything()
         assert 0 in domain and 1 in domain
 
     def test_includes_asked_values(self):
         test = get_test("oota")
-        assert 42 in value_domain(test)
+        assert 42 in value_domains(test).everything()
 
     def test_includes_extra_values(self):
         test = get_test("dekker")
-        assert 99 in value_domain(test, extra=(99,))
+        assert 99 in value_domains(test, extra=(99,)).everything()
 
     def test_closure_through_regops(self):
         b = LitmusBuilder("t", locations=("a",))
         b.proc().op("r1", 5).st("a", "r1")
         b.proc().ld("r2", "a")
         test = b.build(asked={"P1.r2": 5})
-        assert 5 in value_domain(test)
+        assert 5 in value_domains(test).everything()
 
     def test_cross_address_feedback_converges(self):
         # P0 loads a and stores r1+1 to *b*: per-address domains keep the
@@ -46,13 +46,11 @@ class TestValueDomain:
         p = b.proc()
         p.ld("r1", "a").op("r2", Reg("r1") + 1).st("b", "r2")
         test = b.build(asked={})
-        domain = value_domain(test)
+        domain = value_domains(test).everything()
         assert domain == frozenset({0, 1})
 
     def test_per_address_domains(self):
-        from repro.core.axiomatic import value_domains
-
-        b = LitmusBuilder("t", locations=("a", "b"))
+        b =LitmusBuilder("t", locations=("a", "b"))
         b.init("a", 5)
         b.proc().st("b", 7)
         b.proc().ld("r1", "a").ld("r2", "b")
@@ -73,7 +71,7 @@ class TestValueDomain:
         # diverging.
         p.ld("r1", "a").op("r2", Reg("r1") * 2).st("a", "r2")
         test = b.build(asked={})
-        domain = value_domain(test)
+        domain = value_domains(test).everything()
         assert {1, 2} <= domain and len(domain) <= 6
 
     def test_domain_cap_enforced(self):
@@ -85,7 +83,7 @@ class TestValueDomain:
         p.ld("r1", "a").op("r2", Reg("r1") * 2).st("a", "r2")
         test = b.build(asked={})
         with pytest.raises(DomainOverflowError):
-            value_domain(test, cap=2)
+            value_domains(test, cap=2)
 
 
 class TestModelValidation:

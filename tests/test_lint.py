@@ -473,6 +473,17 @@ class TestRepoCodes:
         assert _codes(findings) == ["R004"]
         assert "src/repro/litmus/test.py" in findings[0].message
 
+    def test_r004_isa_counts_as_result_code(self):
+        # Replay and expression evaluation compute every candidate run and
+        # every machine step.
+        findings = check_engine_version_bump(
+            ["src/repro/isa/program.py", "src/repro/isa/expr.py"],
+            version_bumped=False,
+        )
+        assert _codes(findings) == ["R004"]
+        assert "src/repro/isa/program.py" in findings[0].message
+        assert "src/repro/isa/expr.py" in findings[0].message
+
     def test_r004_quiet_for_dispatch_only_diffs(self):
         # Scheduling, policies and fault injection never change a result.
         assert check_engine_version_bump(

@@ -8,11 +8,21 @@ from repro.core.operational import (
     GAM_MACHINE,
     MachineVariant,
     explore,
-    operational_allows,
+    explore_machine,
     operational_outcomes,
 )
+from repro.core.reference_machines import _SeqMachine
+from repro.engine import VerdictSpec, evaluate_cells
 from repro.litmus.dsl import LitmusBuilder
 from repro.litmus.registry import all_tests, get_test
+
+
+def machine_allows(test, machine="gam"):
+    """The engine's operational verdict cell for ``test``'s asked outcome."""
+    (verdict,) = evaluate_cells(
+        [VerdictSpec(test, machine, oracle=f"operational:{machine}")]
+    )
+    return verdict
 
 
 class TestVariants:
@@ -33,7 +43,7 @@ class TestFigure17Behaviours:
         assert result.states_visited >= result.terminal_states
 
     def test_oota_forbidden(self):
-        assert not operational_allows(get_test("oota"), GAM_MACHINE)
+        assert not machine_allows(get_test("oota"))
 
     def test_store_forwarding_forced(self):
         # Figure 8: the machine can only produce r2 = 0.
@@ -48,26 +58,26 @@ class TestFigure17Behaviours:
         assert {o.reg_bindings()[(0, "r2")] for o in outcomes} == {1}
 
     def test_corr_forbidden_by_gam_machine(self):
-        assert not operational_allows(get_test("corr"), GAM_MACHINE)
+        assert not machine_allows(get_test("corr"))
 
     def test_corr_allowed_by_gam0_machine(self):
-        assert operational_allows(get_test("corr"), GAM0_MACHINE)
+        assert machine_allows(get_test("corr"), "gam0")
 
     def test_mp_addr_dependency_ordering(self):
-        assert not operational_allows(get_test("mp+addr"), GAM_MACHINE)
-        assert not operational_allows(get_test("mp+addr"), GAM0_MACHINE)
+        assert not machine_allows(get_test("mp+addr"))
+        assert not machine_allows(get_test("mp+addr"), "gam0")
 
     def test_fences_respected(self):
-        assert not operational_allows(get_test("mp+fences"), GAM_MACHINE)
+        assert not machine_allows(get_test("mp+fences"))
 
     def test_branch_misprediction_recovers(self):
         # Control dependency does not order loads: both r2 outcomes possible,
         # which requires speculating through the branch and squashing.
         test = get_test("mp+ctrl")
-        assert operational_allows(test, GAM_MACHINE)
+        assert machine_allows(test)
 
     def test_brst_enforced(self):
-        assert not operational_allows(get_test("lb+ctrls"), GAM_MACHINE)
+        assert not machine_allows(get_test("lb+ctrls"))
 
 
 class TestExploration:
@@ -76,36 +86,29 @@ class TestExploration:
             explore(get_test("dekker"), GAM_MACHINE, max_states=3)
 
     def test_state_cap_enforced_when_deciding(self, monkeypatch):
-        # mp+fences is forbidden, so nothing stops the search before the cap.
+        # The engine's machine cells explore under the module's default cap.
         monkeypatch.setattr(operational, "_MAX_STATES", 3)
         with pytest.raises(RuntimeError, match="state-space explosion"):
-            operational_allows(get_test("mp+fences"), GAM_MACHINE)
-
-    def test_outcome_without_asked_raises(self):
-        b = LitmusBuilder("t", locations=("a",))
-        b.proc().st("a", 1)
-        test = b.build()
-        with pytest.raises(ValueError):
-            operational_allows(test, GAM_MACHINE)
+            operational_outcomes(get_test("mp+fences"), GAM_MACHINE)
 
     def test_single_instruction_program(self):
         b = LitmusBuilder("t", locations=("a",))
         b.proc().st("a", 7)
         test = b.build(asked={"a": 7})
-        assert operational_allows(test, GAM_MACHINE)
+        assert machine_allows(test)
 
     def test_empty_program(self):
         b = LitmusBuilder("t", locations=("a",))
         b.proc()
         test = b.build(asked={"a": 0})
-        assert operational_allows(test, GAM_MACHINE)
+        assert machine_allows(test)
 
     def test_initial_memory_respected(self):
         b = LitmusBuilder("t", locations=("a",))
         b.init("a", 5)
         b.proc().ld("r1", "a")
         test = b.build(asked={"P0.r1": 5})
-        assert operational_allows(test, GAM_MACHINE)
+        assert machine_allows(test)
 
     def test_machine_outcomes_deterministic(self):
         test = get_test("lb")
@@ -114,15 +117,24 @@ class TestExploration:
         assert first == second
 
 
-@pytest.mark.parametrize("variant", [GAM_MACHINE, GAM0_MACHINE], ids=lambda v: v.name)
+_FULL_EXPLORERS = {
+    "gam": lambda test: explore(test, GAM_MACHINE, project="full"),
+    "gam0": lambda test: explore(test, GAM0_MACHINE, project="full"),
+    "sc": lambda test: explore_machine(_SeqMachine(test, False), "full"),
+    "tso": lambda test: explore_machine(_SeqMachine(test, True), "full"),
+}
+
+
+@pytest.mark.parametrize("machine", sorted(_FULL_EXPLORERS))
 @pytest.mark.parametrize(
     "test", [t for t in all_tests() if t.asked is not None], ids=lambda t: t.name
 )
-def test_allows_agrees_with_full_exploration(test, variant):
-    """Deciding one outcome stops early but never changes the answer."""
-    outcomes = explore(test, variant, project="full").outcomes
+def test_verdict_cell_agrees_with_full_exploration(test, machine):
+    """An operational verdict cell is containment of the asked outcome in
+    the machine's full-projection outcomes."""
+    outcomes = _FULL_EXPLORERS[machine](test).outcomes
     expected = any(
         test.asked.regs <= outcome.regs and test.asked.mem <= outcome.mem
         for outcome in outcomes
     )
-    assert operational_allows(test, variant) == expected
+    assert machine_allows(test, machine) == expected

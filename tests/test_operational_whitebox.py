@@ -24,6 +24,7 @@ from repro.core.operational import (
     _write_mem,
     explore,
 )
+from repro.engine import VerdictSpec, evaluate_cells
 from repro.isa.expr import Reg
 from repro.litmus.dsl import LitmusBuilder
 from repro.litmus.registry import get_test
@@ -142,9 +143,10 @@ class TestRuleGuards:
         b.proc().st("a", 1).fence("SS").st("b", 1)
         b.proc().ld("r1", "b").fence("LL").ld("r2", "a")
         test = b.build(asked={"P1.r1": 1, "P1.r2": 0})
-        from repro.core.operational import operational_allows
-
-        assert not operational_allows(test, GAM_MACHINE)
+        (allowed,) = evaluate_cells(
+            [VerdictSpec(test, "gam", oracle="operational:gam")]
+        )
+        assert not allowed
 
     def test_store_waits_for_older_branch(self):
         # With the branch unresolved the store cannot fire; exploration must

@@ -141,3 +141,35 @@ class TestReplay:
         run = program.execute({2: 1})
         accesses = run.memory_accesses()
         assert [e.index for e in accesses] == [0, 2]
+
+
+class TestForkingReplay:
+    def test_run_order_is_depth_first_over_ascending_values(self):
+        # r1 = Ld [a]; if r1 == 0 goto end; r2 = Ld [b]; r3 = Ld [c]; end:
+        program = Program(
+            [
+                Load("r1", Const(0x100)),
+                Branch(BinOp("==", Reg("r1"), Const(0)), "end"),
+                Load("r2", Const(0x200)),
+                Load("r3", Const(0x300)),
+            ],
+            labels={"end": 4},
+        )
+        domains = {0x100: {1, 0}, 0x200: {1, 0}, 0x300: {8, 7}}
+        asked = []
+
+        def values(pc, addr):
+            asked.append((pc, addr))
+            return sorted(domains[addr])
+
+        runs = program.runs(values)
+        finals = [(r.final_regs["r1"], r.final_regs["r2"], r.final_regs["r3"]) for r in runs]
+        # r1 = 0 skips both later loads, so it is one run with no choice.
+        assert finals == [(0, 0, 0), (1, 0, 7), (1, 0, 8), (1, 1, 7), (1, 1, 8)]
+        assert [e.index for e in runs[0].executed] == [0, 1]
+        # A shared prefix runs once: the load at 2 is asked once, the load
+        # at 3 once per value of the load at 2.
+        assert asked == [(0, 0x100), (2, 0x200), (3, 0x300), (3, 0x300)]
+        # execute is the same replay with one value per load.
+        assert program.execute({0: 0}) == runs[0]
+        assert program.execute({0: 1, 2: 1, 3: 7}) == runs[3]
