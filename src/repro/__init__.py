@@ -44,7 +44,6 @@ from .core.operational import (
 )
 from .litmus import LitmusBuilder, LitmusTest, Outcome, all_tests, get_test
 from .models import (
-    comparison_models,
     get_model,
     model_names,
     resolve_model,
@@ -62,7 +61,6 @@ __all__ = [
     "Outcome",
     "get_model",
     "model_names",
-    "comparison_models",
     "resolve_model",
     "resolve_models",
     "is_allowed",

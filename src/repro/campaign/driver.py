@@ -47,10 +47,10 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 from ..engine import (
     CellFailure,
     ExecutionPolicy,
-    FaultPlan,
     ModelLike,
     WorkerPool,
     evaluate_cells,
+    scheduler,
 )
 from ..eval.discrepancy import (
     AXIOMATIC_PAIRS,
@@ -200,20 +200,18 @@ class _Progress:
     engine's callback while one batch is *pending* (fires even though
     ``on_batch`` cannot), and :meth:`note_batch` warns after the fact
     when the gap since the previous completed batch exceeded the
-    configured deadline.
+    scheduler's :data:`~repro.engine.scheduler.STALL_AFTER` deadline.
     """
 
     def __init__(
         self,
         log: Callable[[str], None],
         heartbeat: bool,
-        stall_after: float,
         label: str,
         total: int,
     ) -> None:
         self.log = log
         self.heartbeat = heartbeat
-        self.stall_after = stall_after
         self.label = label
         self.total = total
         self.count = 0
@@ -239,8 +237,9 @@ class _Progress:
             f"  heartbeat: {self.label} {self.count}/{self.total} tests "
             f"{now - self.started:.1f}s elapsed, {gap:.1f}s since last batch"
         )
-        if self.stall_after > 0 and gap > self.stall_after:
-            line += f" (stalled past the {self.stall_after:g}s deadline)"
+        deadline = scheduler.STALL_AFTER
+        if deadline > 0 and gap > deadline:
+            line += f" (stalled past the {deadline:g}s deadline)"
         self.log(line)
 
 
@@ -255,8 +254,6 @@ def _evaluate_shards(
     log: Callable[[str], None],
     heartbeat: bool = False,
     policy: Optional[ExecutionPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    stall_after: float = 30.0,
     pool: Optional[WorkerPool] = None,
 ) -> None:
     """Run every incomplete shard's cell grid and persist its record.
@@ -309,7 +306,6 @@ def _evaluate_shards(
         progress = _Progress(
             log,
             heartbeat,
-            stall_after,
             f"shard {index + 1}/{spec.num_shards}",
             len(shard_tests),
         )
@@ -340,9 +336,7 @@ def _evaluate_shards(
                 cache_dir=campaign.cache_dir,
                 on_batch=on_batch,
                 policy=policy,
-                fault_plan=fault_plan,
                 on_stall=progress.on_stall if heartbeat else None,
-                stall_after=stall_after,
                 pool=pool,
             )
             width = len(columns)
@@ -571,8 +565,6 @@ def run_hunt(
     heartbeat: bool = False,
     oracle: Optional[str] = None,
     policy: Optional[ExecutionPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    stall_after: float = 30.0,
 ) -> HuntReport:
     """Run (or resume) a differential hunt campaign in ``out``.
 
@@ -618,11 +610,8 @@ def run_hunt(
             the failure records are persisted to ``quarantine.json``.
             Like ``jobs``, the policy is *not* part of the campaign's
             identity — a campaign may be resumed under a different one.
-        fault_plan: a :class:`~repro.engine.FaultPlan` for the
-            deterministic fault-injection harness (chaos tests;
-            defaults to the ``REPRO_FAULTS`` environment variable).
-        stall_after: seconds without batch progress before stall
-            warnings fire (heartbeat runs only).
+            Planned faults (chaos tests) are armed through the
+            ``REPRO_FAULTS`` environment variable.
 
     Returns:
         the :class:`HuntReport`; identical for identical specs no matter
@@ -761,8 +750,6 @@ def run_hunt(
             log,
             heartbeat,
             policy,
-            fault_plan,
-            stall_after,
             pool,
         )
 

@@ -54,10 +54,12 @@ The three layers:
   makes repeated ``matrix`` / ``strength`` / CI runs incremental;
 * :mod:`repro.engine.policy` + :mod:`repro.engine.faults` — the
   fault-tolerance layer: :class:`~repro.engine.policy.ExecutionPolicy`
-  (per-batch deadlines, bounded retries with backoff, ``on_error =
-  fail | skip | quarantine``) decides what failed batches become, and
-  the deterministic fault-injection harness (``REPRO_FAULTS`` /
-  ``fault_plan=``) keeps every recovery path under test.
+  (per-batch deadlines, bounded retries, ``on_error = fail | skip |
+  quarantine``) decides what failed batches become — the same way for
+  serial and pooled runs, which settle every batch outcome through one
+  path — and the deterministic fault-injection harness, armed through
+  the ``REPRO_FAULTS`` environment variable, keeps every recovery path
+  under test.
 
 ``eval.litmus_matrix``, ``eval.strength`` and ``equivalence.checker`` are
 wired through :func:`evaluate_cells`; the ``matrix`` / ``strength`` /

@@ -37,12 +37,12 @@ Selectors (all optional; an action with none fires on every batch):
   (``crash:test=sb,attempts=1`` crashes once, then succeeds).
 * ``seconds=S`` — hang duration (``hang`` only).
 
-Plans arrive either as the ``fault_plan=`` kwarg to ``evaluate_cells``
-and the campaign driver, or via the ``REPRO_FAULTS`` environment
-variable (read once per engine call; the env var crosses pool
-boundaries for free, which is what lets the CI job arm faults around an
-unmodified ``repro hunt`` invocation).  Everything is deterministic:
-the same plan against the same cell grid fires the same faults.
+Plans are armed only through the ``REPRO_FAULTS`` environment variable,
+which is what lets tests and the CI job arm faults around an unmodified
+``repro`` invocation.  ``evaluate_cells`` reads it once per call and
+ships the parsed plan to its workers inside each batch payload.
+Everything is deterministic: the same plan against the same cell grid
+fires the same faults.
 """
 
 from __future__ import annotations

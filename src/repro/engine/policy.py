@@ -22,9 +22,10 @@ or one OOM-killed worker should not throw away hours of hunt progress.
 killable executor, so setting one routes even ``jobs=1`` runs through a
 one-worker process pool (the in-process path cannot interrupt a hung
 DP).  ``retries`` re-submits a failed or timed-out batch up to N more
-times with exponential backoff (``backoff * 2**(attempt-2)`` seconds
-before attempt 2, 3, ...), which rides out transient failures (an
-OOM-killed worker, a flaky filesystem) without giving up on the batch.
+times with exponential backoff (the scheduler's
+:data:`~repro.engine.scheduler.RETRY_BACKOFF`, 0.1s, doubled per
+attempt), which rides out transient failures (an OOM-killed worker, a
+flaky filesystem) without giving up on the batch.
 
 Policies are small frozen dataclasses, picklable by construction, so
 they can ride inside campaign metadata and cross process boundaries.
@@ -100,16 +101,12 @@ class ExecutionPolicy:
             re-submitted before its failure is finalized (total attempts
             = ``retries + 1``).  Domain overflows are deterministic and
             never retried.
-        backoff: base of the exponential sleep between attempts, in
-            seconds (attempt ``k`` waits ``backoff * 2**(k-2)``); ``0``
-            retries immediately (deterministic tests).
         on_error: one of :data:`ON_ERROR_MODES` — raise, skip, or
             quarantine.
     """
 
     timeout: Optional[float] = None
     retries: int = 0
-    backoff: float = 0.1
     on_error: str = ON_ERROR_FAIL
 
     def __post_init__(self) -> None:
@@ -122,8 +119,6 @@ class ExecutionPolicy:
             raise ValueError(f"timeout must be > 0 seconds, got {self.timeout}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff < 0:
-            raise ValueError(f"backoff must be >= 0 seconds, got {self.backoff}")
 
     @property
     def needs_pool(self) -> bool:

@@ -24,8 +24,13 @@ rounds, passes one :class:`WorkerPool` to all of them, so the workers
 start once per run; a crash or deadline kill replaces the pool's
 executor in place.
 
-Failure semantics are identical serial and pooled.  Worker failures are
-translated, not propagated raw: a
+Failure semantics are identical serial and pooled because they are
+written once: both modes run each batch through one runner,
+:func:`_run_batch`, which turns its outcome into a tagged tuple, and
+apply every tuple through one settle step that owns retries
+(``retries`` more attempts, sleeping :data:`RETRY_BACKOFF` seconds
+doubled per attempt), overflows and ``fail``/``skip``/``quarantine``.
+Failures are translated, not propagated raw: a
 :class:`~repro.core.axiomatic.DomainOverflowError` raised inside a batch
 re-raises in the parent with the offending test's name, and any other
 exception surfaces as an :class:`EngineWorkerError` naming the test —
@@ -72,10 +77,24 @@ from .cache import ResultCache, cell_cache_key
 from .cells import CellResult, CellSpec, evaluate_cell
 # Not called here; it stays importable because perfbench's traced runs wrap it.
 from .cells import test_descriptor  # noqa: F401
-from .faults import FaultPlan, fault_plan_from_env, fire_after_batch, fire_before_batch
+from .faults import fault_plan_from_env, fire_after_batch, fire_before_batch
 from .policy import DEFAULT_POLICY, ON_ERROR_QUARANTINE, CellFailure, ExecutionPolicy
 
-__all__ = ["EngineWorkerError", "WorkerPool", "evaluate_cells"]
+__all__ = [
+    "RETRY_BACKOFF",
+    "STALL_AFTER",
+    "EngineWorkerError",
+    "WorkerPool",
+    "evaluate_cells",
+]
+
+RETRY_BACKOFF = 0.1
+"""Seconds slept before a batch's first retry; each later retry waits
+twice as long as the one before."""
+
+STALL_AFTER = 30.0
+"""Seconds one pending batch may wait before ``on_stall`` fires (and the
+campaign heartbeat flags the gap as stalled)."""
 
 
 class EngineWorkerError(RuntimeError):
@@ -157,60 +176,41 @@ def _evaluate_batch(
         return results
 
 
-def _run_batch_guts(
-    batch_index: int,
-    attempt: int,
-    test: LitmusTest,
-    cells: Sequence[CellSpec],
-    cache_dir: Optional[str],
-    fault_plan: Optional[FaultPlan],
-    in_worker: bool,
-) -> list[CellResult]:
-    """Evaluate one batch with its planned faults fired around it.
-
-    Pre-evaluation faults (raise/hang/crash) fire before the batch runs;
-    the cache-corruption fault fires after the batch has stored its
-    results.  With no plan armed this is exactly :func:`_evaluate_batch`.
-    """
-    if fault_plan:
-        fire_before_batch(fault_plan, batch_index, test.name, attempt, in_worker)
-    results = _evaluate_batch(test, cells, cache_dir)
-    if fault_plan:
-        fire_after_batch(fault_plan, batch_index, test.name, attempt, cells, cache_dir)
-    return results
-
-
 def _run_batch(payload: tuple) -> tuple:
-    """Pool-side batch runner; returns a tagged result, never raises.
+    """Run one batch with its planned faults; returns a tagged outcome,
+    never raises.
 
-    Exceptions crossing a pool boundary lose their context and surface as
-    opaque tracebacks, so errors travel back as data — tagged tuples
-    carrying the test name, message and formatted worker traceback — and
-    are translated by :func:`evaluate_cells`.  When the parent had stats
-    collection on, the batch runs under a private recorder whose snapshot
-    rides back in the ``("ok", results, snapshot)`` tuple.
+    Serial and pooled evaluation both run every batch through here.
+    Pre-evaluation faults (raise/hang/crash) fire before the batch runs,
+    the cache-corruption fault after it has stored its results.  An
+    exception crossing a pool boundary loses its context, so errors
+    travel back as data — tagged tuples carrying the test name, message
+    and formatted traceback, plus the live exception when the batch ran
+    in-process (``None`` in a worker) — and are settled by
+    :func:`evaluate_cells`.  When the parent collects stats from a pool,
+    the batch runs under a private recorder whose snapshot rides back in
+    the ``("ok", results, snapshot)`` tuple; in-process batches record
+    straight into the parent's recorder and ship ``None``.
     """
-    batch_index, attempt, test, cells, cache_dir, collect_stats, fault_plan = payload
+    batch_index, attempt, test, cells, cache_dir, collect_stats, plan, in_worker = payload
     try:
-        if collect_stats:
-            with collecting() as recorder:
-                results = _run_batch_guts(
-                    batch_index, attempt, test, cells, cache_dir, fault_plan, True
-                )
-                snapshot = recorder.snapshot()
-            return ("ok", results, snapshot)
-        results = _run_batch_guts(
-            batch_index, attempt, test, cells, cache_dir, fault_plan, True
-        )
-        return ("ok", results, None)
+        with collecting() if collect_stats else nullcontext() as recorder:
+            if plan:
+                fire_before_batch(plan, batch_index, test.name, attempt, in_worker)
+            results = _evaluate_batch(test, cells, cache_dir)
+            if plan:
+                fire_after_batch(plan, batch_index, test.name, attempt, cells, cache_dir)
+            snapshot = recorder.snapshot() if recorder is not None else None
+        return ("ok", results, snapshot)
     except DomainOverflowError as exc:
-        return ("domain-overflow", test.name, str(exc))
+        return ("domain-overflow", test.name, str(exc), None if in_worker else exc)
     except Exception as exc:
         return (
             "error",
             test.name,
             f"{type(exc).__name__}: {exc}",
             traceback.format_exc(),
+            None if in_worker else exc,
         )
 
 
@@ -232,13 +232,6 @@ def _chunk_size(batches: int, workers: int) -> int:
     per worker leave enough futures to balance uneven batch times.
     """
     return max(1, min(64, batches // (4 * workers)))
-
-
-def _backoff_sleep(policy: ExecutionPolicy, attempt: int) -> None:
-    """Sleep before retry ``attempt`` (>= 2): ``backoff * 2**(attempt-2)``."""
-    if policy.backoff <= 0:
-        return
-    time.sleep(policy.backoff * (2 ** (attempt - 2)))
 
 
 def _kill_executor(executor: ProcessPoolExecutor) -> None:
@@ -303,9 +296,7 @@ def evaluate_cells(
     cache_dir: Optional[str] = None,
     on_batch: Optional[Callable[[LitmusTest, Sequence[CellResult]], None]] = None,
     policy: Optional[ExecutionPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
     on_stall: Optional[Callable[[LitmusTest, float], None]] = None,
-    stall_after: float = 30.0,
     pool: Optional[WorkerPool] = None,
 ) -> list[CellResult]:
     """Evaluate a cell grid; results are ordered exactly like ``cells``.
@@ -324,29 +315,28 @@ def evaluate_cells(
     decides what failed batches become: exceptions (``fail``), inline
     :class:`~repro.engine.policy.CellFailure` sentinels (``skip``), or
     counted-and-reported sentinels (``quarantine``) — after ``retries``
-    re-submissions with exponential backoff.  ``fault_plan`` arms the
-    deterministic fault-injection harness (defaults to the plan in the
-    ``REPRO_FAULTS`` environment variable, normally empty).
+    re-submissions with exponential backoff (:data:`RETRY_BACKOFF`).
+    The fault-injection harness arms the plan in the ``REPRO_FAULTS``
+    environment variable (normally empty), read once per call.
 
     ``on_batch`` is the streaming hook long-running drivers (the campaign
     runner, progress reporting) plug into: it is called once per per-test
     batch, in deterministic first-seen test order, with the test and its
-    cell results — in pooled mode as soon as each batch's turn in the
-    order arrives, so a caller can checkpoint or log without waiting for
-    the whole grid.  Batches finalized as failures under
-    ``skip``/``quarantine`` reach the hook as lists of ``CellFailure``;
-    under ``fail`` the failure raises when its turn comes and later
-    batches are abandoned.  ``on_stall`` (pooled only) is called with the
-    pending test and seconds waited every ``stall_after`` seconds spent
-    waiting on one batch, so hung runs are visible before any deadline
-    fires.
+    cell results — as soon as each batch's turn in the order arrives, so
+    a caller can checkpoint or log without waiting for the whole grid.
+    Batches finalized as failures under ``skip``/``quarantine`` reach the
+    hook as lists of ``CellFailure``; under ``fail`` the failure raises
+    when its turn comes and later batches are abandoned.  ``on_stall``
+    (pooled only) is called with the pending test and seconds waited
+    every :data:`STALL_AFTER` seconds spent waiting on one batch, so hung
+    runs are visible before any deadline fires.
     """
     cells = list(cells)
     if not cells:
         return []
     if policy is None:
         policy = DEFAULT_POLICY
-    plan = fault_plan if fault_plan is not None else fault_plan_from_env()
+    plan = fault_plan_from_env()
     recorder = current()
     recorder.incr("engine.cells.requested", len(cells))
     if cache_dir is not None:
@@ -356,20 +346,31 @@ def evaluate_cells(
         ResultCache(cache_dir)
     groups = _group_by_test(cells)
     results: list[Optional[CellResult]] = [None] * len(cells)
+    attempts = [1] * len(groups)
+    use_pool = (jobs > 1 and len(groups) > 1) or policy.needs_pool
+    collect_stats = use_pool and recorder.active
 
-    def _accept(slot: int, batch_results: Sequence[CellResult]) -> None:
+    def payload(slot: int) -> tuple:
+        """The :func:`_run_batch` payload for a batch's current attempt."""
         test, indices = groups[slot]
-        for index, result in zip(indices, batch_results):
-            results[index] = result
-        if on_batch is not None:
-            on_batch(test, list(batch_results))
+        batch = [cells[i] for i in indices]
+        return (slot, attempts[slot], test, batch, cache_dir, collect_stats, plan, use_pool)
 
-    def _finalize_failure(
+    def retry(slot: int) -> bool:
+        """Spend one retry on a batch, backing off; False when none is left."""
+        if attempts[slot] > policy.retries:
+            return False
+        incr("engine.retries")
+        attempts[slot] += 1
+        if RETRY_BACKOFF > 0:
+            time.sleep(RETRY_BACKOFF * 2 ** (attempts[slot] - 2))
+        return True
+
+    def finalize(
         slot: int,
         reason: str,
         message: str,
-        worker_tb: str,
-        attempt: int,
+        worker_tb: str = "",
         cause: Optional[BaseException] = None,
     ) -> None:
         """Spend a batch's last attempt: raise (``fail``) or place sentinels."""
@@ -384,9 +385,7 @@ def evaluate_cells(
                 error = EngineWorkerError(
                     test.name, message, "" if cause is not None else worker_tb
                 )
-            if cause is not None:
-                raise error from cause
-            raise error
+            raise error from cause
         if policy.on_error == ON_ERROR_QUARANTINE:
             incr("engine.batches.quarantined")
         failure = CellFailure(
@@ -394,99 +393,62 @@ def evaluate_cells(
             reason=reason,
             message=message,
             traceback=worker_tb,
-            attempts=attempt,
+            attempts=attempts[slot],
         )
         for index in indices:
             results[index] = failure
         if on_batch is not None:
             on_batch(test, [failure] * len(indices))
 
-    use_pool = (jobs > 1 and len(groups) > 1) or policy.needs_pool
+    def settle(slot: int, outcome: tuple) -> bool:
+        """Apply a batch's tagged outcome; False when it must run again."""
+        tag = outcome[0]
+        if tag == "ok":
+            if outcome[2] is not None:
+                recorder.merge(outcome[2])
+            test, indices = groups[slot]
+            for index, result in zip(indices, outcome[1]):
+                results[index] = result
+            if on_batch is not None:
+                on_batch(test, list(outcome[1]))
+        elif tag == "domain-overflow":
+            # Deterministic: retrying an overflow can only overflow.
+            finalize(slot, tag, outcome[2], "", outcome[3])
+        elif retry(slot):
+            return False
+        else:  # "error", retries spent
+            finalize(slot, tag, outcome[2], outcome[3], outcome[4])
+        return True
+
     with time_block("engine.wall.seconds"):
-        if not use_pool:
-            _evaluate_serial(groups, cells, cache_dir, policy, plan, _accept, _finalize_failure)
-        else:
+        if use_pool:
             _evaluate_pooled(
-                groups,
-                cells,
-                cache_dir,
-                pool,
-                jobs,
-                policy,
-                plan,
-                recorder,
-                on_stall,
-                stall_after,
-                _accept,
-                _finalize_failure,
+                groups, pool, jobs, policy, on_stall, payload, retry, finalize, settle
             )
+        else:
+            for slot in range(len(groups)):
+                while not settle(slot, _run_batch(payload(slot))):
+                    pass
     return results
-
-
-def _evaluate_serial(
-    groups: list[tuple[LitmusTest, list[int]]],
-    cells: Sequence[CellSpec],
-    cache_dir: Optional[str],
-    policy: ExecutionPolicy,
-    plan: FaultPlan,
-    accept: Callable,
-    finalize_failure: Callable,
-) -> None:
-    """In-process evaluation: same policy semantics, no pool, no pickling.
-
-    Instrumentation records straight into the parent recorder — the same
-    code paths the workers run, which is what makes serial and pooled
-    counter totals identical.  Failures keep their original exception
-    objects, so ``fail`` mode raises with ``__cause__`` chained.
-    """
-    for slot, (test, indices) in enumerate(groups):
-        batch = [cells[i] for i in indices]
-        attempt = 1
-        while True:
-            try:
-                batch_results = _run_batch_guts(
-                    slot, attempt, test, batch, cache_dir, plan, False
-                )
-            except DomainOverflowError as exc:
-                # Deterministic: retrying an overflow can only overflow.
-                finalize_failure(slot, "domain-overflow", str(exc), "", attempt, exc)
-                break
-            except Exception as exc:
-                if attempt <= policy.retries:
-                    incr("engine.retries")
-                    attempt += 1
-                    _backoff_sleep(policy, attempt)
-                    continue
-                finalize_failure(
-                    slot,
-                    "error",
-                    f"{type(exc).__name__}: {exc}",
-                    traceback.format_exc(),
-                    attempt,
-                    exc,
-                )
-                break
-            accept(slot, batch_results)
-            break
 
 
 def _evaluate_pooled(
     groups: list[tuple[LitmusTest, list[int]]],
-    cells: Sequence[CellSpec],
-    cache_dir: Optional[str],
     pool: Optional[WorkerPool],
     jobs: int,
     policy: ExecutionPolicy,
-    plan: FaultPlan,
-    recorder,
     on_stall: Optional[Callable[[LitmusTest, float], None]],
-    stall_after: float,
-    accept: Callable,
-    finalize_failure: Callable,
+    payload: Callable[[int], tuple],
+    retry: Callable[[int], bool],
+    finalize: Callable[..., None],
+    settle: Callable[[int, tuple], bool],
 ) -> None:
     """Pooled evaluation: chunked futures, deadlines, recovery.
 
-    Each future carries a run of consecutive batches (see
+    Batch outcomes go through the same ``payload``/``retry``/
+    ``finalize``/``settle`` helpers as the serial loop in
+    :func:`evaluate_cells`; this loop only adds what a pool needs.  Each
+    future carries a run of consecutive batches (see
     :func:`_chunk_size`) and comes back as one tagged tuple per batch;
     batches are consumed strictly in submission order (deterministic
     ``on_batch`` stream and telemetry merges), so a chunk's later batches
@@ -508,8 +470,8 @@ def _evaluate_pooled(
       worker, so the whole window re-runs one batch at a time on fresh
       pools; the batch that breaks a pool it has to itself is the
       culprit and is charged an attempt, the rest are exonerated;
-    * ``"error"`` — the batch alone is re-submitted for its retries, on
-      the same (healthy) pool.
+    * a settled ``"error"`` that has retries left — the batch alone is
+      re-submitted, on the same (healthy) pool.
     """
     owned = pool is None
     if owned:
@@ -518,7 +480,6 @@ def _evaluate_pooled(
     window_cap = workers if policy.needs_pool else 2 * workers
     chunk = 1 if policy.needs_pool else _chunk_size(len(groups), workers)
     total = len(groups)
-    attempts = [1] * total
     inflight: dict[int, tuple] = {}  # first slot -> (future, submitted)
     ready: dict[int, tuple] = {}  # slot -> its tagged outcome, not yet consumed
     position = 0
@@ -526,18 +487,7 @@ def _evaluate_pooled(
     serial_until = 0
 
     def _submit(start: int, end: int) -> None:
-        payloads = [
-            (
-                slot,
-                attempts[slot],
-                groups[slot][0],
-                [cells[i] for i in groups[slot][1]],
-                cache_dir,
-                recorder.active,
-                plan,
-            )
-            for slot in range(start, end)
-        ]
+        payloads = [payload(slot) for slot in range(start, end)]
         future = pool.executor().submit(_run_chunk, payloads)
         inflight[start] = (future, monotonic())
 
@@ -569,12 +519,8 @@ def _evaluate_pooled(
     def _charge(reason: str, message: str) -> None:
         """Spend one of the head batch's attempts on a kill or a crash."""
         nonlocal position, next_submit
-        if attempts[position] <= policy.retries:
-            incr("engine.retries")
-            attempts[position] += 1
-            _backoff_sleep(policy, attempts[position])
-        else:
-            finalize_failure(position, reason, message, "", attempts[position])
+        if not retry(position):
+            finalize(position, reason, message)
             position += 1
             next_submit = position
 
@@ -585,8 +531,7 @@ def _evaluate_pooled(
             event: Optional[str] = None
             if outcome is None:
                 event, outcomes = _await_chunk(
-                    inflight.get(position), groups[position][0], policy,
-                    on_stall, stall_after,
+                    inflight.get(position), groups[position][0], policy, on_stall
                 )
                 if event is None:
                     del inflight[position]
@@ -597,9 +542,7 @@ def _evaluate_pooled(
                 incr("engine.timeouts")
                 _restart_pool()
                 _charge("timeout", f"batch exceeded the {policy.timeout:g}s deadline")
-                continue
-
-            if event == "broken":
+            elif event == "broken":
                 suspects = next_submit - position
                 _restart_pool()
                 if suspects > 1:
@@ -608,32 +551,13 @@ def _evaluate_pooled(
                     serial_until = position + suspects
                 elif suspects == 1:
                     _charge("crash", "worker process died mid-batch (pool broken)")
-                continue
-
-            tag = outcome[0]
-            if tag == "ok":
-                if outcome[2] is not None:
-                    recorder.merge(outcome[2])
-                accept(position, outcome[1])
+            elif settle(position, outcome):
                 position += 1
-            elif tag == "domain-overflow":
-                finalize_failure(position, "domain-overflow", outcome[2], "", attempts[position])
-                position += 1
-            else:  # "error"
-                _, _test_name, message, worker_tb = outcome
-                if attempts[position] <= policy.retries:
-                    incr("engine.retries")
-                    attempts[position] += 1
-                    _backoff_sleep(policy, attempts[position])
-                    try:
-                        _submit(position, position + 1)  # the worker is healthy
-                    except BrokenProcessPool:
-                        _restart_pool()  # re-queues this batch and the rest
-                else:
-                    finalize_failure(
-                        position, "error", message, worker_tb, attempts[position]
-                    )
-                    position += 1
+            else:
+                try:
+                    _submit(position, position + 1)  # the worker is healthy
+                except BrokenProcessPool:
+                    _restart_pool()  # re-queues this batch and the rest
     except BaseException:
         pool.kill()
         raise
@@ -646,14 +570,13 @@ def _await_chunk(
     test: LitmusTest,
     policy: ExecutionPolicy,
     on_stall: Optional[Callable[[LitmusTest, float], None]],
-    stall_after: float,
 ) -> tuple[Optional[str], list]:
     """Wait for the head chunk: ``(None, outcomes)``, ``("timeout", [])``
     or ``("broken", [])``.
 
     ``entry`` is ``None`` when the head chunk could not be submitted
     because the pool was already broken.  ``test`` (the head batch's) is
-    what ``on_stall`` reports every ``stall_after`` seconds of waiting.
+    what ``on_stall`` reports every :data:`STALL_AFTER` seconds of waiting.
     """
     if entry is None:
         return "broken", []
@@ -667,8 +590,8 @@ def _await_chunk(
             if remaining <= 0 and not future.done():
                 return "timeout", []
             step = max(remaining, 0.0)
-        if on_stall is not None and stall_after > 0:
-            to_stall = stall_after * (stalls_fired + 1) - waited
+        if on_stall is not None and STALL_AFTER > 0:
+            to_stall = STALL_AFTER * (stalls_fired + 1) - waited
             if to_stall <= 0:
                 stalls_fired += 1
                 on_stall(test, waited)

@@ -20,13 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ..litmus.test import LitmusTest, Outcome
-from .randprog import RandomProgramConfig, random_suite
 
-__all__ = [
-    "EquivalenceReport",
-    "check_suite",
-    "fuzz_equivalence",
-]
+__all__ = ["EquivalenceReport", "check_suite"]
 
 
 @dataclass(frozen=True)
@@ -69,7 +64,6 @@ def check_suite(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     policy=None,
-    fault_plan=None,
     evaluate=None,
 ) -> list[EquivalenceReport]:
     """Compare the requested pairs over a whole suite.
@@ -81,8 +75,8 @@ def check_suite(
     scheduler, the cache and the telemetry with every other grid:
     per-test candidate prefixes are shared across ``pair_names``,
     ``jobs`` fans tests out over a process pool and ``cache_dir`` makes
-    repeat runs incremental.  ``policy``/``fault_plan`` are the engine's
-    fault-tolerance and fault-injection hooks, and ``evaluate`` is any
+    repeat runs incremental.  ``policy`` is the engine's fault-tolerance
+    hook, and ``evaluate`` is any
     :func:`~repro.engine.evaluate_cells`-shaped callable standing in for
     the engine.
 
@@ -115,10 +109,7 @@ def check_suite(
                 test, pair_name, project="full", oracle=f"operational:{pair_name}"
             )
         )
-    results = evaluate(
-        specs, jobs=jobs, cache_dir=cache_dir, policy=policy,
-        fault_plan=fault_plan,
-    )
+    results = evaluate(specs, jobs=jobs, cache_dir=cache_dir, policy=policy)
     reports = []
     for i, (test, pair_name) in enumerate(grid):
         axiomatic, operational = results[2 * i], results[2 * i + 1]
@@ -139,22 +130,3 @@ def check_suite(
         )
     return reports
 
-
-def fuzz_equivalence(
-    num_tests: int,
-    seed: int = 0,
-    config: Optional[RandomProgramConfig] = None,
-    pair_names: Sequence[str] = ("gam", "gam0"),
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> list[EquivalenceReport]:
-    """Random-program equivalence fuzzing (deterministic per seed).
-
-    Returns one report per (random test, pair); callers assert all
-    ``report.equivalent``.  ``jobs`` and ``cache_dir`` behave exactly as
-    in :func:`check_suite`; test generation itself is always in-process
-    so the sequence of random programs is identical whatever the
-    fan-out.
-    """
-    tests = random_suite(num_tests, seed=seed, config=config, name_prefix="fuzz")
-    return check_suite(tests, pair_names=pair_names, jobs=jobs, cache_dir=cache_dir)

@@ -15,7 +15,6 @@ from typing import Iterable, Optional, Sequence
 from ..engine import (
     CellFailure,
     ExecutionPolicy,
-    FaultPlan,
     ModelLike,
     VerdictSpec,
     evaluate_cells,
@@ -67,7 +66,6 @@ def litmus_matrix(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     policy: Optional[ExecutionPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
     evaluate=None,
 ) -> list[VerdictCell]:
     """Evaluate every (test, model) verdict through the batch engine.
@@ -82,8 +80,7 @@ def litmus_matrix(
 
     ``policy`` arms deadlines/retries/quarantine on the engine; under a
     non-raising policy a failed test's cells come back with
-    ``VerdictCell.failure`` set and render as ``skip``.  ``fault_plan``
-    is the fault-injection hook (tests only).
+    ``VerdictCell.failure`` set and render as ``skip``.
 
     ``evaluate`` swaps the engine backend — any callable with the
     :func:`~repro.engine.evaluate_cells` signature, such as a wrapper
@@ -96,10 +93,7 @@ def litmus_matrix(
     ]
     if evaluate is None:
         evaluate = evaluate_cells
-    verdicts = evaluate(
-        specs, jobs=jobs, cache_dir=cache_dir, policy=policy,
-        fault_plan=fault_plan,
-    )
+    verdicts = evaluate(specs, jobs=jobs, cache_dir=cache_dir, policy=policy)
     cells = []
     for spec, allowed in zip(specs, verdicts):
         failure = None

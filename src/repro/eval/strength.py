@@ -16,7 +16,6 @@ from typing import Iterable, Optional, Sequence
 from ..engine import (
     CellFailure,
     ExecutionPolicy,
-    FaultPlan,
     ModelLike,
     OutcomeSpec,
     evaluate_cells,
@@ -64,7 +63,6 @@ def strength_matrix(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     policy: Optional[ExecutionPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
 ) -> StrengthMatrix:
     """Measure pairwise strength over a suite (default: full catalogue).
 
@@ -79,7 +77,6 @@ def strength_matrix(
     ``policy`` arms deadlines/retries/quarantine; a test whose batch
     fails under a non-raising policy lands in ``StrengthMatrix.skipped``
     and the containment relation is measured over the survivors.
-    ``fault_plan`` is the fault-injection hook (tests only).
     """
     materialized = list(tests) if tests is not None else list(all_tests())
     display = tuple(model_display_name(model) for model in model_names)
@@ -90,10 +87,7 @@ def strength_matrix(
         for test in materialized
         for model in model_names
     ]
-    results = evaluate_cells(
-        specs, jobs=jobs, cache_dir=cache_dir, policy=policy,
-        fault_plan=fault_plan,
-    )
+    results = evaluate_cells(specs, jobs=jobs, cache_dir=cache_dir, policy=policy)
     outcome_sets: dict[str, list[frozenset]] = {name: [] for name in display}
     skipped: list[str] = []
     width = len(model_names)

@@ -13,7 +13,6 @@ specs, never registrations.
 from .registry import (
     canonical_name,
     canonical_names,
-    comparison_models,
     get_model,
     model_names,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "model_names",
     "canonical_name",
     "canonical_names",
-    "comparison_models",
     "ModelSpecError",
     "load_model_path",
     "parse_model",

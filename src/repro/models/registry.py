@@ -22,7 +22,6 @@ from . import alpha, arm, gam, gam0, plsc, sc, tso, wmm
 __all__ = [
     "canonical_name",
     "canonical_names",
-    "comparison_models",
     "get_model",
     "model_names",
 ]
@@ -84,10 +83,3 @@ def get_model(name: str) -> MemoryModel:
         raise KeyError(f"unknown model {name!r}; available: {', '.join(entries)}")
     return factory()
 
-
-def comparison_models() -> tuple[MemoryModel, ...]:
-    """The models used in verdict matrices, strongest first."""
-    return tuple(
-        get_model(name)
-        for name in ("sc", "tso", "gam", "gam0", "arm", "wmm", "alpha_like", "plsc")
-    )

@@ -43,16 +43,6 @@ class TestCliReference:
         for command in _COMMANDS:
             assert f"## `repro {command}`" in text
 
-    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
-        gen_cli_docs = _load_tool("gen_cli_docs")
-        stale = tmp_path / "cli.md"
-        stale.write_text("out of date", encoding="utf-8")
-        monkeypatch.setattr(gen_cli_docs, "OUTPUT", str(stale))
-        assert gen_cli_docs.main(["--check"]) == 1
-        assert "out of sync" in capsys.readouterr().err
-        assert gen_cli_docs.main([]) == 0
-        assert gen_cli_docs.main(["--check"]) == 0
-
     def test_model_subcommands_are_documented(self):
         text = (ROOT / "docs" / "cli.md").read_text(encoding="utf-8")
         for section in ("model", "model show", "model import", "model export"):
@@ -87,16 +77,6 @@ class TestModelReference:
         for knob in CTOR_KNOBS:
             assert f"`{knob}`" in text, f"knob {knob} missing from models.md"
 
-    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
-        gen_model_docs = _load_tool("gen_model_docs")
-        stale = tmp_path / "models.md"
-        stale.write_text("out of date", encoding="utf-8")
-        monkeypatch.setattr(gen_model_docs, "OUTPUT", str(stale))
-        assert gen_model_docs.main(["--check"]) == 1
-        assert "out of sync" in capsys.readouterr().err
-        assert gen_model_docs.main([]) == 0
-        assert gen_model_docs.main(["--check"]) == 0
-
 
 class TestLintReference:
     def test_lint_md_is_in_sync(self):
@@ -116,16 +96,6 @@ class TestLintReference:
             assert f"### `{code}` — {info.title}" in text, (
                 f"diagnostic {code} missing from lint.md"
             )
-
-    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
-        gen_lint_docs = _load_tool("gen_lint_docs")
-        stale = tmp_path / "lint.md"
-        stale.write_text("out of date", encoding="utf-8")
-        monkeypatch.setattr(gen_lint_docs, "OUTPUT", str(stale))
-        assert gen_lint_docs.main(["--check"]) == 1
-        assert "out of sync" in capsys.readouterr().err
-        assert gen_lint_docs.main([]) == 0
-        assert gen_lint_docs.main(["--check"]) == 0
 
 
 class TestObsReference:
@@ -148,16 +118,6 @@ class TestObsReference:
             shown = f"`{name}.<label>`" if spec.dynamic else f"`{name}`"
             assert shown in text, f"metric {name} missing from observability.md"
 
-    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
-        gen_obs_docs = _load_tool("gen_obs_docs")
-        stale = tmp_path / "observability.md"
-        stale.write_text("out of date", encoding="utf-8")
-        monkeypatch.setattr(gen_obs_docs, "OUTPUT", str(stale))
-        assert gen_obs_docs.main(["--check"]) == 1
-        assert "out of sync" in capsys.readouterr().err
-        assert gen_obs_docs.main([]) == 0
-        assert gen_obs_docs.main(["--check"]) == 0
-
 
 class TestRobustnessReference:
     def test_robustness_md_is_in_sync(self):
@@ -178,15 +138,26 @@ class TestRobustnessReference:
         for name in (*ON_ERROR_MODES, *FAILURE_REASONS, *FAULT_KINDS):
             assert f"`{name}`" in text, f"{name} missing from robustness.md"
 
-    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
-        gen = _load_tool("gen_robustness_docs")
-        stale = tmp_path / "robustness.md"
-        stale.write_text("out of date", encoding="utf-8")
-        monkeypatch.setattr(gen, "OUTPUT", str(stale))
-        assert gen.main(["--check"]) == 1
-        assert "out of sync" in capsys.readouterr().err
-        assert gen.main([]) == 0
-        assert gen.main(["--check"]) == 0
+
+@pytest.mark.parametrize(
+    "tool, page",
+    [
+        ("gen_cli_docs", "cli.md"),
+        ("gen_model_docs", "models.md"),
+        ("gen_lint_docs", "lint.md"),
+        ("gen_obs_docs", "observability.md"),
+        ("gen_robustness_docs", "robustness.md"),
+    ],
+)
+def test_check_mode_detects_staleness(tool, page, tmp_path, monkeypatch, capsys):
+    gen = _load_tool(tool)
+    stale = tmp_path / page
+    stale.write_text("out of date", encoding="utf-8")
+    monkeypatch.setattr(gen, "OUTPUT", str(stale))
+    assert gen.main(["--check"]) == 1
+    assert "out of sync" in capsys.readouterr().err
+    assert gen.main([]) == 0
+    assert gen.main(["--check"]) == 0
 
 
 class TestLintReproTool:

@@ -24,6 +24,8 @@ from repro.core.axiomatic import (
     is_allowed,
 )
 from repro.engine import (
+    CellFailure,
+    ExecutionPolicy,
     OutcomeSpec,
     ResultCache,
     VerdictSpec,
@@ -39,6 +41,7 @@ from repro.litmus.dsl import LitmusBuilder
 from repro.litmus.frontend.suite import resolve_suite
 from repro.litmus.registry import get_test, paper_suite
 from repro.models.registry import get_model
+from repro.obs import collecting
 
 _ZOO = ("sc", "tso", "gam", "gam0", "arm", "wmm", "alpha_like", "plsc")
 
@@ -381,6 +384,28 @@ class TestErrorReporting:
         ]
         with pytest.raises(DomainOverflowError, match="feedback-overflow"):
             evaluate_cells(cells, jobs=2)
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=pytest.mark.slow)])
+    def test_domain_overflow_settles_once_under_skip(self, jobs):
+        # An overflow is deterministic: it is finalized on its first
+        # attempt, whatever the retry budget, the same serial and pooled.
+        cells = [
+            VerdictSpec(test, model)
+            for test in (get_test("dekker"), _overflow_test())
+            for model in ("sc", "gam")
+        ]
+        baseline = evaluate_cells(cells[:2])
+        policy = ExecutionPolicy(retries=2, on_error="skip")
+        with collecting() as recorder:
+            results = evaluate_cells(cells, jobs=jobs, policy=policy)
+            counters = recorder.snapshot().counters
+        assert results[:2] == baseline
+        for failure in results[2:]:
+            assert isinstance(failure, CellFailure)
+            assert failure.test_name == "feedback-overflow"
+            assert failure.reason == "domain-overflow"
+            assert failure.attempts == 1
+        assert "engine.retries" not in counters
 
 
 class TestOnBatchHook:

@@ -8,8 +8,12 @@ likewise for the GAM0, SC and TSO definition pairs.
 
 import pytest
 
-from repro.equivalence.checker import check_suite, fuzz_equivalence
-from repro.equivalence.randprog import RandomProgramConfig, random_litmus_test
+from repro.equivalence.checker import check_suite
+from repro.equivalence.randprog import (
+    RandomProgramConfig,
+    random_litmus_test,
+    random_suite,
+)
 from repro.litmus.registry import all_tests
 from repro.litmus.registry import test_names as litmus_test_names
 
@@ -44,18 +48,26 @@ def test_check_suite_aggregates_reports():
 
 
 def test_fuzz_equivalence_deterministic():
-    first = fuzz_equivalence(3, seed=11)
-    second = fuzz_equivalence(3, seed=11)
+    def fuzz():
+        return check_suite(
+            random_suite(3, seed=11, name_prefix="fuzz"), pair_names=("gam", "gam0")
+        )
+
+    first, second = fuzz(), fuzz()
     assert [r.test_name for r in first] == [r.test_name for r in second]
     assert all(r.equivalent for r in first)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_fuzzed_programs_equivalent(seed):
-    reports = fuzz_equivalence(
-        4,
-        seed=seed,
-        config=RandomProgramConfig(num_procs=2, max_instrs=4),
+    reports = check_suite(
+        random_suite(
+            4,
+            seed=seed,
+            config=RandomProgramConfig(num_procs=2, max_instrs=4),
+            name_prefix="fuzz",
+        ),
+        pair_names=("gam", "gam0"),
     )
     for report in reports:
         assert report.equivalent, f"{report.pair_name} differs on {report.test_name}"
@@ -72,5 +84,7 @@ def test_random_test_generator_is_loop_free_and_seedable():
 
 def test_random_tests_with_three_procs():
     config = RandomProgramConfig(num_procs=3, max_instrs=3)
-    reports = fuzz_equivalence(2, seed=5, config=config, pair_names=("gam",))
+    reports = check_suite(
+        random_suite(2, seed=5, config=config, name_prefix="fuzz"), pair_names=("gam",)
+    )
     assert all(r.equivalent for r in reports)

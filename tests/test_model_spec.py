@@ -30,7 +30,6 @@ from repro.models import (
     ModelSpecError,
     canonical_name,
     canonical_names,
-    comparison_models,
     get_model,
     load_model_path,
     model_names,
@@ -245,8 +244,11 @@ class TestZooTable:
             "plsc, rmo (= gam0), sc, sc-gamlv, tso, wmm"
         )
 
-    def test_comparison_models_strongest_first(self):
-        assert [model.name for model in comparison_models()] == [
+    def test_matrix_zoo_strongest_first(self):
+        from repro.eval.litmus_matrix import litmus_matrix
+
+        cells = litmus_matrix(tests=[get_test("dekker")])
+        assert [cell.model_name for cell in cells] == [
             "sc", "tso", "gam", "gam0", "arm", "wmm", "alpha_like", "plsc",
         ]
 

@@ -246,11 +246,12 @@ class TestWorkerErrors:
         from repro.engine.faults import FaultPlan
 
         broken = types.SimpleNamespace(name="boom")
-        outcome = _run_batch((0, 1, broken, [object()], None, False, FaultPlan()))
-        tag, test_name, message, worker_tb = outcome
+        outcome = _run_batch((0, 1, broken, [object()], None, False, FaultPlan(), True))
+        tag, test_name, message, worker_tb, cause = outcome
         assert tag == "error"
         assert test_name == "boom"
         assert "Traceback (most recent call last)" in worker_tb
+        assert cause is None  # live exceptions never cross a pool boundary
 
     @pytest.mark.slow
     def test_pooled_failure_raises_with_worker_traceback(self):

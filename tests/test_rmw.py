@@ -7,8 +7,8 @@ from repro.core.axiomatic import enumerate_outcomes, is_allowed
 from repro.core.events import RMW_STORE_PART, base_index, po_sort_key, store_part
 from repro.core.operational import GAM0_MACHINE, GAM_MACHINE, operational_outcomes
 from repro.core.reference_machines import sc_outcomes, tso_outcomes
-from repro.equivalence.checker import fuzz_equivalence
-from repro.equivalence.randprog import RandomProgramConfig
+from repro.equivalence.checker import check_suite
+from repro.equivalence.randprog import RandomProgramConfig, random_suite
 from repro.isa.expr import Const, Reg
 from repro.isa.instructions import Rmw
 from repro.isa.program import Program
@@ -117,7 +117,10 @@ class TestDefinitionAgreement:
     @pytest.mark.parametrize("seed", range(4))
     def test_fuzzed_rmw_programs_equivalent(self, seed):
         config = RandomProgramConfig(num_procs=2, max_instrs=3, rmw_weight=2.0)
-        reports = fuzz_equivalence(3, seed=seed, config=config)
+        reports = check_suite(
+            random_suite(3, seed=seed, config=config, name_prefix="fuzz"),
+            pair_names=("gam", "gam0"),
+        )
         for report in reports:
             assert report.equivalent, f"{report.pair_name} on {report.test_name}"
 

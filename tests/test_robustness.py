@@ -23,7 +23,6 @@ from repro.engine import (
     EngineWorkerError,
     ExecutionPolicy,
     FaultAction,
-    FaultPlan,
     InjectedFault,
     OutcomeSpec,
     ResultCache,
@@ -39,8 +38,16 @@ from repro.litmus import registry
 from repro.litmus.registry import get_test
 from repro.obs import collecting
 
-QUIET = ExecutionPolicy(backoff=0.0, on_error="skip")
-QUARANTINE = ExecutionPolicy(backoff=0.0, on_error="quarantine")
+QUIET = ExecutionPolicy(on_error="skip")
+QUARANTINE = ExecutionPolicy(on_error="quarantine")
+
+
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    """Retry immediately: the scheduler's backoff sleep is real time."""
+    from repro.engine import scheduler
+
+    monkeypatch.setattr(scheduler, "RETRY_BACKOFF", 0.0)
 
 
 def _verdict_cells(*names):
@@ -99,7 +106,6 @@ class TestExecutionPolicy:
             {"timeout": 0.0},
             {"timeout": -1.0},
             {"retries": -1},
-            {"backoff": -0.5},
         ],
     )
     def test_validation_is_eager(self, kwargs):
@@ -162,17 +168,17 @@ class TestFaultPlanParsing:
 
 
 class TestSerialFailures:
-    def test_default_policy_raises_with_cause(self):
-        plan = parse_fault_plan("raise:test=mp")
+    def test_default_policy_raises_with_cause(self, monkeypatch):
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise:test=mp")
         with pytest.raises(EngineWorkerError, match="mp") as excinfo:
-            evaluate_cells(_verdict_cells("mp"), fault_plan=plan)
+            evaluate_cells(_verdict_cells("mp"))
         assert isinstance(excinfo.value.__cause__, InjectedFault)
 
-    def test_skip_costs_only_the_faulted_test(self):
+    def test_skip_costs_only_the_faulted_test(self, monkeypatch):
         cells = _verdict_cells("mp", "lb", "corr")
         baseline = evaluate_cells(cells)
-        plan = parse_fault_plan("raise:test=lb")
-        results = evaluate_cells(cells, policy=QUIET, fault_plan=plan)
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise:test=lb")
+        results = evaluate_cells(cells, policy=QUIET)
         for cell, got, want in zip(cells, results, baseline):
             if cell.test.name == "lb":
                 assert isinstance(got, CellFailure)
@@ -182,60 +188,60 @@ class TestSerialFailures:
             else:
                 assert got == want
 
-    def test_quarantine_counts_batches(self):
-        plan = parse_fault_plan("raise:test=mp")
+    def test_quarantine_counts_batches(self, monkeypatch):
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise:test=mp")
         with collecting() as recorder:
             results = evaluate_cells(
-                _verdict_cells("mp"), policy=QUARANTINE, fault_plan=plan
+                _verdict_cells("mp"), policy=QUARANTINE
             )
             counters = recorder.snapshot().counters
         assert all(isinstance(r, CellFailure) for r in results)
         assert counters["engine.batches.quarantined"] == 1
 
-    def test_skip_mode_does_not_count_quarantine(self):
-        plan = parse_fault_plan("raise:test=mp")
+    def test_skip_mode_does_not_count_quarantine(self, monkeypatch):
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise:test=mp")
         with collecting() as recorder:
-            evaluate_cells(_verdict_cells("mp"), policy=QUIET, fault_plan=plan)
+            evaluate_cells(_verdict_cells("mp"), policy=QUIET)
             counters = recorder.snapshot().counters
         assert "engine.batches.quarantined" not in counters
 
-    def test_retry_recovers_and_is_counted(self):
+    def test_retry_recovers_and_is_counted(self, monkeypatch):
         cells = _verdict_cells("mp")
         baseline = evaluate_cells(cells)
-        plan = parse_fault_plan("raise:test=mp,attempts=1")
-        policy = ExecutionPolicy(retries=1, backoff=0.0, on_error="fail")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise:test=mp,attempts=1")
+        policy = ExecutionPolicy(retries=1, on_error="fail")
         with collecting() as recorder:
-            results = evaluate_cells(cells, policy=policy, fault_plan=plan)
+            results = evaluate_cells(cells, policy=policy)
             counters = recorder.snapshot().counters
         assert results == baseline
         assert counters["engine.retries"] == 1
 
-    def test_retry_budget_is_bounded(self):
-        plan = parse_fault_plan("raise:test=mp")  # fires on every attempt
-        policy = ExecutionPolicy(retries=2, backoff=0.0, on_error="skip")
+    def test_retry_budget_is_bounded(self, monkeypatch):
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise:test=mp")  # fires on every attempt
+        policy = ExecutionPolicy(retries=2, on_error="skip")
         [failure, _] = evaluate_cells(
-            _verdict_cells("mp"), policy=policy, fault_plan=plan
+            _verdict_cells("mp"), policy=policy
         )
         assert failure.attempts == 3  # 1 initial + 2 retries
 
-    def test_in_process_crash_degrades_to_exception(self):
+    def test_in_process_crash_degrades_to_exception(self, monkeypatch):
         # A crash fault must never SIGKILL the caller's own interpreter.
-        plan = parse_fault_plan("crash:test=mp")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash:test=mp")
         [failure, _] = evaluate_cells(
-            _verdict_cells("mp"), policy=QUIET, fault_plan=plan
+            _verdict_cells("mp"), policy=QUIET
         )
         assert failure.reason == "error"
         assert "degraded from SIGKILL" in failure.message
 
-    def test_on_batch_sees_failures(self):
-        plan = parse_fault_plan("raise:test=mp")
+    def test_on_batch_sees_failures(self, monkeypatch):
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise:test=mp")
         seen = {}
 
         def on_batch(test, results):
             seen[test.name] = list(results)
 
         evaluate_cells(
-            _verdict_cells("mp", "lb"), policy=QUIET, fault_plan=plan,
+            _verdict_cells("mp", "lb"), policy=QUIET,
             on_batch=on_batch,
         )
         assert all(isinstance(r, CellFailure) for r in seen["mp"])
@@ -244,20 +250,20 @@ class TestSerialFailures:
 
 
 class TestPooledFailures:
-    def test_pooled_skip_matches_serial(self):
+    def test_pooled_skip_matches_serial(self, monkeypatch):
         cells = _verdict_cells("mp", "lb", "corr")
-        plan = parse_fault_plan("raise:test=lb")
-        serial = evaluate_cells(cells, policy=QUIET, fault_plan=plan)
-        pooled = evaluate_cells(cells, jobs=2, policy=QUIET, fault_plan=plan)
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise:test=lb")
+        serial = evaluate_cells(cells, policy=QUIET)
+        pooled = evaluate_cells(cells, jobs=2, policy=QUIET)
         assert [_essence(r) for r in pooled] == [_essence(r) for r in serial]
 
-    def test_worker_crash_is_quarantined_and_attributed(self):
+    def test_worker_crash_is_quarantined_and_attributed(self, monkeypatch):
         cells = _verdict_cells("mp", "lb", "corr")
         baseline = evaluate_cells(cells)
-        plan = parse_fault_plan("crash:test=lb")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash:test=lb")
         with collecting() as recorder:
             results = evaluate_cells(
-                cells, jobs=2, policy=QUARANTINE, fault_plan=plan
+                cells, jobs=2, policy=QUARANTINE
             )
             counters = recorder.snapshot().counters
         for cell, got, want in zip(cells, results, baseline):
@@ -268,24 +274,24 @@ class TestPooledFailures:
                 assert got == want  # innocents are never blamed
         assert counters["engine.pool.restarts"] >= 1
 
-    def test_worker_crash_retry_recovers(self):
+    def test_worker_crash_retry_recovers(self, monkeypatch):
         cells = _verdict_cells("mp", "lb")
         baseline = evaluate_cells(cells)
-        plan = parse_fault_plan("crash:test=lb,attempts=1")
-        policy = ExecutionPolicy(retries=1, backoff=0.0, on_error="fail")
-        results = evaluate_cells(cells, jobs=2, policy=policy, fault_plan=plan)
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash:test=lb,attempts=1")
+        policy = ExecutionPolicy(retries=1, on_error="fail")
+        results = evaluate_cells(cells, jobs=2, policy=policy)
         assert results == baseline
 
-    def test_timeout_kills_the_batch(self):
+    def test_timeout_kills_the_batch(self, monkeypatch):
         cells = _verdict_cells("mp", "lb")
         baseline = evaluate_cells(cells)
-        plan = parse_fault_plan("hang:test=lb,seconds=30")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "hang:test=lb,seconds=30")
         policy = ExecutionPolicy(
-            timeout=1.5, backoff=0.0, on_error="quarantine"
+            timeout=1.5, on_error="quarantine"
         )
         with collecting() as recorder:
             results = evaluate_cells(
-                cells, jobs=2, policy=policy, fault_plan=plan
+                cells, jobs=2, policy=policy
             )
             counters = recorder.snapshot().counters
         for cell, got, want in zip(cells, results, baseline):
@@ -305,15 +311,16 @@ class TestPooledFailures:
         policy = ExecutionPolicy(timeout=120.0)
         assert evaluate_cells(cells, policy=policy) == baseline
 
-    def test_on_stall_fires_for_slow_batches(self):
+    def test_on_stall_fires_for_slow_batches(self, monkeypatch):
+        from repro.engine import scheduler
+
         calls = []
-        plan = parse_fault_plan("hang:test=lb,seconds=1.0")
-        policy = ExecutionPolicy(timeout=30.0, backoff=0.0)
+        monkeypatch.setenv(FAULTS_ENV_VAR, "hang:test=lb,seconds=1.0")
+        monkeypatch.setattr(scheduler, "STALL_AFTER", 0.25)
+        policy = ExecutionPolicy(timeout=30.0)
         evaluate_cells(
             _verdict_cells("mp", "lb"), jobs=2, policy=policy,
-            fault_plan=plan,
             on_stall=lambda test, waited: calls.append((test.name, waited)),
-            stall_after=0.25,
         )
         assert any(name == "lb" and waited >= 0.25 for name, waited in calls)
 
@@ -346,24 +353,24 @@ class TestChunkedFailures:
         assert pooled_counters == serial_counters
         assert max(_RecordingPool.futures) > 1  # some future held a run
 
-    def test_raise_mid_chunk_matches_serial(self, grid):
+    def test_raise_mid_chunk_matches_serial(self, grid, monkeypatch):
         cells, victim = grid
-        plan = parse_fault_plan(f"raise:test={victim}")
-        serial = evaluate_cells(cells, policy=QUIET, fault_plan=plan)
-        pooled = evaluate_cells(cells, jobs=self.JOBS, policy=QUIET, fault_plan=plan)
+        monkeypatch.setenv(FAULTS_ENV_VAR, f"raise:test={victim}")
+        serial = evaluate_cells(cells, policy=QUIET)
+        pooled = evaluate_cells(cells, jobs=self.JOBS, policy=QUIET)
         assert [_essence(r) for r in pooled] == [_essence(r) for r in serial]
         assert {r.test_name for r in pooled if isinstance(r, CellFailure)} == {victim}
         assert max(_RecordingPool.futures) > 1  # some future held a run
 
-    def test_raise_mid_chunk_retry_recovers_in_order(self, grid):
+    def test_raise_mid_chunk_retry_recovers_in_order(self, grid, monkeypatch):
         cells, victim = grid
         baseline = evaluate_cells(cells)
-        plan = parse_fault_plan(f"raise:test={victim},attempts=1")
-        policy = ExecutionPolicy(retries=1, backoff=0.0, on_error="fail")
+        monkeypatch.setenv(FAULTS_ENV_VAR, f"raise:test={victim},attempts=1")
+        policy = ExecutionPolicy(retries=1, on_error="fail")
         seen = []
         with collecting() as recorder:
             results = evaluate_cells(
-                cells, jobs=self.JOBS, policy=policy, fault_plan=plan,
+                cells, jobs=self.JOBS, policy=policy,
                 on_batch=lambda test, _results: seen.append(test.name),
             )
             counters = recorder.snapshot().counters
@@ -371,13 +378,13 @@ class TestChunkedFailures:
         assert seen == list(dict.fromkeys(cell.test.name for cell in cells))
         assert counters["engine.retries"] == 1
 
-    def test_crash_mid_chunk_blames_only_the_crasher(self, grid):
+    def test_crash_mid_chunk_blames_only_the_crasher(self, grid, monkeypatch):
         cells, victim = grid
         baseline = evaluate_cells(cells)
-        plan = parse_fault_plan(f"crash:test={victim}")
+        monkeypatch.setenv(FAULTS_ENV_VAR, f"crash:test={victim}")
         with collecting() as recorder:
             results = evaluate_cells(
-                cells, jobs=self.JOBS, policy=QUARANTINE, fault_plan=plan
+                cells, jobs=self.JOBS, policy=QUARANTINE
             )
             counters = recorder.snapshot().counters
         for cell, got, want in zip(cells, results, baseline):
@@ -390,14 +397,14 @@ class TestChunkedFailures:
         assert counters["engine.batches.quarantined"] == 1
         assert max(_RecordingPool.futures) > 1  # some future held a run
 
-    def test_crash_mid_chunk_retry_recovers(self, grid):
+    def test_crash_mid_chunk_retry_recovers(self, grid, monkeypatch):
         cells, victim = grid
         baseline = evaluate_cells(cells)
-        plan = parse_fault_plan(f"crash:test={victim},attempts=1")
-        policy = ExecutionPolicy(retries=1, backoff=0.0, on_error="fail")
+        monkeypatch.setenv(FAULTS_ENV_VAR, f"crash:test={victim},attempts=1")
+        policy = ExecutionPolicy(retries=1, on_error="fail")
         with collecting() as recorder:
             results = evaluate_cells(
-                cells, jobs=self.JOBS, policy=policy, fault_plan=plan
+                cells, jobs=self.JOBS, policy=policy
             )
             counters = recorder.snapshot().counters
         assert results == baseline
@@ -416,37 +423,35 @@ class TestWorkerPool:
         assert recording_pool.starts == 1
         assert pool._executor is None  # shut down and joined on exit
 
-    def test_crash_restart_replaces_the_run_pool(self, recording_pool):
+    def test_crash_restart_replaces_the_run_pool(self, recording_pool, monkeypatch):
         from repro.engine import WorkerPool
 
         cells = _verdict_cells("mp", "lb", "corr")
         baseline = evaluate_cells(cells)
-        plan = parse_fault_plan("crash:test=lb,attempts=1")
-        policy = ExecutionPolicy(retries=1, backoff=0.0)
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash:test=lb,attempts=1")
+        policy = ExecutionPolicy(retries=1)
         with WorkerPool(2) as pool:
-            results = evaluate_cells(
-                cells, jobs=2, policy=policy, fault_plan=plan, pool=pool
-            )
+            results = evaluate_cells(cells, jobs=2, policy=policy, pool=pool)
             assert results == baseline
             # The replacement executor keeps serving later calls.
+            monkeypatch.delenv(FAULTS_ENV_VAR)
             assert evaluate_cells(cells, jobs=2, pool=pool) == baseline
         assert recording_pool.starts >= 2
 
 
 class TestCorruptionRecovery:
-    def test_corrupt_entry_is_recounted_as_miss(self, tmp_path):
+    def test_corrupt_entry_is_recounted_as_miss(self, tmp_path, monkeypatch):
         test = get_test("mp")
         cells = [OutcomeSpec(test, "gam", project="full")]
         baseline = evaluate_cells(cells)
-        plan = parse_fault_plan("corrupt:test=mp")
-        assert evaluate_cells(
-            cells, cache_dir=str(tmp_path), fault_plan=plan
-        ) == baseline
+        monkeypatch.setenv(FAULTS_ENV_VAR, "corrupt:test=mp")
+        assert evaluate_cells(cells, cache_dir=str(tmp_path)) == baseline
         with contextlib.closing(sqlite3.connect(tmp_path / DB_NAME)) as db:
             (payload,) = db.execute(
                 "SELECT payload FROM cells WHERE key = ?", (cell_cache_key(cells[0]),)
             ).fetchone()
         assert "corrupted-by-fault-injection" in payload
+        monkeypatch.delenv(FAULTS_ENV_VAR)
         with collecting() as recorder:
             rerun = evaluate_cells(cells, cache_dir=str(tmp_path))
             counters = recorder.snapshot().counters
@@ -510,19 +515,18 @@ class TestPolicyCli:
 
 
 class TestHarnessRendering:
-    def test_matrix_renders_skips(self):
+    def test_matrix_renders_skips(self, monkeypatch):
         from repro.eval.litmus_matrix import (
             conformance_failures,
             litmus_matrix,
             render_matrix,
         )
 
-        plan = parse_fault_plan("raise:test=mp")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise:test=mp")
         cells = litmus_matrix(
             tests=[get_test("mp"), get_test("lb")],
             model_names=("sc", "gam"),
             policy=QUIET,
-            fault_plan=plan,
         )
         skipped = [c for c in cells if c.failure is not None]
         assert {c.test_name for c in skipped} == {"mp"}
@@ -531,29 +535,29 @@ class TestHarnessRendering:
         rendered = render_matrix(cells)
         assert "skip" in rendered
 
-    def test_strength_excludes_skipped_tests(self):
+    def test_strength_excludes_skipped_tests(self, monkeypatch):
         from repro.eval.strength import render_strength, strength_matrix
 
         tests = [get_test("mp"), get_test("lb"), get_test("corr")]
         clean = strength_matrix(tests=tests, model_names=("sc", "gam"))
         assert clean.skipped == ()
-        plan = parse_fault_plan("raise:test=corr")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise:test=corr")
         survived = strength_matrix(
             tests=tests, model_names=("sc", "gam"),
-            policy=QUIET, fault_plan=plan,
+            policy=QUIET,
         )
         assert survived.skipped == ("corr",)
         expected = strength_matrix(tests=tests[:2], model_names=("sc", "gam"))
         assert survived.stronger_or_equal == expected.stronger_or_equal
         assert "corr" in render_strength(survived)
 
-    def test_equiv_reports_unanswered_pairs(self):
+    def test_equiv_reports_unanswered_pairs(self, monkeypatch):
         from repro.equivalence.checker import check_suite
 
-        plan = parse_fault_plan("raise:test=mp")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise:test=mp")
         reports = check_suite(
             [get_test("mp"), get_test("lb")], pair_names=("gam",),
-            policy=QUIET, fault_plan=plan,
+            policy=QUIET,
         )
         by_name = {report.test_name: report for report in reports}
         assert by_name["mp"].failure == "error"
@@ -571,16 +575,16 @@ class TestHuntQuarantine:
         kwargs.setdefault("log", None)
         return run_hunt(str(out), **kwargs)
 
-    def test_quarantine_records_and_resume_identity(self, tmp_path):
+    def test_quarantine_records_and_resume_identity(self, tmp_path, monkeypatch):
         from repro.litmus.frontend.suite import resolve_suite
 
         victim = resolve_suite(self.SUITE)[0].name
         out = tmp_path / "camp"
-        plan = parse_fault_plan(f"raise:test={victim}")
-        policy = ExecutionPolicy(retries=1, backoff=0.0, on_error="quarantine")
+        monkeypatch.setenv(FAULTS_ENV_VAR, f"raise:test={victim}")
+        policy = ExecutionPolicy(retries=1, on_error="quarantine")
         report = self._hunt(
             out, suite=self.SUITE, pairs=[("wmm", "arm")], num_shards=2,
-            policy=policy, fault_plan=plan,
+            policy=policy,
         )
         assert sorted(report.quarantined) == [victim]
         payload = json.loads((out / "quarantine.json").read_text())
@@ -595,6 +599,7 @@ class TestHuntQuarantine:
 
         # A fault-free re-run resumes the completed shards and must
         # reproduce the report byte-for-byte, quarantine included.
+        monkeypatch.delenv(FAULTS_ENV_VAR)
         rerun = self._hunt(out, resume=True)
         assert (out / "report.txt").read_text() == text
         assert sorted(rerun.quarantined) == [victim]
@@ -608,12 +613,14 @@ class TestHuntQuarantine:
         assert not (out / "quarantine.json").exists()
         assert "quarantined" not in (out / "report.txt").read_text()
 
-    def test_heartbeat_reports_batch_gaps(self, tmp_path):
+    def test_heartbeat_reports_batch_gaps(self, tmp_path, monkeypatch):
+        from repro.engine import scheduler
+
+        monkeypatch.setattr(scheduler, "STALL_AFTER", 1e-6)
         lines = []
         self._hunt(
             tmp_path / "hb", suite=self.SUITE, pairs=[("wmm", "arm")],
             num_shards=1, log=lines.append, heartbeat=True,
-            stall_after=1e-6,
         )
         beats = [line for line in lines if "heartbeat:" in line]
         assert beats

@@ -24,7 +24,10 @@ import os
 import sys
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(_ROOT, "src"))
+# ``src`` for the package, ``tools`` for the shared write-or-check helper.
+sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tools")]
+
+from docgen import write_or_check  # noqa: E402
 
 from repro.cli import build_parser  # noqa: E402  (path set up above)
 
@@ -136,28 +139,13 @@ def render_cli_docs() -> str:
 
 def main(argv=None) -> int:
     """Write (or with ``--check`` verify) ``docs/cli.md``."""
-    check = "--check" in (argv if argv is not None else sys.argv[1:])
-    rendered = render_cli_docs()
-    if check:
-        try:
-            with open(OUTPUT, encoding="utf-8") as handle:
-                committed = handle.read()
-        except OSError:
-            committed = ""
-        if committed != rendered:
-            print(
-                "docs/cli.md is out of sync with src/repro/cli.py; "
-                "run: PYTHONPATH=src python tools/gen_cli_docs.py",
-                file=sys.stderr,
-            )
-            return 1
-        print("docs/cli.md is in sync")
-        return 0
-    os.makedirs(os.path.dirname(OUTPUT), exist_ok=True)
-    with open(OUTPUT, "w", encoding="utf-8") as handle:
-        handle.write(rendered)
-    print(f"wrote {OUTPUT}")
-    return 0
+    return write_or_check(
+        OUTPUT,
+        render_cli_docs(),
+        "docs/cli.md is out of sync with src/repro/cli.py; "
+        "run: PYTHONPATH=src python tools/gen_cli_docs.py",
+        argv,
+    )
 
 
 if __name__ == "__main__":

@@ -20,7 +20,10 @@ import os
 import sys
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(_ROOT, "src"))
+# ``src`` for the package, ``tools`` for the shared write-or-check helper.
+sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tools")]
+
+from docgen import write_or_check  # noqa: E402
 
 from repro.obs.registry import METRICS  # noqa: E402
 from repro.obs.report import REPORT_SCHEMA  # noqa: E402
@@ -142,28 +145,13 @@ def render_obs_docs() -> str:
 
 def main(argv=None) -> int:
     """Write (or with ``--check`` verify) ``docs/observability.md``."""
-    check = "--check" in (argv if argv is not None else sys.argv[1:])
-    rendered = render_obs_docs()
-    if check:
-        try:
-            with open(OUTPUT, encoding="utf-8") as handle:
-                committed = handle.read()
-        except OSError:
-            committed = ""
-        if committed != rendered:
-            print(
-                "docs/observability.md is out of sync with the metric "
-                "registry; run: PYTHONPATH=src python tools/gen_obs_docs.py",
-                file=sys.stderr,
-            )
-            return 1
-        print("docs/observability.md is in sync")
-        return 0
-    os.makedirs(os.path.dirname(OUTPUT), exist_ok=True)
-    with open(OUTPUT, "w", encoding="utf-8") as handle:
-        handle.write(rendered)
-    print(f"wrote {OUTPUT}")
-    return 0
+    return write_or_check(
+        OUTPUT,
+        render_obs_docs(),
+        "docs/observability.md is out of sync with the metric "
+        "registry; run: PYTHONPATH=src python tools/gen_obs_docs.py",
+        argv,
+    )
 
 
 if __name__ == "__main__":

@@ -22,7 +22,10 @@ import os
 import sys
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(_ROOT, "src"))
+# ``src`` for the package, ``tools`` for the shared write-or-check helper.
+sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tools")]
+
+from docgen import write_or_check  # noqa: E402
 
 from repro.engine.faults import FAULT_KINDS, FAULTS_ENV_VAR  # noqa: E402
 from repro.engine.policy import FAILURE_REASONS, ON_ERROR_MODES  # noqa: E402
@@ -62,9 +65,10 @@ results = evaluate_cells(cells, jobs=4, policy=policy)
   unfinished innocent batches are resubmitted without being charged an
   attempt.
 * `retries` — how many times a failed batch is re-run after its first
-  attempt, with exponential backoff (`backoff * 2**(attempt-2)` seconds;
-  `backoff` defaults to 0.1s).  Domain overflows are never retried —
-  they are deterministic verdicts about the test, not transient faults.
+  attempt, with a fixed exponential backoff (0.1s before the first
+  retry, doubled for each one after it).  Domain overflows are never
+  retried — they are deterministic verdicts about the test, not
+  transient faults.
 * `on_error` — what a batch that exhausted its retries becomes (table
   below).
 
@@ -111,11 +115,12 @@ $ REPRO_FAULTS="crash:test=sb,attempts=1;hang:test=mp,seconds=60" \\
 A plan is a `;`-separated list of `kind:key=value,...` actions
 (selectors: `batch=N`, `test=NAME`, `attempts=A` — fire on attempts
 1..A only, so retries recover — and `seconds=S` for `hang`).  Plans
-arrive via the `{FAULTS_ENV_VAR}` environment variable (which crosses
-pool boundaries for free, so CI can arm faults around an unmodified
-`repro` invocation) or the `fault_plan=` keyword on `evaluate_cells`
-and the campaign driver.  Everything is deterministic: the same plan
-against the same cell grid fires the same faults.
+are armed only through the `{FAULTS_ENV_VAR}` environment variable, so
+tests and CI arm faults around an unmodified `repro` invocation; each
+engine call reads it once and ships the plan to its workers.  Serial
+and pooled runs settle a faulted batch the same way.  Everything is
+deterministic: the same plan against the same cell grid fires the same
+faults.
 
 ### Fault kinds
 """
@@ -174,29 +179,13 @@ def render_robustness_docs() -> str:
 
 def main(argv=None) -> int:
     """Write (or with ``--check`` verify) ``docs/robustness.md``."""
-    check = "--check" in (argv if argv is not None else sys.argv[1:])
-    rendered = render_robustness_docs()
-    if check:
-        try:
-            with open(OUTPUT, encoding="utf-8") as handle:
-                committed = handle.read()
-        except OSError:
-            committed = ""
-        if committed != rendered:
-            print(
-                "docs/robustness.md is out of sync with the engine "
-                "vocabulary; run: "
-                "PYTHONPATH=src python tools/gen_robustness_docs.py",
-                file=sys.stderr,
-            )
-            return 1
-        print("docs/robustness.md is in sync")
-        return 0
-    os.makedirs(os.path.dirname(OUTPUT), exist_ok=True)
-    with open(OUTPUT, "w", encoding="utf-8") as handle:
-        handle.write(rendered)
-    print(f"wrote {OUTPUT}")
-    return 0
+    return write_or_check(
+        OUTPUT,
+        render_robustness_docs(),
+        "docs/robustness.md is out of sync with the engine "
+        "vocabulary; run: PYTHONPATH=src python tools/gen_robustness_docs.py",
+        argv,
+    )
 
 
 if __name__ == "__main__":
