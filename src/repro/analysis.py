@@ -9,21 +9,19 @@ inspectable:
 * :func:`render_execution` pretty-prints that witness in the paper's
   vocabulary (``<mo`` as a numbered list, ``rf`` as store -> load arrows);
 * :func:`diff_models` computes the outcome-set difference of two models on
-  one test, which is exactly how the paper distinguishes GAM from GAM0/ARM
-  (e.g. the CoRR behaviour is in ``gam0 - gam``).
+  one test from two engine outcome cells, which is exactly how the paper
+  distinguishes GAM from GAM0/ARM (e.g. CoRR is in ``gam0 - gam``).
+
+Only the witness reads the kernel directly: it walks the DP's memo.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .core.axiomatic import (
-    CandidatePrefix,
-    MemoryModel,
-    enumerate_outcomes,
-    find_execution,
-)
+from .core.axiomatic import DomainOverflowError, MemoryModel, find_execution
 from .core.events import Execution, base_index, INIT_PROC, RMW_STORE_PART
+from .engine import OutcomeSpec, evaluate_cells
 from .litmus.test import LitmusTest, Outcome
 
 __all__ = ["find_witness", "render_execution", "diff_models", "render_diff"]
@@ -45,7 +43,10 @@ def find_witness(
         outcome = test.asked
     if outcome is None:
         raise ValueError(f"test {test.name!r} has no asked outcome")
-    return find_execution(test, model, outcome)
+    try:
+        return find_execution(test, model, outcome)
+    except DomainOverflowError as exc:
+        raise DomainOverflowError(f"test {test.name!r}: {exc}") from exc
 
 
 def _event_label(test: LitmusTest, execution: Execution, eid) -> str:
@@ -95,11 +96,12 @@ def diff_models(
 
     For a genuinely weaker model the second component is empty; the first
     holds exactly the behaviours the stronger model's extra constraints
-    forbid (e.g. the CoRR stale read for ``gam0`` vs ``gam``).
+    forbid (e.g. the CoRR stale read for ``gam0`` vs ``gam``).  The two
+    cells are one engine batch, so they share one candidate prefix.
     """
-    prefix = CandidatePrefix(test)
-    weak_outcomes = enumerate_outcomes(test, weaker, project=project, prefix=prefix)
-    strong_outcomes = enumerate_outcomes(test, stronger, project=project, prefix=prefix)
+    weak_outcomes, strong_outcomes = evaluate_cells(
+        [OutcomeSpec(test, weaker, project), OutcomeSpec(test, stronger, project)]
+    )
     return (weak_outcomes - strong_outcomes, strong_outcomes - weak_outcomes)
 
 

@@ -647,12 +647,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_outcomes(args: argparse.Namespace) -> int:
-    from .core.axiomatic import enumerate_outcomes
+    from .engine import OutcomeSpec, evaluate_cells
     from .litmus.registry import get_test
 
     test = get_test(args.test)
     project = "full" if args.full else "observed"
-    outcomes = enumerate_outcomes(test, _resolve_model(args.model), project=project)
+    [outcomes] = evaluate_cells([OutcomeSpec(test, _resolve_model(args.model), project)])
     for outcome in sorted(outcomes, key=str):
         print(f"  {outcome}")
     print(f"{len(outcomes)} outcome(s) under {args.model}")
@@ -764,9 +764,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from .synthesis import synthesize_fences
 
     test = get_test(args.test)
-    result = synthesize_fences(
-        test, _resolve_model(args.model), max_fences=args.max_fences
-    )
+    model = _resolve_model(args.model)
+    try:
+        result = synthesize_fences(test, model, max_fences=args.max_fences)
+    except ValueError as exc:
+        raise CLIUsageError(str(exc)) from exc
     if result is None:
         print(
             f"{test.name}: no fence plan with <= {args.max_fences} fences "

@@ -13,7 +13,6 @@
 """
 
 from .axiomatic import (
-    CandidatePrefix,
     DomainOverflowError,
     MemoryModel,
     enumerate_outcomes,
@@ -44,7 +43,6 @@ from .ppo import (
 
 __all__ = [
     "MemoryModel",
-    "CandidatePrefix",
     "DomainOverflowError",
     "enumerate_outcomes",
     "find_execution",

@@ -234,9 +234,7 @@ def value_domains(
                     changed = True
         total = len(wild) + sum(len(v) for v in by_addr.values())
         if total > cap:
-            raise DomainOverflowError(
-                f"value domain exceeded {cap} values for test {test.name!r}"
-            )
+            raise DomainOverflowError(f"value domain exceeded {cap} values")
         if not changed:
             break
     return ValueDomains(
@@ -510,10 +508,10 @@ class CandidatePrefix:
        check is on (the model needs it and the combination has window
        pairs, found once per combination).
 
-    ``extra_values`` must cover whatever a later caller would have passed
-    to the entry points; asked-outcome values are always
-    included by :func:`value_domains`, so a plain ``CandidatePrefix(test)``
-    serves default verdicts, outcome enumeration and equivalence checks.
+    ``extra_values`` must cover an explicit outcome's values; asked-outcome
+    values are always included by :func:`value_domains`, so a plain
+    ``CandidatePrefix(test)`` serves default verdicts, outcome enumeration
+    and equivalence checks.
     """
 
     def __init__(self, test: LitmusTest, extra_values: Iterable[int] = ()) -> None:
@@ -724,13 +722,11 @@ def _witness(
 def _outcome_prefix(
     test: LitmusTest,
     outcome: Outcome,
-    extra_values: Iterable[int],
     prefix: Optional[CandidatePrefix],
 ) -> CandidatePrefix:
-    """``prefix`` if its domains cover ``outcome``'s values and
-    ``extra_values``, else a fresh prefix that does."""
-    extra = set(extra_values)
-    extra.update(v for _, _, v in outcome.regs)
+    """``prefix`` if its domains cover ``outcome``'s values, else a fresh
+    prefix that does."""
+    extra = {v for _, _, v in outcome.regs}
     extra.update(v for _, v in outcome.mem)
     if prefix is None or not prefix.covers(extra):
         prefix = CandidatePrefix(test, extra)
@@ -740,7 +736,6 @@ def _outcome_prefix(
 def enumerate_outcomes(
     test: LitmusTest,
     model: MemoryModel,
-    extra_values: Iterable[int] = (),
     project: str = "observed",
     prefix: Optional[CandidatePrefix] = None,
 ) -> frozenset[Outcome]:
@@ -748,8 +743,8 @@ def enumerate_outcomes(
     if project not in ("observed", "full"):
         raise ValueError(f"unknown projection {project!r}")
     _obs_incr("engine.dispatch.kernel")
-    if prefix is None or not prefix.covers(extra_values):
-        prefix = CandidatePrefix(test, extra_values)
+    if prefix is None:
+        prefix = CandidatePrefix(test)
     outcomes: set[Outcome] = set()
     for combo_index in range(len(prefix.combos)):
         candidate = prefix.candidate(combo_index, model)
@@ -771,7 +766,6 @@ def is_allowed(
     test: LitmusTest,
     model: MemoryModel,
     outcome: Optional[Outcome] = None,
-    extra_values: Iterable[int] = (),
     prefix: Optional[CandidatePrefix] = None,
 ) -> bool:
     """Does the model allow ``outcome`` (default: the test's asked outcome)?
@@ -784,7 +778,7 @@ def is_allowed(
     if outcome is None:
         raise ValueError(f"test {test.name!r} has no asked outcome")
     _obs_incr("engine.dispatch.kernel")
-    prefix = _outcome_prefix(test, outcome, extra_values, prefix)
+    prefix = _outcome_prefix(test, outcome, prefix)
     return next(_matching_combos(prefix, model, outcome), None) is not None
 
 
@@ -800,7 +794,7 @@ def find_execution(
     steers the walk (:meth:`FrontierKernel.placement_order`), so it never
     backtracks.
     """
-    prefix = _outcome_prefix(test, outcome, (), None)
+    prefix = _outcome_prefix(test, outcome, None)
     found = next(_matching_combos(prefix, model, outcome), None)
     if found is None:
         return None

@@ -75,7 +75,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 15
+ENGINE_VERSION = 16
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -156,6 +156,10 @@ Version history:
   machines share the GAM machine's memory helpers.  Results are
   unchanged, but the run enumeration and machine paths changed, so
   version-14 entries re-verify.
+* 16 — ``outcomes``, ``diff`` and ``synth`` ask outcome cells, the kernel
+  entry points lost ``extra_values=``, and overflow messages leave the
+  test's name to the scheduler.  Results are unchanged, but ``core/``
+  changed, so version-15 entries re-verify.
 """
 
 ModelLike = Union[str, MemoryModel]

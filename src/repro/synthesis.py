@@ -9,7 +9,8 @@ The search enumerates insertion plans by increasing fence count over all
 (gap, fence-type) combinations — exact and exhaustive, which litmus-sized
 programs afford.  Two classic results fall out immediately and are locked
 in by tests: message passing needs FenceSS + FenceLL, while Dekker
-fundamentally needs the expensive store-to-load fence (FenceSL).
+fundamentally needs the expensive store-to-load fence (FenceSL).  Each
+plan is one engine call for two outcome cells, the weak model's and SC's.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core.axiomatic import CandidatePrefix, MemoryModel, enumerate_outcomes
+from .core.axiomatic import MemoryModel
+from .engine import OutcomeSpec, evaluate_cells
 from .isa.instructions import Fence
 from .isa.program import Program
 from .litmus.test import LitmusTest
@@ -103,16 +105,11 @@ def apply_placements(
     )
 
 
-def restores_sc(
-    test: LitmusTest,
-    model: MemoryModel,
-    sc_model: Optional[MemoryModel] = None,
-) -> bool:
+def restores_sc(test: LitmusTest, model: MemoryModel) -> bool:
     """Does ``test`` already have exactly its SC outcomes under ``model``?"""
-    sc_model = sc_model or get_model("sc")
-    prefix = CandidatePrefix(test)
-    weak = enumerate_outcomes(test, model, project="full", prefix=prefix)
-    strong = enumerate_outcomes(test, sc_model, project="full", prefix=prefix)
+    weak, strong = evaluate_cells(
+        [OutcomeSpec(test, model, "full"), OutcomeSpec(test, "sc", "full")]
+    )
     return weak == strong
 
 
@@ -127,7 +124,7 @@ def synthesize_fences(
     Args:
         test: the program to harden.
         model: the weak model (default GAM).
-        max_fences: search bound; litmus tests rarely need more than 2.
+        max_fences: search bound, >= 0; litmus tests rarely need more than 2.
         kinds: allowed fence types, e.g. ``("SS", "LL")`` to exclude the
             expensive FenceSL and see which tests become unfixable.
 
@@ -137,11 +134,12 @@ def synthesize_fences(
         equal sizes in deterministic lexicographic order, so results are
         stable.
     """
+    if max_fences < 0:
+        raise ValueError(f"max_fences must be >= 0, got {max_fences}")
     model = model or get_model("gam")
-    sc_model = get_model("sc")
-    plans_checked = 0
-    if restores_sc(test, model, sc_model):
+    if restores_sc(test, model):
         return SynthesisResult((), test, plans_checked=1)
+    plans_checked = 0
 
     slots = [
         FencePlacement(proc, index, kind)
@@ -155,7 +153,7 @@ def synthesize_fences(
                 continue  # one fence per gap is enough (stronger = union)
             plans_checked += 1
             fenced = apply_placements(test, plan)
-            if restores_sc(fenced, model, sc_model):
+            if restores_sc(fenced, model):
                 return SynthesisResult(
                     placements=tuple(sorted(plan)),
                     fenced_test=fenced,

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.obs import collecting
+from test_engine import _overflow_test
 
 
 class TestList:
@@ -119,10 +121,60 @@ class TestSynthStrength:
     def test_synth_unfixable_budget(self, capsys):
         assert main(["synth", "dekker", "-m", "gam", "--max-fences", "0"]) == 1
 
+    @pytest.mark.parametrize("test, bound", [("dekker", "-1"), ("mp+fences", "-5")])
+    def test_synth_rejects_a_negative_budget(self, capsys, test, bound):
+        assert main(["synth", test, "--max-fences", bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: max_fences must be >= 0, got {bound}\n"
+
     def test_strength_paper(self, capsys):
         assert main(["strength", "--suite", "paper"]) == 0
         out = capsys.readouterr().out
         assert "strength" in out.lower() and "<=" in out
+
+
+class TestEngineRouting:
+    """Every verdict or outcome-set command asks the batch engine."""
+
+    @pytest.mark.parametrize(
+        "argv, requested, batches",
+        [
+            (["outcomes", "corr", "-m", "gam0"], 1, 1),
+            (["diff", "corr", "gam0", "gam"], 2, 1),  # one batch, one prefix
+            (["synth", "dekker", "-m", "gam"], 40, 20),  # first check + 19 plans
+            (["synth", "mp+fences", "-m", "gam"], 2, 1),
+        ],
+        ids=["outcomes", "diff", "synth", "synth-already-sc"],
+    )
+    def test_command_reaches_the_engine(self, capsys, argv, requested, batches):
+        with collecting() as recorder:
+            assert main(argv) == 0
+            counters = recorder.snapshot().counters
+        assert counters["engine.cells.requested"] == requested
+        assert counters["engine.batches"] == batches
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "t"],
+            ["outcomes", "t"],
+            ["diff", "t", "gam0", "gam"],
+            ["synth", "t"],
+            ["witness", "t"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_overflow_names_the_test_once(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(
+            "repro.litmus.registry.get_test", lambda name: _overflow_test()
+        )
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: test 'feedback-overflow': value domain exceeded 64 values\n"
+        )
 
 
 class TestMatrixEquivSim:

@@ -43,6 +43,10 @@ class TestRestoresSc:
 
 
 class TestSynthesis:
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="max_fences must be >= 0"):
+            synthesize_fences(get_test("mp"), get_model("gam"), max_fences=-1)
+
     def test_mp_needs_ss_plus_ll(self):
         result = synthesize_fences(get_test("mp"), get_model("gam"))
         assert result is not None
