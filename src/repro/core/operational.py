@@ -4,10 +4,11 @@ The machine is a monolithic memory plus, per processor, a PC and an ROB
 whose entries carry exactly the fields the paper lists: a done bit, the
 execution result, address-available/address, data-available/data and the
 predicted branch target.  Each of the paper's eight rules is transliterated
-below; the exploration driver fires every enabled rule from every reachable
-state (with memoization), so the set of terminal register/memory states is
-the machine's full behaviour set.  That driver (:func:`explore_machine`)
-takes any built machine, so the SC and TSO reference machines
+below; the exploration driver fires enabled rules from every reachable
+state (with memoization) until it has reached every terminal state, so
+the set of terminal register/memory states is the machine's full
+behaviour set.  That driver (:func:`explore_machine`) takes any built
+machine, so the SC and TSO reference machines
 (:mod:`repro.core.reference_machines`) run on the same loop, under the
 same state cap and telemetry, with their own step rules.
 
@@ -34,7 +35,7 @@ A rule reads and writes only the memory and its own processor, so each
 processor's rule firings are computed once per ``(memory, processor
 state)`` and reused by every machine state that pairs them.
 
-Two deliberate deviations, both behaviour-preserving:
+Three deliberate deviations, all behaviour-preserving:
 
 * **Eager fetch.**  Rule Fetch is applied to closure whenever possible
   (branching over both predicted targets).  Every guard in Figure 17
@@ -42,6 +43,19 @@ Two deliberate deviations, both behaviour-preserving:
   disables a rule and never changes an older entry's behaviour; terminal
   states require everything fetched anyway.  This collapses an exponential
   amount of irrelevant interleaving.
+* **Partial-order reduction.**  A move is *local* when it neither reads
+  nor writes memory: Compute-Mem-Addr (with its kill and refetch),
+  Compute-Store-Data, Reg-to-Reg, Branch, Fence, Nop and an Execute-Load
+  that forwards from an older store.  From each state the first processor
+  that has enabled moves, all of them local, fires only the moves of its
+  oldest ROB entry that has one; when no processor qualifies, every move
+  fires.
+  No guard reads memory and no guard looks at younger entries, so the
+  other interleavings only reorder commuting moves or redo work a kill
+  throws away; every terminal state stays reachable (the argument is in
+  ``docs/architecture.md``, "The abstract machines", and
+  ``tests/reference/unreduced_machine.py`` is the unreduced oracle).
+  The SC and TSO reference machines are not reduced.
 * **Variants.**  The machine is parameterized over the same-address
   load-load policy so the GAM0 machine (no SALdLd stalls or
   load-address-resolution kills) can be explored with the same code; the
@@ -148,6 +162,12 @@ def _replace(pc: int, rob: tuple, pos: int, entry: _Entry) -> tuple:
     return (pc, rob[:pos] + (entry,) + rob[pos + 1:])
 
 
+def _place(procs: tuple, p: int, moves: list) -> list[_State]:
+    """Machine states after processor ``p``'s ``(memory, processor state)`` moves."""
+    head, tail = procs[:p], procs[p + 1:]
+    return [(memory, head + (pstate,) + tail) for memory, pstate in moves]
+
+
 class _InstrMeta(NamedTuple):
     """One static instruction, compiled once per exploration."""
 
@@ -232,7 +252,7 @@ class _Machine:
         self.zero_regs = tuple(
             dict.fromkeys(program.registers(), 0) for program in test.programs
         )
-        self._moves: dict[tuple, list] = {}
+        self._moves: dict[tuple, tuple[bool, list]] = {}
 
     def initial_states(self) -> list[_State]:
         """The empty machine (initial memory, empty ROBs), fetched."""
@@ -263,28 +283,51 @@ class _Machine:
     # -- rules -------------------------------------------------------------
 
     def successors(self, state: _State) -> list[_State]:
-        """All states reachable by firing one non-fetch rule (then refetching).
+        """The reduced successors: one rule firing (then refetching) each.
 
         A rule reads and writes only the memory and its own processor, and
         the other processors are fully fetched already (the closure runs
         after every rule), so each processor's moves are a function of
         ``(memory, processor state)``, computed once per exploration.
+
+        Partial-order reduction: the first processor that has enabled
+        moves, all of them local (none reads or writes memory), fires only
+        the moves of its oldest ROB entry that has one; if no processor
+        qualifies, every move fires.  Every terminal state stays reachable
+        (``docs/architecture.md``, "The abstract machines").
         """
         memory, procs = state
-        out: list[_State] = []
+        found = []
         for p, pstate in enumerate(procs):
             key = (p, memory, pstate)
-            moves = self._moves.get(key)
-            if moves is None:
-                moves = self._moves[key] = self._processor_moves(p, memory, pstate)
-            head, tail = procs[:p], procs[p + 1:]
-            for new_memory, new_pstate in moves:
-                out.append((new_memory, head + (new_pstate,) + tail))
+            cached = self._moves.get(key)
+            if cached is None:
+                moves, local, oldest_end = self._processor_moves(p, memory, pstate)
+                reduce = local and bool(moves)
+                cached = self._moves[key] = (reduce, moves[:oldest_end] if reduce else moves)
+            reduced, moves = cached
+            if reduced:
+                return _place(procs, p, moves)
+            found.append(moves)
+        out: list[_State] = []
+        for p, moves in enumerate(found):
+            out.extend(_place(procs, p, moves))
         return out
 
-    def _processor_moves(self, p: int, memory: tuple, pstate: tuple) -> list:
-        """``(memory, processor state)`` after each rule processor ``p`` can fire."""
+    def _processor_moves(
+        self, p: int, memory: tuple, pstate: tuple
+    ) -> tuple[list, bool, Optional[int]]:
+        """Every rule processor ``p`` can fire, oldest ROB entry first.
+
+        Returns ``(moves, local, oldest_end)``: ``moves`` the ``(memory,
+        processor state)`` after each firing, ``local`` whether none of
+        them is a global move (Execute-Load from memory, Execute-Store,
+        Execute-RMW), and ``moves[:oldest_end]`` the firings of the
+        oldest entry that has one (``None`` when there are none).
+        """
         out: list = []
+        local = True
+        oldest_end: Optional[int] = None
         pc, rob = pstate
         meta = self.meta[p]
         # What the entry at ``pos`` sees of the entries older than it,
@@ -311,7 +354,8 @@ class _Machine:
                 if kind == _LOAD:
                     # Execute-Load waits for older FenceXL.
                     if addr_avail and not older_fence_l:
-                        self._execute_load(out, memory, p, pc, rob, pos)
+                        if self._execute_load(out, memory, p, pc, rob, pos):
+                            local = False
                 elif kind == _STORE:
                     if not data_avail:
                         # Compute-Store-Data.
@@ -330,6 +374,7 @@ class _Machine:
                         or older_fence_s  # guard 6
                     ):
                         # Execute-Store: the six guard conditions.
+                        local = False
                         done_entry = (index, True, result, True, addr, True, data, pred)
                         out.append((
                             _write_mem(memory, addr, data),
@@ -349,6 +394,7 @@ class _Machine:
                         and not older_fence  # an RMW is both post-types
                         and None not in map(operand, m.reads)
                     ):
+                        local = False
                         old_value = _read_mem(memory, addr)
                         new_value = m.data({**regs, m.dst: old_value})
                         done_entry = (
@@ -392,6 +438,8 @@ class _Machine:
                     # No-ops execute unconditionally (a trivial reg-op).
                     done_entry = (index, True, 0, addr_avail, addr, data_avail, data, pred)
                     out.append((memory, _replace(pc, rob, pos, done_entry)))
+                if oldest_end is None and out:
+                    oldest_end = len(out)
             # Fold this entry into what younger entries see.
             if m.dst is not None:
                 regs[m.dst] = result if done else None
@@ -411,7 +459,7 @@ class _Machine:
                         older_fence_l = True
                     else:
                         older_fence_s = True
-        return out
+        return out, local, oldest_end
 
     def _compute_mem_addr(
         self, out: list, memory: tuple, p: int, pc: int,
@@ -446,11 +494,12 @@ class _Machine:
     def _execute_load(
         self, out: list, memory: tuple, p: int, pc: int,
         rob: tuple, pos: int,
-    ) -> None:
+    ) -> bool:
         """Rule Execute-Load: bypass, memory read, or stall.
 
         The caller has checked the entry is not done, has its address and
-        has no older unfinished FenceXL.
+        has no older unfinished FenceXL.  Returns whether the load read
+        memory (the one global form of the rule).
         """
         index, _, _, _, addr, data_avail, data, pred = rob[pos]
         meta = self.meta[p]
@@ -467,12 +516,13 @@ class _Machine:
                 if older_kind == _STORE and older[_DATA_AVAIL]:
                     done_entry = (index, True, older[_DATA], True, addr, data_avail, data, pred)
                     out.append((memory, _replace(pc, rob, pos, done_entry)))
-                return
+                return False
             if self.saldld:
-                return  # stall behind the older unissued same-address load
+                return False  # stall behind the older unissued same-address load
             continue  # GAM0: ignore older loads entirely
         done_entry = (index, True, _read_mem(memory, addr), True, addr, data_avail, data, pred)
         out.append((memory, _replace(pc, rob, pos, done_entry)))
+        return True
 
     # -- terminal states ----------------------------------------------------
 

@@ -75,7 +75,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 16
+ENGINE_VERSION = 17
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -160,6 +160,11 @@ Version history:
   entry points lost ``extra_values=``, and overflow messages leave the
   test's name to the scheduler.  Results are unchanged, but ``core/``
   changed, so version-15 entries re-verify.
+* 17 — the GAM/GAM0 explorer is partial-order reduced: when a
+  processor's enabled moves are all local, only its oldest entry's moves
+  fire.  Outcome sets are parity-tested identical against the unreduced
+  successor function, but the machine path changed, so version-16
+  entries re-verify.
 """
 
 ModelLike = Union[str, MemoryModel]

@@ -32,7 +32,9 @@ class RandomProgramConfig:
         values: data values stores may write.
         registers: register names available per processor.
         fence_weight / branch_weight / regop_weight / load_weight /
-        store_weight: relative instruction-kind frequencies.
+        store_weight / rmw_weight: relative instruction-kind frequencies
+            (``rmw_weight`` defaults to 0, so the default corpora have no
+            read-modify-writes).
         artificial_dep_prob: probability a load/store address becomes an
             artificial dependency expression ``loc + r - r``.
     """

@@ -2,11 +2,12 @@
 
 ``tests/data/machine_states.json`` (written by
 ``tools/record_machine_states.py``) pins, per (test, machine), the number
-of distinct states the exhaustive exploration visits, the number of
+of distinct states the full interleaving visits, the number the engine's
+(for GAM/GAM0 partial-order reduced) exploration visits, the number of
 terminal states and a digest of the full-projection outcome set, over the
 catalogue plus ``rand:n=60,seed=3``.  A change of state encoding must
-reproduce every row exactly; a reduction must only lower state counts and
-re-record the rows it shrinks.
+reproduce every row exactly; a reduction must only lower ``reduced_states``
+and re-record the rows it shrinks.
 """
 
 import importlib.util
@@ -31,6 +32,11 @@ def test_fixture_covers_every_test_and_machine():
     expected = {f"{t.name}/{m}" for t in TESTS for m in FIXTURE["machines"]}
     assert set(FIXTURE["rows"]) == expected
     assert tuple(FIXTURE["suites"]) == record.SUITES
+
+
+def test_reduction_never_visits_more_states():
+    for key, row in FIXTURE["rows"].items():
+        assert row["reduced_states"] <= row["states_visited"], key
 
 
 @pytest.mark.parametrize("machine", FIXTURE["machines"])

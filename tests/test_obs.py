@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import types
+from pathlib import Path
 
 import pytest
 
@@ -342,6 +343,24 @@ class TestCliStats:
         assert counters["operational.explore.runs"] == 2
         assert counters["operational.explore.states"] == 47
         assert counters["operational.explore.terminals"] == 7
+
+    def test_equiv_counts_reduced_machine_states(self, capsys):
+        # The GAM/GAM0 explorations count the partial-order-reduced
+        # states, as pinned in the machine state fixture's reduced column.
+        from repro.cli import main
+
+        rows = json.loads(
+            (Path(__file__).parent / "data" / "machine_states.json").read_text()
+        )["rows"]
+        assert main(["equiv", "dekker", "--pairs", "gam,gam0", "--stats", "json"]) == 0
+        counters = json.loads(capsys.readouterr().err)["counters"]
+        assert counters["operational.explore.runs"] == 2
+        assert counters["operational.explore.states"] == sum(
+            rows[f"dekker/{machine}"]["reduced_states"] for machine in ("gam", "gam0")
+        )
+        assert counters["operational.explore.terminals"] == sum(
+            rows[f"dekker/{machine}"]["terminal_states"] for machine in ("gam", "gam0")
+        )
 
     def test_stats_command_renders_and_diffs(self, tmp_path, capsys):
         from repro.cli import main

@@ -2,13 +2,16 @@
 
 Explores every catalogue test plus the ``rand:n=60,seed=3`` corpus under
 the GAM, GAM0, SC and TSO machines (all on the one exploration loop,
-:func:`repro.core.operational.explore_machine`) and writes, per (test, machine), the number of
-distinct states visited, the number of terminal states reached and a
-digest of the full-projection outcome set to
-``tests/data/machine_states.json``.  ``tests/test_machine_state_parity.py``
-holds the explorer to that file, so a change to the state encoding must
-reproduce the same state graph, and a reduction (partial-order, symmetry)
-shows exactly which rows it shrinks.
+:func:`repro.core.operational.explore_machine`) and writes, per (test,
+machine), the number of distinct states the full interleaving visits
+(``states_visited``; for GAM/GAM0 the unreduced oracle in
+``tests/reference/unreduced_machine.py``), the number the engine's
+explorer visits (``reduced_states``; GAM/GAM0 are partial-order reduced,
+SC/TSO are not), the number of terminal states reached and a digest of
+the full-projection outcome set to ``tests/data/machine_states.json``.
+``tests/test_machine_state_parity.py`` holds both explorers to that file,
+so a change to the state encoding must reproduce the same state graphs,
+and a further reduction shows exactly which rows it shrinks.
 
 Run from the repository root::
 
@@ -25,7 +28,10 @@ from pathlib import Path
 
 SUITES = ("all", "rand:n=60,seed=3")
 MACHINES = ("gam", "gam0", "sc", "tso")
-DEFAULT_OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "machine_states.json"
+TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
+DEFAULT_OUT = TESTS_DIR / "data" / "machine_states.json"
+if str(TESTS_DIR) not in sys.path:
+    sys.path.insert(0, str(TESTS_DIR))  # for the reference oracles
 
 
 def outcome_digest(outcomes) -> str:
@@ -48,12 +54,16 @@ def record_row(test, machine: str) -> dict:
 
     if machine in ("sc", "tso"):
         seq = _SeqMachine(test, with_store_buffer=machine == "tso")
-        result = explore_machine(seq, project="full")
+        result = unreduced = explore_machine(seq, project="full")
     else:
+        from reference.unreduced_machine import explore_unreduced
+
         variant = {"gam": GAM_MACHINE, "gam0": GAM0_MACHINE}[machine]
         result = explore(test, variant, project="full")
+        unreduced = explore_unreduced(test, variant, project="full")
     return {
-        "states_visited": result.states_visited,
+        "states_visited": unreduced.states_visited,
+        "reduced_states": result.states_visited,
         "terminal_states": result.terminal_states,
         "outcomes": outcome_digest(result.outcomes),
     }
