@@ -30,8 +30,9 @@ def main() -> None:
     print()
 
     # --- 3. Cross-check with the operational definition ------------------
+    # A machine cell carries no model: the machine alone answers it.
     (machine_says,) = evaluate_cells(
-        [VerdictSpec(test, "gam", oracle="operational:gam")]
+        [VerdictSpec(test, None, oracle="operational:gam")]
     )
     axioms_say = is_allowed(test, get_model("gam"))
     print(f"GAM abstract machine allows the outcome: {machine_says}")

@@ -44,10 +44,10 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence, Union
 
+from ..core.axiomatic import MemoryModel
 from ..engine import (
     CellFailure,
     ExecutionPolicy,
-    ModelLike,
     WorkerPool,
     evaluate_cells,
     scheduler,
@@ -70,6 +70,7 @@ from ..obs import RunReport, collecting, incr, monotonic, time_block
 # same search); it stays importable from this module because perfbench's
 # traced runs wrap it under this name.
 from .minimize import (
+    build_columns,
     divergences,
     instruction_count,
     minimize_divergence,
@@ -249,7 +250,7 @@ def _evaluate_shards(
     tests: Sequence[LitmusTest],
     kind: PairKind,
     pairs: Sequence[tuple[str, str]],
-    lookup: Mapping[str, ModelLike],
+    lookup: Mapping[str, MemoryModel],
     jobs: int,
     log: Callable[[str], None],
     heartbeat: bool = False,
@@ -278,6 +279,7 @@ def _evaluate_shards(
         [columns.index(column) for column in kind.columns(pair)]
         for pair in pairs
     ]
+    built = build_columns(columns, lookup.__getitem__)
 
     def row(results: Sequence[object]) -> dict:
         """The kind's shard row for one test's column results."""
@@ -299,9 +301,9 @@ def _evaluate_shards(
             f"{len(shard_tests)} tests x {kind.extent(pairs)}"
         )
         cells = [
-            kind.cell(test, lookup[model], oracle)
+            kind.cell(test, model, oracle)
             for test in shard_tests
-            for model, oracle in columns
+            for model, oracle in built
         ]
         progress = _Progress(
             log,
@@ -402,7 +404,7 @@ def _minimize_and_write(
     kind: PairKind,
     discrepancies: Sequence[AnyDiscrepancy],
     tests_by_name: dict[str, LitmusTest],
-    lookup: Mapping[str, ModelLike],
+    lookup: Mapping[str, MemoryModel],
     log: Callable[[str], None],
     jobs: int,
     pool: WorkerPool,
@@ -416,9 +418,8 @@ def _minimize_and_write(
     """
     if not discrepancies:
         return []
-    # Machine sides are oracle labels, not models, and pass through as is.
     columns = [
-        kind.columns(tuple(lookup.get(side, side) for side in disc.pair))
+        build_columns(kind.columns(disc.pair), lookup.__getitem__)
         for disc in discrepancies
     ]
 
@@ -694,19 +695,9 @@ def run_hunt(
     # campaign directory.  Warnings pass; only error findings veto.
     if lint:
         from ..lint import preflight_models, preflight_tests
-        from ..models.spec import resolve_model
 
         findings = preflight_tests(tests)
-        findings.extend(
-            preflight_models(
-                [
-                    resolve_model(lookup[name])
-                    if isinstance(lookup[name], str)
-                    else lookup[name]
-                    for name in model_names
-                ]
-            )
-        )
+        findings.extend(preflight_models([lookup[name] for name in model_names]))
         if findings:
             listing = "\n".join(
                 "  " + finding.render() for finding in findings

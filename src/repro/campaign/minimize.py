@@ -29,15 +29,18 @@ exactly on re-run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional, Sequence
+from typing import Any, Callable, Generator, Optional, Sequence, Union
 
-from ..engine import CellFailure, ExecutionPolicy, ModelLike, WorkerPool, evaluate_cells
+from ..core.axiomatic import MemoryModel
+from ..engine import CellFailure, ExecutionPolicy, WorkerPool, evaluate_cells
 from ..eval.discrepancy import AXIOMATIC_PAIRS, PairKind
 from ..isa.program import Program, ProgramError
 from ..litmus.test import LitmusTest, Outcome
+from ..models.spec import named_model
 
 __all__ = [
     "MinimizationResult",
+    "build_columns",
     "divergence_check",
     "divergences",
     "minimize_divergence",
@@ -74,6 +77,19 @@ evaluate (domain overflow, a worker error) comes back as
 simply makes the minimizer reject that deletion."""
 
 
+def build_columns(
+    columns: Sequence[tuple[Any, str]], build: Callable[[Any], MemoryModel]
+) -> tuple[tuple[Optional[MemoryModel], str], ...]:
+    """``columns`` with each model side built by ``build``.
+
+    A machine column's model is ``None`` and stays ``None``.
+    """
+    return tuple(
+        (None if model is None else build(model), oracle)
+        for model, oracle in columns
+    )
+
+
 def divergences(
     questions: Sequence[tuple[LitmusTest, tuple[Any, Any]]],
     kind: PairKind = AXIOMATIC_PAIRS,
@@ -83,7 +99,8 @@ def divergences(
 ) -> list[bool]:
     """Whether each ``(test, columns)`` question diverges, in one engine call.
 
-    ``columns`` is ``kind.columns(pair)`` for the question's pair.  Every
+    ``columns`` is ``kind.columns(pair)`` for the question's pair, its
+    models built (:func:`build_columns`).  Every
     evaluable question contributes its two cells to one
     :func:`~repro.engine.evaluate_cells` call over ``jobs`` workers
     (``pool`` when the caller keeps one per run), so identical tests —
@@ -119,16 +136,16 @@ def divergences(
 
 
 def divergence_check(
-    pair: tuple[ModelLike, ModelLike],
+    pair: tuple[Union[str, MemoryModel], Union[str, MemoryModel]],
     cache_dir: Optional[str] = None,
     kind: PairKind = AXIOMATIC_PAIRS,
 ) -> Callable[[LitmusTest], bool]:
     """A predicate "do the pair's two sides disagree about ``test``?".
 
     ``kind`` (a :class:`~repro.eval.discrepancy.PairKind`) says what the
-    sides are.  By default both are models — registry names or resolved
-    :class:`~repro.core.axiomatic.MemoryModel` objects, the way the
-    campaign driver passes constructed family members — and the pair
+    sides are.  By default both are models — model specs or built
+    :class:`~repro.core.axiomatic.MemoryModel` objects, each resolved
+    once here (:func:`~repro.models.spec.named_model`) — and the pair
     diverges when their verdicts on the asked outcome differ.  Under
     :data:`~repro.eval.discrepancy.OPERATIONAL_PAIRS` the pair is
     ``(model, "operational:<machine>")`` and it diverges when the axioms
@@ -139,7 +156,7 @@ def divergence_check(
     with ``cache_dir`` set — every check is cached: re-running an
     interrupted minimization replays its prior decisions from disk.
     """
-    columns = kind.columns(pair)
+    columns = build_columns(kind.columns(pair), named_model)
 
     def check(test: LitmusTest) -> bool:
         return divergences([(test, columns)], kind, cache_dir)[0]

@@ -41,8 +41,9 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ..core.axiomatic import MemoryModel
 from ..engine import ENGINE_VERSION
-from ..engine.cells import ModelLike, model_descriptor
+from ..engine.cells import model_descriptor
 
 __all__ = [
     "CampaignError",
@@ -74,7 +75,7 @@ class CampaignError(RuntimeError):
     """A campaign directory cannot be (re)used as requested."""
 
 
-def model_digest(model: ModelLike) -> str:
+def model_digest(model: MemoryModel) -> str:
     """Content digest of a model (clauses + axioms), for staleness
     detection: a model edited between runs — a registry factory *or* a
     ``.model`` file a spec resolves through — invalidates recorded
@@ -104,14 +105,16 @@ def oracle_digest(oracle: str) -> str:
 def expand_pair_specs(
     pairs: Sequence[tuple[str, str]],
     oracle: str = ORACLE_AXIOMATIC,
-) -> tuple[tuple[tuple[str, str], ...], dict[str, ModelLike]]:
+) -> tuple[tuple[tuple[str, str], ...], dict[str, MemoryModel]]:
     """Expand pair *specs* into concrete named pairs plus a model lookup.
 
     The first side of a pair is a model spec (see
-    :func:`repro.models.spec.resolve_models`).  A registry name stays a
-    name — preserving the historical campaign identity for plain pairs —
-    while family specs (``space:...``, ``.model`` directories) fan out
-    into one concrete pair per member.  Under :data:`ORACLE_AXIOMATIC`
+    :func:`repro.models.spec.resolve_models`).  A registry name keeps its
+    spelling as the member's name (an alias stays ``rmo``, preserving the
+    historical campaign identity for plain pairs), while other specs
+    resolve to members named by their models — family specs
+    (``space:...``, ``.model`` directories) fan out into one concrete
+    pair per member.  Under :data:`ORACLE_AXIOMATIC`
     the second side is a model spec too (cross-producting when both
     sides are families), and self-pairs (same display name on both
     sides) are skipped.  Under :data:`ORACLE_OPERATIONAL` the second side
@@ -123,9 +126,9 @@ def expand_pair_specs(
 
     Returns:
         ``(concrete_pairs, models_by_name)`` where every model name in a
-        concrete pair keys a :data:`~repro.engine.ModelLike` in the
-        lookup (the spec string itself for registry names, the resolved
-        model otherwise); machine sides carry no model.
+        concrete pair keys the built model of that same name in the
+        lookup (``lookup[name].name == name``); machine sides carry no
+        model.
 
     Raises:
         CampaignError: an unknown machine name, an empty expansion, or
@@ -135,14 +138,14 @@ def expand_pair_specs(
     """
     from ..engine.cells import operational_machines  # cycle-free import
     from ..models.registry import model_names
-    from ..models.spec import resolve_models
+    from ..models.spec import named_model, resolve_models
 
-    lookup: dict[str, ModelLike] = {}
+    lookup: dict[str, MemoryModel] = {}
 
     def expand_side(spec: str) -> list[str]:
         """The member names of one model spec, each claimed in ``lookup``."""
         if spec in model_names():
-            members = [(spec, spec)]
+            members = [(spec, named_model(spec))]
         else:
             members = [(model.name, model) for model in resolve_models(spec)]
         for name, model in members:
@@ -244,7 +247,7 @@ class CampaignSpec:
 
     def expansion(
         self,
-    ) -> tuple[tuple[tuple[str, str], ...], dict[str, ModelLike]]:
+    ) -> tuple[tuple[tuple[str, str], ...], dict[str, MemoryModel]]:
         """The concrete (named) pairs and model lookup the specs expand to.
 
         Re-computed on demand — deliberately, not cached: a ``.model``

@@ -620,7 +620,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 "--operational supports models: "
                 f"{', '.join(operational_machines())}"
             )
-        cell = VerdictSpec(test, canonical, oracle=f"operational:{canonical}")
+        cell = VerdictSpec(test, None, oracle=f"operational:{canonical}")
         definition = "abstract machine"
     else:
         cell = VerdictSpec(test, _resolve_model(args.model))
@@ -727,6 +727,9 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     from .litmus.registry import get_test, paper_suite
 
     pair_names = [p.strip() for p in args.pairs.split(",") if p.strip()]
+    if not pair_names:
+        # An empty comparison would pass vacuously.
+        raise CLIUsageError(f"--pairs {args.pairs!r} names no definition pair")
     if args.suite is not None:
         tests = _resolve_suite(args.suite)
         tests += [get_test(name) for name in args.tests]
@@ -1197,6 +1200,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from .models.spec import ModelSpecError
 
     try:
+        # Every engine command and hunt take --jobs.
+        if getattr(args, "jobs", 1) < 1:
+            raise CLIUsageError(f"--jobs must be >= 1, got {args.jobs}")
         return _dispatch(args)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)

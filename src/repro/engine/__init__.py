@@ -68,12 +68,13 @@ are agnostic to where their tests come from: the static catalogue, a
 parsed ``.litmus`` corpus or the cycle generator
 (:mod:`repro.litmus.frontend`) all flow through unchanged — the cache
 keys hash test *content*, so structurally identical generated and
-hand-written tests share entries.  Models flow the same way: a cell's
-model is any :data:`~repro.engine.cells.ModelLike` — a registry name, a
-``.model`` file path, a ``ctor:`` construction spec or a built
-:class:`~repro.core.axiomatic.MemoryModel` — and the cache keys hash
-model *content* (clauses + axioms), so a file-defined model caches
-correctly and an edited one misses.  Several processes may share one
+hand-written tests share entries.  Models flow the same way: a cell
+carries a built :class:`~repro.core.axiomatic.MemoryModel` (or none, for
+a machine cell), resolved once from a registry name, a ``.model`` file
+path or a ``ctor:`` construction spec by the code that builds the cells
+(:func:`repro.models.spec.named_model`), and the cache keys hash model
+*content* (clauses + axioms), so a file-defined model caches correctly
+and an edited one misses.  Several processes may share one
 cache directory (its database serializes their commits), so independent
 runs warm each other's results.
 """
@@ -86,11 +87,9 @@ from .cells import (
     ORACLE_AXIOMATIC,
     CellResult,
     CellSpec,
-    ModelLike,
     OutcomeSpec,
     VerdictSpec,
     evaluate_cell,
-    model_display_name,
     operational_machines,
     oracle_descriptor,
     parse_oracle,
@@ -118,14 +117,12 @@ __all__ = [
     "ORACLE_AXIOMATIC",
     "CellResult",
     "CellSpec",
-    "ModelLike",
     "OutcomeSpec",
     "VerdictSpec",
     "ResultCache",
     "cell_cache_key",
     "evaluate_cell",
     "evaluate_cells",
-    "model_display_name",
     "operational_machines",
     "oracle_descriptor",
     "parse_oracle",

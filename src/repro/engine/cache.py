@@ -60,7 +60,6 @@ from .cells import (
     OutcomeSpec,
     VerdictSpec,
     cell_descriptor,
-    model_display_name,
 )
 
 __all__ = [
@@ -108,13 +107,12 @@ def cell_cache_key(cell: CellSpec) -> str:
 def _cell_label(cell: CellSpec) -> str:
     """The per-model (or per-oracle) label cache counters are keyed by.
 
-    Axiomatic cells are keyed by their model's display name; operational
-    cells by the oracle string (e.g. ``operational:gam``), matching the
-    cache key's indifference to the display model.
+    Axiomatic cells are keyed by their model's name; operational cells,
+    which carry no model, by the oracle string (e.g. ``operational:gam``).
     """
     if cell.oracle != ORACLE_AXIOMATIC:
         return cell.oracle
-    return model_display_name(cell.model)
+    return cell.model.name
 
 
 def _count_lookup(cell: CellSpec, outcome: str) -> None:

@@ -9,21 +9,21 @@ A *cell* is one entry of a test × model grid evaluated under an *oracle*:
 
 The oracle selects *which definition* answers the cell:
 
-* ``"axiomatic"`` (the default) resolves the cell's :data:`ModelLike` and
-  runs the axiomatic engine (the frontier kernel);
+* ``"axiomatic"`` (the default) runs the axiomatic engine (the frontier
+  kernel) on the cell's model;
 * ``"operational:<machine>"`` exhaustively explores one of the abstract
   machines named by :func:`operational_machines` — the Figure 17 GAM
   machine, its GAM0 variant, or the SC/TSO reference machines.  The
-  ``model`` field is carried for display only; the machine alone
-  determines the result (and the cache key).
+  machine alone determines the result (and the cache key), so such a
+  cell carries no model.
 
 Cells are small frozen dataclasses carrying the :class:`LitmusTest`
-itself and a :data:`ModelLike` — either a model *spec string* (a registry
-name, a ``.model`` file/directory path, a ``ctor:`` construction point;
-anything :func:`repro.models.spec.resolve_model` accepts) or a built
-:class:`~repro.core.axiomatic.MemoryModel`.  All forms are picklable,
-so cells cross process boundaries untouched and worker processes
-re-resolve spec strings against their own filesystem/registry view.
+itself and a built :class:`~repro.core.axiomatic.MemoryModel` (``None``
+for a machine cell).  Models are resolved once, by the code that turns
+user input into cells (:func:`repro.models.spec.named_model`), and the
+built models travel to worker processes inside the pickled cells; a
+cell built with any other model shape raises :class:`TypeError` at
+construction.
 
 Every cell exposes a *descriptor* — a canonical JSON-able structure
 hashed into the on-disk cache key.  Descriptors hash content, not names:
@@ -31,9 +31,9 @@ two structurally identical tests share cache entries, an axiomatic cell
 is keyed by its model's clause names, load-value axiom and coherence
 requirement, and an operational cell is keyed by the machine's variant
 policy (clause names and variant policies fully determine behaviour in
-this repository's vocabulary).  A ``.model``-file cell therefore
-re-reads the file per descriptor: editing the file's content changes the
-cache key, while renaming the model inside it does not.
+this repository's vocabulary).  A model built from a ``.model`` file
+therefore keys on the content it was built from: renaming the model
+inside the file keeps the key, editing its clauses changes it.
 """
 
 from __future__ import annotations
@@ -54,13 +54,15 @@ from ..core.operational import (
 )
 from ..core.reference_machines import sc_outcomes, tso_outcomes
 from ..litmus.test import LitmusTest, Outcome, test_descriptor
-from ..models.spec import resolve_model
+# ``resolve_model`` is not called here (cells carry built models); it
+# stays importable from this module because perfbench's traced runs wrap
+# it under this name.
+from ..models.spec import resolve_model  # noqa: F401
 from ..obs import current as _obs_current
 
 __all__ = [
     "ENGINE_VERSION",
     "ORACLE_AXIOMATIC",
-    "ModelLike",
     "VerdictSpec",
     "OutcomeSpec",
     "CellSpec",
@@ -68,14 +70,13 @@ __all__ = [
     "cell_descriptor",
     "test_descriptor",
     "model_descriptor",
-    "model_display_name",
     "oracle_descriptor",
     "operational_machines",
     "parse_oracle",
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 17
+ENGINE_VERSION = 18
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -165,28 +166,14 @@ Version history:
   fire.  Outcome sets are parity-tested identical against the unreduced
   successor function, but the machine path changed, so version-16
   entries re-verify.
+* 18 — a cell carries a built model (``None`` for a machine cell), so
+  cells and cache keys no longer resolve model spec strings.  Keys and
+  results are unchanged apart from the version, but ``cells.py`` and
+  ``cache.py`` changed, so version-17 entries re-verify.
 """
-
-ModelLike = Union[str, MemoryModel]
-"""A model spec string (resolved via ``resolve_model``) or a built model."""
 
 ORACLE_AXIOMATIC = "axiomatic"
 """The default oracle: axiomatic enumeration of the cell's model."""
-
-
-def model_display_name(model: ModelLike) -> str:
-    """The name a cell reports for its model.
-
-    Spec strings display as themselves (``"gam"``, a file path, a
-    ``ctor:`` spec); built models display their ``name``.
-    """
-    return model if isinstance(model, str) else model.name
-
-
-def _resolve(model: ModelLike) -> MemoryModel:
-    if isinstance(model, MemoryModel):
-        return model
-    return resolve_model(model)
 
 
 MachineFn = Callable[[LitmusTest, str], "frozenset[Outcome]"]
@@ -265,33 +252,56 @@ def oracle_descriptor(oracle: str) -> dict:
     return {"kind": "operational", "machine": _MACHINES[machine][1]}
 
 
+def _check_model(cell: "CellSpec") -> None:
+    """Refuse a cell whose model does not fit its oracle.
+
+    An axiomatic cell needs a built :class:`MemoryModel`; any other
+    oracle names a machine and needs ``None`` (an unknown machine fails
+    at evaluation, naming the test).  Spec strings are resolved before
+    cells are built (:func:`repro.models.spec.named_model`), so a string
+    here is a call site that skipped that step, caught before the cell
+    reaches a worker.
+    """
+    if cell.oracle == ORACLE_AXIOMATIC:
+        if not isinstance(cell.model, MemoryModel):
+            raise TypeError(
+                f"an axiomatic cell needs a built MemoryModel, got {cell.model!r}"
+            )
+    elif cell.model is not None:
+        raise TypeError(f"a {cell.oracle} cell carries no model, got {cell.model!r}")
+
+
 @dataclass(frozen=True)
 class VerdictSpec:
-    """One (test, model, oracle) verdict cell: is the asked outcome allowed?"""
+    """One (test, model, oracle) verdict cell: is the asked outcome allowed?
+
+    ``model`` is a built model for an axiomatic cell and ``None`` for an
+    ``operational:<machine>`` cell.
+    """
 
     test: LitmusTest
-    model: ModelLike
+    model: Optional[MemoryModel]
     oracle: str = ORACLE_AXIOMATIC
 
-    @property
-    def model_name(self) -> str:
-        """Display name of the cell's model (see :func:`model_display_name`)."""
-        return model_display_name(self.model)
+    def __post_init__(self) -> None:
+        _check_model(self)
 
 
 @dataclass(frozen=True)
 class OutcomeSpec:
-    """One (test, model, oracle) outcome-set cell under a projection."""
+    """One (test, model, oracle) outcome-set cell under a projection.
+
+    ``model`` is a built model for an axiomatic cell and ``None`` for an
+    ``operational:<machine>`` cell.
+    """
 
     test: LitmusTest
-    model: ModelLike
+    model: Optional[MemoryModel]
     project: str = "full"
     oracle: str = ORACLE_AXIOMATIC
 
-    @property
-    def model_name(self) -> str:
-        """Display name of the cell's model (see :func:`model_display_name`)."""
-        return model_display_name(self.model)
+    def __post_init__(self) -> None:
+        _check_model(self)
 
 
 CellSpec = Union[VerdictSpec, OutcomeSpec]
@@ -300,28 +310,26 @@ CellResult = Union[bool, frozenset]
 """``bool`` for verdicts, ``frozenset[Outcome]`` for outcome sets."""
 
 
-def model_descriptor(model: ModelLike) -> dict:
+def model_descriptor(model: MemoryModel) -> dict:
     """Canonical content descriptor of a model (name-independent).
 
-    Spec strings are resolved first, so a ``.model`` file's descriptor
-    tracks the file's *current* content — the property the result cache
-    and campaign digests key on.
+    The result cache and campaign digests key on it, so a model rebuilt
+    from an edited ``.model`` file gets a new key and a renamed one keeps
+    its key.
     """
-    resolved = _resolve(model)
     return {
-        "clauses": [c.name for c in resolved.clauses],
-        "dynamic_clauses": [c.name for c in resolved.dynamic_clauses],
-        "load_value": resolved.load_value,
-        "requires_coherence": resolved.requires_coherence,
+        "clauses": [c.name for c in model.clauses],
+        "dynamic_clauses": [c.name for c in model.dynamic_clauses],
+        "load_value": model.load_value,
+        "requires_coherence": model.requires_coherence,
     }
 
 
 def cell_descriptor(cell: CellSpec, test_part: Optional[dict] = None) -> dict:
     """The canonical descriptor hashed into a cell's cache key.
 
-    Operational cells omit the model descriptor: the machine alone
-    determines the result, so cells that differ only in their display
-    model share one cache entry.  ``test_part`` replaces the cell's
+    Operational cells carry no model and have no model descriptor: the
+    machine alone determines the result.  ``test_part`` replaces the cell's
     :func:`test_descriptor`; :func:`~repro.engine.cache.cell_cache_key`
     passes ``{}`` and splices in the test's cached ``content_key``.
     """
@@ -390,12 +398,12 @@ def evaluate_cell(cell: CellSpec, prefix: Optional[CandidatePrefix]) -> CellResu
             recorder.incr("engine.oracle.operational.by." + machine)
     if isinstance(cell, VerdictSpec):
         if machine is None:
-            return is_allowed(cell.test, _resolve(cell.model), prefix=prefix)
+            return is_allowed(cell.test, cell.model, prefix=prefix)
         return _machine_verdict(machine, cell.test)
     if isinstance(cell, OutcomeSpec):
         if machine is None:
             return enumerate_outcomes(
-                cell.test, _resolve(cell.model), project=cell.project, prefix=prefix
+                cell.test, cell.model, project=cell.project, prefix=prefix
             )
         return _machine_outcomes(machine, cell.test, cell.project)
     raise TypeError(f"unknown cell spec {cell!r}")

@@ -90,6 +90,7 @@ def check_suite(
         evaluate_cells,
         operational_machines,
     )
+    from ..models.spec import named_model
 
     if evaluate is None:
         evaluate = evaluate_cells
@@ -100,13 +101,14 @@ def check_suite(
                 f"unknown definition pair {pair_name!r}; "
                 f"available: {', '.join(known)}"
             )
+    models = {pair_name: named_model(pair_name) for pair_name in pair_names}
     grid = [(test, pair_name) for test in tests for pair_name in pair_names]
     specs = []
     for test, pair_name in grid:
-        specs.append(OutcomeSpec(test, pair_name, project="full"))
+        specs.append(OutcomeSpec(test, models[pair_name], project="full"))
         specs.append(
             OutcomeSpec(
-                test, pair_name, project="full", oracle=f"operational:{pair_name}"
+                test, None, project="full", oracle=f"operational:{pair_name}"
             )
         )
     results = evaluate(specs, jobs=jobs, cache_dir=cache_dir, policy=policy)

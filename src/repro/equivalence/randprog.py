@@ -26,9 +26,10 @@ class RandomProgramConfig:
     """Knobs for :func:`random_litmus_test`.
 
     Attributes:
-        num_procs: number of processors.
-        max_instrs: maximum instructions per processor.
-        num_locations: shared memory locations (addresses stride-spaced).
+        num_procs: number of processors (the ``rand:`` key ``procs``).
+        max_instrs: maximum instructions per processor (``instrs``).
+        num_locations: shared memory locations, addresses stride-spaced
+            (``locs``).  These three must be at least 1.
         values: data values stores may write.
         registers: register names available per processor.
         fence_weight / branch_weight / regop_weight / load_weight /
@@ -54,6 +55,13 @@ class RandomProgramConfig:
         rmw_weight: float = 0.0,
         artificial_dep_prob: float = 0.2,
     ) -> None:
+        for key, value in (
+            ("procs", num_procs),
+            ("instrs", max_instrs),
+            ("locs", num_locations),
+        ):
+            if value < 1:
+                raise ValueError(f"randprog {key} must be >= 1, got {key}={value}")
         self.num_procs = num_procs
         self.max_instrs = max_instrs
         self.num_locations = num_locations
@@ -198,8 +206,11 @@ def random_suite(
     One :class:`random.Random` stream drives the whole corpus, so test
     ``i`` depends on the seed and its index only — the property the
     ``rand:`` suite spec and resumable campaigns rely on.  Tests are
-    named ``{name_prefix}-{seed}-{i}``.
+    named ``{name_prefix}-{seed}-{i}``.  A ``count`` below 1 (the
+    ``rand:`` key ``n``) raises :class:`ValueError`.
     """
+    if count < 1:
+        raise ValueError(f"randprog corpus size must be >= 1, got n={count}")
     rng = random.Random(seed)
     return [
         random_litmus_test(rng, config, name=f"{name_prefix}-{seed}-{i}")

@@ -115,8 +115,10 @@ class PairKind:
         record_key: the shard-entry key a test's row is stored under.
         discrepancy: the mined record, built as ``(test, pair, *profile)``.
         headers: the report table's two profile columns.
-        columns: ``pair`` → its two ``(model, oracle)`` columns.
-        cell: ``(test, model, oracle)`` → the column's engine cell.
+        columns: ``pair`` → its two ``(model, oracle)`` columns; a
+            machine column's model is ``None``.
+        cell: ``(test, model, oracle)`` → the column's engine cell, with
+            the column's model built.
         evaluable: whether a test can diverge at all; the minimizer
             counts variants that cannot as non-diverging.
         profile / diverges: the divergence function.
@@ -185,7 +187,7 @@ OPERATIONAL_PAIRS = PairKind(
     record_key="oracle",
     discrepancy=OracleDiscrepancy,
     headers=("machine-only", "axioms-only"),
-    columns=lambda pair: ((pair[0], ORACLE_AXIOMATIC), pair),
+    columns=lambda pair: ((pair[0], ORACLE_AXIOMATIC), (None, pair[1])),
     cell=lambda test, model, oracle: OutcomeSpec(test, model, "full", oracle),
     evaluable=lambda test: any(len(program) for program in test.programs),
     profile=lambda axiomatic, machine: (

@@ -10,17 +10,18 @@ figure captions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
+from ..core.axiomatic import MemoryModel
 from ..engine import (
     CellFailure,
     ExecutionPolicy,
-    ModelLike,
     VerdictSpec,
     evaluate_cells,
 )
 from ..litmus.registry import all_tests, paper_suite
 from ..litmus.test import LitmusTest
+from ..models.spec import named_model
 from .render import render_table
 
 __all__ = ["VerdictCell", "litmus_matrix", "render_matrix", "conformance_failures"]
@@ -62,7 +63,7 @@ class VerdictCell:
 
 def litmus_matrix(
     tests: Optional[Iterable[LitmusTest]] = None,
-    model_names: Sequence[ModelLike] = _MATRIX_MODELS,
+    model_names: Sequence[Union[str, MemoryModel]] = _MATRIX_MODELS,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     policy: Optional[ExecutionPolicy] = None,
@@ -71,9 +72,10 @@ def litmus_matrix(
     """Evaluate every (test, model) verdict through the batch engine.
 
     Defaults to the paper's figure tests against the full comparison zoo.
-    ``model_names`` entries are :data:`~repro.engine.ModelLike` — registry
-    names, ``.model`` paths, ``ctor:`` specs or built models — and the
-    resulting cells report :func:`~repro.engine.model_display_name`.
+    ``model_names`` entries are registry names, ``.model`` paths,
+    ``ctor:`` specs or built models; each is resolved once
+    (:func:`~repro.models.spec.named_model`), and a column is named as
+    the spec was written or, for a built model, by the model's name.
     Candidate prefixes are shared across the model zoo per test; ``jobs``
     fans per-test batches out over a process pool and ``cache_dir``
     enables the on-disk result cache (both leave results identical).
@@ -88,9 +90,8 @@ def litmus_matrix(
     """
     materialized = list(tests) if tests is not None else list(paper_suite())
     asked = [test for test in materialized if test.asked is not None]
-    specs = [
-        VerdictSpec(test, model) for test in asked for model in model_names
-    ]
+    models = [named_model(spec) for spec in model_names]
+    specs = [VerdictSpec(test, model) for test in asked for model in models]
     if evaluate is None:
         evaluate = evaluate_cells
     verdicts = evaluate(specs, jobs=jobs, cache_dir=cache_dir, policy=policy)
@@ -103,9 +104,9 @@ def litmus_matrix(
         cells.append(
             VerdictCell(
                 test_name=spec.test.name,
-                model_name=spec.model_name,
+                model_name=spec.model.name,
                 allowed=allowed,
-                expected=spec.test.expect.get(spec.model_name),
+                expected=spec.test.expect.get(spec.model.name),
                 failure=failure,
             )
         )

@@ -11,18 +11,18 @@ Sections II-III, and a regression tripwire for the whole zoo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
+from ..core.axiomatic import MemoryModel
 from ..engine import (
     CellFailure,
     ExecutionPolicy,
-    ModelLike,
     OutcomeSpec,
     evaluate_cells,
-    model_display_name,
 )
 from ..litmus.registry import all_tests
 from ..litmus.test import LitmusTest
+from ..models.spec import named_model
 from .render import render_table
 
 __all__ = ["StrengthMatrix", "strength_matrix", "render_strength"]
@@ -59,7 +59,7 @@ class StrengthMatrix:
 
 def strength_matrix(
     tests: Optional[Iterable[LitmusTest]] = None,
-    model_names: Sequence[ModelLike] = _DEFAULT_MODELS,
+    model_names: Sequence[Union[str, MemoryModel]] = _DEFAULT_MODELS,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     policy: Optional[ExecutionPolicy] = None,
@@ -68,8 +68,9 @@ def strength_matrix(
 
     Tests whose programs a model cannot evaluate are never the case here —
     all zoo models share the engine — so the matrix is total.
-    ``model_names`` entries are :data:`~repro.engine.ModelLike`; their
-    display names key the matrix and must be pairwise distinct.  Outcome
+    ``model_names`` entries are model specs or built models, each
+    resolved once (:func:`~repro.models.spec.named_model`); their names
+    key the matrix and must be pairwise distinct.  Outcome
     sets are enumerated through the batch engine: per-test candidate
     prefixes are shared across ``model_names``, ``jobs`` fans tests out
     over a process pool, ``cache_dir`` makes repeat runs incremental.
@@ -79,18 +80,19 @@ def strength_matrix(
     and the containment relation is measured over the survivors.
     """
     materialized = list(tests) if tests is not None else list(all_tests())
-    display = tuple(model_display_name(model) for model in model_names)
+    models = [named_model(spec) for spec in model_names]
+    display = tuple(model.name for model in models)
     if len(set(display)) != len(display):
         raise ValueError(f"duplicate model display names in {display!r}")
     specs = [
         OutcomeSpec(test, model, project="full")
         for test in materialized
-        for model in model_names
+        for model in models
     ]
     results = evaluate_cells(specs, jobs=jobs, cache_dir=cache_dir, policy=policy)
     outcome_sets: dict[str, list[frozenset]] = {name: [] for name in display}
     skipped: list[str] = []
-    width = len(model_names)
+    width = len(models)
     for index, test in enumerate(materialized):
         chunk = results[index * width:(index + 1) * width]
         if any(isinstance(outcomes, CellFailure) for outcomes in chunk):

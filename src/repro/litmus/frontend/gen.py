@@ -415,7 +415,8 @@ def generate_suite(
 
     Args:
         max_edges: cycle-length budget (>= 3).
-        size: keep at most this many tests (all of them when ``None``).
+        size: keep at most this many tests (all of them when ``None``);
+            a size below 1 raises :class:`ValueError`.
         seed: deterministic shuffle applied before the ``size`` cap; with
             ``None`` the enumeration order is kept.
 
@@ -423,6 +424,8 @@ def generate_suite(
         the suite, deduplicated both by canonical cycle and by structural
         test content; the same arguments always return the same suite.
     """
+    if size is not None and size < 1:
+        raise ValueError(f"generator size must be >= 1, got size={size}")
     tests: list[LitmusTest] = []
     seen: set[str] = set()
     for cycle in enumerate_cycles(max_edges):

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Union
 
 from ..core.axiomatic import MemoryModel
@@ -55,6 +55,7 @@ __all__ = [
     "parse_model_file",
     "print_model",
     "load_model_path",
+    "named_model",
     "parse_knob_spec",
     "resolve_model",
     "resolve_models",
@@ -495,6 +496,21 @@ def resolve_model(spec: Union[str, MemoryModel]) -> MemoryModel:
             f"({names}); expected exactly one"
         )
     return models[0]
+
+
+def named_model(spec: Union[str, MemoryModel]) -> MemoryModel:
+    """Resolve a single-model spec into the model an engine cell carries.
+
+    A built model passes through unchanged.  A string spec resolves
+    through :func:`resolve_model`, and its model takes the string as its
+    name: ``"rmo"`` stays ``"rmo"`` rather than ``"gam0"``, and a
+    ``.model`` path or ``ctor:`` spec names its matrix column as written.
+    Names never reach cache keys, which hash model content only.
+    """
+    if isinstance(spec, MemoryModel):
+        return spec
+    model = resolve_model(spec)
+    return model if model.name == spec else replace(model, name=spec)
 
 
 def split_pair_spec(spec: str) -> tuple[str, str]:

@@ -108,7 +108,10 @@ def apply_placements(
 def restores_sc(test: LitmusTest, model: MemoryModel) -> bool:
     """Does ``test`` already have exactly its SC outcomes under ``model``?"""
     weak, strong = evaluate_cells(
-        [OutcomeSpec(test, model, "full"), OutcomeSpec(test, "sc", "full")]
+        [
+            OutcomeSpec(test, model, "full"),
+            OutcomeSpec(test, get_model("sc"), "full"),
+        ]
     )
     return weak == strong
 

@@ -280,3 +280,54 @@ class TestGenImportExport:
         two.write_text(text)
         assert main(["import", str(one), str(two)]) == 2
         assert "collision" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Arguments that would run nothing, or misread, exit 2 up front."""
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["matrix", "--suite", "gen:edges=4,size=-2"], "size=-2"),
+            (["matrix", "--suite", "gen:edges=4,size=0"], "size=0"),
+            (["gen", "--edges", "4", "--size", "-2"], "size=-2"),
+            (["matrix", "--suite", "rand:n=-3"], "n=-3"),
+            (["matrix", "--suite", "rand:n=3,procs=0"], "procs=0"),
+            (["matrix", "--suite", "rand:n=3,locs=0"], "locs=0"),
+            (["matrix", "--suite", "rand:n=3,instrs=0"], "instrs=0"),
+        ],
+    )
+    def test_non_positive_suite_size_is_rejected(self, capsys, argv, key):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"must be >= 1, got {key}" in captured.err
+
+    @pytest.mark.parametrize("pairs", [",", ""])
+    def test_equiv_with_no_pairs_is_rejected(self, capsys, pairs):
+        assert main(["equiv", "mp", "--pairs", pairs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --pairs {pairs!r} names no definition pair\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "mp"],
+            ["matrix", "--suite", "paper"],
+            ["equiv", "mp"],
+            ["strength", "--suite", "paper"],
+            ["hunt", "--suite", "gen:edges=3"],
+        ],
+    )
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_rejected(self, capsys, tmp_path, argv, jobs):
+        if argv[0] == "hunt":
+            argv = argv + ["--out", str(tmp_path / "campaign")]
+        assert main(argv + ["--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not (tmp_path / "campaign").exists()
+

@@ -110,10 +110,10 @@ class TestSharedPrefix:
 
     def test_engine_cells_match_direct_calls(self):
         tests = [*paper_suite(), get_test("mp")]
-        cells = [VerdictSpec(t, m) for t in tests for m in _ZOO]
+        cells = [VerdictSpec(t, get_model(m)) for t in tests for m in _ZOO]
         results = evaluate_cells(cells)
         for cell, result in zip(cells, results):
-            assert result == is_allowed(cell.test, get_model(cell.model_name))
+            assert result == is_allowed(cell.test, cell.model)
 
 
 class TestCache:
@@ -121,9 +121,9 @@ class TestCache:
         cache = str(tmp_path / "cache")
         test = get_test("dekker")
         cells = [
-            VerdictSpec(test, "gam"),
-            OutcomeSpec(test, "sc", project="full"),
-            OutcomeSpec(test, "gam", project="full", oracle="operational:gam"),
+            VerdictSpec(test, get_model("gam")),
+            OutcomeSpec(test, get_model("sc"), project="full"),
+            OutcomeSpec(test, None, project="full", oracle="operational:gam"),
         ]
         fresh = evaluate_cells(cells, cache_dir=cache)
         assert sorted(_rows(cache)) == sorted(cell_cache_key(c) for c in cells)
@@ -140,7 +140,7 @@ class TestCache:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         test = get_test("dekker")
-        cell = VerdictSpec(test, "gam")
+        cell = VerdictSpec(test, get_model("gam"))
         cache = ResultCache(tmp_path)
         cache.write_rows([(cell_cache_key(cell), "{ not json")])
         assert cache.load(cell) is None
@@ -149,11 +149,11 @@ class TestCache:
 
     def test_key_ignores_name_but_not_content(self):
         dekker = get_test("dekker")
-        assert cell_cache_key(VerdictSpec(dekker, "gam")) != cell_cache_key(
-            VerdictSpec(dekker, "sc")
+        assert cell_cache_key(VerdictSpec(dekker, get_model("gam"))) != cell_cache_key(
+            VerdictSpec(dekker, get_model("sc"))
         )
-        assert cell_cache_key(VerdictSpec(dekker, "gam")) != cell_cache_key(
-            VerdictSpec(get_test("mp"), "gam")
+        assert cell_cache_key(VerdictSpec(dekker, get_model("gam"))) != cell_cache_key(
+            VerdictSpec(get_test("mp"), get_model("gam"))
         )
 
     def test_each_test_is_described_once_in_the_parent(self, tmp_path, monkeypatch):
@@ -196,10 +196,10 @@ class TestCache:
                 cell
                 for test in tests
                 for cell in (
-                    VerdictSpec(test, "sc"),
+                    VerdictSpec(test, get_model("sc")),
                     VerdictSpec(test, get_model("arm")),
-                    OutcomeSpec(test, "gam", project="full"),
-                    OutcomeSpec(test, "sc", project="full", oracle="operational:sc"),
+                    OutcomeSpec(test, get_model("gam"), project="full"),
+                    OutcomeSpec(test, None, project="full", oracle="operational:sc"),
                 )
             ]
 
@@ -231,7 +231,7 @@ class TestCache:
 
     def test_cache_payload_is_json(self, tmp_path):
         test = get_test("dekker")
-        cell = OutcomeSpec(test, "sc", project="full")
+        cell = OutcomeSpec(test, get_model("sc"), project="full")
         evaluate_cells([cell], cache_dir=str(tmp_path))
         (payload_text,) = _rows(tmp_path).values()
         payload = json.loads(payload_text)
@@ -244,7 +244,7 @@ def _hammer_store(root, names, rounds, barrier):
     same moment as its twin, then store and load the same cells in it,
     one at a time or in one batch."""
     cells = [
-        VerdictSpec(get_test(name), model)
+        VerdictSpec(get_test(name), get_model(model))
         for name in names
         for model in ("sc", "gam")
     ]
@@ -314,7 +314,7 @@ class TestConcurrentStore:
 
     def test_killed_writer_commits_nothing(self, tmp_path):
         root = str(tmp_path / "store")
-        cell = VerdictSpec(get_test("mp"), "sc")
+        cell = VerdictSpec(get_test("mp"), get_model("sc"))
         ctx = multiprocessing.get_context("spawn")
         proc = ctx.Process(target=_die_inside_commit, args=(root, cell))
         proc.start()
@@ -329,7 +329,7 @@ class TestConcurrentStore:
 
     def test_failed_batch_commits_nothing(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cells = [VerdictSpec(get_test("mp"), model) for model in ("sc", "gam")]
+        cells = [VerdictSpec(get_test("mp"), get_model(model)) for model in ("sc", "gam")]
         with pytest.raises(RuntimeError, match="mid-batch"):
             with cache.batch():
                 cache.store(cells[0], True)
@@ -355,13 +355,13 @@ class TestConcurrentStore:
             ResultCache(tmp_path / str(index))
         own = [slot for slot in cache_module._connections if slot[0] == os.getpid()]
         assert len(own) == cache_module._MAX_CONNECTIONS
-        cell = VerdictSpec(get_test("mp"), "sc")
+        cell = VerdictSpec(get_test("mp"), get_model("sc"))
         first.store(cell, True)  # an open cache keeps its dropped connection
         assert ResultCache(tmp_path / "0").load(cell) is True
 
     def test_reopens_after_directory_deletion(self, tmp_path):
         root = tmp_path / "store"
-        cell = VerdictSpec(get_test("mp"), "sc")
+        cell = VerdictSpec(get_test("mp"), get_model("sc"))
         ResultCache(root).store(cell, True)
         shutil.rmtree(root)  # the directory is removed under a live process
         cache = ResultCache(root)
@@ -374,13 +374,13 @@ class TestConcurrentStore:
 class TestErrorReporting:
     def test_domain_overflow_names_test_serially(self):
         with pytest.raises(DomainOverflowError, match="feedback-overflow"):
-            evaluate_cells([VerdictSpec(_overflow_test(), "gam")])
+            evaluate_cells([VerdictSpec(_overflow_test(), get_model("gam"))])
 
     @pytest.mark.slow
     def test_domain_overflow_names_test_from_worker(self):
         cells = [
-            VerdictSpec(get_test("dekker"), "gam"),
-            VerdictSpec(_overflow_test(), "gam"),
+            VerdictSpec(get_test("dekker"), get_model("gam")),
+            VerdictSpec(_overflow_test(), get_model("gam")),
         ]
         with pytest.raises(DomainOverflowError, match="feedback-overflow"):
             evaluate_cells(cells, jobs=2)
@@ -390,7 +390,7 @@ class TestErrorReporting:
         # An overflow is deterministic: it is finalized on its first
         # attempt, whatever the retry budget, the same serial and pooled.
         cells = [
-            VerdictSpec(test, model)
+            VerdictSpec(test, get_model(model))
             for test in (get_test("dekker"), _overflow_test())
             for model in ("sc", "gam")
         ]
@@ -413,7 +413,7 @@ class TestOnBatchHook:
 
     def test_serial_hook_fires_per_test_in_order(self):
         tests = [get_test("dekker"), get_test("mp"), get_test("corr")]
-        cells = [VerdictSpec(t, m) for t in tests for m in ("sc", "gam")]
+        cells = [VerdictSpec(t, get_model(m)) for t in tests for m in ("sc", "gam")]
         seen = []
         results = evaluate_cells(
             cells, on_batch=lambda test, batch: seen.append((test.name, list(batch)))
@@ -424,7 +424,7 @@ class TestOnBatchHook:
         assert flattened == results
 
     def test_hook_sees_cached_results_too(self, tmp_path):
-        cell = VerdictSpec(get_test("dekker"), "gam")
+        cell = VerdictSpec(get_test("dekker"), get_model("gam"))
         first = []
         evaluate_cells(
             [cell], cache_dir=str(tmp_path), on_batch=lambda t, b: first.extend(b)
@@ -438,7 +438,7 @@ class TestOnBatchHook:
     @pytest.mark.slow
     def test_pooled_hook_fires_per_test_in_order(self):
         tests = [get_test("dekker"), get_test("mp"), get_test("corr")]
-        cells = [VerdictSpec(t, m) for t in tests for m in ("sc", "gam")]
+        cells = [VerdictSpec(t, get_model(m)) for t in tests for m in ("sc", "gam")]
         seen = []
         results = evaluate_cells(
             cells,
@@ -490,7 +490,7 @@ class TestEngineVersion:
     def test_version_changes_cache_key(self, monkeypatch):
         from repro.engine import cells
 
-        cell = VerdictSpec(get_test("dekker"), "gam")
+        cell = VerdictSpec(get_test("dekker"), get_model("gam"))
         key_now = cell_cache_key(cell)
         monkeypatch.setattr(cells, "ENGINE_VERSION", 1)
         assert cell_cache_key(cell) != key_now
@@ -499,7 +499,7 @@ class TestEngineVersion:
         """A verdict stored under engine version 1 must never be served."""
         from repro.engine import cells
 
-        cell = VerdictSpec(get_test("dekker"), "gam")
+        cell = VerdictSpec(get_test("dekker"), get_model("gam"))
         cache = ResultCache(tmp_path)
         monkeypatch.setattr(cells, "ENGINE_VERSION", 1)
         cache.store(cell, True)
@@ -510,7 +510,7 @@ class TestEngineVersion:
     def test_outcome_cells_also_keyed_by_version(self, tmp_path, monkeypatch):
         from repro.engine import cells
 
-        cell = OutcomeSpec(get_test("corr"), "gam", project="full")
+        cell = OutcomeSpec(get_test("corr"), get_model("gam"), project="full")
         cache = ResultCache(tmp_path)
         monkeypatch.setattr(cells, "ENGINE_VERSION", 1)
         cache.store(cell, frozenset())

@@ -306,7 +306,7 @@ class TestResolve:
         model = resolve_model("ctor:")
         assert model.name == "ctor()"
         assert model.clause_names() == get_model("gam0").clause_names()
-        assert model_descriptor(model) == model_descriptor("gam0")
+        assert model_descriptor(model) == model_descriptor(get_model("gam0"))
 
     def test_bare_ctor_and_space_are_unknown_names(self):
         # a truncated "ctor:..." spec must error, not silently resolve to
@@ -393,61 +393,66 @@ class TestEngineCacheKeys:
     def _write(self, path, model):
         path.write_text(print_model(model), encoding="utf-8")
 
+    def _cell(self, test, path):
+        """A cell over the file's current content, resolved afresh."""
+        return VerdictSpec(test, resolve_model(str(path)))
+
     def test_file_spec_key_matches_registry_content(self, tmp_path):
         test = get_test("dekker")
         path = tmp_path / "mine.model"
         self._write(path, get_model("gam"))
-        assert cell_cache_key(VerdictSpec(test, str(path))) == cell_cache_key(
-            VerdictSpec(test, "gam")
+        assert cell_cache_key(self._cell(test, path)) == cell_cache_key(
+            VerdictSpec(test, get_model("gam"))
         )
 
     def test_editing_file_content_changes_the_key(self, tmp_path):
         test = get_test("dekker")
         path = tmp_path / "mine.model"
         self._write(path, get_model("gam"))
-        before = cell_cache_key(VerdictSpec(test, str(path)))
+        before = cell_cache_key(self._cell(test, path))
         # drop the SALdLd clause: same name, different content
         text = path.read_text(encoding="utf-8").replace("ppo SALdLd\n", "")
         path.write_text(text, encoding="utf-8")
-        assert cell_cache_key(VerdictSpec(test, str(path))) != before
+        assert cell_cache_key(self._cell(test, path)) != before
 
     def test_renaming_the_model_keeps_the_key(self, tmp_path):
         test = get_test("dekker")
         path = tmp_path / "mine.model"
         self._write(path, get_model("gam"))
-        before = cell_cache_key(VerdictSpec(test, str(path)))
+        before = cell_cache_key(self._cell(test, path))
         text = path.read_text(encoding="utf-8").replace(
             "model gam", "model renamed"
         )
         path.write_text(text, encoding="utf-8")
-        assert cell_cache_key(VerdictSpec(test, str(path))) == before
+        assert cell_cache_key(self._cell(test, path)) == before
 
     def test_cache_hits_across_rename_and_misses_across_edit(self, tmp_path):
         test = get_test("dekker")
         cache = ResultCache(tmp_path / "cache")
         path = tmp_path / "mine.model"
         self._write(path, get_model("gam"))
-        cell = VerdictSpec(test, str(path))
-        (result,) = evaluate_cells([cell], cache_dir=str(tmp_path / "cache"))
-        assert cache.load(cell) == result
+        (result,) = evaluate_cells(
+            [self._cell(test, path)], cache_dir=str(tmp_path / "cache")
+        )
+        assert cache.load(self._cell(test, path)) == result
         # rename: identical content -> hit
         path.write_text(
             path.read_text(encoding="utf-8").replace("model gam", "model other"),
             encoding="utf-8",
         )
-        assert cache.load(cell) == result
+        assert cache.load(self._cell(test, path)) == result
         # edit: different content -> miss
         path.write_text(
             path.read_text(encoding="utf-8").replace("ppo SALdLd\n", ""),
             encoding="utf-8",
         )
-        assert cache.load(cell) is None
+        assert cache.load(self._cell(test, path)) is None
 
     def test_built_model_cells_evaluate_and_key_by_content(self):
         test = get_test("corr")
         member = resolve_model("ctor:same_address_loads=saldld")
         assert cell_cache_key(VerdictSpec(test, member)) == cell_cache_key(
-            VerdictSpec(test, "gam")
+            VerdictSpec(test, get_model("gam"))
         )
         (allowed,) = evaluate_cells([VerdictSpec(test, member)])
         assert allowed is False  # SALdLd restores per-location SC
@@ -487,14 +492,59 @@ class TestMatrixWithSpecs:
             strength_matrix(tests=[get_test("corr")], model_names=["gam", "gam"])
 
 
+class TestResolveOnce:
+    """Entry points resolve each model spec once, not once per cell."""
+
+    @pytest.fixture
+    def resolves(self, monkeypatch):
+        import collections
+
+        import repro.models.spec as spec
+
+        counts = collections.Counter()
+        real = spec.resolve_models
+
+        def counting(model_spec):
+            counts[model_spec] += 1
+            return real(model_spec)
+
+        monkeypatch.setattr(spec, "resolve_models", counting)
+        return counts
+
+    def test_matrix_resolves_each_zoo_spec_once(self, resolves):
+        from repro.eval.litmus_matrix import _MATRIX_MODELS, litmus_matrix
+        from repro.litmus.frontend.suite import resolve_suite
+
+        tests = resolve_suite("gen:edges=4")
+        assert len(tests) > 8
+        litmus_matrix(tests=tests, model_names=_MATRIX_MODELS)
+        assert resolves == {name: 1 for name in _MATRIX_MODELS}
+
+    def test_equiv_resolves_each_pair_once(self, resolves):
+        from repro.equivalence.checker import check_suite
+        from repro.litmus.registry import all_tests
+
+        check_suite(list(all_tests()))
+        assert resolves == {name: 1 for name in ("gam", "gam0", "sc", "tso")}
+
+    def test_hunt_resolves_each_side_a_fixed_number_of_times(self, resolves, tmp_path):
+        from repro.campaign import run_hunt
+
+        run_hunt(str(tmp_path / "campaign"), suite="gen:edges=3")
+        # One resolve per expansion of the pair specs (the run's lookup,
+        # campaign.json and report.json), none per cell.
+        assert set(resolves) == {"wmm", "arm"}
+        assert max(resolves.values()) <= 3
+
+
 @pytest.mark.slow
 class TestParallelSpecCells:
     def test_file_specs_cross_the_pool(self, tmp_path):
         path = tmp_path / "mine.model"
         path.write_text(print_model(get_model("gam")), encoding="utf-8")
         tests = [get_test("dekker"), get_test("corr")]
-        cells = [VerdictSpec(test, spec) for test in tests for spec in
-                 (str(path), resolve_model("ctor:"))]
+        cells = [VerdictSpec(test, model) for test in tests for model in
+                 (resolve_model(str(path)), resolve_model("ctor:"))]
         assert evaluate_cells(cells, jobs=2) == evaluate_cells(cells, jobs=1)
 
 
@@ -515,6 +565,17 @@ class TestHuntSpace:
         # identical re-run resumes to a byte-identical report
         again = run_hunt(out=str(tmp_path / "hunt"), resume=True)
         assert again.text == report.text
+
+    def test_alias_pair_passes_lint_under_its_own_name(self, tmp_path):
+        from repro.campaign import run_hunt
+
+        # The lint pre-flight sees the lookup's models, each named as
+        # its spec was written, so rmo and gam0 are two names, not a
+        # duplicate (M006); the two are one model and never split.
+        report = run_hunt(
+            out=str(tmp_path / "hunt"), suite="gen:edges=3", pairs=[("rmo", "gam0")]
+        )
+        assert not report.discrepancies
 
     def test_member_content_change_refuses_resume(self, tmp_path):
         from repro.campaign import run_hunt
@@ -675,7 +736,7 @@ class TestCliModelSpecs:
         monkeypatch.setattr(repro.engine, "evaluate_cells", spy)
         assert main(["check", "corr", "-m", "rmo", "--operational"]) == 0
         assert [(cell.model, cell.oracle) for cell in seen] == [
-            ("gam0", "operational:gam0")
+            (None, "operational:gam0")
         ]
         assert capsys.readouterr().out == (
             "corr: P1.r1=1, P1.r2=0 is ALLOWED under rmo (abstract machine)\n"

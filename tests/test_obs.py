@@ -186,9 +186,10 @@ class TestEngineCounters:
         from repro.engine import evaluate_cells
         from repro.engine.cells import VerdictSpec
         from repro.litmus.registry import get_test
+        from repro.models.registry import get_model
 
         cells = [
-            VerdictSpec(get_test(name), model)
+            VerdictSpec(get_test(name), get_model(model))
             for name in ("dekker", "mp")
             for model in ("sc", "gam")
         ]
@@ -211,9 +212,10 @@ class TestEngineCounters:
         from repro.engine import evaluate_cells
         from repro.engine.cells import VerdictSpec
         from repro.litmus.registry import get_test
+        from repro.models.registry import get_model
 
         cells = [
-            VerdictSpec(get_test("mp"), model) for model in ("sc", "gam", "arm")
+            VerdictSpec(get_test("mp"), get_model(model)) for model in ("sc", "gam", "arm")
         ]
         with collecting() as recorder:
             evaluate_cells(cells)
@@ -255,15 +257,18 @@ class TestWorkerErrors:
         assert cause is None  # live exceptions never cross a pool boundary
 
     @pytest.mark.slow
-    def test_pooled_failure_raises_with_worker_traceback(self):
-        from repro.engine import EngineWorkerError, evaluate_cells
+    def test_pooled_failure_raises_with_worker_traceback(self, monkeypatch):
+        from repro.engine import FAULTS_ENV_VAR, EngineWorkerError, evaluate_cells
         from repro.engine.cells import VerdictSpec
         from repro.litmus.registry import get_test
+        from repro.models.registry import get_model
 
         cells = [
-            VerdictSpec(get_test("dekker"), "gam"),
-            VerdictSpec(get_test("mp"), "no-such-model"),
+            VerdictSpec(get_test("dekker"), get_model("gam")),
+            VerdictSpec(get_test("mp"), get_model("gam")),
         ]
+        # The worker-side failure is a planned fault in mp's batch.
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise:test=mp")
         with pytest.raises(EngineWorkerError) as excinfo:
             evaluate_cells(cells, jobs=2)
         assert excinfo.value.test_name == "mp"

@@ -20,7 +20,7 @@ from repro.litmus.registry import all_tests, get_test
 def machine_allows(test, machine="gam"):
     """The engine's operational verdict cell for ``test``'s asked outcome."""
     (verdict,) = evaluate_cells(
-        [VerdictSpec(test, machine, oracle=f"operational:{machine}")]
+        [VerdictSpec(test, None, oracle=f"operational:{machine}")]
     )
     return verdict
 

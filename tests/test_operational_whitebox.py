@@ -144,7 +144,7 @@ class TestRuleGuards:
         b.proc().ld("r1", "b").fence("LL").ld("r2", "a")
         test = b.build(asked={"P1.r1": 1, "P1.r2": 0})
         (allowed,) = evaluate_cells(
-            [VerdictSpec(test, "gam", oracle="operational:gam")]
+            [VerdictSpec(test, None, oracle="operational:gam")]
         )
         assert not allowed
 

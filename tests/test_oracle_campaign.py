@@ -29,6 +29,7 @@ from repro.litmus.frontend.parser import parse_litmus
 from repro.litmus.frontend.printer import print_litmus
 from repro.litmus.frontend.suite import parse_rand_spec, resolve_suite
 from repro.litmus.registry import get_test
+from repro.models.registry import get_model
 from repro.obs import collecting
 
 
@@ -86,7 +87,10 @@ class TestJobsDeterminism:
     def test_counter_totals_match_serial_exactly(self):
         tests = resolve_suite("rand:n=6,seed=4")
         cells = [
-            OutcomeSpec(t, m, project="full", oracle=o)
+            OutcomeSpec(
+                t, get_model(m) if o == "axiomatic" else None,
+                project="full", oracle=o,
+            )
             for t in tests
             for m in ("gam", "gam0")
             for o in ("axiomatic", f"operational:{m}")
@@ -147,9 +151,9 @@ class TestOracleHunt:
         reparsed = parse_litmus(witness_path.read_text())
         axiomatic, operational = evaluate_cells(
             [
-                OutcomeSpec(reparsed, "gam", project="full"),
+                OutcomeSpec(reparsed, get_model("gam"), project="full"),
                 OutcomeSpec(
-                    reparsed, "gam", project="full",
+                    reparsed, None, project="full",
                     oracle="operational:gam0",
                 ),
             ]

@@ -28,6 +28,7 @@ from repro.engine import (
 )
 from repro.litmus.frontend.suite import resolve_suite
 from repro.litmus.registry import all_tests, get_test
+from repro.models.registry import get_model
 
 _MACHINES = ("gam", "gam0", "sc", "tso")
 
@@ -42,10 +43,10 @@ def _parity_cells(tests, machines=_MACHINES):
     cells = []
     for test in tests:
         for machine in machines:
-            cells.append(OutcomeSpec(test, machine, project="full"))
+            cells.append(OutcomeSpec(test, get_model(machine), project="full"))
             cells.append(
                 OutcomeSpec(
-                    test, machine, project="full",
+                    test, None, project="full",
                     oracle=f"operational:{machine}",
                 )
             )
@@ -81,27 +82,27 @@ class TestOracleContract:
         assert len({str(d) for d in descriptors}) == len(_MACHINES)
         assert oracle_descriptor(ORACLE_AXIOMATIC) == {"kind": "axiomatic"}
 
-    def test_operational_key_ignores_display_model(self):
-        # The machine alone determines an operational cell's result, so
-        # two specs differing only in the display model share one cache
-        # entry (an equiv run and a gam0-labelled hunt reuse each other).
+    def test_cell_model_must_fit_its_oracle(self):
+        # Models are resolved before cells are built: an axiomatic cell
+        # carries a built model, a machine cell none, and any other shape
+        # fails when the cell is built rather than inside a worker.
         test = get_test("dekker")
-        key_a = cell_cache_key(
-            OutcomeSpec(test, "gam", project="full", oracle="operational:sc")
-        )
-        key_b = cell_cache_key(
-            OutcomeSpec(test, "tso", project="full", oracle="operational:sc")
-        )
-        assert key_a == key_b
+        with pytest.raises(TypeError, match="built MemoryModel"):
+            VerdictSpec(test, "gam")
+        with pytest.raises(TypeError, match="built MemoryModel"):
+            OutcomeSpec(test, None, project="full")
+        with pytest.raises(TypeError, match="carries no model"):
+            OutcomeSpec(test, get_model("sc"), project="full", oracle="operational:sc")
 
     def test_operational_key_depends_on_machine_and_oracle(self):
         test = get_test("dekker")
         keys = {
+            cell_cache_key(OutcomeSpec(test, get_model("gam"), project="full"))
+        } | {
             cell_cache_key(
-                OutcomeSpec(test, "gam", project="full", oracle=oracle)
+                OutcomeSpec(test, None, project="full", oracle=f"operational:{m}")
             )
-            for oracle in [ORACLE_AXIOMATIC]
-            + [f"operational:{m}" for m in _MACHINES]
+            for m in _MACHINES
         }
         assert len(keys) == 1 + len(_MACHINES)
 
@@ -115,7 +116,7 @@ class TestOracleContract:
         # chained on __cause__.
         with pytest.raises(EngineWorkerError, match="asked") as excinfo:
             evaluate_cells(
-                [VerdictSpec(stripped, "gam", oracle="operational:gam")]
+                [VerdictSpec(stripped, None, oracle="operational:gam")]
             )
         assert isinstance(excinfo.value.__cause__, ValueError)
 
@@ -125,7 +126,7 @@ class TestOracleContract:
         test = get_test("dekker")
         with pytest.raises(EngineWorkerError) as excinfo:
             evaluate_cells(
-                [OutcomeSpec(test, "gam", project="full",
+                [OutcomeSpec(test, None, project="full",
                              oracle="operational:wmm")]
             )
         assert isinstance(excinfo.value.__cause__, ValueError)
@@ -146,9 +147,9 @@ class TestParityQuick:
         test = get_test(test_name)
         cells = []
         for machine in _MACHINES:
-            cells.append(VerdictSpec(test, machine))
+            cells.append(VerdictSpec(test, get_model(machine)))
             cells.append(
-                VerdictSpec(test, machine, oracle=f"operational:{machine}")
+                VerdictSpec(test, None, oracle=f"operational:{machine}")
             )
         results = evaluate_cells(cells)
         for i in range(0, len(cells), 2):

@@ -36,6 +36,7 @@ from repro.engine.cache import DB_NAME
 from repro.engine.faults import FAULTS_ENV_VAR
 from repro.litmus import registry
 from repro.litmus.registry import get_test
+from repro.models.registry import get_model
 from repro.obs import collecting
 
 QUIET = ExecutionPolicy(on_error="skip")
@@ -52,7 +53,7 @@ def no_backoff(monkeypatch):
 
 def _verdict_cells(*names):
     tests = [get_test(name) for name in names]
-    return [VerdictSpec(test, model) for test in tests for model in ("sc", "gam")]
+    return [VerdictSpec(test, get_model(model)) for test in tests for model in ("sc", "gam")]
 
 
 def _essence(result):
@@ -442,7 +443,7 @@ class TestWorkerPool:
 class TestCorruptionRecovery:
     def test_corrupt_entry_is_recounted_as_miss(self, tmp_path, monkeypatch):
         test = get_test("mp")
-        cells = [OutcomeSpec(test, "gam", project="full")]
+        cells = [OutcomeSpec(test, get_model("gam"), project="full")]
         baseline = evaluate_cells(cells)
         monkeypatch.setenv(FAULTS_ENV_VAR, "corrupt:test=mp")
         assert evaluate_cells(cells, cache_dir=str(tmp_path)) == baseline
@@ -464,7 +465,7 @@ class TestCacheMaintenance:
     def test_stats_inventory(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         test = get_test("mp")
-        cells = [VerdictSpec(test, "gam")]
+        cells = [VerdictSpec(test, get_model("gam"))]
         evaluate_cells(cells, cache_dir=str(tmp_path))
         stats = cache.stats()
         assert stats.entries == 1
@@ -478,7 +479,7 @@ class TestCacheMaintenance:
         from repro.cli import main
 
         cache_dir = tmp_path / "cache"
-        evaluate_cells([VerdictSpec(get_test("mp"), "gam")], cache_dir=str(cache_dir))
+        evaluate_cells([VerdictSpec(get_test("mp"), get_model("gam"))], cache_dir=str(cache_dir))
         assert main(["cache", "stats", str(cache_dir)]) == 0
         out = capsys.readouterr().out
         assert "entries: 1\n" in out
