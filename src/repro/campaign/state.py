@@ -6,10 +6,10 @@ A campaign directory is the on-disk identity of a hunt.  Layout::
         campaign.json        the spec: suite, pairs, shard count, engine
                              version, model content digests
         cache/cells.sqlite   the engine's content-hashed ResultCache
-                             (fine-grained resume: each batch commits
-                             its cells in one transaction, so an
-                             interrupted shard loses only the batches
-                             in flight)
+                             (fine-grained resume: the engine commits
+                             settled batches at most 64 at a time, so
+                             an interrupted shard loses only the
+                             batches not yet committed)
         shards/shard-NNNN.json   one verdict record per completed shard
                              (coarse-grained resume: completed shards
                              are never re-evaluated)

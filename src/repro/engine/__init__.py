@@ -37,9 +37,11 @@ Architecture::
      a whole run; killable:      │
      deadlines and crashed       ▼
      workers recover per    ResultCache (optional; one SQLite file in
-     ExecutionPolicy)       WAL mode, one transaction per batch; JSON
-        │                   payloads keyed by SHA-256 of test content +
-        └─────────────────► oracle (model clauses or machine variant) +
+     ExecutionPolicy)       WAL mode, read and written by the parent
+        ▲                   only: bulk lookups before dispatch, one
+        │ batches with a    commit per ≤64 settled batches; JSON
+        └─ miss, carrying ─ payloads keyed by SHA-256 of test content +
+           their answers    oracle (model clauses or machine variant) +
                             ENGINE_VERSION, so entries can't go stale)
 
 The three layers:

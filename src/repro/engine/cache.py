@@ -3,34 +3,38 @@
 Each cell's canonical descriptor (see :func:`repro.engine.cells
 .cell_descriptor`) is hashed with SHA-256.  Its test part is the test's
 ``content_key`` (:class:`~repro.litmus.test.LitmusTest`), serialized
-once per test object and pickled along with it, so neither the parent
-nor a pool worker describes a test twice.  The verdict / outcome-set
-payload is stored as JSON text under that key, in the table
-``cells(key, payload)`` of ``cells.sqlite`` in the cache directory.
-Because the key covers the test content, the model's clauses and the
-engine version, a cache entry can never serve a stale result: any change
-to the inputs changes the key, and semantic engine changes bump
-:data:`~repro.engine.cells.ENGINE_VERSION`.
+once per test object and pickled along with it; everything before it
+depends only on the cell's kind, projection, oracle, model content and
+the engine version, so a :class:`CellKeyer` hashes that part once per
+distinct combination and finishes each key from a copy of the hash.
+The verdict / outcome-set payload is stored as JSON text under that key,
+in the table ``cells(key, payload)`` of ``cells.sqlite`` in the cache
+directory.  Because the key covers the test content, the model's
+clauses and the engine version, a cache entry can never serve a stale
+result: any change to the inputs changes the key, and semantic engine
+changes bump :data:`~repro.engine.cells.ENGINE_VERSION`.
 
 Outcome sets round-trip losslessly (register names are strings, processor
 ids / addresses / values are ints), so cached results are byte-identical
-to freshly computed ones once rendered.  Stores made inside
-:meth:`ResultCache.batch` are written together in one transaction when
-the block exits, so a batch of cells costs one commit, not one write per
-cell.
+to freshly computed ones once rendered.  The batch engine reads and
+writes in bulk: :meth:`ResultCache.lookup` answers up to
+:data:`_LOOKUP_CHUNK` keys per ``SELECT``, and :meth:`ResultCache.write_rows`
+commits any number of rows in one transaction.  :meth:`ResultCache.load`
+and :meth:`ResultCache.store` are the one-cell forms.
 
-The cache directory is safe to *share*: any number of processes — pool
-workers, several independent runs — may read and write one database
-concurrently.  The database runs in WAL mode, so readers never block
-the writer or each other, and writers queue for the write lock under a
-busy timeout.  Duplicate stores of one key are idempotent by
-construction (the key hashes the inputs and the payload is a pure
-function of them).  A transaction is atomic: a writer killed inside one
-is rolled back by the next process to open the file, so readers see a
-batch whole or not at all and nothing is ever left orphaned.  Each
-process keeps one connection per database, and a forked child opens its
-own rather than using its parent's.  ``sqlite3`` is imported when the
-first cache is opened, so runs without a cache never load it.
+The cache directory is safe to *share*: any number of processes — several
+independent runs, each of whose parent owns its cache traffic — may read
+and write one database concurrently.  The database runs in WAL mode, so
+readers never block the writer or each other, and writers queue for the
+write lock under a busy timeout.  Duplicate stores of one key are
+idempotent by construction (the key hashes the inputs and the payload is
+a pure function of them).  A transaction is atomic: a writer killed
+inside one is rolled back by the next process to open the file, so
+readers see a commit whole or not at all and nothing is ever left
+orphaned.  Each process keeps one connection per database, and a forked
+child opens its own rather than using its parent's.  ``sqlite3`` is
+imported when the first cache is opened, so runs without a cache never
+load it.
 
 Entries are self-validating and version-keyed, so a warmed cache ships
 between machines as its directory: copy it (``cells.sqlite`` together
@@ -41,15 +45,15 @@ starts cold; its files are never read.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import pathlib
 import time
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional, Sequence
 
+from ..core.axiomatic import MemoryModel
 from ..litmus.test import Outcome
 from ..obs import current as _obs_current
 from ..obs import incr as _obs_incr
@@ -60,17 +64,26 @@ from .cells import (
     OutcomeSpec,
     VerdictSpec,
     cell_descriptor,
+    model_descriptor,
 )
 
 __all__ = [
     "DB_NAME",
     "CacheStats",
+    "CellKeyer",
     "ResultCache",
     "cell_cache_key",
+    "count_lookup",
+    "decode_payload",
+    "encode_payload",
 ]
 
 DB_NAME = "cells.sqlite"
 """The database file inside a cache directory."""
+
+_LOOKUP_CHUNK = 500
+"""Keys per ``SELECT … WHERE key IN (…)`` in :meth:`ResultCache.lookup`,
+well under SQLite's bound on host parameters."""
 
 _BUSY_TIMEOUT_S = 60.0
 _INIT_ATTEMPTS = 100
@@ -88,8 +101,42 @@ def _canonical(descriptor: dict) -> str:
     return json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+class CellKeyer:
+    """Computes :func:`cell_cache_key` for many cells, sharing work.
+
+    The text before a key's test part depends only on the cell's kind,
+    projection, oracle and model content (and the engine version, fixed
+    for a keyer's short life), so it is hashed once per distinct
+    combination and each key finishes a copy of that hash.  A model's
+    descriptor JSON is computed once per model: a :class:`MemoryModel`
+    is a frozen dataclass, so equal models share an entry, and the table
+    holds every model it has seen.  The engine makes one keyer per call,
+    so its tables stay as small as the set of models in use.
+    """
+
+    def __init__(self) -> None:
+        self._models: dict[MemoryModel, str] = {}
+        # (cell type, projection, oracle, model descriptor JSON) -> a
+        # SHA-256 state fed the descriptor text up to the test part.
+        self._prefixes: dict[tuple, "hashlib._Hash"] = {}
+
+    def key(self, cell: CellSpec) -> str:
+        """The cell's :func:`cell_cache_key`."""
+        model = cell.model
+        content = None
+        if model is not None:
+            content = self._models.get(model)
+            if content is None:
+                content = self._models[model] = _canonical(model_descriptor(model))
+        part = (type(cell), getattr(cell, "project", None), cell.oracle, content)
+        prefix = self._prefixes.get(part)
+        if prefix is None:
+            text = _canonical(cell_descriptor(cell, {}))
+            prefix = self._prefixes[part] = hashlib.sha256(text[:-3].encode("utf-8"))
+        hasher = prefix.copy()
+        hasher.update(cell.test.content_key.encode("utf-8"))
+        hasher.update(b"}")
+        return hasher.hexdigest()
 
 
 def cell_cache_key(cell: CellSpec) -> str:
@@ -98,10 +145,10 @@ def cell_cache_key(cell: CellSpec) -> str:
     The hashed text is the canonical JSON of :func:`cell_descriptor`,
     built with an empty test part: ``"test"`` sorts after every other
     descriptor key, so its closing ``{}}`` is where the test's cached
-    ``content_key`` goes.
+    ``content_key`` goes.  Keying many cells, use one
+    :class:`CellKeyer`, which hashes the rest once per model.
     """
-    text = _canonical(cell_descriptor(cell, {}))
-    return _sha256(text[:-3] + cell.test.content_key + "}")
+    return CellKeyer().key(cell)
 
 
 def _cell_label(cell: CellSpec) -> str:
@@ -115,15 +162,21 @@ def _cell_label(cell: CellSpec) -> str:
     return cell.model.name
 
 
-def _count_lookup(cell: CellSpec, outcome: str) -> None:
-    """Record a cache lookup outcome (``hit``/``miss``) plus its label.
+def count_lookup(cell: CellSpec, outcome: str) -> None:
+    """Record a cache lookup outcome (``hit``/``miss``/``stale``) plus its
+    label.
 
-    The label string is only built when a recorder is active, so the
-    disabled path costs one attribute check.
+    A stale entry (a row that does not decode) counts as
+    ``engine.cache.stale`` and as a miss.  The label string is only
+    built when a recorder is active, so the disabled path costs one
+    attribute check.
     """
     recorder = _obs_current()
     if not recorder.active:
         return
+    if outcome == "stale":
+        recorder.incr("engine.cache.stale")
+        outcome = "miss"
     recorder.incr("engine.cache." + outcome)
     recorder.incr("engine.cache." + outcome + ".by." + _cell_label(cell))
 
@@ -165,6 +218,29 @@ def _decode(cell: CellSpec, payload: dict) -> CellResult:
     if _kind(cell) == "verdict":
         return bool(payload["allowed"])
     return frozenset(_outcome_from_json(d) for d in payload["outcomes"])
+
+
+def encode_payload(cell: CellSpec, result: CellResult) -> str:
+    """The JSON text stored for a cell's result."""
+    return json.dumps(_encode(cell, result), sort_keys=True)
+
+
+def decode_payload(cell: CellSpec, text: str) -> Optional[CellResult]:
+    """The result a stored payload holds, or ``None`` if it is stale.
+
+    Unreadable or mismatched payloads (e.g. a row overwritten with
+    garbage, or one of another cell kind) are stale rather than errors.
+    """
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(payload, dict) or payload.get("kind") != _kind(cell):
+        return None
+    try:
+        return _decode(cell, payload)
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -254,24 +330,6 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / DB_NAME
         self._db = _connection(os.path.abspath(self.path))
-        self._pending: Optional[dict[str, str]] = None
-
-    @contextlib.contextmanager
-    def batch(self) -> Iterator[None]:
-        """Write the block's stores in one transaction when it exits.
-
-        Until then the stores wait in memory, where this cache's loads
-        still find them, so the write lock is held only for the commit,
-        never while cells are evaluated.  If the block raises, its stores
-        are dropped.
-        """
-        pending = self._pending = {}
-        try:
-            yield
-        finally:
-            self._pending = None
-        if pending:
-            self.write_rows(pending.items())
 
     def write_rows(self, rows: Iterable[tuple[str, str]]) -> None:
         """Commit raw ``(key, payload)`` rows in one transaction.
@@ -300,46 +358,45 @@ class ResultCache:
                 pass
         return CacheStats(entries, disk_bytes)
 
+    def lookup(self, keys: Sequence[str]) -> dict[str, str]:
+        """The committed payload text of each of ``keys`` that has a row.
+
+        One ``SELECT … WHERE key IN (…)`` per :data:`_LOOKUP_CHUNK` keys;
+        keys without a row are absent from the result.
+        """
+        found: dict[str, str] = {}
+        for start in range(0, len(keys), _LOOKUP_CHUNK):
+            chunk = keys[start:start + _LOOKUP_CHUNK]
+            marks = ",".join("?" * len(chunk))
+            found.update(
+                self._db.execute(
+                    f"SELECT key, payload FROM cells WHERE key IN ({marks})", chunk
+                )
+            )
+        return found
+
     def load(self, cell: CellSpec, key: Optional[str] = None) -> Optional[CellResult]:
         """The cached result for ``cell``, or ``None`` on a miss.
 
         ``key`` is the cell's :func:`cell_cache_key` when the caller has
-        already computed it.  Unreadable or mismatched payloads (e.g. a
-        row overwritten with garbage) count as misses rather than errors;
-        telemetry additionally counts them as ``engine.cache.stale``.
+        already computed it.  A stale payload (see :func:`decode_payload`)
+        counts as a miss rather than an error; telemetry additionally
+        counts it as ``engine.cache.stale``.
         """
         if key is None:
             key = cell_cache_key(cell)
-        text = self._pending.get(key) if self._pending else None
-        if text is None:
-            row = self._db.execute(_SELECT, (key,)).fetchone()
-            if row is None:
-                _count_lookup(cell, "miss")
-                return None
-            text = row[0]
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            _obs_incr("engine.cache.stale")
-            _count_lookup(cell, "miss")
+        row = self._db.execute(_SELECT, (key,)).fetchone()
+        if row is None:
+            count_lookup(cell, "miss")
             return None
-        if not isinstance(payload, dict) or payload.get("kind") != _kind(cell):
-            _obs_incr("engine.cache.stale")
-            _count_lookup(cell, "miss")
-            return None
-        try:
-            result = _decode(cell, payload)
-        except (KeyError, TypeError, ValueError):
-            _obs_incr("engine.cache.stale")
-            _count_lookup(cell, "miss")
-            return None
-        _count_lookup(cell, "hit")
+        result = decode_payload(cell, row[0])
+        count_lookup(cell, "hit" if result is not None else "stale")
         return result
 
     def store(
         self, cell: CellSpec, result: CellResult, key: Optional[str] = None
     ) -> None:
-        """Persist a cell result: now, or at the end of an open :meth:`batch`.
+        """Persist one cell result in its own transaction.
 
         Two writers racing on one key write identical payloads (the
         payload is a pure function of the key's inputs), so whichever
@@ -349,8 +406,4 @@ class ResultCache:
         _obs_incr("engine.cache.store")
         if key is None:
             key = cell_cache_key(cell)
-        payload = json.dumps(_encode(cell, result), sort_keys=True)
-        if self._pending is not None:
-            self._pending[key] = payload
-        else:
-            self.write_rows([(key, payload)])
+        self.write_rows([(key, encode_payload(cell, result))])

@@ -76,7 +76,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 18
+ENGINE_VERSION = 19
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -170,6 +170,12 @@ Version history:
   cells and cache keys no longer resolve model spec strings.  Keys and
   results are unchanged apart from the version, but ``cells.py`` and
   ``cache.py`` changed, so version-17 entries re-verify.
+* 19 — the parent owns the result cache: it keys every cell (the part
+  before the test memoized per model content), answers hits with bulk
+  lookups before dispatch and commits computed rows in batched
+  transactions; workers no longer open the database.  Keys and results
+  are unchanged apart from the version, but ``cache.py`` changed, so
+  version-18 entries re-verify.
 """
 
 ORACLE_AXIOMATIC = "axiomatic"

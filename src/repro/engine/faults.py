@@ -13,7 +13,7 @@ A plan is a ``;``-separated list of actions, each ``kind:key=value,...``
     raise:test=mp                    raise InjectedFault in mp's batch
     hang:batch=0,seconds=120         sleep 120s in the first batch
     crash:test=sb,attempts=1         SIGKILL the worker on sb's first try
-    corrupt:test=mp                  garble mp's first cache entry post-store
+    corrupt:test=mp                  garble mp's first cache entry post-commit
 
 Kinds:
 
@@ -22,11 +22,14 @@ Kinds:
   per-batch deadline armed this reliably trips the timeout path.
 * ``crash`` — ``SIGKILL`` the current process when running inside a pool
   worker (surfaces as ``BrokenProcessPool`` in the parent).  In-process
-  execution raises :class:`InjectedFault` instead — killing the caller's
-  own interpreter would take the test harness down with it.
-* ``corrupt`` — after the batch stores its results, overwrite the first
-  cell's payload row with garbage; exercises the cache's
-  stale-entry recovery (the next load must count a miss and recompute).
+  execution — serial runs, and batches the cache answers in full, which
+  a pooled run without a deadline settles in the parent — raises
+  :class:`InjectedFault` instead: killing the caller's own interpreter
+  would take the test harness down with it.
+* ``corrupt`` — once the parent has committed the transaction holding
+  the batch's results, overwrite the first cell's payload row with
+  garbage; exercises the cache's stale-entry recovery (the next lookup
+  must count a miss and recompute).
 
 Selectors (all optional; an action with none fires on every batch):
 
@@ -40,7 +43,8 @@ Selectors (all optional; an action with none fires on every batch):
 Plans are armed only through the ``REPRO_FAULTS`` environment variable,
 which is what lets tests and the CI job arm faults around an unmodified
 ``repro`` invocation.  ``evaluate_cells`` reads it once per call and
-ships the parsed plan to its workers inside each batch payload.
+ships the parsed plan to its workers inside each batch payload; the
+``corrupt`` faults it fires itself, after its cache commits.
 Everything is deterministic: the same plan against the same cell grid
 fires the same faults.
 """
@@ -51,7 +55,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 __all__ = [
     "FAULTS_ENV_VAR",
@@ -73,12 +77,14 @@ FAULT_KINDS: dict[str, str] = {
         "trips the per-batch deadline when one is armed"
     ),
     "crash": (
-        "SIGKILL the worker process mid-batch (in-process runs raise "
-        "`InjectedFault` instead of killing the caller)"
+        "SIGKILL the worker process mid-batch (in-process runs, which "
+        "include batches the cache answers in full when no deadline is "
+        "armed, raise `InjectedFault` instead of killing the caller)"
     ),
     "corrupt": (
-        "after the batch stores its results, overwrite the first cell's "
-        "payload row in the cache with garbage"
+        "after the parent commits the transaction holding the batch's "
+        "results, overwrite the first cell's payload row in the cache "
+        "with garbage"
     ),
 }
 """The fault vocabulary, rendered into ``docs/robustness.md``."""
@@ -261,24 +267,20 @@ def fire_before_batch(
             )
 
 
-def fire_after_batch(
+def fire_after_commit(
     plan: FaultPlan,
     batch_index: int,
     test_name: str,
     attempt: int,
-    cells: Sequence,
-    cache_dir: Optional[str],
+    cache,
+    key: str,
 ) -> None:
-    """Fire the post-store faults (``corrupt``) for a completed batch.
+    """Fire the post-commit faults (``corrupt``) for a settled batch.
 
-    Overwrites the first cell's payload row with non-JSON garbage; a
-    no-op without a cache directory (there is nothing to corrupt).
+    ``cache`` is the :class:`~repro.engine.cache.ResultCache` that has
+    just committed the batch's rows and ``key`` its first cell's key;
+    the row under it is overwritten with non-JSON garbage.
     """
     for action in plan.select(batch_index, test_name, attempt):
-        if action.kind != "corrupt" or cache_dir is None or not cells:
-            continue
-        from .cache import ResultCache, cell_cache_key
-
-        ResultCache(cache_dir).write_rows(
-            [(cell_cache_key(cells[0]), "\x00corrupted-by-fault-injection\x00")]
-        )
+        if action.kind == "corrupt":
+            cache.write_rows([(key, "\x00corrupted-by-fault-injection\x00")])

@@ -24,6 +24,19 @@ rounds, passes one :class:`WorkerPool` to all of them, so the workers
 start once per run; a crash or deadline kill replaces the pool's
 executor in place.
 
+With a cache directory the parent owns every cache access
+(:class:`_CacheLedger`): it keys each cell, answers hits with bulk
+lookups before anything runs, and hands each batch its answers in place
+of a cache, so a worker computes only the misses and never opens the
+database.  A batch the cache answers in full runs in the parent when its
+turn comes, so a fully warm call never starts a worker; only with a
+deadline armed does it go to the pool, so that an injected ``hang`` or
+``crash`` aimed at it stays killable.  Settled batches' computed rows
+are committed by the parent, one transaction per
+:data:`_COMMIT_EVERY` settled batches, at the end of the call and before
+a failure is re-raised (a failing commit then leaves the run's own error
+the one raised).
+
 Failure semantics are identical serial and pooled because they are
 written once: both modes run each batch through one runner,
 :func:`_run_batch`, which turns its outcome into a tagged tuple, and
@@ -68,16 +81,23 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Union
 
 from ..core.axiomatic import CandidatePrefix, DomainOverflowError
 from ..litmus.test import LitmusTest
 from ..obs import collecting, current, incr, monotonic, observe, time_block
-from .cache import ResultCache, cell_cache_key
+from .cache import (
+    CellKeyer,
+    ResultCache,
+    count_lookup,
+    decode_payload,
+    encode_payload,
+)
 from .cells import CellResult, CellSpec, evaluate_cell
 # Not called here; it stays importable because perfbench's traced runs wrap it.
 from .cells import test_descriptor  # noqa: F401
-from .faults import fault_plan_from_env, fire_after_batch, fire_before_batch
+from .faults import FaultPlan, fault_plan_from_env, fire_after_commit, fire_before_batch
 from .policy import DEFAULT_POLICY, ON_ERROR_QUARANTINE, CellFailure, ExecutionPolicy
 
 __all__ = [
@@ -95,6 +115,9 @@ twice as long as the one before."""
 STALL_AFTER = 30.0
 """Seconds one pending batch may wait before ``on_stall`` fires (and the
 campaign heartbeat flags the gap as stalled)."""
+
+_CHUNK_CAP = 64
+"""Most batches per pool future."""
 
 
 class EngineWorkerError(RuntimeError):
@@ -139,40 +162,48 @@ def _group_by_test(
     return groups
 
 
+@dataclass(frozen=True)
+class _Repeat:
+    """The answer for a batch cell whose cache key repeats an earlier
+    cell's in the same batch: it takes the result at ``index``."""
+
+    index: int
+
+
+Answer = Union[CellResult, _Repeat, None]
+"""What the parent knows of a batch cell before dispatch: its cached
+result, a :class:`_Repeat`, or ``None`` (compute it)."""
+
+
 def _evaluate_batch(
     test: LitmusTest,
     cells: Sequence[CellSpec],
-    cache_dir: Optional[str],
+    answers: Optional[Sequence[Answer]],
 ) -> list[CellResult]:
-    """Evaluate one test's cells with a shared prefix, through the cache.
+    """Evaluate one test's cells with a shared prefix.
 
-    The prefix is built lazily: a batch fully served from the cache never
-    enumerates a single program run.  Each cell's cache key is computed
-    once and serves both its lookup and its store; the batch's stores are
-    committed together, in one transaction, when it finishes.
+    ``answers`` (``None`` without a cache) holds what the parent's cache
+    lookup found, one entry per cell; only the ``None`` entries are
+    computed.  The prefix is built lazily: a batch the cache answers in
+    full never enumerates a single program run.
     """
     with time_block("engine.batch.seconds"):
         incr("engine.batches")
         observe("engine.batch.cells", len(cells))
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
         prefix: Optional[CandidatePrefix] = None
         results: list[CellResult] = []
-        with cache.batch() if cache is not None else nullcontext():
-            for cell in cells:
-                key = None
-                if cache is not None:
-                    key = cell_cache_key(cell)
-                    cached = cache.load(cell, key)
-                    if cached is not None:
-                        results.append(cached)
-                        continue
-                if prefix is None:
-                    prefix = CandidatePrefix(test)
-                with time_block("engine.cell.seconds"):
-                    result = evaluate_cell(cell, prefix)
-                if cache is not None:
-                    cache.store(cell, result, key)
-                results.append(result)
+        for position, cell in enumerate(cells):
+            answer = answers[position] if answers is not None else None
+            if isinstance(answer, _Repeat):
+                results.append(results[answer.index])
+                continue
+            if answer is not None:
+                results.append(answer)
+                continue
+            if prefix is None:
+                prefix = CandidatePrefix(test)
+            with time_block("engine.cell.seconds"):
+                results.append(evaluate_cell(cell, prefix))
         return results
 
 
@@ -180,26 +211,26 @@ def _run_batch(payload: tuple) -> tuple:
     """Run one batch with its planned faults; returns a tagged outcome,
     never raises.
 
-    Serial and pooled evaluation both run every batch through here.
-    Pre-evaluation faults (raise/hang/crash) fire before the batch runs,
-    the cache-corruption fault after it has stored its results.  An
-    exception crossing a pool boundary loses its context, so errors
-    travel back as data — tagged tuples carrying the test name, message
-    and formatted traceback, plus the live exception when the batch ran
-    in-process (``None`` in a worker) — and are settled by
-    :func:`evaluate_cells`.  When the parent collects stats from a pool,
-    the batch runs under a private recorder whose snapshot rides back in
-    the ``("ok", results, snapshot)`` tuple; in-process batches record
+    Serial and pooled evaluation both run every batch through here, as
+    do the batches a pooled call settles in the parent because the cache
+    answered them in full.  Pre-evaluation faults (raise/hang/crash)
+    fire before the batch runs; the cache-corruption fault fires in the
+    parent, after the commit that holds the batch.  An exception
+    crossing a pool boundary loses its context, so errors travel back as
+    data — tagged tuples carrying the test name, message and formatted
+    traceback, plus the live exception when the batch ran in-process
+    (``None`` in a worker) — and are settled by :func:`evaluate_cells`.
+    When the parent collects stats from a pool, the batch runs under a
+    private recorder whose snapshot rides back in the
+    ``("ok", results, snapshot)`` tuple; in-process batches record
     straight into the parent's recorder and ship ``None``.
     """
-    batch_index, attempt, test, cells, cache_dir, collect_stats, plan, in_worker = payload
+    batch_index, attempt, test, cells, answers, collect_stats, plan, in_worker = payload
     try:
         with collecting() if collect_stats else nullcontext() as recorder:
             if plan:
                 fire_before_batch(plan, batch_index, test.name, attempt, in_worker)
-            results = _evaluate_batch(test, cells, cache_dir)
-            if plan:
-                fire_after_batch(plan, batch_index, test.name, attempt, cells, cache_dir)
+            results = _evaluate_batch(test, cells, answers)
             snapshot = recorder.snapshot() if recorder is not None else None
         return ("ok", results, snapshot)
     except DomainOverflowError as exc:
@@ -231,7 +262,7 @@ def _chunk_size(batches: int, workers: int) -> int:
     per-future round trip, so consecutive batches share a future; four
     per worker leave enough futures to balance uneven batch times.
     """
-    return max(1, min(64, batches // (4 * workers)))
+    return max(1, min(_CHUNK_CAP, batches // (4 * workers)))
 
 
 def _kill_executor(executor: ProcessPoolExecutor) -> None:
@@ -290,6 +321,99 @@ class WorkerPool:
         self.close()
 
 
+_COMMIT_EVERY = 64
+"""Settled batches per cache commit: the most settled batches whose rows
+a killed run can lose."""
+
+
+class _CacheLedger:
+    """The parent's side of the result cache for one :func:`evaluate_cells`
+    call.
+
+    Opening it keys every cell and answers the hits with bulk lookups,
+    so each batch carries its answers to wherever it runs.  As batches
+    settle it counts their lookups, encodes the rows they computed and
+    commits them :data:`_COMMIT_EVERY` settled batches at a time; the
+    caller commits the rest at the end of the call, or before it
+    re-raises a failure.  Planned ``corrupt`` faults fire after the
+    commit that holds their batch.
+    """
+
+    def __init__(
+        self,
+        cache: ResultCache,
+        cells: Sequence[CellSpec],
+        groups: Sequence[tuple[LitmusTest, list[int]]],
+        plan: FaultPlan,
+    ) -> None:
+        self.cache = cache
+        self.plan = plan
+        self._cells = cells
+        self._groups = groups
+        keyer = CellKeyer()
+        keys = [keyer.key(cell) for cell in cells]
+        found = cache.lookup(list(dict.fromkeys(keys)))
+        self.keys: list[list[str]] = []
+        self.answers: list[list[Answer]] = []
+        self.lookups: list[list[str]] = []
+        for _, indices in groups:
+            batch_keys = [keys[index] for index in indices]
+            answers: list[Answer] = []
+            lookups: list[str] = []
+            first: dict[str, int] = {}
+            for position, (index, key) in enumerate(zip(indices, batch_keys)):
+                if key in first:
+                    answers.append(_Repeat(first[key]))
+                    lookups.append("hit")
+                    continue
+                first[key] = position
+                text = found.get(key)
+                result = None if text is None else decode_payload(cells[index], text)
+                answers.append(result)
+                if result is not None:
+                    lookups.append("hit")
+                else:
+                    lookups.append("miss" if text is None else "stale")
+            self.keys.append(batch_keys)
+            self.answers.append(answers)
+            self.lookups.append(lookups)
+        self._rows: list[tuple[str, str]] = []
+        self._corrupt: list[tuple[int, str, int, str]] = []
+        self._settled = 0
+
+    def answered(self, slot: int) -> bool:
+        """Whether the cache holds every result of the batch at ``slot``."""
+        return None not in self.answers[slot]
+
+    def settle(self, slot: int, results: Sequence[CellResult], attempt: int) -> None:
+        """Count a settled batch's lookups and queue the rows it computed."""
+        test, indices = self._groups[slot]
+        for index, key, answer, lookup, result in zip(
+            indices, self.keys[slot], self.answers[slot], self.lookups[slot], results
+        ):
+            cell = self._cells[index]
+            count_lookup(cell, lookup)
+            if answer is None:
+                incr("engine.cache.store")
+                self._rows.append((key, encode_payload(cell, result)))
+        if self.plan:
+            self._corrupt.append((slot, test.name, attempt, self.keys[slot][0]))
+        self._settled += 1
+        if self._settled >= _COMMIT_EVERY:
+            self.commit()
+
+    def commit(self) -> None:
+        """Write the queued rows in one transaction, then fire the
+        ``corrupt`` faults of the batches it held."""
+        rows, self._rows = self._rows, []
+        corrupt, self._corrupt = self._corrupt, []
+        self._settled = 0
+        if rows:
+            self.cache.write_rows(rows)
+        for slot, name, attempt, key in corrupt:
+            fire_after_commit(self.plan, slot, name, attempt, self.cache, key)
+
+
 def evaluate_cells(
     cells: Sequence[CellSpec],
     jobs: int = 1,
@@ -309,7 +433,11 @@ def evaluate_cells(
     ``pool`` when the caller keeps one :class:`WorkerPool` for a whole
     run (this call leaves it open), else a private one shut down before
     returning.  With ``cache_dir`` set, results are served from /
-    persisted to the on-disk :class:`~repro.engine.cache.ResultCache`.
+    persisted to the on-disk :class:`~repro.engine.cache.ResultCache`,
+    by this process alone (see :class:`_CacheLedger`): batches the cache
+    answers in full run in-process unless a deadline is armed, and only
+    batches with a miss are dispatched to workers, so a fully warm call
+    never starts a pool.
 
     ``policy`` (default :data:`~repro.engine.policy.DEFAULT_POLICY`)
     decides what failed batches become: exceptions (``fail``), inline
@@ -339,22 +467,45 @@ def evaluate_cells(
     plan = fault_plan_from_env()
     recorder = current()
     recorder.incr("engine.cells.requested", len(cells))
-    if cache_dir is not None:
-        # Open the cache in the parent: a bad path fails here with a plain
-        # OSError, not as a worker error, and the database is in WAL mode
-        # before any worker opens it.
-        ResultCache(cache_dir)
     groups = _group_by_test(cells)
+    # Opening the cache here makes a bad path fail with a plain OSError.
+    ledger = (
+        _CacheLedger(ResultCache(cache_dir), cells, groups, plan)
+        if cache_dir is not None
+        else None
+    )
     results: list[Optional[CellResult]] = [None] * len(cells)
     attempts = [1] * len(groups)
-    use_pool = (jobs > 1 and len(groups) > 1) or policy.needs_pool
-    collect_stats = use_pool and recorder.active
+    # Slots a pool runs, in order; the rest, which the cache answers in
+    # full, run in-process when their turn comes.  Such a batch computes
+    # nothing, so only an injected hang or crash can stall it; a deadline
+    # still sends it to the pool so the fault harness can kill it.
+    remote = [
+        slot
+        for slot in range(len(groups))
+        if ledger is None or policy.needs_pool or not ledger.answered(slot)
+    ]
+    use_pool = (jobs > 1 and len(remote) > 1) or policy.needs_pool
+    in_worker = [False] * len(groups)
+    if use_pool:
+        for slot in remote:
+            in_worker[slot] = True
 
     def payload(slot: int) -> tuple:
         """The :func:`_run_batch` payload for a batch's current attempt."""
         test, indices = groups[slot]
         batch = [cells[i] for i in indices]
-        return (slot, attempts[slot], test, batch, cache_dir, collect_stats, plan, use_pool)
+        answers = ledger.answers[slot] if ledger is not None else None
+        return (
+            slot,
+            attempts[slot],
+            test,
+            batch,
+            answers,
+            recorder.active and in_worker[slot],
+            plan,
+            in_worker[slot],
+        )
 
     def retry(slot: int) -> bool:
         """Spend one retry on a batch, backing off; False when none is left."""
@@ -409,6 +560,8 @@ def evaluate_cells(
             test, indices = groups[slot]
             for index, result in zip(indices, outcome[1]):
                 results[index] = result
+            if ledger is not None:
+                ledger.settle(slot, outcome[1], attempts[slot])
             if on_batch is not None:
                 on_batch(test, list(outcome[1]))
         elif tag == "domain-overflow":
@@ -420,20 +573,61 @@ def evaluate_cells(
             finalize(slot, tag, outcome[2], outcome[3], outcome[4])
         return True
 
-    with time_block("engine.wall.seconds"):
-        if use_pool:
-            _evaluate_pooled(
-                groups, pool, jobs, policy, on_stall, payload, retry, finalize, settle
-            )
-        else:
-            for slot in range(len(groups)):
+    settled_in_process = 0
+
+    def run_in_process(until: int) -> None:
+        """Run and settle, in order, the in-process batches before slot
+        ``until`` that have not run yet."""
+        nonlocal settled_in_process
+        for slot in range(settled_in_process, until):
+            if not in_worker[slot]:
                 while not settle(slot, _run_batch(payload(slot))):
                     pass
+        settled_in_process = max(settled_in_process, until)
+
+    failure: Optional[BaseException] = None
+    try:
+        with time_block("engine.wall.seconds"):
+            if use_pool:
+                _evaluate_pooled(
+                    groups,
+                    remote,
+                    pool,
+                    jobs,
+                    policy,
+                    on_stall,
+                    payload,
+                    retry,
+                    finalize,
+                    settle,
+                    run_in_process,
+                )
+            run_in_process(len(groups))
+    except BaseException as error:
+        failure = error
+        raise
+    finally:
+        if ledger is not None:
+            try:
+                ledger.commit()
+            except Exception as error:
+                # The run's own failure stays the one raised.
+                if failure is None:
+                    raise
+                _add_note(failure, f"the cache commit failed too: {error!r}")
     return results
+
+
+def _add_note(error: BaseException, text: str) -> None:
+    """Attach ``text`` to ``error`` (``add_note`` exists from Python 3.11)."""
+    add_note = getattr(error, "add_note", None)
+    if add_note is not None:
+        add_note(text)
 
 
 def _evaluate_pooled(
     groups: list[tuple[LitmusTest, list[int]]],
+    order: Sequence[int],
     pool: Optional[WorkerPool],
     jobs: int,
     policy: ExecutionPolicy,
@@ -442,13 +636,18 @@ def _evaluate_pooled(
     retry: Callable[[int], bool],
     finalize: Callable[..., None],
     settle: Callable[[int, tuple], bool],
+    run_in_process: Callable[[int], None],
 ) -> None:
     """Pooled evaluation: chunked futures, deadlines, recovery.
 
-    Batch outcomes go through the same ``payload``/``retry``/
-    ``finalize``/``settle`` helpers as the serial loop in
-    :func:`evaluate_cells`; this loop only adds what a pool needs.  Each
-    future carries a run of consecutive batches (see
+    ``order`` lists the slots of the batches the pool runs, ascending;
+    positions below index it.  Before the head batch is consumed,
+    ``run_in_process`` settles the batches between it and the previous
+    one that run in the parent (those the cache answered in full), so
+    the ``on_batch`` stream keeps slot order.  Batch outcomes go through
+    the same ``payload``/``retry``/``finalize``/``settle`` helpers as
+    the serial loop in :func:`evaluate_cells`; this loop only adds what
+    a pool needs.  Each future carries a run of consecutive batches (see
     :func:`_chunk_size`) and comes back as one tagged tuple per batch;
     batches are consumed strictly in submission order (deterministic
     ``on_batch`` stream and telemetry merges), so a chunk's later batches
@@ -475,19 +674,19 @@ def _evaluate_pooled(
     """
     owned = pool is None
     if owned:
-        pool = WorkerPool(min(max(jobs, 1), len(groups)))
+        pool = WorkerPool(min(max(jobs, 1), len(order)))
     workers = pool.workers
     window_cap = workers if policy.needs_pool else 2 * workers
-    chunk = 1 if policy.needs_pool else _chunk_size(len(groups), workers)
-    total = len(groups)
-    inflight: dict[int, tuple] = {}  # first slot -> (future, submitted)
-    ready: dict[int, tuple] = {}  # slot -> its tagged outcome, not yet consumed
+    chunk = 1 if policy.needs_pool else _chunk_size(len(order), workers)
+    total = len(order)
+    inflight: dict[int, tuple] = {}  # first position -> (future, submitted)
+    ready: dict[int, tuple] = {}  # position -> its tagged outcome, not yet consumed
     position = 0
     next_submit = 0
     serial_until = 0
 
     def _submit(start: int, end: int) -> None:
-        payloads = [payload(slot) for slot in range(start, end)]
+        payloads = [payload(order[index]) for index in range(start, end)]
         future = pool.executor().submit(_run_chunk, payloads)
         inflight[start] = (future, monotonic())
 
@@ -519,19 +718,21 @@ def _evaluate_pooled(
     def _charge(reason: str, message: str) -> None:
         """Spend one of the head batch's attempts on a kill or a crash."""
         nonlocal position, next_submit
-        if not retry(position):
-            finalize(position, reason, message)
+        if not retry(order[position]):
+            finalize(order[position], reason, message)
             position += 1
             next_submit = position
 
     try:
         while position < total:
             _fill_window()
+            slot = order[position]
+            run_in_process(slot)
             outcome = ready.pop(position, None)
             event: Optional[str] = None
             if outcome is None:
                 event, outcomes = _await_chunk(
-                    inflight.get(position), groups[position][0], policy, on_stall
+                    inflight.get(position), groups[slot][0], policy, on_stall
                 )
                 if event is None:
                     del inflight[position]
@@ -551,7 +752,7 @@ def _evaluate_pooled(
                     serial_until = position + suspects
                 elif suspects == 1:
                     _charge("crash", "worker process died mid-batch (pool broken)")
-            elif settle(position, outcome):
+            elif settle(slot, outcome):
                 position += 1
             else:
                 try:

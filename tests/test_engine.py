@@ -32,14 +32,14 @@ from repro.engine import (
     cell_cache_key,
     evaluate_cells,
 )
-from repro.engine.cache import DB_NAME
+from repro.engine.cache import DB_NAME, encode_payload
 from repro.equivalence.checker import check_suite
 from repro.eval.litmus_matrix import litmus_matrix, render_matrix
 from repro.eval.strength import render_strength, strength_matrix
 from repro.isa.expr import BinOp, Const, Reg
 from repro.litmus.dsl import LitmusBuilder
 from repro.litmus.frontend.suite import resolve_suite
-from repro.litmus.registry import get_test, paper_suite
+from repro.litmus.registry import all_tests, get_test, paper_suite
 from repro.models.registry import get_model
 from repro.obs import collecting
 
@@ -215,8 +215,9 @@ class TestCache:
         assert sorted(described()) == sorted((os.getpid(), id(t)) for t in tests)
         assert evaluate_cells(cells, cache_dir=str(tmp_path / "serial")) == serial
         assert described() == []
-        # One key per cell and call, serving both the lookup and the store.
-        assert sorted(map(id, keyed)) == sorted(map(id, cells + cells))
+        # Each call builds the descriptor before the test part once per
+        # distinct (kind, model, oracle), not once per cell.
+        assert len(keyed) == 2 * 4
         # Batches store under the per-cell keys, so a lone load (and the
         # corrupt fault, which keys its row the same way) finds them.
         assert set(_rows(tmp_path / "serial")) == {cell_cache_key(c) for c in cells}
@@ -228,6 +229,94 @@ class TestCache:
         )
         assert pooled == serial
         assert sorted(described()) == sorted((os.getpid(), id(t)) for t in tests)
+
+    def test_memoized_keys_hash_the_full_descriptor(self):
+        """The key memo changes how a key is computed, never what it is:
+        every cell's key is the SHA-256 of its whole canonical descriptor."""
+        import hashlib
+
+        from repro.engine.cache import CellKeyer
+        from repro.engine.cells import cell_descriptor, operational_machines
+        from repro.models.registry import model_names
+
+        cells = []
+        for test in all_tests():
+            for name in model_names():
+                model = get_model(name)
+                cells.append(VerdictSpec(test, model))
+                cells.append(OutcomeSpec(test, model, project="full"))
+            for machine in operational_machines():
+                oracle = f"operational:{machine}"
+                cells.append(VerdictSpec(test, None, oracle=oracle))
+                cells.append(OutcomeSpec(test, None, project="full", oracle=oracle))
+        keyer = CellKeyer()
+        for cell in cells:
+            text = json.dumps(cell_descriptor(cell), sort_keys=True, separators=(",", ":"))
+            key = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert keyer.key(cell) == cell_cache_key(cell) == key
+
+    def test_key_memo_follows_model_content(self, tmp_path):
+        """Equal models built apart share keys; an edited ``.model`` file,
+        read back under the same name, does not."""
+        from repro.engine.cache import CellKeyer
+        from repro.models.spec import print_model, resolve_model
+
+        test = get_test("dekker")
+        path = tmp_path / "mine.model"
+        path.write_text(print_model(get_model("gam")), encoding="utf-8")
+        first, second = resolve_model(str(path)), resolve_model(str(path))
+        assert first is not second
+        keyer = CellKeyer()
+        key = keyer.key(VerdictSpec(test, first))
+        assert keyer.key(VerdictSpec(test, second)) == key
+        assert keyer.key(VerdictSpec(test, get_model("gam"))) == key
+        text = path.read_text(encoding="utf-8").replace("ppo SALdLd\n", "")
+        path.write_text(text, encoding="utf-8")
+        edited = resolve_model(str(path))
+        assert edited.name == first.name
+        assert keyer.key(VerdictSpec(test, edited)) == cell_cache_key(
+            VerdictSpec(test, edited)
+        ) != key
+
+    def test_fully_warm_pooled_call_starts_no_pool(self, tmp_path):
+        """A pooled call the cache answers in full runs in the parent: no
+        worker starts, and its results and counters are the serial ones."""
+        from repro.engine import WorkerPool
+
+        warm = str(tmp_path / "warm")
+        cells = [
+            VerdictSpec(test, get_model(model))
+            for test in (get_test("dekker"), get_test("mp"), get_test("lb"))
+            for model in ("sc", "gam", "arm")
+        ]
+        serial = evaluate_cells(cells, cache_dir=warm)
+        with collecting() as recorder:
+            assert evaluate_cells(cells, cache_dir=warm) == serial
+            serial_counters = recorder.snapshot().counters
+        with WorkerPool(2) as pool:
+            with collecting() as recorder:
+                pooled = evaluate_cells(cells, jobs=2, cache_dir=warm, pool=pool)
+                pooled_counters = recorder.snapshot().counters
+            assert pool._executor is None
+        assert pooled == serial
+        assert pooled_counters == serial_counters
+        assert serial_counters["engine.cache.hit"] == len(cells)
+        assert "engine.cells.evaluated" not in serial_counters
+
+    def test_commits_once_per_64_settled_batches(self, tmp_path):
+        """The parent writes the rows of up to 64 settled batches in one
+        transaction, and the rest at the end of the call."""
+        tests = list(resolve_suite("gen:edges=4"))[:70]
+        cells = [VerdictSpec(test, get_model("sc")) for test in tests]
+        statements = []
+        ResultCache(tmp_path)._db.set_trace_callback(statements.append)
+        try:
+            evaluate_cells(cells, cache_dir=str(tmp_path))
+        finally:
+            ResultCache(tmp_path)._db.set_trace_callback(None)
+        assert statements.count("BEGIN IMMEDIATE") == 2
+        assert statements.count("COMMIT") == 2
+        assert len(_rows(tmp_path)) == len(cells)
 
     def test_cache_payload_is_json(self, tmp_path):
         test = get_test("dekker")
@@ -242,7 +331,7 @@ class TestCache:
 def _hammer_store(root, names, rounds, barrier):
     """One writer process: open each of ``rounds`` fresh caches at the
     same moment as its twin, then store and load the same cells in it,
-    one at a time or in one batch."""
+    one at a time or all in one transaction."""
     cells = [
         VerdictSpec(get_test(name), get_model(model))
         for name in names
@@ -253,7 +342,12 @@ def _hammer_store(root, names, rounds, barrier):
         for index in range(rounds):
             barrier.wait(timeout=60)
             cache = ResultCache(os.path.join(root, str(index)))
-            with cache.batch() if index % 2 else contextlib.nullcontext():
+            if index % 2:
+                cache.write_rows(
+                    (cell_cache_key(cell), encode_payload(cell, expected[cell_cache_key(cell)]))
+                    for cell in cells
+                )
+            else:
                 for cell in cells:
                     cache.store(cell, expected[cell_cache_key(cell)])
             for cell in cells:
@@ -267,8 +361,8 @@ def _hammer_store(root, names, rounds, barrier):
 
 def _die_inside_commit(root, cell):
     """Store ``cell`` alone, then SIGKILL this process inside the commit
-    of a batch of 500 rows, after they were written to the open
-    transaction and spilled to the write-ahead log."""
+    of one ``write_rows`` of 500 rows, after they were written to the
+    open transaction and spilled to the write-ahead log."""
 
     class _KillAtCommit:
         def __init__(self, db):
@@ -286,9 +380,8 @@ def _die_inside_commit(root, cell):
     cache.store(cell, True)
     cache._db.execute("PRAGMA cache_size = 1")  # spill pages before commit
     cache._db = _KillAtCommit(cache._db)
-    with cache.batch():
-        for index in range(500):
-            cache.store(cell, False, key=f"{index:064x}")
+    payload = encode_payload(cell, False)
+    cache.write_rows((f"{index:064x}", payload) for index in range(500))
 
 
 class TestConcurrentStore:
@@ -322,7 +415,7 @@ class TestConcurrentStore:
         assert proc.exitcode == -signal.SIGKILL
         assert os.path.getsize(os.path.join(root, DB_NAME + "-wal")) > 0
         cache = ResultCache(root)
-        assert cache.stats().entries == 1  # the batch's 500 rows never landed
+        assert cache.stats().entries == 1  # the commit's 500 rows never landed
         assert cache.load(cell) is True
         cache.store(cell, False)  # the dead writer's lock is gone
         assert _rows(root) == {cell_cache_key(cell): '{"allowed": false, "kind": "verdict"}'}
@@ -330,12 +423,6 @@ class TestConcurrentStore:
     def test_failed_batch_commits_nothing(self, tmp_path):
         cache = ResultCache(tmp_path)
         cells = [VerdictSpec(get_test("mp"), get_model(model)) for model in ("sc", "gam")]
-        with pytest.raises(RuntimeError, match="mid-batch"):
-            with cache.batch():
-                cache.store(cells[0], True)
-                assert cache.load(cells[0]) is True  # pending, yet visible
-                raise RuntimeError("mid-batch")
-        assert cache.load(cells[0]) is None
 
         def _rows_then_failure():
             yield (cell_cache_key(cells[0]), "{}")
@@ -344,6 +431,7 @@ class TestConcurrentStore:
         with pytest.raises(OSError, match="disk full"):
             cache.write_rows(_rows_then_failure())
         assert _rows(tmp_path) == {}
+        assert cache.load(cells[0]) is None
         cache.store(cells[1], True)  # no transaction was left open
         assert cache.load(cells[1]) is True
 

@@ -461,6 +461,52 @@ class TestCorruptionRecovery:
         assert counters["engine.cache.store"] == 1  # recomputed + re-stored
 
 
+class TestCommitBeforeRaise:
+    def test_settled_batches_reach_the_cache_before_a_raise(
+        self, tmp_path, monkeypatch
+    ):
+        """Under the default ``fail`` policy the parent commits the rows of
+        the batches that settled before the failing one, then raises."""
+        cells = _verdict_cells("mp", "lb", "corr", "dekker")
+        baseline = evaluate_cells(cells)
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise:test=corr")
+        with pytest.raises(EngineWorkerError, match="corr"):
+            evaluate_cells(cells, cache_dir=str(tmp_path))
+        settled = [cell for cell in cells if cell.test.name in ("mp", "lb")]
+        with contextlib.closing(sqlite3.connect(tmp_path / DB_NAME)) as db:
+            keys = {key for (key,) in db.execute("SELECT key FROM cells")}
+        assert keys == {cell_cache_key(cell) for cell in settled}
+        monkeypatch.delenv(FAULTS_ENV_VAR)
+        with collecting() as recorder:
+            assert evaluate_cells(cells, cache_dir=str(tmp_path)) == baseline
+            counters = recorder.snapshot().counters
+        assert counters["engine.cache.hit"] == len(settled)
+        assert counters["engine.cache.miss"] == len(cells) - len(settled)
+
+    def test_a_failing_commit_does_not_mask_the_failure(
+        self, tmp_path, monkeypatch
+    ):
+        """When the commit before a re-raise fails too, the batch's error is
+        still the one raised; the commit's error rides along as a note
+        (from Python 3.11, which has ``add_note``)."""
+
+        def full_disk(self, rows):
+            raise sqlite3.OperationalError("database or disk is full")
+
+        cells = _verdict_cells("mp", "lb", "corr", "dekker")
+        monkeypatch.setattr(ResultCache, "write_rows", full_disk)
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise:test=corr")
+        with pytest.raises(EngineWorkerError, match="corr") as caught:
+            evaluate_cells(cells, cache_dir=str(tmp_path))
+        notes = getattr(caught.value, "__notes__", None)
+        if hasattr(caught.value, "add_note"):
+            assert notes and "disk is full" in notes[0]
+        # With no failure in flight, the commit's own error is raised.
+        monkeypatch.delenv(FAULTS_ENV_VAR)
+        with pytest.raises(sqlite3.OperationalError, match="disk is full"):
+            evaluate_cells(cells, cache_dir=str(tmp_path))
+
+
 class TestCacheMaintenance:
     def test_stats_inventory(self, tmp_path):
         cache = ResultCache(str(tmp_path))

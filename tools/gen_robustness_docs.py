@@ -128,11 +128,15 @@ faults.
 _FOOTER = """\
 ## Cache safety
 
-A result cache is one SQLite database per directory, written one
-transaction per batch.  A worker killed mid-batch is rolled back by the
-next process to open the database, so a reader sees each batch whole or
-not at all and nothing is left behind to sweep; a corrupted entry is
-re-counted as a miss and recomputed.
+A result cache is one SQLite database per directory, read and written
+by the parent process of each run only: workers receive the parent's
+answers and return results.  The parent commits computed rows in one
+transaction per 64 settled batches, at the end of each engine call and
+before it re-raises a failure; a commit that fails then does not mask
+the failure being raised.  A process killed mid-commit is rolled
+back by the next process to open the database, so a reader sees each
+commit whole or not at all and nothing is left behind to sweep; a
+corrupted entry is re-counted as a miss and recomputed.
 
 ```console
 $ repro cache stats DIR                       # entry count + bytes on disk
