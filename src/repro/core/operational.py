@@ -12,15 +12,24 @@ machine, so the SC and TSO reference machines
 (:mod:`repro.core.reference_machines`) run on the same loop, under the
 same state cap and telemetry, with their own step rules.
 
-**State encoding.**  States are plain tuples, so the hashing and equality
-checks that memoization runs on every successor happen in C:
+**State encoding.**  A machine state is a flat tuple of small ints,
+``(memory_id, pstate_id_0, …, pstate_id_{n-1})``: each exploration interns
+every memory image and every processor state it meets to an int, so the
+hashing and equality checks that memoization runs on every successor
+touch a few machine words instead of nested tuples.  The interned values
+are plain tuples:
 
 * a ROB entry is ``(index, done, result, addr_avail, addr, data_avail,
   data, pred_next)`` — the static index of the entry's instruction, then
   the paper's fields, ``None`` while a field is unset;
-* a processor is ``(pc, rob)``, ``rob`` a tuple of entries, oldest first;
-* the machine is ``(memory, procs)``, ``memory`` the sorted ``(addr,
-  value)`` pairs of the monolithic memory (unlisted addresses read 0).
+* a processor state is ``(pc, rob)``, ``rob`` a tuple of entries, oldest
+  first; its intern table also keeps whether it is finished (everything
+  fetched and done), which is all :meth:`_Machine.is_terminal` reads;
+* a memory image is the sorted ``(addr, value)`` pairs of the monolithic
+  memory (unlisted addresses read 0).
+
+:meth:`_Machine.decode` turns a state back into ``(memory, procs)``.  The
+ids mean nothing outside the exploration that assigned them.
 
 **Compiled metadata.**  :class:`_Machine` compiles the test once per
 exploration into a table with one :class:`_InstrMeta` row per static
@@ -59,7 +68,15 @@ Three deliberate deviations, all behaviour-preserving:
 * **Variants.**  The machine is parameterized over the same-address
   load-load policy so the GAM0 machine (no SALdLd stalls or
   load-address-resolution kills) can be explored with the same code; the
-  paper's Figure 17 corresponds to :data:`GAM_MACHINE`.
+  paper's Figure 17 corresponds to :data:`GAM_MACHINE`.  The two variants
+  differ at three points only: Execute-Load behind an older unissued
+  same-address load (GAM stalls), a load's Compute-Mem-Addr finding a
+  younger done same-address load (GAM kills it), and a store's or RMW's
+  Compute-Mem-Addr searching past a younger unissued same-address load
+  (GAM stops there).  Both variants evaluate every such point the same
+  way and set :attr:`ExplorationResult.saldld_met` only where the two
+  would fire different moves, so a run that leaves it clear is, state
+  for state, the other variant's run too.
 """
 
 from __future__ import annotations
@@ -162,10 +179,10 @@ def _replace(pc: int, rob: tuple, pos: int, entry: _Entry) -> tuple:
     return (pc, rob[:pos] + (entry,) + rob[pos + 1:])
 
 
-def _place(procs: tuple, p: int, moves: list) -> list[_State]:
-    """Machine states after processor ``p``'s ``(memory, processor state)`` moves."""
-    head, tail = procs[:p], procs[p + 1:]
-    return [(memory, head + (pstate,) + tail) for memory, pstate in moves]
+def _place(state: _State, p: int, moves: list) -> list[_State]:
+    """Machine states after processor ``p``'s ``(memory_id, pstate_id)`` moves."""
+    head, tail = state[1:p + 1], state[p + 2:]
+    return [(memory, *head, pstate, *tail) for memory, pstate in moves]
 
 
 class _InstrMeta(NamedTuple):
@@ -252,7 +269,42 @@ class _Machine:
         self.zero_regs = tuple(
             dict.fromkeys(program.registers(), 0) for program in test.programs
         )
-        self._moves: dict[tuple, tuple[bool, list]] = {}
+        self.saldld_met = False
+        # Intern tables: memory images and processor states to ints.  A
+        # processor state's id is unique across processors.  Per id,
+        # ``_finished`` is whether it has everything fetched and done and
+        # ``_moves`` memoizes its moves by memory id.
+        self._memories: list[tuple] = []
+        self._memory_ids: dict[tuple, int] = {}
+        self._pstates: list[tuple] = []
+        self._pstate_ids: tuple[dict, ...] = tuple({} for _ in self.ends)
+        self._finished: list[bool] = []
+        self._moves: list[dict[int, tuple[bool, list]]] = []
+
+    def _memory_id(self, memory: tuple) -> int:
+        ident = self._memory_ids.get(memory)
+        if ident is None:
+            ident = self._memory_ids[memory] = len(self._memories)
+            self._memories.append(memory)
+        return ident
+
+    def _pstate_id(self, p: int, pstate: tuple) -> int:
+        ids = self._pstate_ids[p]
+        ident = ids.get(pstate)
+        if ident is None:
+            ident = ids[pstate] = len(self._pstates)
+            self._pstates.append(pstate)
+            self._moves.append({})
+            pc, rob = pstate
+            self._finished.append(
+                pc == self.ends[p] and all(entry[_DONE] for entry in rob)
+            )
+        return ident
+
+    def decode(self, state: _State) -> tuple[tuple, tuple]:
+        """``(memory, procs)``: the memory image and each ``(pc, rob)``."""
+        pstates = self._pstates
+        return self._memories[state[0]], tuple(pstates[i] for i in state[1:])
 
     def initial_states(self) -> list[_State]:
         """The empty machine (initial memory, empty ROBs), fetched."""
@@ -261,14 +313,20 @@ class _Machine:
 
     # -- fetch (eager, with branch-prediction nondeterminism) --------------
 
-    def fetch_closure(self, state: _State) -> list[_State]:
-        """Apply rule Fetch to exhaustion, branching over predictions."""
+    def fetch_closure(self, state: tuple[tuple, tuple]) -> list[_State]:
+        """Apply rule Fetch to exhaustion, branching over predictions.
+
+        Takes a decoded ``(memory, procs)`` and returns interned states.
+        """
         memory, procs = state
         choices = [
-            [(end, rob + suffix) for suffix in paths[pc]]
-            for (pc, rob), paths, end in zip(procs, self.paths, self.ends)
+            [self._pstate_id(p, (end, rob + suffix)) for suffix in paths[pc]]
+            for p, ((pc, rob), paths, end) in enumerate(
+                zip(procs, self.paths, self.ends)
+            )
         ]
-        return [(memory, combo) for combo in itertools.product(*choices)]
+        memory_id = self._memory_id(memory)
+        return [(memory_id, *combo) for combo in itertools.product(*choices)]
 
     # -- kills -------------------------------------------------------------
 
@@ -296,23 +354,44 @@ class _Machine:
         qualifies, every move fires.  Every terminal state stays reachable
         (``docs/architecture.md``, "The abstract machines").
         """
-        memory, procs = state
+        memory_id = state[0]
+        memos = self._moves
         found = []
-        for p, pstate in enumerate(procs):
-            key = (p, memory, pstate)
-            cached = self._moves.get(key)
+        for p in range(len(self.ends)):
+            pstate_id = state[p + 1]
+            memo = memos[pstate_id]
+            cached = memo.get(memory_id)
             if cached is None:
-                moves, local, oldest_end = self._processor_moves(p, memory, pstate)
+                moves, local, oldest_end = self._interned_moves(p, memory_id, pstate_id)
                 reduce = local and bool(moves)
-                cached = self._moves[key] = (reduce, moves[:oldest_end] if reduce else moves)
+                cached = memo[memory_id] = (
+                    reduce, moves[:oldest_end] if reduce else moves
+                )
             reduced, moves = cached
             if reduced:
-                return _place(procs, p, moves)
+                return _place(state, p, moves)
             found.append(moves)
         out: list[_State] = []
         for p, moves in enumerate(found):
-            out.extend(_place(procs, p, moves))
+            out.extend(_place(state, p, moves))
         return out
+
+    def _interned_moves(
+        self, p: int, memory_id: int, pstate_id: int
+    ) -> tuple[list, bool, Optional[int]]:
+        """:meth:`_processor_moves` on interned ids, its moves interned."""
+        memory = self._memories[memory_id]
+        moves, local, oldest_end = self._processor_moves(
+            p, memory, self._pstates[pstate_id]
+        )
+        interned = [
+            (
+                memory_id if after is memory else self._memory_id(after),
+                self._pstate_id(p, pstate),
+            )
+            for after, pstate in moves
+        ]
+        return interned, local, oldest_end
 
     def _processor_moves(
         self, p: int, memory: tuple, pstate: tuple
@@ -465,14 +544,21 @@ class _Machine:
         self, out: list, memory: tuple, p: int, pc: int,
         rob: tuple, pos: int, addr: int,
     ) -> None:
-        """Rule Compute-Mem-Addr, including the younger-load kill search."""
+        """Rule Compute-Mem-Addr, including the younger-load kill search.
+
+        GAM kills the first younger addressed same-address memory entry
+        when it is a done load.  GAM0 kills nothing when a *load* resolves;
+        when a store or RMW resolves it searches past younger unissued
+        same-address loads (it has no SALdLd stall, so a load younger than
+        an unissued one may already have read memory).  Both variants run
+        the one search below and mark :attr:`saldld_met` where their kill
+        decisions part.
+        """
         index, done, result, _, _, data_avail, data, pred = rob[pos]
         resolved = (index, done, result, True, addr, data_avail, data, pred)
         meta = self.meta[p]
-        if meta[index].kind == _LOAD and not self.saldld:
-            # GAM0 machine: a *load* resolving its address kills nothing.
-            out.append((memory, _replace(pc, rob, pos, resolved)))
-            return
+        is_load = meta[index].kind == _LOAD
+        shielded = False  # passed an unissued same-address load (GAM stops there)
         for later_pos in range(pos + 1, len(rob)):
             later = rob[later_pos]
             later_kind = meta[later[_INDEX]].kind
@@ -480,15 +566,21 @@ class _Machine:
                 continue
             if later[_ADDR] != addr:
                 continue
-            if later_kind == _LOAD and later[_DONE]:
-                kept = rob[:pos] + (resolved,) + rob[pos + 1:later_pos]
-                self._kill_from(out, memory, p, kept, later[_INDEX])
-                return
-            if later_kind == _LOAD and not self.saldld:
-                # GAM0 has no SALdLd stall, so a load younger than this
-                # unissued one may already have read memory: search on.
+            if later_kind != _LOAD:
+                break  # a store or an RMW shields the rest
+            if not later[_DONE]:
+                if is_load:
+                    break  # both variants: an unissued load shields the rest
+                shielded = True
                 continue
-            break  # a store, an RMW, or (GAM) an unissued load shields the rest
+            if is_load or shielded:
+                # GAM kills for a load, GAM0 past the unissued load.
+                self.saldld_met = True
+                if self.saldld != is_load:
+                    break
+            kept = rob[:pos] + (resolved,) + rob[pos + 1:later_pos]
+            self._kill_from(out, memory, p, kept, later[_INDEX])
+            return
         out.append((memory, _replace(pc, rob, pos, resolved)))
 
     def _execute_load(
@@ -503,6 +595,9 @@ class _Machine:
         """
         index, _, _, _, addr, data_avail, data, pred = rob[pos]
         meta = self.meta[p]
+        # GAM stalls behind an older unissued same-address load; GAM0
+        # ignores older loads.  Both scan on, to see whether GAM0 fires.
+        stalled = False
         for older_pos in range(pos - 1, -1, -1):
             older = rob[older_pos]
             older_kind = meta[older[_INDEX]].kind
@@ -510,16 +605,23 @@ class _Machine:
                 continue
             if not older[_ADDR_AVAIL] or older[_ADDR] != addr:
                 continue
-            if older_kind != _LOAD:
-                # RMWs never provide forwarding data; plain stores do once
-                # their data is computed.
-                if older_kind == _STORE and older[_DATA_AVAIL]:
-                    done_entry = (index, True, older[_DATA], True, addr, data_avail, data, pred)
-                    out.append((memory, _replace(pc, rob, pos, done_entry)))
-                return False
+            if older_kind == _LOAD:
+                stalled = True
+                continue
+            # RMWs never provide forwarding data; plain stores do once
+            # their data is computed.
+            if older_kind == _STORE and older[_DATA_AVAIL]:
+                if stalled:
+                    self.saldld_met = True
+                    if self.saldld:
+                        return False
+                done_entry = (index, True, older[_DATA], True, addr, data_avail, data, pred)
+                out.append((memory, _replace(pc, rob, pos, done_entry)))
+            return False
+        if stalled:
+            self.saldld_met = True
             if self.saldld:
-                return False  # stall behind the older unissued same-address load
-            continue  # GAM0: ignore older loads entirely
+                return False
         done_entry = (index, True, _read_mem(memory, addr), True, addr, data_avail, data, pred)
         out.append((memory, _replace(pc, rob, pos, done_entry)))
         return True
@@ -528,19 +630,17 @@ class _Machine:
 
     def is_terminal(self, state: _State) -> bool:
         """All instructions fetched and every ROB entry done."""
-        for (pc, rob), end in zip(state[1], self.ends):
-            if pc < end:
+        finished = self._finished
+        for ident in state[1:]:
+            if not finished[ident]:
                 return False
-            for entry in rob:
-                if not entry[_DONE]:
-                    return False
         return True
 
     def final_state(
         self, state: _State
     ) -> tuple[dict[tuple[int, str], int], dict[int, int]]:
         """Final register file (youngest writer per register) and memory."""
-        memory, procs = state
+        memory, procs = self.decode(state)
         regs: dict[tuple[int, str], int] = {}
         for p, (_, rob) in enumerate(procs):
             meta = self.meta[p]
@@ -556,11 +656,19 @@ class _Machine:
 
 @dataclass(frozen=True)
 class ExplorationResult:
-    """Outcome set plus exploration statistics."""
+    """Outcome set plus exploration statistics.
+
+    ``saldld_met`` (GAM/GAM0 only; ``False`` for the other machines) is
+    whether the run evaluated a same-address load pair on which the GAM
+    and GAM0 rules fire different moves.  When it is ``False`` the other
+    variant's depth-first run is this one, state for state, so its result
+    is this result.
+    """
 
     outcomes: frozenset[Outcome]
     states_visited: int
     terminal_states: int
+    saldld_met: bool = False
 
 
 _MAX_STATES = 2_000_000
@@ -574,9 +682,10 @@ def explore_machine(
 
     ``machine`` is any built machine: an object with ``test``,
     ``initial_states()`` (a fresh list), ``successors(state)``,
-    ``is_terminal(state)`` and ``final_state(state)``.  This is the one
-    exploration loop: the GAM/GAM0 machines come through :func:`explore`,
-    the SC and TSO reference machines through
+    ``is_terminal(state)`` and ``final_state(state)``, and optionally a
+    ``saldld_met`` flag (the GAM/GAM0 machines) copied into the result.
+    This is the one exploration loop: the GAM/GAM0 machines come through
+    :func:`explore`, the SC and TSO reference machines through
     :mod:`repro.core.reference_machines`, and every run feeds the
     ``operational.explore.*`` telemetry.  Raises ``RuntimeError`` once
     more than ``max_states`` distinct states (default ``_MAX_STATES``)
@@ -615,6 +724,7 @@ def explore_machine(
         outcomes=frozenset(outcomes),
         states_visited=len(seen),
         terminal_states=terminals,
+        saldld_met=getattr(machine, "saldld_met", False),
     )
 
 

@@ -20,8 +20,7 @@ second direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from ..isa.expr import evaluate
 from ..isa.instructions import (
@@ -40,8 +39,7 @@ from .operational import _read_mem, _write_mem, explore_machine
 __all__ = ["sc_outcomes", "tso_outcomes"]
 
 
-@dataclass(frozen=True)
-class _SeqProcState:
+class _SeqProcState(NamedTuple):
     """In-order processor state: pc, registers, FIFO store buffer."""
 
     pc: int
@@ -49,17 +47,15 @@ class _SeqProcState:
     store_buffer: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class _SeqState:
+class _SeqState(NamedTuple):
+    """Machine state: memory image and processor states.
+
+    Both state classes are named tuples, so the explorer's visited set
+    hashes and compares them in C.
+    """
+
     memory: tuple[tuple[int, int], ...]
     procs: tuple[_SeqProcState, ...]
-
-
-def _reg_read(pstate: _SeqProcState, name: str) -> int:
-    for reg, value in pstate.regs:
-        if reg == name:
-            return value
-    return 0
 
 
 def _reg_write(pstate: _SeqProcState, name: str, value: int) -> tuple[tuple[str, int], ...]:
@@ -73,14 +69,19 @@ def _step_proc(
     state: _SeqState,
     proc: int,
     with_store_buffer: bool,
+    zero_regs: dict[str, int],
 ) -> Iterator[_SeqState]:
-    """Execute the next instruction of ``proc`` (one atomic machine step)."""
+    """Execute the next instruction of ``proc`` (one atomic machine step).
+
+    ``zero_regs`` maps each of the program's registers to 0.
+    """
     pstate = state.procs[proc]
     program = test.programs[proc]
     if pstate.pc >= len(program):
         return
     instr = program[pstate.pc]
-    regs = {name: _reg_read(pstate, name) for name in program.registers()}
+    regs = dict(zero_regs)
+    regs.update(pstate.regs)
     next_pc = pstate.pc + 1
     new_pstate: Optional[_SeqProcState] = None
     new_memory = state.memory
@@ -92,8 +93,8 @@ def _step_proc(
         old_value = _read_mem(state.memory, addr)
         new_value = evaluate(instr.data, {**regs, instr.dst: old_value})
         new_memory = _write_mem(state.memory, addr, new_value)
-        new_pstate = replace(
-            pstate, pc=next_pc, regs=_reg_write(pstate, instr.dst, old_value)
+        new_pstate = _SeqProcState(
+            next_pc, _reg_write(pstate, instr.dst, old_value), pstate.store_buffer
         )
     elif isinstance(instr, Load):
         addr = evaluate(instr.addr, regs)
@@ -105,37 +106,35 @@ def _step_proc(
                     break
         if value is None:
             value = _read_mem(state.memory, addr)
-        new_pstate = replace(
-            pstate, pc=next_pc, regs=_reg_write(pstate, instr.dst, value)
+        new_pstate = _SeqProcState(
+            next_pc, _reg_write(pstate, instr.dst, value), pstate.store_buffer
         )
     elif isinstance(instr, Store):
         addr = evaluate(instr.addr, regs)
         data = evaluate(instr.data, regs)
         if with_store_buffer:
-            new_pstate = replace(
-                pstate,
-                pc=next_pc,
-                store_buffer=pstate.store_buffer + ((addr, data),),
+            new_pstate = _SeqProcState(
+                next_pc, pstate.regs, pstate.store_buffer + ((addr, data),)
             )
         else:
             new_memory = _write_mem(state.memory, addr, data)
-            new_pstate = replace(pstate, pc=next_pc)
+            new_pstate = _SeqProcState(next_pc, pstate.regs, pstate.store_buffer)
     elif isinstance(instr, RegOp):
         result = evaluate(instr.expr, regs)
-        new_pstate = replace(
-            pstate, pc=next_pc, regs=_reg_write(pstate, instr.dst, result)
+        new_pstate = _SeqProcState(
+            next_pc, _reg_write(pstate, instr.dst, result), pstate.store_buffer
         )
     elif isinstance(instr, Branch):
         if evaluate(instr.cond, regs) != 0:
             next_pc = program.labels[instr.target]
-        new_pstate = replace(pstate, pc=next_pc)
+        new_pstate = _SeqProcState(next_pc, pstate.regs, pstate.store_buffer)
     elif isinstance(instr, Fence):
         if with_store_buffer and instr.pre == "S" and instr.post == "L":
             if pstate.store_buffer:
                 return  # FenceSL waits for the store buffer to drain
-        new_pstate = replace(pstate, pc=next_pc)
+        new_pstate = _SeqProcState(next_pc, pstate.regs, pstate.store_buffer)
     elif isinstance(instr, Nop):
-        new_pstate = replace(pstate, pc=next_pc)
+        new_pstate = _SeqProcState(next_pc, pstate.regs, pstate.store_buffer)
     else:
         raise TypeError(f"unknown instruction {instr!r}")
 
@@ -151,7 +150,7 @@ def _drain_one(state: _SeqState, proc: int) -> Iterator[_SeqState]:
         return
     (addr, value), rest = pstate.store_buffer[0], pstate.store_buffer[1:]
     procs = list(state.procs)
-    procs[proc] = replace(pstate, store_buffer=rest)
+    procs[proc] = _SeqProcState(pstate.pc, pstate.regs, rest)
     yield _SeqState(memory=_write_mem(state.memory, addr, value), procs=tuple(procs))
 
 
@@ -163,6 +162,9 @@ class _SeqMachine:
         self.test = test
         self.with_store_buffer = with_store_buffer
         self.ends = tuple(len(program) for program in test.programs)
+        self.zero_regs = tuple(
+            dict.fromkeys(program.registers(), 0) for program in test.programs
+        )
 
     def initial_states(self) -> list[_SeqState]:
         return [
@@ -174,8 +176,10 @@ class _SeqMachine:
 
     def successors(self, state: _SeqState) -> list[_SeqState]:
         out: list[_SeqState] = []
-        for proc in range(len(self.test.programs)):
-            out.extend(_step_proc(self.test, state, proc, self.with_store_buffer))
+        for proc, zero_regs in enumerate(self.zero_regs):
+            out.extend(
+                _step_proc(self.test, state, proc, self.with_store_buffer, zero_regs)
+            )
             if self.with_store_buffer:
                 out.extend(_drain_one(state, proc))
         return out
@@ -194,11 +198,12 @@ class _SeqMachine:
     def final_state(
         self, state: _SeqState
     ) -> tuple[dict[tuple[int, str], int], dict[int, int]]:
-        regs = {
-            (proc, reg): _reg_read(pstate, reg)
-            for proc, pstate in enumerate(state.procs)
-            for reg in self.test.programs[proc].registers()
-        }
+        regs = {}
+        for proc, (pstate, zero_regs) in enumerate(zip(state.procs, self.zero_regs)):
+            values = dict(zero_regs)
+            values.update(pstate.regs)
+            for reg, value in values.items():
+                regs[(proc, reg)] = value
         return regs, dict(state.memory)
 
 

@@ -48,7 +48,9 @@ The three layers:
 
 * :mod:`repro.engine.cells` — cell specs, canonical content descriptors,
   and single-cell evaluation against a shared
-  :class:`~repro.core.axiomatic.CandidatePrefix`;
+  :class:`~repro.core.axiomatic.CandidatePrefix` and the batch's GAM/GAM0
+  explorations (a run that met no same-address load pair answers the
+  other variant's cells too);
 * :mod:`repro.engine.scheduler` — per-test batching, the worker protocol
   (errors travel back as data and re-raise with the offending test's
   name), and deterministic result ordering;

@@ -39,7 +39,7 @@ inside the file keeps the key, editing its clauses changes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from ..core.axiomatic import (
     CandidatePrefix,
@@ -50,13 +50,16 @@ from ..core.axiomatic import (
 from ..core.operational import (
     GAM0_MACHINE,
     GAM_MACHINE,
-    operational_outcomes,
+    ExplorationResult,
+    explore,
 )
+# ``operational_outcomes`` is not called here (GAM/GAM0 cells read the
+# full exploration result); it stays importable from this module because
+# perfbench's traced runs wrap it under this name, as they do
+# ``resolve_model`` (cells carry built models).
+from ..core.operational import operational_outcomes  # noqa: F401
 from ..core.reference_machines import sc_outcomes, tso_outcomes
-from ..litmus.test import LitmusTest, Outcome, test_descriptor
-# ``resolve_model`` is not called here (cells carry built models); it
-# stays importable from this module because perfbench's traced runs wrap
-# it under this name.
+from ..litmus.test import LitmusTest, test_descriptor
 from ..models.spec import resolve_model  # noqa: F401
 from ..obs import current as _obs_current
 
@@ -76,7 +79,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 19
+ENGINE_VERSION = 20
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -176,49 +179,32 @@ Version history:
   transactions; workers no longer open the database.  Keys and results
   are unchanged apart from the version, but ``cache.py`` changed, so
   version-18 entries re-verify.
+* 20 — GAM/GAM0 machine states are interned to flat int tuples, both
+  variants evaluate the same-address load points alike and record
+  whether they met one, and a batch answers a GAM or GAM0 cell from the
+  other variant's exploration when that run met none.  Outcome sets are
+  fixture-tested identical, but the machine path changed, so version-19
+  entries re-verify.
 """
 
 ORACLE_AXIOMATIC = "axiomatic"
 """The default oracle: axiomatic enumeration of the cell's model."""
 
 
-MachineFn = Callable[[LitmusTest, str], "frozenset[Outcome]"]
-
-
-def _gam_outcomes(test: LitmusTest, project: str) -> frozenset[Outcome]:
-    return operational_outcomes(test, GAM_MACHINE, project=project)
-
-
-def _gam0_outcomes(test: LitmusTest, project: str) -> frozenset[Outcome]:
-    return operational_outcomes(test, GAM0_MACHINE, project=project)
-
-
-def _sc_outcomes(test: LitmusTest, project: str) -> frozenset[Outcome]:
-    return sc_outcomes(test, project=project)
-
-
-def _tso_outcomes(test: LitmusTest, project: str) -> frozenset[Outcome]:
-    return tso_outcomes(test, project=project)
-
-
-_MACHINES: dict[str, tuple[MachineFn, dict]] = {
-    "gam": (
-        _gam_outcomes,
-        {"kind": "gam-machine", "same_address_loads": GAM_MACHINE.same_address_loads},
-    ),
-    "gam0": (
-        _gam0_outcomes,
-        {"kind": "gam-machine", "same_address_loads": GAM0_MACHINE.same_address_loads},
-    ),
-    "sc": (
-        _sc_outcomes,
-        {"kind": "sc-machine"},
-    ),
-    "tso": (
-        _tso_outcomes,
-        {"kind": "tso-machine"},
-    ),
+_MACHINES: dict[str, dict] = {
+    "gam": {"kind": "gam-machine", "same_address_loads": GAM_MACHINE.same_address_loads},
+    "gam0": {"kind": "gam-machine", "same_address_loads": GAM0_MACHINE.same_address_loads},
+    "sc": {"kind": "sc-machine"},
+    "tso": {"kind": "tso-machine"},
 }
+"""Every machine an ``operational:<machine>`` oracle names, with the
+descriptor its cells key on."""
+
+_GAM_VARIANTS = {"gam": GAM_MACHINE, "gam0": GAM0_MACHINE}
+_OTHER_VARIANT = {"gam": "gam0", "gam0": "gam"}
+
+Explorations = dict[tuple[str, str], ExplorationResult]
+"""One batch's GAM/GAM0 explorations, by ``(machine, project)``."""
 
 
 def operational_machines() -> tuple[str, ...]:
@@ -255,7 +241,7 @@ def oracle_descriptor(oracle: str) -> dict:
     kind, machine = parse_oracle(oracle)
     if machine is None:
         return {"kind": "axiomatic"}
-    return {"kind": "operational", "machine": _MACHINES[machine][1]}
+    return {"kind": "operational", "machine": _MACHINES[machine]}
 
 
 def _check_model(cell: "CellSpec") -> None:
@@ -357,11 +343,36 @@ def cell_descriptor(cell: CellSpec, test_part: Optional[dict] = None) -> dict:
     raise TypeError(f"unknown cell spec {cell!r}")
 
 
-def _machine_outcomes(machine: str, test: LitmusTest, project: str) -> frozenset:
-    return _MACHINES[machine][0](test, project)
+def _machine_outcomes(
+    machine: str, test: LitmusTest, project: str, explorations: Explorations
+) -> frozenset:
+    """The machine's outcome set for ``test`` under ``project``.
+
+    A GAM or GAM0 cell reads ``explorations`` first: a run of the same
+    machine answers it, and so does a run of the other variant that met
+    no same-address load pair (``ExplorationResult.saldld_met``), since
+    the two machines then explore the same states.  Only a completed
+    exploration is kept; one that hit the state cap raised instead.
+    """
+    variant = _GAM_VARIANTS.get(machine)
+    if variant is None:
+        explore_seq = sc_outcomes if machine == "sc" else tso_outcomes
+        return explore_seq(test, project=project)
+    result = explorations.get((machine, project))
+    if result is None:
+        other = explorations.get((_OTHER_VARIANT[machine], project))
+        if other is not None and not other.saldld_met:
+            result = other
+    if result is not None:
+        recorder = _obs_current()
+        if recorder.active:
+            recorder.incr("engine.oracle.operational.shared")
+        return result.outcomes
+    result = explorations[(machine, project)] = explore(test, variant, project)
+    return result.outcomes
 
 
-def _machine_verdict(machine: str, test: LitmusTest) -> bool:
+def _machine_verdict(machine: str, test: LitmusTest, explorations: Explorations) -> bool:
     """Does the machine allow the asked outcome?
 
     Computed against the full-projection outcome set: the asked outcome
@@ -373,14 +384,18 @@ def _machine_verdict(machine: str, test: LitmusTest) -> bool:
     asked = test.asked
     if asked is None:
         raise ValueError(f"test {test.name!r} has no asked outcome")
-    outcomes = _machine_outcomes(machine, test, "full")
+    outcomes = _machine_outcomes(machine, test, "full", explorations)
     return any(
         asked.regs <= outcome.regs and asked.mem <= outcome.mem
         for outcome in outcomes
     )
 
 
-def evaluate_cell(cell: CellSpec, prefix: Optional[CandidatePrefix]) -> CellResult:
+def evaluate_cell(
+    cell: CellSpec,
+    prefix: Optional[CandidatePrefix],
+    explorations: Optional[Explorations] = None,
+) -> CellResult:
     """Evaluate one cell against a shared candidate prefix.
 
     ``prefix`` must have been built for ``cell.test`` (or be ``None`` to
@@ -389,7 +404,9 @@ def evaluate_cell(cell: CellSpec, prefix: Optional[CandidatePrefix]) -> CellResu
     :func:`~repro.core.axiomatic.is_allowed` and
     :func:`~repro.core.axiomatic.enumerate_outcomes` to the frontier
     kernel, whose solved DPs live on the shared prefix.  Operational
-    cells bypass the prefix entirely and explore their abstract machine.
+    cells bypass the prefix entirely and explore their abstract machine;
+    ``explorations`` (``None``: a fresh one) holds the GAM/GAM0 runs
+    already made for ``cell.test``, shared the same way.
     """
     kind, machine = parse_oracle(cell.oracle)
     recorder = _obs_current()
@@ -402,14 +419,16 @@ def evaluate_cell(cell: CellSpec, prefix: Optional[CandidatePrefix]) -> CellResu
         recorder.incr("engine.oracle." + kind)
         if machine is not None:
             recorder.incr("engine.oracle.operational.by." + machine)
+    if explorations is None:
+        explorations = {}
     if isinstance(cell, VerdictSpec):
         if machine is None:
             return is_allowed(cell.test, cell.model, prefix=prefix)
-        return _machine_verdict(machine, cell.test)
+        return _machine_verdict(machine, cell.test, explorations)
     if isinstance(cell, OutcomeSpec):
         if machine is None:
             return enumerate_outcomes(
                 cell.test, cell.model, project=cell.project, prefix=prefix
             )
-        return _machine_outcomes(machine, cell.test, cell.project)
+        return _machine_outcomes(machine, cell.test, cell.project, explorations)
     raise TypeError(f"unknown cell spec {cell!r}")

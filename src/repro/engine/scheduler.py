@@ -94,7 +94,7 @@ from .cache import (
     decode_payload,
     encode_payload,
 )
-from .cells import CellResult, CellSpec, evaluate_cell
+from .cells import CellResult, CellSpec, Explorations, evaluate_cell
 # Not called here; it stays importable because perfbench's traced runs wrap it.
 from .cells import test_descriptor  # noqa: F401
 from .faults import FaultPlan, fault_plan_from_env, fire_after_commit, fire_before_batch
@@ -184,13 +184,17 @@ def _evaluate_batch(
 
     ``answers`` (``None`` without a cache) holds what the parent's cache
     lookup found, one entry per cell; only the ``None`` entries are
-    computed.  The prefix is built lazily: a batch the cache answers in
-    full never enumerates a single program run.
+    computed.  The per-test state the computed cells share is built
+    lazily: the prefix, and the batch's GAM/GAM0 explorations (one
+    variant's run answers the other's cells when it met no same-address
+    load pair).  A batch the cache answers in full never enumerates a
+    single program run.
     """
     with time_block("engine.batch.seconds"):
         incr("engine.batches")
         observe("engine.batch.cells", len(cells))
         prefix: Optional[CandidatePrefix] = None
+        explorations: Explorations = {}
         results: list[CellResult] = []
         for position, cell in enumerate(cells):
             answer = answers[position] if answers is not None else None
@@ -203,7 +207,7 @@ def _evaluate_batch(
             if prefix is None:
                 prefix = CandidatePrefix(test)
             with time_block("engine.cell.seconds"):
-                results.append(evaluate_cell(cell, prefix))
+                results.append(evaluate_cell(cell, prefix, explorations))
         return results
 
 

@@ -132,6 +132,14 @@ METRICS: dict[str, MetricSpec] = {
             "`engine.oracle.operational.by.gam`).",
             dynamic=True,
         ),
+        _counter(
+            "engine.oracle.operational.shared",
+            "cells",
+            "GAM/GAM0 machine cells answered from an exploration their "
+            "batch already ran (the same machine's, or the other "
+            "variant's when it met no same-address load pair) instead of "
+            "a new one; `operational.explore.runs` counts only the new ones.",
+        ),
         # --- engine: axiomatic dispatch --------------------------------
         _counter(
             "engine.dispatch.kernel",

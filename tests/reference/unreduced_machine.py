@@ -8,9 +8,9 @@ the parity tests hold the reduced explorer's outcome sets and terminal
 counts equal to the full interleaving's, and the state-count fixture
 records how much the reduction saves.
 
-It shares the rule implementations (``_processor_moves``) and the
-exploration loop with the engine; only the choice of which moves to fire
-differs.
+It shares the rule implementations (``_interned_moves``), the interned
+state encoding and the exploration loop with the engine; only the choice
+of which moves to fire differs.
 """
 
 from __future__ import annotations
@@ -35,17 +35,17 @@ class UnreducedMachine(_Machine):
 
     def __init__(self, test: LitmusTest, variant: MachineVariant) -> None:
         super().__init__(test, variant)
-        self._all_moves: dict[tuple, list] = {}
+        self._all_moves: dict[tuple[int, int], list] = {}
 
     def successors(self, state: tuple) -> list[tuple]:
-        memory, procs = state
+        memory_id = state[0]
         out: list[tuple] = []
-        for p, pstate in enumerate(procs):
-            key = (p, memory, pstate)
+        for p in range(len(self.ends)):
+            key = (memory_id, state[p + 1])
             moves = self._all_moves.get(key)
             if moves is None:
-                moves = self._all_moves[key] = self._processor_moves(p, memory, pstate)[0]
-            out.extend(_place(procs, p, moves))
+                moves = self._all_moves[key] = self._interned_moves(p, *key)[0]
+            out.extend(_place(state, p, moves))
         return out
 
 

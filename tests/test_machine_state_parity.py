@@ -5,9 +5,11 @@
 of distinct states the full interleaving visits, the number the engine's
 (for GAM/GAM0 partial-order reduced) exploration visits, the number of
 terminal states and a digest of the full-projection outcome set, over the
-catalogue plus ``rand:n=60,seed=3``.  A change of state encoding must
-reproduce every row exactly; a reduction must only lower ``reduced_states``
-and re-record the rows it shrinks.
+catalogue plus ``rand:n=60,seed=3``, and for GAM/GAM0 whether the run met
+a same-address load pair on which the two variants differ
+(``saldld_met``).  A change of state encoding must reproduce every row
+exactly; a reduction must only lower ``reduced_states`` and re-record the
+rows it shrinks.
 """
 
 import importlib.util
@@ -37,6 +39,20 @@ def test_fixture_covers_every_test_and_machine():
 def test_reduction_never_visits_more_states():
     for key, row in FIXTURE["rows"].items():
         assert row["reduced_states"] <= row["states_visited"], key
+
+
+def test_variants_agree_wherever_no_same_address_load_pair_is_met():
+    # The engine answers one variant's cells from the other's run when it
+    # met no pair; that is sound only if the two runs are the same run.
+    shared = 0
+    for test in TESTS:
+        gam, gam0 = (FIXTURE["rows"][f"{test.name}/{m}"] for m in ("gam", "gam0"))
+        assert gam["saldld_met"] == gam0["saldld_met"], test.name
+        if not gam["saldld_met"]:
+            shared += 1
+            for column in ("reduced_states", "terminal_states", "outcomes"):
+                assert gam[column] == gam0[column], (test.name, column)
+    assert 0 < shared < len(TESTS)
 
 
 @pytest.mark.parametrize("machine", FIXTURE["machines"])

@@ -352,20 +352,20 @@ class TestCliStats:
     def test_equiv_counts_reduced_machine_states(self, capsys):
         # The GAM/GAM0 explorations count the partial-order-reduced
         # states, as pinned in the machine state fixture's reduced column.
+        # dekker meets no same-address load pair, so the GAM run answers
+        # the GAM0 cell too and only one exploration is counted.
         from repro.cli import main
 
         rows = json.loads(
             (Path(__file__).parent / "data" / "machine_states.json").read_text()
         )["rows"]
+        assert not rows["dekker/gam"]["saldld_met"]
         assert main(["equiv", "dekker", "--pairs", "gam,gam0", "--stats", "json"]) == 0
         counters = json.loads(capsys.readouterr().err)["counters"]
-        assert counters["operational.explore.runs"] == 2
-        assert counters["operational.explore.states"] == sum(
-            rows[f"dekker/{machine}"]["reduced_states"] for machine in ("gam", "gam0")
-        )
-        assert counters["operational.explore.terminals"] == sum(
-            rows[f"dekker/{machine}"]["terminal_states"] for machine in ("gam", "gam0")
-        )
+        assert counters["operational.explore.runs"] == 1
+        assert counters["engine.oracle.operational.shared"] == 1
+        assert counters["operational.explore.states"] == rows["dekker/gam"]["reduced_states"]
+        assert counters["operational.explore.terminals"] == rows["dekker/gam"]["terminal_states"]
 
     def test_stats_command_renders_and_diffs(self, tmp_path, capsys):
         from repro.cli import main

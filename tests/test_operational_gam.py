@@ -12,9 +12,10 @@ from repro.core.operational import (
     operational_outcomes,
 )
 from repro.core.reference_machines import _SeqMachine
-from repro.engine import VerdictSpec, evaluate_cells
+from repro.engine import OutcomeSpec, VerdictSpec, evaluate_cells
 from repro.litmus.dsl import LitmusBuilder
 from repro.litmus.registry import all_tests, get_test
+from repro.obs import collecting
 
 
 def machine_allows(test, machine="gam"):
@@ -115,6 +116,55 @@ class TestExploration:
         first = operational_outcomes(test, GAM_MACHINE)
         second = operational_outcomes(test, GAM_MACHINE)
         assert first == second
+
+
+def _machine_batch(test, machines):
+    """One batch of full outcome cells, one per machine; results and counters."""
+    cells = [
+        OutcomeSpec(test, None, project="full", oracle=f"operational:{machine}")
+        for machine in machines
+    ]
+    with collecting() as recorder:
+        results = evaluate_cells(cells)
+        counters = recorder.snapshot().counters
+    return results, counters
+
+
+class TestVariantSharing:
+    @pytest.mark.parametrize("machines", [("gam", "gam0"), ("gam0", "gam")])
+    def test_one_exploration_answers_both_variants(self, machines):
+        test = get_test("dekker")
+        results, counters = _machine_batch(test, machines)
+        assert counters["operational.explore.runs"] == 1
+        assert counters["engine.oracle.operational.shared"] == 1
+        variants = {"gam": GAM_MACHINE, "gam0": GAM0_MACHINE}
+        assert results == [
+            explore(test, variants[machine], project="full").outcomes
+            for machine in machines
+        ]
+
+    def test_a_met_pair_explores_both_variants(self):
+        test = get_test("corr")
+        results, counters = _machine_batch(test, ("gam", "gam0"))
+        assert counters["operational.explore.runs"] == 2
+        assert "engine.oracle.operational.shared" not in counters
+        assert results == [
+            explore(test, GAM_MACHINE, project="full").outcomes,
+            explore(test, GAM0_MACHINE, project="full").outcomes,
+        ]
+
+    def test_verdict_and_outcome_cells_share_the_run(self):
+        test = get_test("dekker")
+        cells = [
+            VerdictSpec(test, None, oracle="operational:gam"),
+            OutcomeSpec(test, None, project="full", oracle="operational:gam0"),
+        ]
+        with collecting() as recorder:
+            allowed, outcomes = evaluate_cells(cells)
+            counters = recorder.snapshot().counters
+        assert counters["operational.explore.runs"] == 1
+        assert allowed == machine_allows(test, "gam")
+        assert outcomes == explore(test, GAM0_MACHINE, project="full").outcomes
 
 
 _FULL_EXPLORERS = {

@@ -1,8 +1,9 @@
 """White-box tests for the Figure 17 machine internals.
 
-States are tuples: ``(memory, procs)``, each processor ``(pc, rob)`` and
-each ROB entry ``(index, done, result, addr_avail, addr, data_avail, data,
-pred_next)``.
+An exploration interns states to flat int tuples ``(memory_id,
+pstate_id_0, …)``; ``_Machine.decode`` gives back ``(memory, procs)``,
+each processor ``(pc, rob)`` and each ROB entry ``(index, done, result,
+addr_avail, addr, data_avail, data, pred_next)``.
 """
 
 import pytest
@@ -17,6 +18,7 @@ from repro.core.operational import (
     _PRED_NEXT,
     _RESULT,
     _STORE,
+    GAM0_MACHINE,
     GAM_MACHINE,
     _Machine,
     _new_entry,
@@ -25,6 +27,7 @@ from repro.core.operational import (
     explore,
 )
 from repro.engine import VerdictSpec, evaluate_cells
+from repro.equivalence.randprog import RandomProgramConfig, random_suite
 from repro.isa.expr import Reg
 from repro.litmus.dsl import LitmusBuilder
 from repro.litmus.registry import get_test
@@ -35,6 +38,11 @@ def _empty_state(test):
         tuple(sorted(test.initial_memory.items())),
         tuple((0, ()) for _ in test.programs),
     )
+
+
+def _fetched(machine, test):
+    """The decoded states the fetch closure reaches from the empty machine."""
+    return [machine.decode(s) for s in machine.fetch_closure(_empty_state(test))]
 
 
 class TestMachineState:
@@ -81,7 +89,7 @@ class TestFetchClosure:
     def test_straightline_fetches_everything_deterministically(self):
         test = get_test("dekker")
         machine = _Machine(test, GAM_MACHINE)
-        states = list(machine.fetch_closure(_empty_state(test)))
+        states = _fetched(machine, test)
         assert len(states) == 1
         for proc, pstate in enumerate(states[0][1]):
             pc, rob = pstate
@@ -91,7 +99,7 @@ class TestFetchClosure:
     def test_each_branch_doubles_the_prediction_space(self):
         test = get_test("mp+ctrl")  # P1 has one branch
         machine = _Machine(test, GAM_MACHINE)
-        states = list(machine.fetch_closure(_empty_state(test)))
+        states = _fetched(machine, test)
         assert len(states) == 2  # predicted taken and predicted fall-through
         rob_lengths = sorted(len(s[1][1][1]) for s in states)
         assert rob_lengths[0] < rob_lengths[1]  # taken path skips the load
@@ -99,7 +107,7 @@ class TestFetchClosure:
     def test_branch_entries_record_prediction(self):
         test = get_test("mp+ctrl")
         machine = _Machine(test, GAM_MACHINE)
-        for state in machine.fetch_closure(_empty_state(test)):
+        for state in _fetched(machine, test):
             branch_entry = state[1][1][1][1]
             assert branch_entry[_PRED_NEXT] is not None
 
@@ -127,7 +135,7 @@ class TestRuleGuards:
                 break
             frontier = next_frontier
         assert terminal is not None
-        assert _read_mem(terminal[0], test.locations["a"]) == 1
+        assert _read_mem(machine.decode(terminal)[0], test.locations["a"]) == 1
 
     def test_final_state_reads_youngest_writer(self):
         b = LitmusBuilder("t", locations=("a",))
@@ -164,3 +172,32 @@ class TestRuleGuards:
     def test_exploration_counts_are_consistent(self):
         result = explore(get_test("corr"), GAM_MACHINE)
         assert 0 < result.terminal_states <= result.states_visited
+
+
+class TestSameAddressLoadProbe:
+    """``saldld_met``: did the run reach a point where GAM and GAM0 differ?"""
+
+    @pytest.mark.parametrize("variant", [GAM_MACHINE, GAM0_MACHINE], ids=lambda v: v.name)
+    def test_set_where_gam_stalls_a_same_address_load(self, variant):
+        # corr: P1 loads a twice, so the younger load meets the older one.
+        assert explore(get_test("corr"), variant).saldld_met
+
+    @pytest.mark.parametrize("variant", [GAM_MACHINE, GAM0_MACHINE], ids=lambda v: v.name)
+    def test_clear_without_same_address_loads(self, variant):
+        assert not explore(get_test("dekker"), variant).saldld_met
+
+    def test_clear_run_is_the_other_variants_run(self):
+        # Kills, refetches and late addresses: both variants evaluate the
+        # probe alike, and a run that never met a pair is the other's run.
+        config = RandomProgramConfig(
+            rmw_weight=1.5, branch_weight=1.0, artificial_dep_prob=0.6
+        )
+        clear = 0
+        for test in random_suite(60, seed=7, config=config, name_prefix="probe"):
+            gam = explore(test, GAM_MACHINE, project="full")
+            gam0 = explore(test, GAM0_MACHINE, project="full")
+            assert gam.saldld_met == gam0.saldld_met, test.name
+            if not gam.saldld_met:
+                clear += 1
+                assert gam == gam0, test.name
+        assert 0 < clear < 60

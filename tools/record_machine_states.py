@@ -8,7 +8,9 @@ machine), the number of distinct states the full interleaving visits
 ``tests/reference/unreduced_machine.py``), the number the engine's
 explorer visits (``reduced_states``; GAM/GAM0 are partial-order reduced,
 SC/TSO are not), the number of terminal states reached and a digest of
-the full-projection outcome set to ``tests/data/machine_states.json``.
+the full-projection outcome set to ``tests/data/machine_states.json``;
+GAM/GAM0 rows also record ``saldld_met``, whether the engine's run met a
+same-address load pair on which the two variants differ.
 ``tests/test_machine_state_parity.py`` holds both explorers to that file,
 so a change to the state encoding must reproduce the same state graphs,
 and a further reduction shows exactly which rows it shrinks.
@@ -61,12 +63,15 @@ def record_row(test, machine: str) -> dict:
         variant = {"gam": GAM_MACHINE, "gam0": GAM0_MACHINE}[machine]
         result = explore(test, variant, project="full")
         unreduced = explore_unreduced(test, variant, project="full")
-    return {
+    row = {
         "states_visited": unreduced.states_visited,
         "reduced_states": result.states_visited,
         "terminal_states": result.terminal_states,
         "outcomes": outcome_digest(result.outcomes),
     }
+    if machine in ("gam", "gam0"):
+        row["saldld_met"] = result.saldld_met
+    return row
 
 
 def main(argv=None) -> int:
