@@ -119,9 +119,10 @@ def expand_pair_specs(
     sides are families), and self-pairs (same display name on both
     sides) are skipped.  Under :data:`ORACLE_OPERATIONAL` the second side
     names one of the abstract machines (:func:`repro.engine.cells
-    .operational_machines`) and every member is paired with the
-    machine's oracle label, so a concrete pair reads
-    ``("gam", "operational:gam")``.  Duplicates are dropped, in
+    .operational_machines`), or an alias of one, and every member is
+    paired with the machine's oracle label, so a concrete pair reads
+    ``("gam", "operational:gam")`` and ``rmo`` reads
+    ``("rmo", "operational:gam0")``.  Duplicates are dropped, in
     deterministic spec order.
 
     Returns:
@@ -137,7 +138,7 @@ def expand_pair_specs(
             them).
     """
     from ..engine.cells import operational_machines  # cycle-free import
-    from ..models.registry import model_names
+    from ..models.registry import canonical_name, model_names
     from ..models.spec import named_model, resolve_models
 
     lookup: dict[str, MemoryModel] = {}
@@ -163,14 +164,15 @@ def expand_pair_specs(
     machines = operational_machines()
     concrete: list[tuple[str, str]] = []
     for a_spec, b_spec in pairs:
-        if operational and b_spec not in machines:
+        machine = canonical_name(b_spec)
+        if operational and machine not in machines:
             raise CampaignError(
                 f"unknown operational machine {b_spec!r}; "
                 f"supported: {', '.join(machines)}"
             )
         for name_a in expand_side(a_spec):
             if operational:
-                names_b = [f"operational:{b_spec}"]
+                names_b = [f"operational:{machine}"]
             else:
                 names_b = expand_side(b_spec)
             for name_b in names_b:

@@ -116,19 +116,6 @@ def _resolve_suite(spec: str):
         raise CLIUsageError(str(exc)) from exc
 
 
-def _resolve_model(spec: str):
-    """Resolve a model spec — the one call site behind every model argument.
-
-    Registry names, ``.model`` paths and ``ctor:`` specs all land here;
-    unknown names surface as the registry's listing ``KeyError`` and
-    malformed specs as :class:`repro.models.spec.ModelSpecError`, both
-    rendered by :func:`main`.
-    """
-    from .models.spec import resolve_model
-
-    return resolve_model(spec)
-
-
 def _policy_from_args(args: argparse.Namespace):
     """The :class:`ExecutionPolicy` the fault-tolerance flags describe.
 
@@ -623,7 +610,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         cell = VerdictSpec(test, None, oracle=f"operational:{canonical}")
         definition = "abstract machine"
     else:
-        cell = VerdictSpec(test, _resolve_model(args.model))
+        from .models.spec import resolve_model
+
+        cell = VerdictSpec(test, resolve_model(args.model))
         definition = "axioms"
     [allowed] = evaluate_cells(
         [cell], jobs=args.jobs, cache_dir=args.cache,
@@ -649,10 +638,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_outcomes(args: argparse.Namespace) -> int:
     from .engine import OutcomeSpec, evaluate_cells
     from .litmus.registry import get_test
+    from .models.spec import resolve_model
 
     test = get_test(args.test)
     project = "full" if args.full else "observed"
-    [outcomes] = evaluate_cells([OutcomeSpec(test, _resolve_model(args.model), project)])
+    [outcomes] = evaluate_cells([OutcomeSpec(test, resolve_model(args.model), project)])
     for outcome in sorted(outcomes, key=str):
         print(f"  {outcome}")
     print(f"{len(outcomes)} outcome(s) under {args.model}")
@@ -662,9 +652,10 @@ def _cmd_outcomes(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     from .analysis import find_witness, render_execution
     from .litmus.registry import get_test
+    from .models.spec import resolve_model
 
     test = get_test(args.test)
-    witness = find_witness(test, _resolve_model(args.model))
+    witness = find_witness(test, resolve_model(args.model))
     if witness is None:
         print(
             f"{test.name}: no witness — {args.model} forbids {test.asked} "
@@ -678,12 +669,13 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     from .analysis import render_diff
     from .litmus.registry import get_test
+    from .models.spec import resolve_model
 
     print(
         render_diff(
             get_test(args.test),
-            _resolve_model(args.weaker),
-            _resolve_model(args.stronger),
+            resolve_model(args.weaker),
+            resolve_model(args.stronger),
         )
     )
     return 0
@@ -764,10 +756,11 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     from .litmus.registry import get_test
+    from .models.spec import resolve_model
     from .synthesis import synthesize_fences
 
     test = get_test(args.test)
-    model = _resolve_model(args.model)
+    model = resolve_model(args.model)
     try:
         result = synthesize_fences(test, model, max_fences=args.max_fences)
     except ValueError as exc:
@@ -809,7 +802,7 @@ def _operational_pair(spec: str) -> tuple[str, str]:
 def _cmd_hunt(args: argparse.Namespace) -> int:
     from .campaign import CampaignDir, run_hunt
     from .campaign.state import ORACLE_AXIOMATIC, ORACLE_OPERATIONAL
-    from .eval.discrepancy import parse_pair
+    from .models.spec import split_pair_spec
 
     # --pair is read in the campaign's own grammar: a resumed campaign
     # keeps its stored oracle when --oracle is not restated.
@@ -817,7 +810,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     if oracle is None:
         stored = CampaignDir(args.out).load_spec()
         oracle = stored.oracle if stored is not None else ORACLE_AXIOMATIC
-    parse = _operational_pair if oracle == ORACLE_OPERATIONAL else parse_pair
+    parse = _operational_pair if oracle == ORACLE_OPERATIONAL else split_pair_spec
     pairs = None
     if args.pair:
         try:

@@ -57,6 +57,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from ..spec_items import parse_items
+
 __all__ = [
     "FAULTS_ENV_VAR",
     "FAULT_KINDS",
@@ -177,7 +179,7 @@ class FaultPlan:
         return ";".join(action.describe() for action in self.actions)
 
 
-_SELECTOR_KEYS = ("batch", "test", "attempts", "seconds")
+_SELECTORS = {"batch": int, "test": str, "attempts": int, "seconds": float}
 
 
 def parse_fault_plan(spec: str) -> FaultPlan:
@@ -193,35 +195,15 @@ def parse_fault_plan(spec: str) -> FaultPlan:
         if not chunk:
             continue
         kind, _, arg_text = chunk.partition(":")
-        kind = kind.strip()
-        kwargs: dict = {}
-        if arg_text.strip():
-            for pair in arg_text.split(","):
-                key, sep, value = pair.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if not sep or not key or not value:
-                    raise ValueError(
-                        f"malformed fault argument {pair!r} in {chunk!r}; "
-                        f"expected key=value"
-                    )
-                if key not in _SELECTOR_KEYS:
-                    raise ValueError(
-                        f"unknown fault selector {key!r} in {chunk!r}; "
-                        f"expected one of {', '.join(_SELECTOR_KEYS)}"
-                    )
-                if key in kwargs:
-                    raise ValueError(
-                        f"duplicate fault selector {key!r} in {chunk!r}"
-                    )
-                if key == "test":
-                    kwargs[key] = value
-                elif key == "seconds":
-                    kwargs[key] = float(value)
-                else:
-                    kwargs[key] = int(value)
+        kwargs = parse_items(
+            arg_text,
+            _SELECTORS,
+            usage="batch=N,test=NAME,attempts=A,seconds=S",
+            label=f"fault action {chunk!r} argument",
+            noun="selector",
+        )
         try:
-            actions.append(FaultAction(kind=kind, **kwargs))
+            actions.append(FaultAction(kind=kind.strip(), **kwargs))
         except ValueError as exc:
             raise ValueError(f"bad fault action {chunk!r}: {exc}") from None
     return FaultPlan(actions=tuple(actions))

@@ -13,10 +13,11 @@ or one OOM-killed worker should not throw away hours of hunt progress.
   the retry budget is spent.
 * ``on_error="skip"`` — failed batches resolve to :class:`CellFailure`
   sentinels in the result list; surviving cells are unaffected.
-* ``on_error="quarantine"`` — like ``skip``, but the failure is counted
-  as ``engine.batches.quarantined`` and campaign drivers persist the
-  record to ``quarantine.json`` so skipped work is reported, never
-  silently dropped.
+  Campaign drivers persist each failure to ``quarantine.json`` so
+  skipped work is reported, never silently dropped.
+* ``on_error="quarantine"`` — the same as ``skip``, and each failed
+  batch is also counted as ``engine.batches.quarantined``.  Results,
+  reports and ``quarantine.json`` are identical under the two modes.
 
 ``timeout`` is a per-batch deadline in seconds.  Deadlines need a
 killable executor, so setting one routes even ``jobs=1`` runs through a
@@ -56,7 +57,7 @@ ON_ERROR_SKIP = "skip"
 """Resolve failed batches to :class:`CellFailure` sentinels and continue."""
 
 ON_ERROR_QUARANTINE = "quarantine"
-"""Like ``skip``, but counted and persisted as quarantine records."""
+"""Like ``skip``, and each failed batch is counted in the telemetry."""
 
 ON_ERROR_MODES: dict[str, str] = {
     ON_ERROR_FAIL: (
@@ -66,13 +67,14 @@ ON_ERROR_MODES: dict[str, str] = {
     ),
     ON_ERROR_SKIP: (
         "resolve every cell of a failed batch to a `CellFailure` sentinel "
-        "and keep evaluating; callers render the holes"
+        "and keep evaluating; callers render the holes, and campaign "
+        "drivers persist the failure record (reason, message, traceback, "
+        "attempt count) to `quarantine.json`"
     ),
     ON_ERROR_QUARANTINE: (
-        "like `skip`, but the batch is counted as "
-        "`engine.batches.quarantined` and campaign drivers persist the "
-        "failure record (reason, message, traceback, attempt count) to "
-        "`quarantine.json`"
+        "exactly `skip`, and the batch is also counted as "
+        "`engine.batches.quarantined`; results, reports and "
+        "`quarantine.json` do not differ between the two modes"
     ),
 }
 """The ``on_error`` vocabulary, rendered into ``docs/robustness.md``."""

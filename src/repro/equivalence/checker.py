@@ -70,8 +70,9 @@ def check_suite(
 
     Each (test, pair) comparison is two ordinary outcome cells of the
     batch engine (:mod:`repro.engine`) — the axiomatic model under the
-    default oracle and the same-named abstract machine under
-    ``operational:<pair>`` — so equivalence checking shares the
+    default oracle and the abstract machine it names under
+    ``operational:<pair>`` (an alias such as ``rmo`` names its target's
+    machine) — so equivalence checking shares the
     scheduler, the cache and the telemetry with every other grid:
     per-test candidate prefixes are shared across ``pair_names``,
     ``jobs`` fans tests out over a process pool and ``cache_dir`` makes
@@ -81,8 +82,9 @@ def check_suite(
     the engine.
 
     Raises:
-        KeyError: a pair name that is not an abstract machine
-            (:func:`repro.engine.operational_machines`).
+        KeyError: a pair name that is neither an abstract machine
+            (:func:`repro.engine.operational_machines`) nor an alias of
+            one.
     """
     from ..engine import (
         CellFailure,
@@ -90,13 +92,16 @@ def check_suite(
         evaluate_cells,
         operational_machines,
     )
+    from ..models.registry import canonical_name
     from ..models.spec import named_model
 
     if evaluate is None:
         evaluate = evaluate_cells
     known = operational_machines()
-    for pair_name in pair_names:
-        if pair_name not in known:
+    # An alias keeps its name on the axiomatic side only.
+    machines = {pair_name: canonical_name(pair_name) for pair_name in pair_names}
+    for pair_name, machine in machines.items():
+        if machine not in known:
             raise KeyError(
                 f"unknown definition pair {pair_name!r}; "
                 f"available: {', '.join(known)}"
@@ -108,7 +113,10 @@ def check_suite(
         specs.append(OutcomeSpec(test, models[pair_name], project="full"))
         specs.append(
             OutcomeSpec(
-                test, None, project="full", oracle=f"operational:{pair_name}"
+                test,
+                None,
+                project="full",
+                oracle=f"operational:{machines[pair_name]}",
             )
         )
     results = evaluate(specs, jobs=jobs, cache_dir=cache_dir, policy=policy)

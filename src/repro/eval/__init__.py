@@ -4,7 +4,6 @@ plus differential analyses over their matrices (:mod:`.discrepancy`)."""
 from .discrepancy import (
     Discrepancy,
     mine_discrepancies,
-    parse_pair,
     render_discrepancies,
     verdict_table,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "StrengthMatrix",
     "Discrepancy",
     "mine_discrepancies",
-    "parse_pair",
     "render_discrepancies",
     "verdict_table",
 ]

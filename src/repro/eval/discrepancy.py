@@ -32,7 +32,6 @@ __all__ = [
     "OPERATIONAL_PAIRS",
     "OracleDiscrepancy",
     "PairKind",
-    "parse_pair",
     "verdict_table",
     "mine_discrepancies",
     "render_discrepancies",
@@ -217,21 +216,6 @@ columns are the model's full-projection outcome sets under its axioms
 and under the machine, and the profile counts the machine-only and
 axioms-only outcomes.  A shard row maps ``"model|oracle"`` to the
 profile; the sets themselves stay in the engine cache."""
-
-
-def parse_pair(spec: str) -> tuple[str, str]:
-    """Parse a CLI ``--pair`` spec ``a:b`` into a model-spec pair.
-
-    Each side is a model spec, and ``ctor:``/``space:`` specs contain a
-    colon of their own, so the split is scheme-aware
-    (:func:`repro.models.spec.split_pair_spec`):
-    ``space:same_address_loads=*:gam`` means the enumerated family vs
-    ``gam``.  Spec validity is checked at resolution time; here only the
-    shape is enforced.
-    """
-    from ..models.spec import split_pair_spec  # cycle-free import
-
-    return split_pair_spec(spec)
 
 
 def verdict_table(

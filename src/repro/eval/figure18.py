@@ -9,7 +9,7 @@ same ``average`` column appended last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from ..sim.config import CoreConfig
@@ -105,25 +105,10 @@ def run_figure18(
     return result
 
 
-_ACCUMULATED_FIELDS = (
-    "cycles",
-    "committed_uops",
-    "committed_loads",
-    "committed_stores",
-    "committed_branches",
-    "mispredicted_branches",
-    "saldld_kills",
-    "saldld_stalls",
-    "conflict_kills",
-    "ldld_forwards",
-    "ldld_forwards_would_miss",
-    "sb_forwards",
-    "l1_load_hits",
-    "l1_load_misses",
-    "l2_load_hits",
-    "l3_load_hits",
-    "memory_loads",
+_ACCUMULATED_FIELDS = tuple(
+    stat.name for stat in fields(SimStats) if isinstance(stat.default, int)
 )
+"""Every counter of :class:`SimStats`: the fields with an ``int`` default."""
 
 
 def _accumulate(into: SimStats, stats: SimStats) -> None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
+from ...spec_items import parse_items
 from .. import registry
 from ..test import LitmusTest
 from .gen import generate_suite
@@ -83,33 +84,29 @@ def load_litmus_path(path: str) -> list[LitmusTest]:
     return tests
 
 
+_GEN_KWARGS = {"edges": "max_edges", "size": "size", "seed": "seed"}
+_RAND_KWARGS = {
+    "n": "count",
+    "seed": "seed",
+    "procs": "num_procs",
+    "instrs": "max_instrs",
+    "locs": "num_locations",
+}
+
+
 def parse_gen_spec(spec: str) -> dict:
     """Parse ``gen:key=value,...`` into :func:`generate_suite` kwargs.
 
     Accepted keys: ``edges`` (cycle budget), ``size`` (suite cap), and
     ``seed`` (pre-cap shuffle).  ``gen`` alone means the defaults.
     """
-    body = spec[len("gen"):].lstrip(":")
-    kwargs: dict = {}
-    known = {"edges": "max_edges", "size": "size", "seed": "seed"}
-    for item in body.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, eq, value = item.partition("=")
-        if key not in known or not eq:
-            raise ValueError(
-                f"bad generator spec entry {item!r}; "
-                f"expected gen:edges=N[,size=M][,seed=S]"
-            )
-        try:
-            kwargs[known[key]] = int(value)
-        except ValueError:
-            raise ValueError(
-                f"generator spec value for {key!r} must be an integer, "
-                f"got {value!r}"
-            ) from None
-    return kwargs
+    items = parse_items(
+        spec[len("gen"):].lstrip(":"),
+        dict.fromkeys(_GEN_KWARGS, int),
+        usage="gen:edges=N[,size=M][,seed=S]",
+        label="generator spec entry",
+    )
+    return {_GEN_KWARGS[key]: value for key, value in items.items()}
 
 
 def parse_rand_spec(spec: str) -> dict:
@@ -120,33 +117,13 @@ def parse_rand_spec(spec: str) -> dict:
     defaults (``n=10, seed=0`` with the stock
     :class:`~repro.equivalence.randprog.RandomProgramConfig`).
     """
-    body = spec[len("rand"):].lstrip(":")
-    kwargs: dict = {}
-    known = {
-        "n": "count",
-        "seed": "seed",
-        "procs": "num_procs",
-        "instrs": "max_instrs",
-        "locs": "num_locations",
-    }
-    for item in body.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, eq, value = item.partition("=")
-        if key not in known or not eq:
-            raise ValueError(
-                f"bad randprog spec entry {item!r}; "
-                f"expected rand:n=N[,seed=S][,procs=P][,instrs=I][,locs=L]"
-            )
-        try:
-            kwargs[known[key]] = int(value)
-        except ValueError:
-            raise ValueError(
-                f"randprog spec value for {key!r} must be an integer, "
-                f"got {value!r}"
-            ) from None
-    return kwargs
+    items = parse_items(
+        spec[len("rand"):].lstrip(":"),
+        dict.fromkeys(_RAND_KWARGS, int),
+        usage="rand:n=N[,seed=S][,procs=P][,instrs=I][,locs=L]",
+        label="randprog spec entry",
+    )
+    return {_RAND_KWARGS[key]: value for key, value in items.items()}
 
 
 def _random_corpus(spec: str) -> list[LitmusTest]:

@@ -48,6 +48,7 @@ from typing import Iterable, Optional, Union
 from ..core.axiomatic import MemoryModel
 from ..core.construction import CTOR_KNOBS, assemble_from_knobs, ctor_name
 from ..core.ppo import build_clause, clause_spec
+from ..spec_items import parse_items
 
 __all__ = [
     "ModelSpecError",
@@ -368,31 +369,30 @@ def load_model_path(path: Union[str, os.PathLike]) -> list[MemoryModel]:
 def parse_knob_spec(body: str, allow_star: bool) -> dict[str, str]:
     """Parse ``knob=value,...`` (``value`` may be ``*`` when allowed).
 
-    Knob names are validated against ``CTOR_KNOBS`` (plus ``name=`` for
-    ``ctor:`` specs, handled by the caller); value validity is checked by
+    Knob names are validated against ``CTOR_KNOBS``, plus ``name`` for
+    ``ctor:`` specs (``allow_star=False``); value validity is checked by
     :func:`~repro.core.construction.assemble_from_knobs` so the error
     message lists the knob's domain.
     """
-    knobs: dict[str, str] = {}
-    for item in body.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        knob, eq, value = item.partition("=")
-        knob, value = knob.strip(), value.strip()
-        if not eq or not knob or not value:
-            raise ModelSpecError(
-                f"bad knob spec entry {item!r}; expected knob=value"
-            )
-        if knob in knobs:
-            raise ModelSpecError(f"duplicate knob {knob!r}")
+    knobs = dict.fromkeys(CTOR_KNOBS, str)
+    if not allow_star:
+        knobs["name"] = str
+    scheme = "space:knob=*|value" if allow_star else "ctor:knob=value"
+    values = parse_items(
+        body,
+        knobs,
+        usage=f"{scheme},... with knob one of {', '.join(knobs)}",
+        label="knob spec entry",
+        noun="construction knob",
+        error=ModelSpecError,
+    )
+    for knob, value in values.items():
         if value == "*" and not allow_star:
             raise ModelSpecError(
                 f"knob {knob!r} cannot be '*' here; use a space: spec to "
                 "enumerate"
             )
-        knobs[knob] = value
-    return knobs
+    return values
 
 
 def _ctor_model(spec: str) -> MemoryModel:
@@ -408,12 +408,6 @@ def _ctor_model(spec: str) -> MemoryModel:
 def _space_models(spec: str) -> list[MemoryModel]:
     body = spec[len("space"):].lstrip(":")
     knobs = parse_knob_spec(body, allow_star=True)
-    for knob in knobs:
-        if knob not in CTOR_KNOBS:
-            raise ModelSpecError(
-                f"unknown construction knob {knob!r}; "
-                f"available: {', '.join(CTOR_KNOBS)}"
-            )
     starred = [knob for knob, value in knobs.items() if value == "*"]
     if not starred:
         raise ModelSpecError(

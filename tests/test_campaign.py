@@ -24,7 +24,6 @@ from repro.campaign import (
 from repro.eval.discrepancy import (
     Discrepancy,
     mine_discrepancies,
-    parse_pair,
     render_discrepancies,
     verdict_table,
 )
@@ -62,12 +61,6 @@ class TestShardSuite:
 
 
 class TestDiscrepancyMining:
-    def test_parse_pair(self):
-        assert parse_pair("wmm:arm") == ("wmm", "arm")
-        for bad in ("wmm", "wmm:", ":arm", "wmm:wmm"):
-            with pytest.raises(ValueError):
-                parse_pair(bad)
-
     def test_mine_finds_only_disagreements(self):
         table = {
             "t1": {"wmm": True, "arm": False},

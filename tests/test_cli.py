@@ -75,6 +75,16 @@ class TestShowAndCheck:
         out = capsys.readouterr().out
         assert "FORBIDDEN" in out and "abstract machine" in out
 
+    def test_check_operational_alias_reaches_its_machine(self, capsys):
+        assert main(["check", "corr", "-m", "rmo", "--operational"]) == 0
+        assert "ALLOWED under rmo (abstract machine)" in capsys.readouterr().out
+
+    def test_equiv_alias_pair_reaches_its_machine(self, capsys):
+        assert main(["equiv", "corr", "--pairs", "rmo"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("ok  corr")
+        assert " rmo " in out
+
     def test_check_operational_rejects_machineless_models(self, capsys):
         assert main(["check", "corr", "-m", "arm", "--operational"]) == 2
         captured = capsys.readouterr()
@@ -303,6 +313,17 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert f"must be >= 1, got {key}" in captured.err
+
+    @pytest.mark.parametrize(
+        "suite, key",
+        [("gen:edges=4,edges=5", "edges"), ("rand:n=2,n=3", "n")],
+    )
+    def test_repeated_suite_key_is_rejected(self, capsys, suite, key):
+        assert main(["matrix", "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"repeated key {key!r}" in captured.err
 
     @pytest.mark.parametrize("pairs", [",", ""])
     def test_equiv_with_no_pairs_is_rejected(self, capsys, pairs):

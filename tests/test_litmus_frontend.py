@@ -356,6 +356,8 @@ class TestResolveSuite:
             "seed": 3,
         }
         assert parse_gen_spec("gen") == {}
+        assert parse_gen_spec("gen:edges = 4") == {"max_edges": 4}
+        assert parse_gen_spec("gen:,edges=4, ,") == {"max_edges": 4}
         suite = resolve_suite("gen:edges=4,size=5")
         assert len(suite) == 5
 
@@ -364,6 +366,12 @@ class TestResolveSuite:
             parse_gen_spec("gen:bogus=1")
         with pytest.raises(ValueError, match="must be an integer"):
             parse_gen_spec("gen:edges=four")
+        with pytest.raises(ValueError, match="repeated key 'edges'"):
+            resolve_suite("gen:edges=4,edges=5")
+        with pytest.raises(ValueError, match="bad generator spec"):
+            parse_gen_spec("gen:edges=")
+        with pytest.raises(ValueError, match="bad generator spec"):
+            parse_gen_spec("gen:=4")
 
     def test_path_spec(self, tmp_path):
         path = tmp_path / "dekker.litmus"

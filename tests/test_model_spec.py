@@ -325,6 +325,15 @@ class TestResolve:
             resolve_model("ctor:frobnicate=1")
         with pytest.raises(ModelSpecError, match="bad value"):
             resolve_model("ctor:same_address_loads=maybe")
+        with pytest.raises(ModelSpecError, match="unknown construction knob"):
+            resolve_models("space:name=x,same_address_loads=*")
+        with pytest.raises(
+            ModelSpecError, match="repeated construction knob 'same_address"
+        ):
+            resolve_model("ctor:same_address_loads=arm,same_address_loads=none")
+        assert resolve_model("ctor: same_address_loads = arm ,").name == (
+            resolve_model("ctor:same_address_loads=arm").name
+        )
 
     def test_space_enumerates_declared_order(self):
         family = resolve_models("space:same_address_loads=*")

@@ -56,6 +56,10 @@ class TestRandSuites:
             "max_instrs": 2,
             "num_locations": 4,
         }
+        assert parse_rand_spec("rand: n = 3 ,, seed=2") == {
+            "count": 3,
+            "seed": 2,
+        }
         tests = resolve_suite("rand:n=3,seed=2,procs=3,instrs=2")
         assert all(len(t.programs) == 3 for t in tests)
         assert all(all(len(p) <= 2 for p in t.programs) for t in tests)
@@ -65,6 +69,10 @@ class TestRandSuites:
             parse_rand_spec("rand:count=3")
         with pytest.raises(ValueError, match="integer"):
             parse_rand_spec("rand:n=many")
+        with pytest.raises(ValueError, match="repeated key 'n'"):
+            resolve_suite("rand:n=2,n=3")
+        with pytest.raises(ValueError, match="randprog spec entry 'n'"):
+            parse_rand_spec("rand:n")
 
     def test_seed_and_config_change_the_corpus(self):
         base = [print_litmus(t) for t in random_suite(4, seed=0)]
@@ -280,6 +288,22 @@ class TestHuntOracleCLI:
         out = capsys.readouterr().out
         assert status == 0
         assert "pairs gam0:gam0" in out
+        assert "0 discrepancies" in out
+
+    def test_alias_pair_reaches_its_canonical_machine(self, tmp_path, capsys):
+        status = main(
+            [
+                "hunt",
+                "--oracle", "operational",
+                "--suite", "rand:n=2,seed=1",
+                "--pair", "rmo",
+                "--shards", "1",
+                "--out", str(tmp_path / "campaign"),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert status == 0
+        assert "rmo~operational:gam0=ok" in out
         assert "0 discrepancies" in out
 
     def test_bad_oracle_pair_reports_supported_machines(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ historical raising behaviour.
 
 import contextlib
 import json
+import re
 import sqlite3
 from concurrent.futures import ProcessPoolExecutor
 
@@ -151,10 +152,19 @@ class TestFaultPlanParsing:
             "raise:test=a,test=b",    # duplicate selector
             "hang:seconds=0",         # out-of-range value
             "raise:batch=-1",
+            "raise:batch=x",          # not an integer
+            "hang:seconds=abc",       # not a number
+            "raise:test=",            # empty value
+            "raise:=mp",              # empty key
         ],
     )
     def test_malformed_specs_fail_loudly(self, spec):
         with pytest.raises(ValueError):
+            parse_fault_plan(spec)
+
+    @pytest.mark.parametrize("spec", ["raise:batch=x", "hang:seconds=abc"])
+    def test_bad_value_names_the_fragment(self, spec):
+        with pytest.raises(ValueError, match=re.escape(spec)):
             parse_fault_plan(spec)
 
     def test_env_arming(self, monkeypatch):
@@ -650,6 +660,29 @@ class TestHuntQuarantine:
         rerun = self._hunt(out, resume=True)
         assert (out / "report.txt").read_text() == text
         assert sorted(rerun.quarantined) == [victim]
+
+    def test_skip_and_quarantine_differ_only_in_the_counter(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise:test=corr")
+        runs = {}
+        for mode in ("skip", "quarantine"):
+            out = tmp_path / mode
+            argv = ["hunt", "--suite", self.SUITE, "--pair", "sc:gam"]
+            assert main(argv + ["--on-error", mode, "--out", str(out)]) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            files = {
+                name: (out / name).read_text()
+                for name in ("report.txt", "report.json", "quarantine.json")
+            }
+            counters = json.loads((out / "stats.json").read_text())["counters"]
+            runs[mode] = (stdout, files, counters)
+        assert runs["skip"][:2] == runs["quarantine"][:2]
+        assert "corr" in runs["skip"][1]["quarantine.json"]
+        assert "engine.batches.quarantined" not in runs["skip"][2]
+        assert runs["quarantine"][2]["engine.batches.quarantined"] == 1
 
     def test_fault_free_hunt_writes_no_quarantine(self, tmp_path):
         out = tmp_path / "clean"
