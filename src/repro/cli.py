@@ -1187,7 +1187,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     from .campaign.state import CampaignError
     from .core.axiomatic import DomainOverflowError
-    from .engine import EngineWorkerError
+    from .engine import EngineWorkerError, FaultPlanError
     from .litmus.frontend.parser import LitmusParseError
     from .litmus.frontend.printer import LitmusPrintError
     from .models.spec import ModelSpecError
@@ -1204,6 +1204,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         CampaignError,
         DomainOverflowError,
         EngineWorkerError,
+        FaultPlanError,
         LitmusParseError,
         LitmusPrintError,
         ModelSpecError,

@@ -37,7 +37,8 @@ LoadValueGAM.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..isa.expr import Const, evaluate, registers_read
@@ -128,6 +129,11 @@ class MemoryModel:
 
     def _orders_same_address_stores(self) -> bool:
         return any(c.name in ("SAMemSt", "OrderSS") for c in self.clauses)
+
+    @cached_property
+    def static_clause_names(self) -> tuple[str, ...]:
+        """Names of the static clauses, which determine the static ppo."""
+        return tuple(c.name for c in self.clauses)
 
     def clause_names(self) -> tuple[str, ...]:
         """Names of all clauses, static then dynamic."""
@@ -302,18 +308,15 @@ def _eval_over(expr, possible: Mapping[str, set[int]]) -> set[int]:
 class _Candidate:
     """One candidate execution before a memory order is chosen.
 
-    Everything except ``mem_edges`` is *model-independent*: it is derived
-    from the test and the chosen program runs alone, which is what lets a
-    :class:`CandidatePrefix` share one ``_Candidate`` base across a whole
-    model zoo (``_prepare_base`` builds it with ``mem_edges`` empty and
-    :meth:`CandidatePrefix.candidate` specializes it per clause set).
+    It is *model-independent*: it is derived from the test and the chosen
+    program runs alone, which is what lets a :class:`CandidatePrefix` share
+    one ``_Candidate`` across a whole model zoo.  A model's static-ppo DAG
+    over its events comes from :meth:`CandidatePrefix.ppo_masks`.
     """
 
     runs: tuple[ProgramRun, ...]
     events: tuple[MemEvent, ...]
     inits: tuple[MemEvent, ...]
-    contexts: tuple[PpoContext, ...]
-    mem_edges: frozenset[tuple[EventId, EventId]]
     po_stores: Mapping[EventId, tuple[MemEvent, ...]]
     event_by_id: Mapping[EventId, MemEvent]
     rmw_pairs: Mapping[EventId, EventId]  # load-half id -> store-half id
@@ -328,18 +331,13 @@ class _Candidate:
 
 
 def _prepare_base(
-    test: LitmusTest,
-    runs: tuple[ProgramRun, ...],
-    contexts: tuple[PpoContext, ...],
+    test: LitmusTest, runs: tuple[ProgramRun, ...]
 ) -> Optional[_Candidate]:
-    """Build the model-independent candidate base; prune impossible values.
+    """Build the model-independent candidate; prune impossible values.
 
     Returns ``None`` when some load's assigned value cannot come from any
     store to its address (nor from the initial memory) — a cheap necessary
-    condition for the LoadValue axiom under *every* model.  ``contexts``
-    are the runs' ppo contexts, built once per run by the caller.  The
-    returned candidate has an empty ``mem_edges``; see
-    :meth:`CandidatePrefix.candidate`.
+    condition for the LoadValue axiom under *every* model.
     """
     events = build_events(runs)
     inits = init_events(events, test.initial_memory)
@@ -384,8 +382,6 @@ def _prepare_base(
         runs=runs,
         events=events,
         inits=inits,
-        contexts=contexts,
-        mem_edges=frozenset(),
         po_stores=po_stores,
         event_by_id=by_id,
         rmw_pairs=rmw_pairs,
@@ -393,76 +389,103 @@ def _prepare_base(
     )
 
 
-class _ThreadPpo:
-    """Static ppo of one processor's run, shared by every clause set.
+_SHAPE_CAP = 8192
+"""Most entries :data:`_SHAPE_MASKS` holds; the oldest is dropped first."""
 
-    Holds the run's :class:`PpoContext`, each clause's edges as int bitmask
-    rows over stream positions (keyed by clause name, so clause sets that
-    share a clause evaluate it once), and per clause-name tuple the closed
-    ppo projected onto memory events.  A run appears in every combination
-    that picks it, so this work is done once per (processor, run).
-    """
+_SHAPE_MASKS: dict[tuple, tuple[int, ...]] = {}
+"""Process-wide memo of static ppo per thread shape and clause-name set.
 
-    __slots__ = (
-        "context",
-        "_position",
-        "_sources",
-        "_targets",
-        "_mask",
-        "_rows",
-        "_pairs",
+Keyed by ``(shape, clause names)``, where a shape is what Definition 6's
+clauses read of one processor's run: its program's instruction text and
+label positions, the executed instruction indices and the memory
+accesses' resolved addresses.  No clause reads a load's value, ``rf`` or
+another thread, so equal keys have equal static ppo.  A value holds one
+predecessor mask per memory access of the run, numbered locally: bit
+``j`` of entry ``k`` is set when access ``j`` is ppo-before access ``k``
+(an RMW is one access).
+"""
+
+
+_MASK_TUPLES: dict[tuple[int, ...], tuple[int, ...]] = {}
+"""One shared object per distinct :data:`_SHAPE_MASKS` value, cleared
+beyond :data:`_SHAPE_CAP`: shapes repeat few patterns (``gen:edges=5``
+has 16 distinct values across 2,772 entries)."""
+
+
+def _program_key(program: Program) -> tuple[str, tuple[tuple[str, int], ...]]:
+    """A program's instruction text and label positions."""
+    return "\n".join(map(repr, program.instructions)), tuple(
+        sorted(program.labels.items())
     )
 
-    def __init__(self, proc: int, run: ProgramRun) -> None:
-        self.context = PpoContext.from_run(run)
-        self._position = {e.index: pos for pos, e in enumerate(run.executed)}
-        # Per memory access: (position, source event) for the edges leaving
-        # it, and its target event keyed by its position bit.  An RMW's
-        # outgoing edges leave its store half, as in ``src_eid``.
-        sources = []
-        self._targets: dict[int, EventId] = {}
-        for e in run.memory_accesses():
-            position = self._position[e.index]
-            rmw = e.instr.is_load and e.instr.is_store
-            source = (proc, store_part(e.index) if rmw else e.index)
-            sources.append((position, source))
-            self._targets[1 << position] = (proc, e.index)
-        self._sources = tuple(sources)
-        self._mask = sum(self._targets)
+
+class _ThreadPpo:
+    """Static ppo of one processor's run, as :data:`_SHAPE_MASKS` entries.
+
+    ``key`` is the run's thread shape.  On a memo miss the run's
+    :class:`PpoContext` and each clause's edges (int bitmask rows over
+    stream positions, keyed by clause name so clause sets that share a
+    clause evaluate it once) are built and kept for the life of the
+    prefix; the memo itself keeps only the masks.
+    """
+
+    __slots__ = ("run", "key", "_context", "_position", "_rows")
+
+    def __init__(self, program_key: tuple, run: ProgramRun) -> None:
+        self.run = run
+        self.key = (
+            program_key,
+            tuple(e.index for e in run.executed),
+            tuple(e.addr for e in run.memory_accesses()),
+        )
+        self._context: Optional[PpoContext] = None
+        self._position: dict[int, int] = {}
         self._rows: dict[str, tuple[int, ...]] = {}
-        self._pairs: dict[tuple[str, ...], tuple[tuple[EventId, EventId], ...]] = {}
+
+    def masks(
+        self, clauses: tuple[Clause, ...], names: tuple[str, ...]
+    ) -> tuple[int, ...]:
+        """Each memory access's closed-ppo predecessors under ``clauses``
+        (named ``names``), as local access bits (memoized by shape)."""
+        key = (self.key, names)
+        masks = _SHAPE_MASKS.get(key)
+        if masks is None:
+            masks = self._build_masks(clauses)
+            if len(_SHAPE_MASKS) >= _SHAPE_CAP:
+                del _SHAPE_MASKS[next(iter(_SHAPE_MASKS))]
+            if len(_MASK_TUPLES) >= _SHAPE_CAP:
+                _MASK_TUPLES.clear()
+            masks = _SHAPE_MASKS[key] = _MASK_TUPLES.setdefault(masks, masks)
+        return masks
+
+    def _build_masks(self, clauses: tuple[Clause, ...]) -> tuple[int, ...]:
+        if self._context is None:
+            self._context = PpoContext.from_run(self.run)
+            self._position = {e.index: p for p, e in enumerate(self.run.executed)}
+        rows = [0] * len(self._position)
+        for clause in clauses:
+            for position, row in enumerate(self._clause_rows(clause)):
+                rows[position] |= row
+        # The rows hold predecessors, so this closes the converse of ppo.
+        close_rows(rows)
+        accesses = [self._position[e.index] for e in self.run.memory_accesses()]
+        masks = []
+        for position in accesses:
+            row = rows[position]
+            masks.append(
+                sum(1 << local for local, p in enumerate(accesses) if row >> p & 1)
+            )
+        return tuple(masks)
 
     def _clause_rows(self, clause: Clause) -> tuple[int, ...]:
         rows = self._rows.get(clause.name)
         if rows is None:
             position = self._position
             built = [0] * len(position)
-            for a, b in clause.edges(self.context):
-                built[position[a]] |= 1 << position[b]
+            for a, b in clause.edges(self._context):
+                built[position[b]] |= 1 << position[a]
             rows = self._rows[clause.name] = tuple(built)
         return rows
-
-    def memory_pairs(
-        self, clauses: tuple[Clause, ...], names: tuple[str, ...]
-    ) -> tuple[tuple[EventId, EventId], ...]:
-        """The closed ppo of ``clauses`` (named ``names``) between memory
-        events, as ``(source, target)`` event pairs."""
-        pairs = self._pairs.get(names)
-        if pairs is None:
-            rows = [0] * len(self._position)
-            for clause in clauses:
-                for i, row in enumerate(self._clause_rows(clause)):
-                    rows[i] |= row
-            close_rows(rows)
-            found = []
-            for position, source in self._sources:
-                row = rows[position] & self._mask
-                while row:
-                    bit = row & -row
-                    found.append((source, self._targets[bit]))
-                    row ^= bit
-            pairs = self._pairs[names] = tuple(found)
-        return pairs
 
 
 def _final_memory(
@@ -488,25 +511,29 @@ class CandidatePrefix:
     test and lets any number of models be judged against it — the core of
     the batch evaluation engine (:mod:`repro.engine`).
 
-    Four memoization layers live here:
+    Four memoization layers serve it:
 
-    1. Per (processor, run): the run's ppo context, each static clause's
-       edges as int bitmask rows keyed by clause name, and per clause-name
-       tuple the closed ppo projected onto memory events.  A run appears
-       in every combination that picks it, and clause sets that share a
-       clause (the zoo's six share most) evaluate it once.  Clause names
-       fully determine clause behaviour in this repository's vocabulary.
+    1. Per thread shape, process-wide (:data:`_SHAPE_MASKS`): each
+       processor run's static ppo per clause-name set, as one predecessor
+       bitmask per memory access.  The key is what the clauses read — the
+       program's instruction text and label positions, the executed
+       instruction indices and the resolved addresses — and no clause
+       reads a load value, ``rf`` or another thread, so the key is exact:
+       a program that recurs across tests, processors or runs is analysed
+       once.  Clause names fully determine clause behaviour in this
+       repository's vocabulary.  The memo holds only int tuples and drops
+       its oldest entry beyond :data:`_SHAPE_CAP`.
     2. ``base(i)`` — the model-independent candidate of run combination
-       ``i`` (events, the runs' contexts, forwarding metadata), built
-       lazily and shared by all models.
-    3. ``candidate(i, model)`` — the base specialized with the static-ppo
-       memory DAG, the union of its processors' pairs from layer 1,
+       ``i`` (events, forwarding metadata), built lazily and shared by all
+       models.
+    3. ``ppo_masks(i, model)`` — the combination's static-ppo memory DAG:
+       its processors' masks from layer 1 shifted to their node offsets,
        cached per ``(i, clause names)``; models with identical clause sets
-       (e.g. ARM vs GAM0, PLSC vs Alpha) get the same object.
-    4. ``kernel_for(i, candidate, model)`` — the frontier DP, keyed by the
-       resulting DAG, the load-value axiom and whether the same-source
-       check is on (the model needs it and the combination has window
-       pairs, found once per combination).
+       (e.g. ARM vs GAM0, PLSC vs Alpha) get the same tuple.
+    4. ``kernel_for(i, model)`` — the frontier DP, keyed by the DAG's
+       masks, the load-value axiom and whether the same-source check is on
+       (the model needs it and the combination has window pairs, found
+       once per combination).
 
     ``extra_values`` must cover an explicit outcome's values; asked-outcome
     values are always included by :func:`value_domains`, so a plain
@@ -526,11 +553,12 @@ class CandidatePrefix:
         self.combos: tuple[tuple[ProgramRun, ...], ...] = tuple(
             itertools.product(*per_proc)
         )
+        self._program_keys = [_program_key(program) for program in test.programs]
         # Keyed on (processor, id(run)): the runs live as long as the prefix.
         self._threads: dict[tuple[int, int], _ThreadPpo] = {}
         self._bases: dict[int, Optional[_Candidate]] = {}
-        self._candidates: dict[tuple[int, tuple[str, ...]], _Candidate] = {}
-        self._kernels: dict[tuple[int, frozenset, str, bool], FrontierKernel] = {}
+        self._masks: dict[tuple[int, tuple[str, ...]], tuple[int, ...]] = {}
+        self._kernels: dict[tuple[int, tuple[int, ...], str, bool], FrontierKernel] = {}
         self._windows: dict[int, tuple] = {}
 
     def covers(self, extra_values: Iterable[int]) -> bool:
@@ -541,66 +569,61 @@ class CandidatePrefix:
         """
         return set(extra_values) <= self.domains.wild
 
-    def _combo_threads(self, combo_index: int) -> tuple[_ThreadPpo, ...]:
-        """The per-(processor, run) ppo records of one run combination."""
-        threads = []
-        for proc, run in enumerate(self.combos[combo_index]):
-            thread = self._threads.get((proc, id(run)))
-            if thread is None:
-                thread = self._threads[(proc, id(run))] = _ThreadPpo(proc, run)
-            threads.append(thread)
-        return tuple(threads)
-
     def base(self, combo_index: int) -> Optional[_Candidate]:
         """The shared model-independent candidate for one run combination."""
         if combo_index not in self._bases:
-            contexts = tuple(t.context for t in self._combo_threads(combo_index))
             self._bases[combo_index] = _prepare_base(
-                self.test, self.combos[combo_index], contexts
+                self.test, self.combos[combo_index]
             )
         return self._bases[combo_index]
 
-    def candidate(self, combo_index: int, model: MemoryModel) -> Optional[_Candidate]:
-        """The base specialized with ``model``'s static-ppo DAG (memoized)."""
-        base = self.base(combo_index)
-        if base is None:
-            return None
-        names = tuple(c.name for c in model.clauses)
-        candidate = self._candidates.get((combo_index, names))
-        if candidate is None:
-            edges = frozenset(
-                itertools.chain.from_iterable(
-                    thread.memory_pairs(model.clauses, names)
-                    for thread in self._combo_threads(combo_index)
+    def ppo_masks(self, combo_index: int, model: MemoryModel) -> tuple[int, ...]:
+        """``model``'s static-ppo DAG on one run combination (memoized).
+
+        Entry ``i`` is node ``i``'s predecessor mask; nodes are the
+        combination's memory accesses, processor by processor in program
+        order, an RMW as one node (the numbering of :class:`FrontierKernel`).
+        """
+        names = model.static_clause_names
+        masks = self._masks.get((combo_index, names))
+        if masks is None:
+            joined: list[int] = []
+            for proc, run in enumerate(self.combos[combo_index]):
+                thread = self._threads.get((proc, id(run)))
+                if thread is None:
+                    thread = self._threads[(proc, id(run))] = _ThreadPpo(
+                        self._program_keys[proc], run
+                    )
+                offset = len(joined)
+                joined.extend(
+                    mask << offset for mask in thread.masks(model.clauses, names)
                 )
-            )
-            candidate = self._candidates[(combo_index, names)] = replace(
-                base, mem_edges=edges
-            )
-        return candidate
+            masks = self._masks[(combo_index, names)] = tuple(joined)
+        return masks
 
-    def kernel_for(
-        self, combo_index: int, candidate: _Candidate, model: MemoryModel
-    ) -> FrontierKernel:
-        """The frontier kernel for ``model`` on one candidate (memoized).
+    def kernel_for(self, combo_index: int, model: MemoryModel) -> FrontierKernel:
+        """The frontier kernel for ``model`` on one run combination, whose
+        :meth:`base` must not be None (memoized).
 
-        Keyed by the memory DAG, the load-value axiom and whether the
+        Keyed by the DAG's masks, the load-value axiom and whether the
         same-source check is on: the model needs it (ARM, plsc) and the
         combination has window pairs.  Models whose clause sets induce the
         same DAG share one solved DP unless the check is on for one of them
         only: ARM has GAM0's DAG and plsc has Alpha's, and they share it on
         every combination without window pairs.
         """
+        base = self.base(combo_index)
+        masks = self.ppo_masks(combo_index, model)
         window: tuple = ()
         if needs_same_source(model):
             window = self._windows.get(combo_index)
             if window is None:
-                window = self._windows[combo_index] = window_pairs(candidate)
-        key = (combo_index, candidate.mem_edges, model.load_value, bool(window))
+                window = self._windows[combo_index] = window_pairs(base)
+        key = (combo_index, masks, model.load_value, bool(window))
         kernel = self._kernels.get(key)
         if kernel is None:
             kernel = self._kernels[key] = FrontierKernel(
-                candidate, model.load_value, window
+                base, masks, model.load_value, window
             )
         return kernel
 
@@ -666,10 +689,10 @@ def _matching_combos(
         if not _regs_feasible(runs, outcome):
             _obs_incr("kernel.prune.regs_infeasible")
             continue
-        candidate = prefix.candidate(combo_index, model)
+        candidate = prefix.base(combo_index)
         if candidate is None:
             continue
-        kernel = prefix.kernel_for(combo_index, candidate, model)
+        kernel = prefix.kernel_for(combo_index, model)
         finals = kernel.final_memories()
         if outcome.mem:
             final_regs = _final_regs_of(runs)
@@ -747,10 +770,10 @@ def enumerate_outcomes(
         prefix = CandidatePrefix(test)
     outcomes: set[Outcome] = set()
     for combo_index in range(len(prefix.combos)):
-        candidate = prefix.candidate(combo_index, model)
+        candidate = prefix.base(combo_index)
         if candidate is None:
             continue
-        kernel = prefix.kernel_for(combo_index, candidate, model)
+        kernel = prefix.kernel_for(combo_index, model)
         finals = kernel.final_memories()
         if not finals:
             continue

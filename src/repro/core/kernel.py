@@ -57,7 +57,14 @@ initial value, and values are read back from it at full placement.
 **Representation.**  Events and edges are integer bitmasks: node ``i``'s
 predecessors are a single ``pred_mask[i]`` int, readiness is two mask
 operations, and the placed set is one int — no per-level ready-list
-rescans, no dict-of-EventId successor maps, no set churn.  An RMW's two
+rescans, no dict-of-EventId successor maps, no set churn.  Nodes are
+numbered processor by processor in program order, so ``pred_mask`` is
+the concatenation of each thread's static-ppo masks shifted by its node
+offset.  Those masks come from a bounded process-wide memo keyed by thread
+shape (program text and label positions, executed indices, resolved
+addresses): no ppo clause reads a load value, ``rf`` or another thread,
+so each distinct thread is analysed once per clause set
+(:class:`repro.core.axiomatic.CandidatePrefix`).  An RMW's two
 halves form one composite node (the load half is checked against the
 pre-placement state, then the store half's write is applied), realizing the
 "accesses the memory system at one instant" semantics of Section III-C.
@@ -99,14 +106,17 @@ def needs_same_source(model: "MemoryModel") -> bool:
 class FrontierKernel:
     """The frontier DP for one candidate DAG and load-value axiom.
 
-    Built from a specialized candidate (events plus the model's static-ppo
-    memory DAG); :meth:`final_memories` answers "which final memories can a
-    legal memory order reach?" without materializing any order.  A
-    non-empty ``window`` (the candidate's :func:`window_pairs`) turns on the
-    same-source check of the module docstring (ARM, plsc).  Instances are
-    cached per ``(combo, DAG, axiom, check on)`` by
+    Built from a model-independent candidate (its events) and the model's
+    static-ppo memory DAG as ``pred_mask``: entry ``i`` is node ``i``'s
+    predecessor mask, nodes numbered as :attr:`nodes` (the candidate's
+    events in order, an RMW's store half folded into its load half).
+    :meth:`final_memories` answers "which final memories can a legal memory
+    order reach?" without materializing any order.  A non-empty ``window``
+    (the candidate's :func:`window_pairs`) turns on the same-source check
+    of the module docstring (ARM, plsc).  Instances are cached per
+    ``(combo, DAG, axiom, check on)`` by
     :class:`repro.core.axiomatic.CandidatePrefix`, so models with identical
-    clause sets share one solved DP, and so does a checking model with a
+    DAGs share one solved DP, and so does a checking model with a
     non-checking one wherever the candidate has no window pairs.
     """
 
@@ -127,6 +137,7 @@ class FrontierKernel:
     def __init__(
         self,
         candidate: "_Candidate",
+        pred_mask: tuple[int, ...],
         load_value_mode: str,
         window: tuple[tuple[EventId, EventId], ...],
     ) -> None:
@@ -136,13 +147,7 @@ class FrontierKernel:
         node_of = {eid: i for i, eid in enumerate(node_eids)}
         for load_eid, store_eid in pairs.items():
             node_of[store_eid] = node_of[load_eid]
-
         n = len(node_eids)
-        pred_mask = [0] * n
-        for a, b in candidate.mem_edges:
-            node_a, node_b = node_of[a], node_of[b]
-            if node_a != node_b:
-                pred_mask[node_b] |= 1 << node_a
 
         self.addresses: tuple[int, ...] = tuple(
             sorted({e.addr for e in itertools.chain(candidate.inits, candidate.events)})

@@ -103,6 +103,7 @@ from .faults import (
     FAULTS_ENV_VAR,
     FaultAction,
     FaultPlan,
+    FaultPlanError,
     InjectedFault,
     fault_plan_from_env,
     parse_fault_plan,
@@ -142,6 +143,7 @@ __all__ = [
     "FAULTS_ENV_VAR",
     "FaultAction",
     "FaultPlan",
+    "FaultPlanError",
     "InjectedFault",
     "fault_plan_from_env",
     "parse_fault_plan",

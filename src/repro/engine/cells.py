@@ -79,7 +79,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 20
+ENGINE_VERSION = 21
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -185,6 +185,11 @@ Version history:
   other variant's exploration when that run met none.  Outcome sets are
   fixture-tested identical, but the machine path changed, so version-19
   entries re-verify.
+* 21 — static ppo is computed once per thread shape (program text and
+  label positions, executed indices, resolved addresses) as predecessor
+  bitmasks in a process-wide memo, and the kernel's DAG is those masks
+  joined at node offsets.  Outcome sets are parity-tested identical, but
+  the axiomatic path changed, so version-20 entries re-verify.
 """
 
 ORACLE_AXIOMATIC = "axiomatic"

@@ -63,6 +63,7 @@ __all__ = [
     "FAULTS_ENV_VAR",
     "FAULT_KINDS",
     "InjectedFault",
+    "FaultPlanError",
     "FaultAction",
     "FaultPlan",
     "parse_fault_plan",
@@ -94,6 +95,10 @@ FAULT_KINDS: dict[str, str] = {
 
 class InjectedFault(RuntimeError):
     """The exception a ``raise`` fault (or an in-process ``crash``) throws."""
+
+
+class FaultPlanError(ValueError):
+    """A malformed fault-plan spec; the message names the bad fragment."""
 
 
 @dataclass(frozen=True)
@@ -185,7 +190,7 @@ _SELECTORS = {"batch": int, "test": str, "attempts": int, "seconds": float}
 def parse_fault_plan(spec: str) -> FaultPlan:
     """Parse a ``kind:key=val,...;kind:...`` spec into a :class:`FaultPlan`.
 
-    Raises ``ValueError`` with the offending fragment on any malformed
+    Raises :class:`FaultPlanError` with the offending fragment on any malformed
     piece — a typo'd plan must fail loudly at arm time, not silently
     inject nothing.
     """
@@ -201,11 +206,12 @@ def parse_fault_plan(spec: str) -> FaultPlan:
             usage="batch=N,test=NAME,attempts=A,seconds=S",
             label=f"fault action {chunk!r} argument",
             noun="selector",
+            error=FaultPlanError,
         )
         try:
             actions.append(FaultAction(kind=kind.strip(), **kwargs))
         except ValueError as exc:
-            raise ValueError(f"bad fault action {chunk!r}: {exc}") from None
+            raise FaultPlanError(f"bad fault action {chunk!r}: {exc}") from None
     return FaultPlan(actions=tuple(actions))
 
 

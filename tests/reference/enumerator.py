@@ -9,7 +9,10 @@ merging, so the parity tests hold :mod:`repro.core.axiomatic`'s verdicts,
 outcome sets and witnesses equal to what this module folds from it.
 
 It shares candidate preparation (:class:`CandidatePrefix`) with the engine:
-value domains, program runs, events and the static-ppo DAG.
+value domains, program runs and events.  The static-ppo DAG it folds
+itself, per processor, from :func:`compute_ppo` and
+:func:`project_to_memory`, so the engine's per-shape masks are checked
+rather than reused.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.core.axiomatic import (
     project_outcome,
 )
 from repro.core.events import EventId, Execution, MemEvent
-from repro.core.ppo import compute_ppo, project_to_memory
+from repro.core.ppo import PpoContext, compute_ppo, project_to_memory
 from repro.litmus.test import LitmusTest, Outcome
 
 from .perloc_sc import execution_is_per_location_sc
@@ -39,8 +42,23 @@ __all__ = [
 ]
 
 
+def _static_memory_edges(
+    candidate: _Candidate,
+    model: MemoryModel,
+    contexts: tuple[PpoContext, ...],
+) -> frozenset[tuple[EventId, EventId]]:
+    """The model's static ppo, closed per processor and projected onto
+    memory events (an RMW's outgoing edges leave its store half)."""
+    return frozenset(
+        (candidate.src_eid(proc, a), (proc, b))
+        for proc, ctx in enumerate(contexts)
+        for a, b in project_to_memory(ctx, compute_ppo(ctx, model.clauses))
+    )
+
+
 def _orders_with_load_values(
     candidate: _Candidate,
+    mem_edges: frozenset[tuple[EventId, EventId]],
     load_value_mode: str,
 ) -> Iterator[tuple[tuple[EventId, ...], dict[EventId, EventId]]]:
     """Yield ``(mo, rf)`` for every topological order with consistent loads.
@@ -65,7 +83,7 @@ def _orders_with_load_values(
         node_of[store_eid] = load_eid
     succs: dict[EventId, list[EventId]] = {eid: [] for eid in nodes}
     indegree: dict[EventId, int] = {eid: 0 for eid in nodes}
-    for a, b in candidate.mem_edges:
+    for a, b in mem_edges:
         node_a, node_b = node_of[a], node_of[b]
         if node_a != node_b:
             succs[node_a].append(node_b)
@@ -158,11 +176,11 @@ def _orders_with_load_values(
 def _dynamic_memory_edges(
     candidate: _Candidate,
     model: MemoryModel,
+    ctx: PpoContext,
     proc: int,
     rf_local: Mapping[int, EventId],
 ) -> tuple[tuple[EventId, EventId], ...]:
     """One processor's (static + dynamic) ppo projected onto memory events."""
-    ctx = candidate.contexts[proc]
     ppo = compute_ppo(ctx, model.clauses, model.dynamic_clauses, rf_local)
     return tuple(
         (candidate.src_eid(proc, a), (proc, b))
@@ -173,6 +191,7 @@ def _dynamic_memory_edges(
 def _dynamic_clauses_hold(
     candidate: _Candidate,
     model: MemoryModel,
+    contexts: tuple[PpoContext, ...],
     mo: tuple[EventId, ...],
     rf: Mapping[EventId, EventId],
     memo: Optional[dict] = None,
@@ -190,20 +209,20 @@ def _dynamic_clauses_hold(
     if not model.dynamic_clauses:
         return True
     position = {eid: i for i, eid in enumerate(mo)}
-    for proc in range(len(candidate.contexts)):
+    for proc, ctx in enumerate(contexts):
         rf_local = {
             index: rf[(proc, index)]
             for (p, index) in rf
             if p == proc
         }
         if memo is None:
-            edges = _dynamic_memory_edges(candidate, model, proc, rf_local)
+            edges = _dynamic_memory_edges(candidate, model, ctx, proc, rf_local)
         else:
             key = (memo_key, proc, frozenset(rf_local.items()))
             edges = memo.get(key)
             if edges is None:
                 edges = memo[key] = _dynamic_memory_edges(
-                    candidate, model, proc, rf_local
+                    candidate, model, ctx, proc, rf_local
                 )
         for a, b in edges:
             if position[a] >= position[b]:
@@ -227,15 +246,18 @@ def enumerate_executions(
         prefix = CandidatePrefix(test, extra_values)
     dynamic_memo: dict = {}
     for combo_index in range(len(prefix.combos)):
-        candidate = prefix.candidate(combo_index, model)
+        candidate = prefix.base(combo_index)
         if candidate is None:
             continue
+        contexts = tuple(PpoContext.from_run(run) for run in candidate.runs)
+        mem_edges = _static_memory_edges(candidate, model, contexts)
         dynamic_key = (combo_index, model.clause_names())
         final_regs = _final_regs_of(candidate.runs)
-        for mo, rf in _orders_with_load_values(candidate, model.load_value):
+        for mo, rf in _orders_with_load_values(candidate, mem_edges, model.load_value):
             if not _dynamic_clauses_hold(
                 candidate,
                 model,
+                contexts,
                 mo,
                 rf,
                 memo=dynamic_memo,

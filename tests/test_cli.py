@@ -314,6 +314,14 @@ class TestUsageErrors:
         assert captured.err.startswith("error: ")
         assert f"must be >= 1, got {key}" in captured.err
 
+    def test_typod_fault_plan_is_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "raise:batch=x")
+        assert main(["check", "dekker"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "raise:batch=x" in captured.err
+
     @pytest.mark.parametrize(
         "suite, key",
         [("gen:edges=4,edges=5", "edges"), ("rand:n=2,n=3", "n")],

@@ -86,8 +86,8 @@ class TestKernelInternals:
         test = get_test("coww")
         prefix = CandidatePrefix(test)
         model = get_model("gam")
-        candidate = prefix.candidate(0, model)
-        kernel = prefix.kernel_for(0, candidate, model)
+        assert prefix.base(0) is not None
+        kernel = prefix.kernel_for(0, model)
         for values in kernel.final_memories():
             assert len(values) == len(kernel.addresses)
             memory = kernel.as_memory(values)
@@ -118,13 +118,11 @@ class TestKernelInternals:
         prefix = CandidatePrefix(test)
         arm, gam0 = get_model("arm"), get_model("gam0")
         index = next(i for i in range(len(prefix.combos)) if prefix.base(i))
-        arm_candidate = prefix.candidate(index, arm)
-        gam0_candidate = prefix.candidate(index, gam0)
-        assert arm_candidate.mem_edges == gam0_candidate.mem_edges
-        arm_kernel = prefix.kernel_for(index, arm_candidate, arm)
-        gam0_kernel = prefix.kernel_for(index, gam0_candidate, gam0)
+        assert prefix.ppo_masks(index, arm) == prefix.ppo_masks(index, gam0)
+        arm_kernel = prefix.kernel_for(index, arm)
+        gam0_kernel = prefix.kernel_for(index, gam0)
         assert arm_kernel is not gam0_kernel
-        assert prefix.kernel_for(index, arm_candidate, arm) is arm_kernel
+        assert prefix.kernel_for(index, arm) is arm_kernel
 
     @pytest.mark.parametrize("checking,plain", [("arm", "gam0"), ("plsc", "alpha_like")])
     def test_window_free_combinations_share_one_kernel(self, checking, plain):
@@ -137,10 +135,8 @@ class TestKernelInternals:
         for index in range(len(prefix.combos)):
             if prefix.base(index) is None:
                 continue
-            checking_kernel = prefix.kernel_for(
-                index, prefix.candidate(index, checking), checking
-            )
-            plain_kernel = prefix.kernel_for(index, prefix.candidate(index, plain), plain)
+            checking_kernel = prefix.kernel_for(index, checking)
+            plain_kernel = prefix.kernel_for(index, plain)
             assert checking_kernel is plain_kernel
             shared += 1
         assert shared

@@ -1,8 +1,15 @@
 """Unit tests for each case of Definition 6 (preserved program order)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.core.axiomatic import CandidatePrefix
+from repro.core import axiomatic
+from repro.core.axiomatic import CandidatePrefix, is_allowed
 from repro.core.ppo import (
     AddrSt,
     BrSt,
@@ -21,6 +28,7 @@ from repro.core.ppo import (
 from repro.isa.expr import BinOp, Const, Reg
 from repro.isa.instructions import Branch, Fence, Load, Nop, RegOp, Store
 from repro.isa.program import Program
+from repro.litmus.dsl import LitmusBuilder
 from repro.litmus.frontend.suite import resolve_suite
 from repro.models.registry import get_model, model_names
 
@@ -280,8 +288,8 @@ def _zoo_clause_sets():
 
 
 class TestPrefixStaticPpo:
-    """``CandidatePrefix`` shares clause rows and closed pairs per
-    (processor, run); its DAG must equal the per-processor fold of
+    """``CandidatePrefix`` builds each run combination's DAG from per-shape
+    predecessor masks; decoded, it must equal the per-processor fold of
     ``compute_ppo`` and ``project_to_memory``."""
 
     @pytest.mark.parametrize("suite", ["all", "gen:edges=4", "rand:n=60,seed=3"])
@@ -292,24 +300,170 @@ class TestPrefixStaticPpo:
         for test in resolve_suite(suite):
             prefix = CandidatePrefix(test)
             for combo_index in range(len(prefix.combos)):
+                base = prefix.base(combo_index)
+                if base is None:
+                    continue
+                folded = set(base.rmw_pairs.values())
+                nodes = [e.eid for e in base.events if e.eid not in folded]
+                contexts = [PpoContext.from_run(run) for run in base.runs]
                 for model in clause_sets:
-                    candidate = prefix.candidate(combo_index, model)
-                    if candidate is None:
-                        continue
+                    decoded = {
+                        (base.src_eid(*nodes[a]), nodes[b])
+                        for b, mask in enumerate(prefix.ppo_masks(combo_index, model))
+                        for a in range(len(nodes))
+                        if mask >> a & 1
+                    }
                     expected = set()
-                    for proc, ctx in enumerate(candidate.contexts):
+                    for proc, ctx in enumerate(contexts):
                         ppo = compute_ppo(ctx, model.clauses)
                         for a, b in project_to_memory(ctx, ppo):
-                            expected.add((candidate.src_eid(proc, a), (proc, b)))
-                    assert candidate.mem_edges == expected, (test.name, model.name)
+                            expected.add((base.src_eid(proc, a), (proc, b)))
+                    assert decoded == expected, (test.name, model.name)
                     checked += 1
         assert checked > 0
 
-    def test_candidate_is_shared_by_equal_clause_sets(self):
+    def test_masks_are_shared_by_equal_clause_sets(self):
         test = resolve_suite("paper")[0]
         prefix = CandidatePrefix(test)
         combo_index = next(
             i for i in range(len(prefix.combos)) if prefix.base(i) is not None
         )
         gam0, arm = get_model("gam0"), get_model("arm")
-        assert prefix.candidate(combo_index, gam0) is prefix.candidate(combo_index, arm)
+        assert prefix.ppo_masks(combo_index, gam0) is prefix.ppo_masks(combo_index, arm)
+
+
+def _fold_masks(run, clauses):
+    """One run's closed static ppo as local access predecessor masks,
+    folded from ``compute_ppo`` and ``project_to_memory``."""
+    ctx = PpoContext.from_run(run)
+    local = {e.index: i for i, e in enumerate(run.memory_accesses())}
+    masks = [0] * len(local)
+    for a, b in project_to_memory(ctx, compute_ppo(ctx, clauses)):
+        masks[local[b]] |= 1 << local[a]
+    return tuple(masks)
+
+
+_ZOO = ("sc", "tso", "gam", "gam0", "arm", "wmm", "alpha_like", "plsc")
+
+
+def _verdicts(tests):
+    models = [get_model(name) for name in _ZOO]
+    return [is_allowed(test, model) for test in tests for model in models]
+
+
+_FRESH_VERDICTS = """
+import json
+from repro.core.axiomatic import is_allowed
+from repro.litmus.frontend.suite import resolve_suite
+from repro.models.registry import get_model
+names = ("sc", "tso", "gam", "gam0", "arm", "wmm", "alpha_like", "plsc")
+models = [get_model(name) for name in names]
+tests = resolve_suite("gen:edges=4")
+print(json.dumps([is_allowed(t, m) for t in tests for m in models]))
+"""
+
+
+class TestShapeMemo:
+    """The process-wide static-ppo memo keyed by thread shape."""
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        fresh: dict = {}
+        monkeypatch.setattr(axiomatic, "_SHAPE_MASKS", fresh)
+        monkeypatch.setattr(axiomatic, "_MASK_TUPLES", {})
+        return fresh
+
+    @staticmethod
+    def _two_tests():
+        first = LitmusBuilder("shape-first", locations=("x", "y"))
+        first.proc().ld("r1", "x").st("y", "r1")
+        first.proc().st("x", 1)
+        second = LitmusBuilder("shape-second", locations=("x", "y"))
+        second.proc().st("y", 2).st("x", 1)
+        second.proc().ld("r1", "x").st("y", "r1")
+        return (
+            first.build(asked={"P0.r1": 1}),
+            second.build(asked={"P1.r1": 1}),
+        )
+
+    def test_same_program_on_another_processor_shares_one_entry(self, memo):
+        first, second = self._two_tests()
+        assert first.programs[0] == second.programs[1]
+        gam = get_model("gam")
+        is_allowed(first, gam)
+        entries = len(memo)
+        is_allowed(second, gam)
+        assert len(memo) == entries + 1  # only P0's store pair is new
+        prefix = CandidatePrefix(second)
+        run = prefix.combos[0][1]
+        program_key = axiomatic._program_key(second.programs[1])
+        key = axiomatic._ThreadPpo(program_key, run).key
+        names = gam.static_clause_names
+        shared = [k for k in memo if k[0][0] == key[0]]
+        assert shared == [(key, names)]
+        assert memo[(key, names)] == _fold_masks(run, gam.clauses) == (0, 0b01)
+
+    def test_verdicts_do_not_depend_on_suite_order(self, memo):
+        _verdicts(resolve_suite("all"))
+        after_all = _verdicts(resolve_suite("gen:edges=4"))
+        env = dict(os.environ, PYTHONPATH=str(Path(axiomatic.__file__).parents[2]))
+        fresh = subprocess.run(
+            [sys.executable, "-c", _FRESH_VERDICTS],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert after_all == json.loads(fresh.stdout)
+
+    def test_label_position_is_part_of_the_key(self):
+        def program(label_at):
+            return Program(
+                [
+                    Load("r1", Const(A)),
+                    Branch(Reg("r1"), "L"),
+                    Store(Const(B), Const(1)),
+                    Nop(),
+                ],
+                labels={"L": label_at},
+            )
+
+        near, far = program(2), program(3)
+        keys = [
+            axiomatic._ThreadPpo(axiomatic._program_key(p), p.execute({0: 0})).key
+            for p in (near, far)
+        ]
+        assert keys[0][1:] == keys[1][1:]  # same executed indices and addresses
+        assert keys[0] != keys[1]
+
+    def test_skipped_instruction_is_part_of_the_key(self, memo):
+        # Both runs access the same addresses; only the second skips the
+        # fence, which orders the load before the store.
+        program = Program(
+            [
+                Load("r1", Const(A)),
+                Branch(Reg("r1"), "L"),
+                Fence("L", "S"),
+                Store(Const(B), Const(1)),
+            ],
+            labels={"L": 3},
+        )
+        fenced, unfenced = program.execute({0: 0}), program.execute({0: 1})
+        clauses, names = (FenceOrd(),), ("FenceOrd",)
+        key = axiomatic._program_key(program)
+        masks = [
+            axiomatic._ThreadPpo(key, run).masks(clauses, names)
+            for run in (fenced, unfenced)
+        ]
+        assert masks == [(0, 0b01), (0, 0)]
+        assert masks == [_fold_masks(run, clauses) for run in (fenced, unfenced)]
+        assert len(memo) == 2
+
+    def test_memo_stays_within_its_cap(self, memo, monkeypatch):
+        tests = resolve_suite("paper")
+        expected = _verdicts(tests)
+        memo.clear()
+        monkeypatch.setattr(axiomatic, "_SHAPE_CAP", 5)
+        assert _verdicts(tests) == expected
+        assert 0 < len(memo) <= 5
+        assert len(axiomatic._MASK_TUPLES) <= 5
+        for masks in memo.values():
+            assert type(masks) is tuple
+            assert all(type(mask) is int for mask in masks)
